@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dj.add_argument("--oracle", required=True, choices=dj_mod.ORACLE_IDS)
     p_dj.add_argument("--method", default="quad-evolution", choices=dj_mod.METHODS)
     p_dj.add_argument("--shaped-pulses", action="store_true",
-                      help="use calibrated gaussian soft pulses in the oracle")
+                      help="use gaussian soft pulses for the oracle's selective pulses")
     _add_system_args(p_dj)
     _add_acquisition_args(p_dj)
     _add_relaxation_args(p_dj)

@@ -185,8 +185,9 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
            lb_hz: float = DEFAULT_LB_HZ) -> DJOutcome:
     """Full algorithm run: pseudopure prep, hard 90, oracle, acquisition.
 
-    shaped_pulses replaces the oracle's ideal selective pulses by calibrated
-    gaussians; their duration defaults to one full period of the quadrupolar
+    shaped_pulses replaces the oracle's ideal selective pulses by gaussian
+    soft pulses (the ideal pulse followed by free evolution over the pulse
+    duration); their duration defaults to one full period of the quadrupolar
     phase accrual, 1/(3*lambda), so the background phases wrap by 2*pi.
     """
     sys = SpinSystem() if sys is None else sys

@@ -23,14 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .linalg import expm_hermitian
 from .system import (ForbiddenTransitionError, SpinSystem, Transition,
-                     free_evolution, hamiltonian)
+                     free_evolution)
 
 _AXIS_SIGN = {"x": +1.0, "-x": -1.0, "y": -1.0, "-y": +1.0}
-_OPPOSITE = {"x": "-x", "-x": "x", "y": "-y", "-y": "y"}
 
 
 def _resolve_transition(sys: SpinSystem, transition) -> Transition:
@@ -164,88 +162,25 @@ def refocus_block(sys: SpinSystem, tau_s: float, axis: str = "-y") -> np.ndarray
     return half @ hard_pulse(sys, axis, np.pi) @ half
 
 
-def gaussian_envelope(duration_s: float, n_slices: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint-sampled unit-area Gaussian envelope truncated at +-3 sigma."""
-    dt = duration_s / n_slices
-    t = (np.arange(n_slices) + 0.5) * dt
-    sigma = duration_s / 6.0
-    w = np.exp(-0.5 * ((t - duration_s / 2.0) / sigma) ** 2)
-    w = w / (np.sum(w) * dt)
-    return t, w
-
-
-def _shaped_propagator(sys: SpinSystem, gen: np.ndarray, sign: float, area: float,
-                       duration_s: float, n_slices: int) -> np.ndarray:
-    """Slice product with the drive modulated to stay resonant with its block.
-
-    Each slice is a symmetric split: half a free-evolution step, the r.f.
-    kick with the drive operator rotated to the slice midpoint
-    (e^{-i H0 t} G e^{+i H0 t}, H0 diagonal), and the second free half-step.
-    """
-    h0_diag = np.diag(hamiltonian(sys)).real
-    t, w = gaussian_envelope(duration_s, n_slices)
-    dt = duration_s / n_slices
-    half = np.exp(-1j * h0_diag * dt / 2.0)
-    u = np.eye(sys.dim, dtype=complex)
-    for k in range(n_slices):
-        phase = np.exp(-1j * h0_diag * t[k])
-        gen_k = (phase[:, None] * gen) * phase.conj()[None, :]
-        kick = expm_hermitian(gen_k, sign * area * w[k] * dt)
-        step = (half[:, None] * kick) * half[None, :]
-        u = step @ u
-    return u
-
-
-def _achieved_angle(sys: SpinSystem, tr: Transition, u: np.ndarray,
-                    duration_s: float) -> float:
-    """Flip angle delivered to the target block after removing phase accrual."""
-    w = free_evolution(sys, duration_s).conj().T @ u
-    i, j = tr.upper_index, tr.lower_index
-    bloch = 2.0 * np.arctan2(abs(w[i, j]), w[i, i].real)
-    return _angle_for_bloch(tr, bloch)
-
-
 def shaped_pulse(sys: SpinSystem, transition, axis: str, nominal_angle_rad: float,
                  duration_s: float, n_slices: int = 512) -> np.ndarray:
-    """Gaussian soft pulse integrated slice-by-slice under the full Hamiltonian.
+    """Gaussian soft pulse on one transition, in closed form.
 
     The drive is confined to the target transition's subspace operator and
-    kept resonant with it, so the idealization error that remains is exactly
-    the quadrupolar (and offset) phase accrual over the pulse duration: with
-    a zero flip angle the result is the free-evolution propagator, and when
-    the accrued phases are multiples of 2*pi the result approaches the ideal
-    instantaneous selective pulse. The envelope amplitude is calibrated by
-    root-finding so the block receives the nominal flip angle to 1e-6 rad.
+    kept resonant with it. In the interaction frame of the diagonal H0, every
+    slice of the envelope is then an exponential of the same block generator,
+    so the slice product telescopes to free_evolution(T) after the ideal
+    selective pulse: the flip angle is exact for any unit-area envelope, and
+    the only idealization error left is the quadrupolar (and offset) phase
+    accrued over the duration. With a zero angle the result is the
+    free-evolution propagator; when the accrued phases are multiples of 2*pi
+    it is the ideal instantaneous selective pulse. A negative angle is the
+    positive angle about the opposite axis. n_slices is validated for the
+    sequence grammar but does not change the result.
     """
     if duration_s <= 0:
         raise ValueError("shaped pulse duration must be positive")
     if n_slices < 64:
         raise ValueError("shaped pulse needs at least 64 slices")
-    if axis not in _AXIS_SIGN:
-        raise ValueError(f"shaped pulse axis must be one of x, -x, y, -y, got {axis!r}")
-    if not np.isfinite(nominal_angle_rad):
-        raise ValueError("pulse angle must be finite")
-    tr = _resolve_transition(sys, transition)
-    if nominal_angle_rad < 0:
-        axis = _OPPOSITE[axis]
-        nominal_angle_rad = -nominal_angle_rad
-    if nominal_angle_rad == 0:
-        return free_evolution(sys, duration_s)
-
-    gen = _selective_generator(sys, tr, axis)
-    sign = _AXIS_SIGN[axis]
-
-    def miss(scale: float) -> float:
-        u = _shaped_propagator(sys, gen, sign, scale * nominal_angle_rad,
-                               duration_s, n_slices)
-        return _achieved_angle(sys, tr, u, duration_s) - nominal_angle_rad
-
-    try:
-        scale = brentq(miss, 0.2, 1.8, xtol=1e-9)
-    except ValueError as exc:
-        raise ValueError(f"could not calibrate shaped pulse amplitude: {exc}") from exc
-    u = _shaped_propagator(sys, gen, sign, scale * nominal_angle_rad,
-                           duration_s, n_slices)
-    if abs(_achieved_angle(sys, tr, u, duration_s) - nominal_angle_rad) > 1e-6:
-        raise ValueError("shaped pulse calibration did not converge to 1e-6 rad")
-    return u
+    pulse = selective_pulse(sys, transition, axis, nominal_angle_rad)
+    return free_evolution(sys, duration_s) @ pulse

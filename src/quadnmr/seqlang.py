@@ -24,6 +24,9 @@ an optional leading '-'. Durations carry a unit (s, ms, us) or are the
 symbolic form pi/(12*lambda), resolved against the declared coupling.
 Transitions are bit-string pairs like 10-11; pairs whose levels are not
 adjacent (the unphysical |delta m| > 1 drives) are rejected at parse time.
+A gaussian clause makes a selective pulse soft (see pulses.shaped_pulse);
+its optional slice count (>= 64) is validated and printed back but does not
+change the propagator.
 
 Every parse error carries a 1-based line and column and a machine-readable
 code (the E_* constants below).

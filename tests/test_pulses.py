@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnmr import (ForbiddenTransitionError, SpinSystem,
-                     gate_fidelity_global_phase, gradient_crush, hard_pulse,
-                     is_unitary, matrices_close, quad_evolution, refocus_block,
-                     selective_pulse, selective_z_closed_form, selective_z_pulse,
-                     shaped_pulse, subspace_operators)
+from quadnmr import (ForbiddenTransitionError, SpinSystem, expm_hermitian,
+                     free_evolution, gate_fidelity_global_phase, gradient_crush,
+                     hamiltonian, hard_pulse, is_unitary, matrices_close,
+                     quad_evolution, refocus_block, selective_pulse,
+                     selective_z_closed_form, selective_z_pulse, shaped_pulse,
+                     subspace_operators)
 from quadnmr.system import cphase_delay_s
 
 from conftest import HARD_90_MINUS_Y
@@ -178,6 +179,66 @@ class TestShapedPulse:
             shaped_pulse(sys32, "01-11", "x", PI, 0.0, 128)
         with pytest.raises(ValueError):
             shaped_pulse(sys32, "01-11", "x", PI, 1e-4, 32)
+
+
+def _slice_product(sys, transition, axis, angle, duration, n_slices):
+    """Reference slice integrator of the gaussian pulse, uncalibrated.
+
+    Midpoint-sampled unit-area gaussian truncated at +-3 sigma; each slice is
+    a free half-step, a kick with the drive rotated to the slice midpoint so
+    it stays resonant with its block, and a second free half-step.
+    """
+    tr = sys.transition(transition)
+    sub = subspace_operators(sys, tr)
+    gen = sub.ix_sub if axis in ("x", "-x") else sub.iy_sub
+    if abs(tr.ix_element - 1.0) < 1e-12:
+        gen = gen / 2.0
+    sign = {"x": 1.0, "-x": -1.0, "y": -1.0, "-y": 1.0}[axis]
+    h0 = np.diag(hamiltonian(sys)).real
+    dt = duration / n_slices
+    t = (np.arange(n_slices) + 0.5) * dt
+    w = np.exp(-0.5 * ((t - duration / 2.0) / (duration / 6.0)) ** 2)
+    w = w / (np.sum(w) * dt)
+    half = np.exp(-1j * h0 * dt / 2.0)
+    u = np.eye(sys.dim, dtype=complex)
+    for t_k, w_k in zip(t, w):
+        phase = np.exp(-1j * h0 * t_k)
+        kick = expm_hermitian((phase[:, None] * gen) * phase.conj()[None, :],
+                              sign * angle * w_k * dt)
+        u = ((half[:, None] * kick) * half[None, :]) @ u
+    return u
+
+
+class TestShapedPulseClosedForm:
+    @pytest.mark.parametrize("transition", ["00-01", "01-11", "11-10"])
+    @pytest.mark.parametrize("offset_hz", [0.0, 1234.5])
+    @pytest.mark.parametrize("angle", [PI / SQRT3, -PI / 2])
+    def test_equals_slice_product(self, transition, offset_hz, angle):
+        sys = SpinSystem.from_splitting(16_000.0, offset_hz=offset_hz)
+        duration = 1.1 / (3.0 * sys.lambda_hz)
+        for axis in ("x", "-y"):
+            reference = _slice_product(sys, transition, axis, angle, duration, 128)
+            u = shaped_pulse(sys, transition, axis, angle, duration, 128)
+            assert np.max(np.abs(u - reference)) < 1e-12
+
+    @pytest.mark.parametrize("transition, angle", [("00-01", PI),
+                                                   ("01-11", 1.5 * PI),
+                                                   ("11-10", -PI)])
+    def test_angles_beyond_the_old_calibration_bracket(self, sys32, transition, angle):
+        duration = 1.0 / (3.0 * sys32.lambda_hz)
+        expected = (free_evolution(sys32, duration)
+                    @ selective_pulse(sys32, transition, "x", angle))
+        u = shaped_pulse(sys32, transition, "x", angle, duration)
+        assert matrices_close(u, expected, atol=1e-15)
+        assert is_unitary(u, atol=1e-12)
+
+    def test_bad_axis_and_angle(self, sys32):
+        with pytest.raises(ValueError):
+            shaped_pulse(sys32, "01-11", "z", PI, 1e-4)
+        with pytest.raises(ValueError):
+            shaped_pulse(sys32, "01-11", "x", float("nan"), 1e-4)
+        with pytest.raises(ForbiddenTransitionError):
+            shaped_pulse(sys32, "00-10", "x", PI, 1e-4)
 
 
 class TestRefocusBlock:
