@@ -11,6 +11,7 @@ the d <= 8 matrices handled here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -64,9 +65,15 @@ def spin_operators(spin: float) -> SpinOperators:
 
     The raising operator has matrix elements
     <m+1|I+|m> = sqrt(I(I+1) - m(m+1)), which for I = 3/2 puts
-    (sqrt(3), 2, sqrt(3)) on the superdiagonal of I+.
+    (sqrt(3), 2, sqrt(3)) on the superdiagonal of I+. The result is built
+    once per spin and shared, so its arrays are read-only.
     """
-    dim = _check_spin(spin)
+    return _spin_operators(_check_spin(spin))
+
+
+@cache
+def _spin_operators(dim: int) -> SpinOperators:
+    spin = (dim - 1) / 2.0
     m = spin - np.arange(dim)
     iz = np.diag(m).astype(complex)
     iplus = np.zeros((dim, dim), dtype=complex)
@@ -75,6 +82,8 @@ def spin_operators(spin: float) -> SpinOperators:
     iminus = iplus.conj().T
     ix = (iplus + iminus) / 2.0
     iy = (iplus - iminus) / 2.0j
+    for op in (ix, iy, iz):
+        op.flags.writeable = False
     return SpinOperators(spin=spin, ix=ix, iy=iy, iz=iz)
 
 

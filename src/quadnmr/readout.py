@@ -66,8 +66,10 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
         raise ValueError(f"expected {len(table)} amplitudes, got {amplitudes.shape}")
     if points < 2:
         raise ValueError("need at least two points")
-    if dwell_s <= 0:
-        raise ValueError("dwell time must be positive")
+    if not (np.isfinite(dwell_s) and dwell_s > 0):
+        raise ValueError(f"dwell time must be positive and finite, got {dwell_s}")
+    if not np.isfinite(lb_hz) or lb_hz < 0:
+        raise ValueError(f"line broadening must be finite and nonnegative, got {lb_hz}")
     nyquist = 1.0 / (2.0 * dwell_s)
     t = np.arange(points) * dwell_s
     samples = np.zeros(points, dtype=complex)

@@ -50,13 +50,23 @@ class SpinSystem:
     offset_hz: float = 0.0
     lambda_hz: float = DEFAULT_SPLITTING_HZ / 6.0
     labels: tuple[str, ...] = field(default=SPIN_32_LABELS)
+    # every level pair (i < j), adjacent pairs first; derived, built once
+    _transitions: dict[tuple[int, int], Transition] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ops = spin_operators(self.spin)  # validates the spin value
+        for name in ("offset_hz", "lambda_hz"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if len(self.labels) != ops.dim:
             object.__setattr__(self, "labels", _default_labels(ops.dim))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("level labels must be a bijection")
+        h_diag = np.diag(hamiltonian(self))
+        object.__setattr__(self, "_transitions", {
+            (i, i + gap): _build_transition(self, h_diag, i, i + gap)
+            for gap in range(1, ops.dim) for i in range(ops.dim - gap)})
 
     @classmethod
     def from_splitting(cls, splitting_hz: float = DEFAULT_SPLITTING_HZ,
@@ -94,11 +104,10 @@ class SpinSystem:
         i, j = self.index_of(parts[0]), self.index_of(parts[1])
         if i == j:
             raise UnknownTransitionError(f"transition needs two distinct levels: {pair!r}")
-        upper, lower = min(i, j), max(i, j)
-        tr = _build_transition(self, upper, lower)
+        tr = self._transitions[min(i, j), max(i, j)]
         if tr.kind == "forbidden":
             raise ForbiddenTransitionError(
-                f"transition {pair} has |delta m| = {lower - upper}; "
+                f"transition {pair} has |delta m| = {abs(i - j)}; "
                 "only single-quantum transitions can be driven")
         return tr
 
@@ -138,11 +147,10 @@ def hamiltonian(sys: SpinSystem) -> np.ndarray:
     return zeeman + quad
 
 
-def _build_transition(sys: SpinSystem, i: int, j: int) -> Transition:
-    h = hamiltonian(sys)
+def _build_transition(sys: SpinSystem, h_diag: np.ndarray, i: int, j: int) -> Transition:
     ops = sys.operators
     kind = "single-quantum-observable" if j - i == 1 else "forbidden"
-    freq = float((h[i, i] - h[j, j]).real / (2.0 * np.pi))
+    freq = float((h_diag[i] - h_diag[j]).real / (2.0 * np.pi))
     return Transition(
         upper_label=sys.labels[i], lower_label=sys.labels[j],
         upper_index=i, lower_index=j, kind=kind,
@@ -157,12 +165,8 @@ def transition_table(sys: SpinSystem, include_forbidden: bool = False) -> list[T
     include_forbidden=True, |delta m| > 1 pairs are appended flagged
     "forbidden" (for spin 3/2 that includes the 00-10 pair).
     """
-    table = [_build_transition(sys, i, i + 1) for i in range(sys.dim - 1)]
-    if include_forbidden:
-        for gap in range(2, sys.dim):
-            for i in range(sys.dim - gap):
-                table.append(_build_transition(sys, i, i + gap))
-    return table
+    return [tr for tr in sys._transitions.values()
+            if include_forbidden or tr.kind != "forbidden"]
 
 
 def quad_evolution(sys: SpinSystem, tau_s: float) -> np.ndarray:

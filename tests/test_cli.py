@@ -50,6 +50,18 @@ class TestDJCommand:
         assert (a / stem).read_bytes() == (b / stem).read_bytes()
 
 
+    @pytest.mark.parametrize("option, value", [("--lb", "nan"), ("--lb", "-100"),
+                                               ("--offset", "nan"),
+                                               ("--splitting", "inf"),
+                                               ("--dwell", "nan")])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, option, value):
+        code, _, err = run_cli(capsys, "--outdir", str(tmp_path), "dj",
+                               "--oracle", "f3", option, value)
+        assert code == 1
+        assert "error[E_CONFIG]" in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestEquilibriumAndPseudopure:
     def test_equilibrium_artifacts(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "--outdir", str(tmp_path), "equilibrium")

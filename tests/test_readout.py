@@ -54,6 +54,16 @@ class TestSynthesizeFid:
         with pytest.raises(ValueError):
             synthesize_fid([1, 1], sys32)
 
+    @pytest.mark.parametrize("lb_hz", [float("nan"), float("inf"), -100.0])
+    def test_bad_line_broadening_rejected(self, sys32, lb_hz):
+        with pytest.raises(ValueError, match="line broadening"):
+            synthesize_fid([1, 1, 1], sys32, points=64, lb_hz=lb_hz)
+
+    @pytest.mark.parametrize("dwell_s", [float("nan"), float("inf"), 0.0])
+    def test_bad_dwell_rejected(self, sys32, dwell_s):
+        with pytest.raises(ValueError, match="dwell time"):
+            synthesize_fid([1, 1, 1], sys32, points=64, dwell_s=dwell_s)
+
 
 class TestSpectrum:
     def test_single_line_peaks_at_zero(self):

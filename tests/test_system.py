@@ -106,3 +106,20 @@ def test_splitting_constructor_round_trip():
     assert sys.lambda_hz == pytest.approx(16_000.0 / 6.0)
     assert sys.splitting_hz == pytest.approx(16_000.0)
     assert cphase_delay_s(sys) == pytest.approx(1.0 / (24.0 * sys.lambda_hz))
+
+
+@pytest.mark.parametrize("field", ["offset_hz", "lambda_hz"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_frequencies_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        SpinSystem(**{field: value})
+
+
+def test_derived_data_is_shared_and_read_only(sys32):
+    assert sys32.operators is SpinSystem(offset_hz=99.0).operators
+    with pytest.raises(ValueError):
+        sys32.operators.ix[0, 1] = 0.0
+    table = transition_table(sys32)
+    table.pop()
+    assert len(transition_table(sys32)) == 3
+    assert sys32 == SpinSystem() and hash(sys32) == hash(SpinSystem())
