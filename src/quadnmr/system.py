@@ -56,9 +56,9 @@ class SpinSystem:
 
     def __post_init__(self):
         ops = spin_operators(self.spin)  # validates the spin value
-        for name in ("offset_hz", "lambda_hz"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, value in (("offset_hz", self.offset_hz), ("lambda_hz", self.lambda_hz)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if len(self.labels) != ops.dim:
             object.__setattr__(self, "labels", _default_labels(ops.dim))
         if len(set(self.labels)) != len(self.labels):

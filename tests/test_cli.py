@@ -49,7 +49,6 @@ class TestDJCommand:
         stem = "dj_f2_quad-evolution_spectrum.csv"
         assert (a / stem).read_bytes() == (b / stem).read_bytes()
 
-
     @pytest.mark.parametrize("option, value", [("--lb", "nan"), ("--lb", "-100"),
                                                ("--offset", "nan"),
                                                ("--splitting", "inf"),
