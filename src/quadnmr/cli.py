@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dj as dj_mod
 from .compiler import compile_unitary
-from .linalg import gate_fidelity_global_phase
+from .linalg import conjugate, gate_fidelity_global_phase
 from .prep import equilibrium_state, pseudopure_00
 from .pulses import hard_pulse
 from .readout import (DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, acquire,
@@ -96,8 +96,7 @@ def _relax_from(args) -> RelaxationParams | None:
 
 def cmd_equilibrium(args) -> int:
     sys = _system_from(args)
-    rho = equilibrium_state(sys)
-    rho = hard_pulse(sys, "-y", np.pi / 2.0) @ rho @ hard_pulse(sys, "-y", np.pi / 2.0).conj().T
+    rho = conjugate(equilibrium_state(sys), hard_pulse(sys, "-y", np.pi / 2.0))
     _, spec = acquire(rho, sys, points=args.points, dwell_s=args.dwell,
                       lb_hz=args.lb, relax=_relax_from(args))
     out = _outdir(args)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import conjugate
 from .pulses import (gradient_crush, hard_pulse, refocus_block, selective_pulse,
                      selective_z_closed_form, shaped_pulse)
 from .readout import DEFAULT_LB_HZ, FID, observable_amplitudes, synthesize_fid
@@ -85,9 +86,6 @@ def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
     states = [rho.copy()]
     fid = None
 
-    def evolve(state: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return u @ state @ u.conj().T
-
     for event in ir.events:
         if isinstance(event, Gradient):
             rho = gradient_crush(rho)
@@ -98,11 +96,11 @@ def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
         elif isinstance(event, Refocus) and relax is not None:
             tau = _resolve_tau(event.tau_s, event.tau_text, sys)
             half = free_evolution(sys, tau / 2.0)
-            rho = apply_relaxation(evolve(rho, half), tau / 2.0, relax, sys)
-            rho = evolve(rho, hard_pulse(sys, "-y", np.pi))
-            rho = apply_relaxation(evolve(rho, half), tau / 2.0, relax, sys)
+            rho = apply_relaxation(conjugate(rho, half), tau / 2.0, relax, sys)
+            rho = conjugate(rho, hard_pulse(sys, "-y", np.pi))
+            rho = apply_relaxation(conjugate(rho, half), tau / 2.0, relax, sys)
         else:
-            rho = evolve(rho, event_propagator(event, sys))
+            rho = conjugate(rho, event_propagator(event, sys))
             if relax is not None:
                 if isinstance(event, QuadDelay):
                     rho = apply_relaxation(

@@ -21,7 +21,9 @@ from whether the central line's sign agrees with the outer lines' sign
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
+from importlib.resources import files
 
 import numpy as np
 
@@ -32,8 +34,8 @@ from .pulses import hard_pulse
 from .readout import (DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, Spectrum,
                       observable_amplitudes, spectrum, synthesize_fid)
 from .relaxation import RelaxationParams
-from .seqlang import (SYMBOLIC_CPHASE_DELAY, Event, GaussianShape, QuadDelay,
-                      SelPulse, SequenceIR, SystemDecl, ZPulse)
+from .seqlang import (Event, GaussianShape, QuadDelay, SelPulse, SequenceIR,
+                      SystemDecl, parse_sequence)
 from .system import SpinSystem, cphase_delay_s
 
 ORACLE_IDS = ("f1", "f2", "f3", "f4")
@@ -49,8 +51,6 @@ ORACLE_PHASES = {
     "f3": np.exp(-1j * np.pi / 4.0),
     "f4": np.exp(-1j * np.pi / 4.0),
 }
-
-_PI_OVER_SQRT3 = "pi/sqrt(3)"
 
 
 class AmbiguousReadoutError(RuntimeError):
@@ -73,52 +73,35 @@ def oracle_matrix(oracle_id: str) -> np.ndarray:
             "f3": swap_23, "f4": swap_01}[oracle_id].copy()
 
 
-def _angle(text: str) -> float:
-    table = {"pi": np.pi, "pi/2": np.pi / 2, "-pi/2": -np.pi / 2,
-             "pi/4": np.pi / 4, _PI_OVER_SQRT3: np.pi / np.sqrt(3.0)}
-    return table[text]
+# Bundled sequence file realizing each oracle under each method; f1 needs none.
+_ORACLE_FILES = {
+    ("f2", "selective-z"): "u2.qseq", ("f2", "quad-evolution"): "u2.qseq",
+    ("f3", "selective-z"): "u3-zcascade.qseq", ("f3", "quad-evolution"): "u3-quad.qseq",
+    ("f4", "selective-z"): "u4-zcascade.qseq", ("f4", "quad-evolution"): "u4-quad.qseq",
+}
 
 
-def _sel(trans: str, axis: str, angle_text: str) -> SelPulse:
-    return SelPulse(transition=trans, axis=axis, angle_rad=_angle(angle_text),
-                    angle_text=angle_text)
-
-
-def _z(trans: str, angle_text: str) -> ZPulse:
-    return ZPulse(transition=trans, angle_rad=_angle(angle_text), angle_text=angle_text)
-
-
-def _quad_delay(sys: SpinSystem) -> QuadDelay:
-    return QuadDelay(tau_s=cphase_delay_s(sys), tau_text=SYMBOLIC_CPHASE_DELAY)
+@cache
+def _bundled_events(name: str) -> tuple[Event, ...]:
+    return parse_sequence((files("quadnmr") / "sequences" / name).read_text()).events
 
 
 def oracle_events(oracle_id: str, method: str, sys: SpinSystem) -> tuple[Event, ...]:
     """Pulse/delay events realizing the oracle, in execution order.
 
-    f1 needs no pulse at all and f2 is the same two selective x-pulses under
-    either method. For f3 the controlled phase precedes the selective
-    inversion on 10-11; f4 mirrors it through the spectrum (inversion on
-    00-01, central z-pulse angle negated).
+    Read from the bundled u2/u3-*/u4-* sequence files. f1 needs no pulse at
+    all and f2 is the same two selective x-pulses under either method. For
+    f3 the controlled phase precedes the selective inversion on 10-11; f4
+    mirrors it through the spectrum (inversion on 00-01, central z-pulse
+    angle negated). The quadrupolar delay is resolved against sys.
     """
     oracle_class(oracle_id)
     if method not in SEQUENCE_METHODS:
         raise ValueError(f"method must be one of {SEQUENCE_METHODS}, got {method!r}")
     if oracle_id == "f1":
         return ()
-    if oracle_id == "f2":
-        return (_sel("00-01", "x", _PI_OVER_SQRT3),
-                _sel("10-11", "x", _PI_OVER_SQRT3))
-    if oracle_id == "f3":
-        cnot_half = _sel("10-11", "-y", _PI_OVER_SQRT3)
-        if method == "selective-z":
-            return (_z("00-01", "pi/4"), _z("10-11", "pi/4"), _z("01-11", "pi/2"),
-                    cnot_half)
-        return (_z("01-11", "pi/2"), _quad_delay(sys), cnot_half)
-    cnot_half = _sel("00-01", "y", _PI_OVER_SQRT3)
-    if method == "selective-z":
-        return (_z("00-01", "pi/4"), _z("10-11", "pi/4"), _z("01-11", "-pi/2"),
-                cnot_half)
-    return (_z("01-11", "-pi/2"), _quad_delay(sys), cnot_half)
+    return tuple(replace(e, tau_s=cphase_delay_s(sys)) if isinstance(e, QuadDelay) else e
+                 for e in _bundled_events(_ORACLE_FILES[oracle_id, method]))
 
 
 def oracle_sequence(oracle_id: str, method: str,

@@ -3,9 +3,10 @@
 All operators are plain ``numpy`` arrays of shape (d, d) with d = 2I+1.
 The basis is ordered by descending magnetic quantum number m = I, I-1, ..., -I
 throughout the package; ``Iz`` is therefore diagonal with its largest entry
-first. Matrix exponentials of Hermitian generators go through an
-eigendecomposition, which keeps propagators unitary to machine precision for
-the d <= 8 matrices handled here.
+first. Only pulse generators, which are not diagonal, are exponentiated
+through an eigendecomposition (expm_hermitian), which keeps their propagators
+unitary to machine precision for the d <= 8 matrices handled here; delay
+propagators are elementwise exponentials of the diagonal Hamiltonian.
 """
 
 from __future__ import annotations

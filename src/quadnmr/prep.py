@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import conjugate
 from .pulses import gradient_crush, selective_pulse
 from .system import SpinSystem
 
@@ -33,8 +34,6 @@ def pseudopure_00(sys: SpinSystem, rho_eq: np.ndarray | None = None) -> np.ndarr
     if np.max(np.abs(rho - np.diag(np.diag(rho)))) > 1e-10:
         raise ValueError("preparation assumes a diagonal (thermal) starting state")
 
-    invert = selective_pulse(sys, "10-11", "y", np.pi / np.sqrt(3.0))
-    rho = invert @ rho @ invert.conj().T
-    equalize = selective_pulse(sys, "01-11", "y", np.pi / 2.0)
-    rho = equalize @ rho @ equalize.conj().T
+    rho = conjugate(rho, selective_pulse(sys, "10-11", "y", np.pi / np.sqrt(3.0)))
+    rho = conjugate(rho, selective_pulse(sys, "01-11", "y", np.pi / 2.0))
     return gradient_crush(rho)

@@ -73,12 +73,13 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
     nyquist = 1.0 / (2.0 * dwell_s)
     t = np.arange(points) * dwell_s
     samples = np.zeros(points, dtype=complex)
+    broadening = np.exp(-np.pi * lb_hz * t)
     for a, tr in zip(amplitudes, table):
         if abs(tr.frequency_hz) >= nyquist:
             raise ValueError(
                 f"transition {tr.label} at {tr.frequency_hz:g} Hz violates the "
                 f"Nyquist limit {nyquist:g} Hz; decrease the dwell time")
-        decay = np.exp(-np.pi * lb_hz * t)
+        decay = broadening
         if relax is not None:
             decay = decay * np.exp(-t / transition_t2_s(relax, sys, tr))
         samples += a * np.exp(2j * np.pi * tr.frequency_hz * t) * decay

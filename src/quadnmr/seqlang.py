@@ -40,7 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .system import SpinSystem
+from .system import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError,
+                     cphase_delay_s)
 
 SYMBOLIC_CPHASE_DELAY = "pi/(12*lambda)"
 
@@ -76,7 +77,6 @@ _ANGLE_SYMBOLS = {
 
 _DURATION_RE = re.compile(r"^([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)(s|ms|us)$")
 _FREQ_RE = re.compile(r"^([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)(Hz|kHz)?$")
-_TRANSITION_RE = re.compile(r"^[01]+-[01]+$")
 
 _DURATION_SCALE = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
 
@@ -209,13 +209,14 @@ def _parse_angle(tok: Token) -> float:
     return -value if negative else value
 
 
-def _parse_duration(tok: Token, decl: SystemDecl | None) -> float:
+def _parse_duration(tok: Token, sys: SpinSystem) -> float:
     text = tok.text
     if text == SYMBOLIC_CPHASE_DELAY:
-        if decl is None or not decl.splitting_hz:
+        try:
+            return cphase_delay_s(sys)
+        except ValueError:
             raise tok.error("symbolic duration needs a declared nonzero coupling",
-                            E_NO_LAMBDA)
-        return 1.0 / (24.0 * (decl.splitting_hz / 6.0))
+                            E_NO_LAMBDA) from None
     match = _DURATION_RE.match(text)
     if not match:
         raise tok.error(f"bad duration {text!r} (use s/ms/us or {SYMBOLIC_CPHASE_DELAY})",
@@ -241,19 +242,13 @@ def _parse_int(tok: Token) -> int:
 
 
 def _check_transition(tok: Token, sys: SpinSystem) -> str:
-    text = tok.text
-    if not _TRANSITION_RE.match(text):
-        raise tok.error(f"bad transition label {text!r}", E_UNKNOWN_TRANSITION)
-    upper, lower = text.split("-")
-    for label in (upper, lower):
-        if label not in sys.labels:
-            raise tok.error(f"unknown level label {label!r}", E_UNKNOWN_TRANSITION)
-    i, j = sys.index_of(upper), sys.index_of(lower)
-    if abs(i - j) != 1:
-        raise tok.error(
-            f"transition {text} is forbidden (|delta m| = {abs(i - j)})",
-            E_FORBIDDEN_TRANSITION)
-    return text
+    try:
+        sys.transition(tok.text)
+    except ForbiddenTransitionError as exc:
+        raise tok.error(str(exc), E_FORBIDDEN_TRANSITION) from None
+    except UnknownTransitionError as exc:
+        raise tok.error(str(exc), E_UNKNOWN_TRANSITION) from None
+    return tok.text
 
 
 def _check_axis(tok: Token) -> str:
@@ -278,7 +273,7 @@ def _no_more(tokens: list[Token], idx: int) -> None:
 
 # --- statement parsers ------------------------------------------------------
 
-def _parse_system(tokens: list[Token]) -> SystemDecl:
+def _parse_system(tokens: list[Token]) -> tuple[SystemDecl, SpinSystem]:
     spin = None
     splitting = None
     offset = 0.0
@@ -292,12 +287,12 @@ def _parse_system(tokens: list[Token]) -> SystemDecl:
                 spin = float(Fraction(value))
             except (ValueError, ZeroDivisionError):
                 raise vtok.error(f"bad spin {value!r}", E_BAD_NUMBER) from None
-        elif key == "splitting":
+        elif key in ("splitting", "lambda"):
             splitting = _parse_freq(vtok)
             if splitting < 0:
-                raise vtok.error("splitting must be nonnegative", E_BAD_VALUE)
-        elif key == "lambda":
-            splitting = 6.0 * _parse_freq(vtok)
+                raise vtok.error(f"{key} must be nonnegative", E_BAD_VALUE)
+            if key == "lambda":
+                splitting *= 6.0
         elif key == "offset":
             offset = _parse_freq(vtok)
         else:
@@ -306,13 +301,12 @@ def _parse_system(tokens: list[Token]) -> SystemDecl:
         raise tokens[0].error("system declaration needs I=<spin>", E_SYNTAX)
     decl = SystemDecl(spin=spin, splitting_hz=splitting, offset_hz=offset)
     try:
-        decl.to_system()
+        return decl, decl.to_system()
     except ValueError as exc:
         raise tokens[0].error(str(exc), E_BAD_VALUE) from None
-    return decl
 
 
-def _parse_pulse(tokens: list[Token], decl: SystemDecl, sys: SpinSystem) -> Event:
+def _parse_pulse(tokens: list[Token], sys: SpinSystem) -> Event:
     head = tokens[0]
     scope = _expect(tokens, 1, "pulse scope (hard|sel)", head.line)
     if scope.text == "hard":
@@ -333,7 +327,7 @@ def _parse_pulse(tokens: list[Token], decl: SystemDecl, sys: SpinSystem) -> Even
                 raise shape_tok.error(
                     f"unknown pulse shape {shape_tok.text!r}", E_UNKNOWN_KEYWORD)
             dur_tok = _expect(tokens, 6, "shape duration", head.line)
-            duration = _parse_duration(dur_tok, decl)
+            duration = _parse_duration(dur_tok, sys)
             if duration <= 0:
                 raise dur_tok.error("shaped pulse duration must be positive", E_BAD_VALUE)
             n_slices = 512
@@ -351,11 +345,10 @@ def _parse_pulse(tokens: list[Token], decl: SystemDecl, sys: SpinSystem) -> Even
                       E_UNKNOWN_KEYWORD)
 
 
-def _parse_statement(tokens: list[Token], decl: SystemDecl,
-                     sys: SpinSystem) -> Event:
+def _parse_statement(tokens: list[Token], sys: SpinSystem) -> Event:
     head = tokens[0]
     if head.text == "pulse":
-        return _parse_pulse(tokens, decl, sys)
+        return _parse_pulse(tokens, sys)
     if head.text == "zpulse":
         trans = _check_transition(_expect(tokens, 1, "transition", head.line), sys)
         angle_tok = _expect(tokens, 2, "angle", head.line)
@@ -368,12 +361,12 @@ def _parse_statement(tokens: list[Token], decl: SystemDecl,
             raise kind.error(f"unknown delay kind {kind.text!r}", E_UNKNOWN_KEYWORD)
         tau_tok = _expect(tokens, 2, "duration", head.line)
         _no_more(tokens, 3)
-        return QuadDelay(tau_s=_parse_duration(tau_tok, decl), tau_text=tau_tok.text,
+        return QuadDelay(tau_s=_parse_duration(tau_tok, sys), tau_text=tau_tok.text,
                          line=head.line, column=head.column)
     if head.text == "refocus":
         tau_tok = _expect(tokens, 1, "duration", head.line)
         _no_more(tokens, 2)
-        return Refocus(tau_s=_parse_duration(tau_tok, decl), tau_text=tau_tok.text,
+        return Refocus(tau_s=_parse_duration(tau_tok, sys), tau_text=tau_tok.text,
                        line=head.line, column=head.column)
     if head.text == "gradient":
         _no_more(tokens, 1)
@@ -385,7 +378,7 @@ def _parse_statement(tokens: list[Token], decl: SystemDecl,
             raise pts_tok.error(f"acquire points must be a power of two, got {points}",
                                 E_POINTS_NOT_POWER2)
         dwell_tok = _expect(tokens, 2, "dwell time", head.line)
-        dwell = _parse_duration(dwell_tok, decl)
+        dwell = _parse_duration(dwell_tok, sys)
         if dwell <= 0:
             raise dwell_tok.error("dwell time must be positive", E_BAD_VALUE)
         _no_more(tokens, 3)
@@ -407,12 +400,11 @@ def parse_sequence(text: str) -> SequenceIR:
         if tokens[0].text == "system":
             if decl is not None:
                 raise tokens[0].error("duplicate system declaration", E_DUPLICATE_SYSTEM)
-            decl = _parse_system(tokens)
-            sys = decl.to_system()
+            decl, sys = _parse_system(tokens)
             continue
         if decl is None or sys is None:
             raise tokens[0].error("system declaration must come first", E_MISSING_SYSTEM)
-        event = _parse_statement(tokens, decl, sys)
+        event = _parse_statement(tokens, sys)
         if acquire_seen is not None:
             if isinstance(event, Acquire):
                 raise tokens[0].error("only one acquire event is allowed",

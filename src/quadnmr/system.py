@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SpinOperators, expm_hermitian, spin_operators
+from .linalg import SpinOperators, spin_operators
 
 # Logical labels of the four levels of a spin-3/2 "two qubit" system, in
 # descending-m order m = 3/2, 1/2, -1/2, -3/2.
@@ -50,9 +50,12 @@ class SpinSystem:
     offset_hz: float = 0.0
     lambda_hz: float = DEFAULT_SPLITTING_HZ / 6.0
     labels: tuple[str, ...] = field(default=SPIN_32_LABELS)
-    # every level pair (i < j), adjacent pairs first; derived, built once
+    # derived and built once: every level pair (i < j), adjacent pairs first,
+    # and the read-only diagonals (rad/s) of the quadrupolar term and of H
     _transitions: dict[tuple[int, int], Transition] = field(
         init=False, compare=False, repr=False)
+    _quad_diag: np.ndarray = field(init=False, compare=False, repr=False)
+    _h_diag: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ops = spin_operators(self.spin)  # validates the spin value
@@ -63,9 +66,14 @@ class SpinSystem:
             object.__setattr__(self, "labels", _default_labels(ops.dim))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("level labels must be a bijection")
-        h_diag = np.diag(hamiltonian(self))
+        m = np.diag(ops.iz).real
+        quad = 2.0 * np.pi * self.lambda_hz * (3.0 * m * m - self.spin * (self.spin + 1.0))
+        h_diag = -2.0 * np.pi * self.offset_hz * m + quad
+        for name, diag in (("_quad_diag", quad), ("_h_diag", h_diag)):
+            diag.flags.writeable = False
+            object.__setattr__(self, name, diag)
         object.__setattr__(self, "_transitions", {
-            (i, i + gap): _build_transition(self, h_diag, i, i + gap)
+            (i, i + gap): _build_transition(self, i, i + gap)
             for gap in range(1, ops.dim) for i in range(ops.dim - gap)})
 
     @classmethod
@@ -139,18 +147,13 @@ def hamiltonian(sys: SpinSystem) -> np.ndarray:
     H = -2*pi*offset * Iz + 2*pi*lambda * (3 Iz^2 - I(I+1) 1); both terms are
     traceless.
     """
-    ops = sys.operators
-    eye = np.eye(sys.dim)
-    zeeman = -2.0 * np.pi * sys.offset_hz * ops.iz
-    quad = 2.0 * np.pi * sys.lambda_hz * (3.0 * ops.iz @ ops.iz
-                                          - sys.spin * (sys.spin + 1.0) * eye)
-    return zeeman + quad
+    return np.diag(sys._h_diag).astype(complex)
 
 
-def _build_transition(sys: SpinSystem, h_diag: np.ndarray, i: int, j: int) -> Transition:
+def _build_transition(sys: SpinSystem, i: int, j: int) -> Transition:
     ops = sys.operators
     kind = "single-quantum-observable" if j - i == 1 else "forbidden"
-    freq = float((h_diag[i] - h_diag[j]).real / (2.0 * np.pi))
+    freq = float((sys._h_diag[i] - sys._h_diag[j]) / (2.0 * np.pi))
     return Transition(
         upper_label=sys.labels[i], lower_label=sys.labels[j],
         upper_index=i, lower_index=j, kind=kind,
@@ -178,20 +181,18 @@ def quad_evolution(sys: SpinSystem, tau_s: float) -> np.ndarray:
     offset is deliberately excluded (on-resonance rotating frame; delays that
     must tolerate an offset go through the refocused block instead).
     """
-    if tau_s < 0:
-        raise ValueError("evolution time must be nonnegative")
-    ops = sys.operators
-    eye = np.eye(sys.dim)
-    quad = 2.0 * np.pi * sys.lambda_hz * (3.0 * ops.iz @ ops.iz
-                                          - sys.spin * (sys.spin + 1.0) * eye)
-    return expm_hermitian(quad, -tau_s)
+    return _diagonal_propagator(sys._quad_diag, tau_s)
 
 
 def free_evolution(sys: SpinSystem, tau_s: float) -> np.ndarray:
     """Propagator exp(-i H tau) under the full Hamiltonian, offset included."""
+    return _diagonal_propagator(sys._h_diag, tau_s)
+
+
+def _diagonal_propagator(diag: np.ndarray, tau_s: float) -> np.ndarray:
     if tau_s < 0:
         raise ValueError("evolution time must be nonnegative")
-    return expm_hermitian(hamiltonian(sys), -tau_s)
+    return np.diag(np.exp(1j * -tau_s * diag))
 
 
 def cphase_delay_s(sys: SpinSystem) -> float:

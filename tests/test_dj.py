@@ -1,3 +1,7 @@
+import fnmatch
+from importlib.resources import files
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +11,11 @@ from quadnmr import (AmbiguousReadoutError, RelaxationParams, acquire,
                      ideal_state_after_oracle, matrices_close, oracle_class,
                      oracle_matrix, oracle_sequence, pseudopure_00, run_dj,
                      superposition_state)
+from quadnmr import SpinSystem, cphase_delay_s
 from quadnmr.dj import ORACLE_IDS, ORACLE_PHASES, SEQUENCE_METHODS
+from quadnmr.dj import _ORACLE_FILES, oracle_events
 from quadnmr.readout import Peak
+from quadnmr.seqlang import QuadDelay
 
 SQRT3 = np.sqrt(3.0)
 INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
@@ -81,6 +88,23 @@ class TestOracleSequences:
     def test_bad_method_rejected(self, sys32):
         with pytest.raises(ValueError):
             oracle_sequence("f3", "telepathy", sys32)
+
+    @pytest.mark.parametrize("oracle_id", ["f3", "f4"])
+    def test_quad_delay_resolved_for_caller_system(self, oracle_id):
+        sys = SpinSystem.from_splitting(12_000.0, offset_hz=300.0)
+        delays = [e for e in oracle_events(oracle_id, "quad-evolution", sys)
+                  if isinstance(e, QuadDelay)]
+        assert [e.tau_s for e in delays] == [cphase_delay_s(sys)]
+
+    def test_oracle_files_ship_as_package_data(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        globs = tomllib.loads(pyproject.read_text())[
+            "tool"]["setuptools"]["package-data"]["quadnmr"]
+        bundled = files("quadnmr") / "sequences"
+        for name in set(_ORACLE_FILES.values()):
+            assert (bundled / name).is_file(), name
+            assert any(fnmatch.fnmatch(f"sequences/{name}", g) for g in globs), name
 
 
 class TestIdealStates:

@@ -85,6 +85,12 @@ class TestParseErrors:
         assert err.value.line == 2
         assert err.value.column == 11
 
+    def test_negative_lambda_located_at_value(self):
+        with pytest.raises(ParseError) as err:
+            parse_sequence("system I=3/2 lambda=-1kHz\n")
+        assert err.value.code == "E_BAD_VALUE"
+        assert (err.value.line, err.value.column) == (1, 21)
+
     def test_error_string_carries_location(self):
         with pytest.raises(ParseError) as err:
             parse_sequence("system I=3/2 splitting=16kHz\nwat\n")

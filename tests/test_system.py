@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from quadnmr import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError,
                      cphase_delay_s, hamiltonian, matrices_close, quad_evolution,
                      transition_table)
+from quadnmr import expm_hermitian, free_evolution
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,3 +124,29 @@ def test_derived_data_is_shared_and_read_only(sys32):
     table.pop()
     assert len(transition_table(sys32)) == 3
     assert sys32 == SpinSystem() and hash(sys32) == hash(SpinSystem())
+
+
+def reference_hamiltonian(sys, zeeman=True):
+    """Dense-matrix form of H (or of its quadrupolar term alone)."""
+    ops = sys.operators
+    eye = np.eye(sys.dim)
+    quad = TWO_PI * sys.lambda_hz * (3.0 * ops.iz @ ops.iz
+                                     - sys.spin * (sys.spin + 1.0) * eye)
+    return -TWO_PI * sys.offset_hz * ops.iz + quad if zeeman else quad
+
+
+# eigh rescales a matrix whose norm is below about 1e-146 and then returns
+# rounded eigenvalues, so the reference is exact only above that scale.
+FREQ_HZ = st.floats(-1e5, 1e5).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_i=st.integers(1, 7), offset=FREQ_HZ, coupling=FREQ_HZ,
+       tau=st.floats(0.0, 1e-2))
+def test_diagonal_propagators_equal_eigh_reference(two_i, offset, coupling, tau):
+    sys = SpinSystem(spin=two_i / 2.0, offset_hz=offset, lambda_hz=coupling)
+    assert np.array_equal(hamiltonian(sys), reference_hamiltonian(sys))
+    assert np.array_equal(free_evolution(sys, tau),
+                          expm_hermitian(reference_hamiltonian(sys), -tau))
+    assert np.array_equal(quad_evolution(sys, tau),
+                          expm_hermitian(reference_hamiltonian(sys, zeeman=False), -tau))
