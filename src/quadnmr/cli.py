@@ -149,6 +149,8 @@ def _load_target(name: str) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"target matrix in {name!r} is not square")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"target matrix in {name!r} has non-finite entries")
     return matrix
 
 

@@ -31,8 +31,7 @@ from .compiler import run_trajectory
 from .linalg import conjugate
 from .prep import equilibrium_state, pseudopure_00
 from .pulses import hard_pulse
-from .readout import (DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, Spectrum,
-                      observable_amplitudes, spectrum, synthesize_fid)
+from .readout import DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, Spectrum, acquire
 from .relaxation import RelaxationParams
 from .seqlang import (Event, GaussianShape, QuadDelay, SelPulse, SequenceIR,
                       SystemDecl, parse_sequence)
@@ -163,15 +162,15 @@ def classify_peaks(peaks) -> str:
 
 def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-evolution",
            relax: RelaxationParams | None = None, shaped_pulses: bool = False,
-           shaped_duration_s: float | None = None,
            points: int = DEFAULT_POINTS, dwell_s: float = DEFAULT_DWELL_S,
            lb_hz: float = DEFAULT_LB_HZ) -> DJOutcome:
     """Full algorithm run: pseudopure prep, hard 90, oracle, acquisition.
 
     shaped_pulses replaces the oracle's ideal selective pulses by gaussian
     soft pulses (the ideal pulse followed by free evolution over the pulse
-    duration); their duration defaults to one full period of the quadrupolar
-    phase accrual, 1/(3*lambda), so the background phases wrap by 2*pi.
+    duration) lasting one full period of the quadrupolar phase accrual,
+    1/(3*lambda), so the background phases wrap by 2*pi. The readout is
+    readout.acquire with the given points, dwell, line broadening and relax.
     """
     sys = SpinSystem() if sys is None else sys
     oracle_class(oracle_id)
@@ -186,28 +185,16 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
     else:
         ir = oracle_sequence(oracle_id, method, sys)
         if shaped_pulses:
-            duration = (1.0 / (3.0 * sys.lambda_hz) if shaped_duration_s is None
-                        else shaped_duration_s)
-            ir = SequenceIR(system_decl=ir.system_decl,
-                            events=tuple(_shape_event(e, duration)
-                                         for e in ir.events))
+            duration = 1.0 / (3.0 * sys.lambda_hz)
+            shape = GaussianShape(duration_s=duration,
+                                  duration_text=f"{duration * 1e6:.6g}us")
+            ir = replace(ir, events=tuple(
+                replace(e, shape=shape) if isinstance(e, SelPulse) and e.shape is None
+                else e for e in ir.events))
         rho = run_trajectory(ir, sys, rho, relax=relax).states[-1]
 
-    amps = observable_amplitudes(rho, sys)
-    fid = synthesize_fid(amps, sys, points=points, dwell_s=dwell_s,
-                         lb_hz=lb_hz, relax=relax)
-    spec = spectrum(fid, sys)
+    _, spec = acquire(rho, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz, relax=relax)
     classification = classify_peaks(spec.peaks)
     signs = tuple(p.real_integral for p in spec.peaks)
     return DJOutcome(oracle_id=oracle_id, method=method, peak_signs=signs,
                      classification=classification, spectrum=spec, rho_final=rho)
-
-
-def _shape_event(event: Event, duration_s: float) -> Event:
-    if isinstance(event, SelPulse) and event.shape is None:
-        shape = GaussianShape(duration_s=duration_s,
-                              duration_text=f"{duration_s * 1e6:.6g}us")
-        return SelPulse(transition=event.transition, axis=event.axis,
-                        angle_rad=event.angle_rad, angle_text=event.angle_text,
-                        shape=shape)
-    return event

@@ -149,17 +149,17 @@ def gradient_crush(rho: np.ndarray) -> np.ndarray:
     return np.diag(np.diag(rho)).astype(complex)
 
 
-def refocus_block(sys: SpinSystem, tau_s: float, axis: str = "-y") -> np.ndarray:
-    """tau/2 - hard pi - tau/2 under the full Hamiltonian.
+def refocus_block(sys: SpinSystem, tau_s: float) -> np.ndarray:
+    """tau/2 - hard pi about -y - tau/2 under the full Hamiltonian.
 
     The echo removes the Zeeman offset, leaving (hard pi) * quad_evolution(tau)
     regardless of offset_hz, because 3 Iz^2 is invariant under the pi flip
-    while Iz changes sign.
+    while Iz changes sign. The pi pulse is always about -y, the axis the
+    relaxed path of run_trajectory uses too; free_evolution rejects a
+    negative or non-finite tau.
     """
-    if tau_s < 0:
-        raise ValueError("refocusing delay must be nonnegative")
     half = free_evolution(sys, tau_s / 2.0)
-    return half @ hard_pulse(sys, axis, np.pi) @ half
+    return half @ hard_pulse(sys, "-y", np.pi) @ half
 
 
 def shaped_pulse(sys: SpinSystem, transition, axis: str, nominal_angle_rad: float,

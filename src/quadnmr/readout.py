@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relaxation import RelaxationParams, transition_t2_s
+from .relaxation import RelaxationParams, coherence_t2_s
 from .system import SpinSystem, transition_table
 
 DEFAULT_POINTS = 4096
@@ -46,10 +46,6 @@ class FID:
     samples: np.ndarray
     lb_hz: float = DEFAULT_LB_HZ
 
-    @property
-    def times_s(self) -> np.ndarray:
-        return np.arange(self.points) * self.dwell_s
-
 
 def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAULT_POINTS,
                    dwell_s: float = DEFAULT_DWELL_S, lb_hz: float = DEFAULT_LB_HZ,
@@ -74,14 +70,15 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
     t = np.arange(points) * dwell_s
     samples = np.zeros(points, dtype=complex)
     broadening = np.exp(-np.pi * lb_hz * t)
+    t2 = None if relax is None else coherence_t2_s(relax, sys)
     for a, tr in zip(amplitudes, table):
         if abs(tr.frequency_hz) >= nyquist:
             raise ValueError(
                 f"transition {tr.label} at {tr.frequency_hz:g} Hz violates the "
                 f"Nyquist limit {nyquist:g} Hz; decrease the dwell time")
         decay = broadening
-        if relax is not None:
-            decay = decay * np.exp(-t / transition_t2_s(relax, sys, tr))
+        if t2 is not None:
+            decay = decay * np.exp(-t / t2[tr.upper_index, tr.lower_index])
         samples += a * np.exp(2j * np.pi * tr.frequency_hz * t) * decay
     return FID(points=points, dwell_s=dwell_s, samples=samples, lb_hz=lb_hz)
 
@@ -100,13 +97,6 @@ class Spectrum:
     amplitude: np.ndarray
     peaks: list[Peak] = field(default_factory=list)
     phase_rad: float = 0.0
-
-
-def _window_integral(freq: np.ndarray, amp: np.ndarray, center_hz: float,
-                     half_width_hz: float) -> complex:
-    df = freq[1] - freq[0]
-    mask = np.abs(freq - center_hz) <= half_width_hz
-    return complex(np.sum(amp[mask]) * df)
 
 
 def _best_phase(integrals: np.ndarray) -> float:
@@ -136,13 +126,13 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
 
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     table = transition_table(sys)
-    raw = np.array([_window_integral(freq, amp, tr.frequency_hz, half_width)
-                    for tr in table])
+    masks = [np.abs(freq - tr.frequency_hz) <= half_width for tr in table]
+    df = freq[1] - freq[0]
+    raw = np.array([complex(np.sum(amp[mask]) * df) for mask in masks])
     phase = _best_phase(raw)
     amp = amp * np.exp(1j * phase)
     peaks = []
-    for tr, integral in zip(table, raw * np.exp(1j * phase)):
-        mask = np.abs(freq - tr.frequency_hz) <= half_width
+    for tr, mask, integral in zip(table, masks, raw * np.exp(1j * phase)):
         if np.any(mask):
             idx = np.flatnonzero(mask)[int(np.argmax(np.abs(amp[mask])))]
             loc = float(freq[idx])

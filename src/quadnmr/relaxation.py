@@ -3,7 +3,8 @@
 Populations decay exponentially toward the thermal deviation state with a
 single T1. Each single-quantum coherence decays with the T2 of its own
 transition; multiple-quantum coherences have no dedicated rate and default
-to the outer-transition T2 (overridable via t2_multi_s).
+to the outer-transition T2 (overridable via t2_multi_s). coherence_t2_s is
+the one table of those rates, shared by apply_relaxation and the FID.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prep import equilibrium_state
-from .system import SpinSystem, Transition, transition_table
+from .system import SpinSystem
 
 # Defaults: one T1 for all lines; the outer lines relax much faster than the
 # central one because order-parameter fluctuations hit them to first order.
@@ -43,8 +44,19 @@ class RelaxationParams:
         return self.t2_outer_s if self.t2_multi_s is None else self.t2_multi_s
 
 
-def transition_t2_s(params: RelaxationParams, sys: SpinSystem, tr: Transition) -> float:
-    return params.t2_central_s if tr.is_central(sys) else params.t2_outer_s
+def coherence_t2_s(params: RelaxationParams, sys: SpinSystem) -> np.ndarray:
+    """T2 (s) of every coherence rho[i, j] of sys, as a dim x dim table.
+
+    A single-quantum pair (i, i+1) gets t2_central_s when it is the middle
+    line of the spectrum (2*i + 2 == dim, so only half-integer spins have
+    one) and t2_outer_s otherwise; every multiple-quantum coherence gets
+    multi_quantum_t2_s. The diagonal is not used.
+    """
+    t2 = np.full((sys.dim, sys.dim), params.multi_quantum_t2_s)
+    for i in range(sys.dim - 1):
+        t2[i, i + 1] = t2[i + 1, i] = (params.t2_central_s if 2 * i + 2 == sys.dim
+                                       else params.t2_outer_s)
+    return t2
 
 
 def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
@@ -54,21 +66,12 @@ def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
     The map is a semigroup in dt, preserves Hermiticity and the trace, and
     has equilibrium_state(sys) as its fixed point.
     """
-    if dt_s < 0:
-        raise ValueError("relaxation interval must be nonnegative")
+    if not (np.isfinite(dt_s) and dt_s >= 0):
+        raise ValueError(
+            f"relaxation interval must be finite and nonnegative, got {dt_s}")
     rho = np.asarray(rho, dtype=complex)
-    out = rho.copy()
-
+    out = rho * np.exp(-dt_s / coherence_t2_s(params, sys))
     eq = np.diag(equilibrium_state(sys)).real
-    decay1 = np.exp(-dt_s / params.t1_s)
     pops = np.diag(rho).real
-    np.fill_diagonal(out, eq + (pops - eq) * decay1)
-
-    t2 = np.empty((sys.dim, sys.dim))
-    t2.fill(params.multi_quantum_t2_s)
-    for tr in transition_table(sys):
-        i, j = tr.upper_index, tr.lower_index
-        t2[i, j] = t2[j, i] = transition_t2_s(params, sys, tr)
-    off = ~np.eye(sys.dim, dtype=bool)
-    out[off] = rho[off] * np.exp(-dt_s / t2[off])
+    np.fill_diagonal(out, eq + (pops - eq) * np.exp(-dt_s / params.t1_s))
     return out

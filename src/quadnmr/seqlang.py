@@ -222,8 +222,9 @@ def _parse_duration(tok: Token, sys: SpinSystem) -> float:
         raise tok.error(f"bad duration {text!r} (use s/ms/us or {SYMBOLIC_CPHASE_DELAY})",
                         E_BAD_NUMBER)
     value = float(match.group(1)) * _DURATION_SCALE[match.group(2)]
-    if value < 0:
-        raise tok.error("duration must be nonnegative", E_BAD_VALUE)
+    if not (np.isfinite(value) and value >= 0):
+        raise tok.error(f"duration must be finite and nonnegative, got {text!r}",
+                        E_BAD_VALUE)
     return value
 
 

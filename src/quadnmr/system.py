@@ -42,14 +42,15 @@ class SpinSystem:
     """Single quadrupolar nucleus in its rotating frame.
 
     offset_hz is the Zeeman offset (0 = carrier on the central transition);
-    lambda_hz is the effective quadrupolar coupling. labels maps basis index
-    (descending m) to the logical bit-string of that level.
+    lambda_hz is the effective quadrupolar coupling. labels, derived from the
+    spin, maps basis index (descending m) to the logical bit-string of that
+    level: (00, 01, 11, 10) for spin 3/2, plain binary counting otherwise.
     """
 
     spin: float = 1.5
     offset_hz: float = 0.0
     lambda_hz: float = DEFAULT_SPLITTING_HZ / 6.0
-    labels: tuple[str, ...] = field(default=SPIN_32_LABELS)
+    labels: tuple[str, ...] = field(init=False)
     # derived and built once: every level pair (i < j), adjacent pairs first,
     # and the read-only diagonals (rad/s) of the quadrupolar term and of H
     _transitions: dict[tuple[int, int], Transition] = field(
@@ -62,10 +63,7 @@ class SpinSystem:
         for name, value in (("offset_hz", self.offset_hz), ("lambda_hz", self.lambda_hz)):
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if len(self.labels) != ops.dim:
-            object.__setattr__(self, "labels", _default_labels(ops.dim))
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("level labels must be a bijection")
+        object.__setattr__(self, "labels", _default_labels(ops.dim))
         m = np.diag(ops.iz).real
         quad = 2.0 * np.pi * self.lambda_hz * (3.0 * m * m - self.spin * (self.spin + 1.0))
         h_diag = -2.0 * np.pi * self.offset_hz * m + quad
@@ -136,10 +134,6 @@ class Transition:
     def label(self) -> str:
         return f"{self.upper_label}-{self.lower_label}"
 
-    def is_central(self, sys: SpinSystem) -> bool:
-        mid = (sys.dim - 1) / 2.0
-        return abs(self.upper_index - (mid - 0.5)) < 1e-9
-
 
 def hamiltonian(sys: SpinSystem) -> np.ndarray:
     """Rotating-frame Hamiltonian in rad/s, diagonal in the m basis.
@@ -190,8 +184,8 @@ def free_evolution(sys: SpinSystem, tau_s: float) -> np.ndarray:
 
 
 def _diagonal_propagator(diag: np.ndarray, tau_s: float) -> np.ndarray:
-    if tau_s < 0:
-        raise ValueError("evolution time must be nonnegative")
+    if not (np.isfinite(tau_s) and tau_s >= 0):
+        raise ValueError(f"evolution time must be finite and nonnegative, got {tau_s}")
     return np.diag(np.exp(1j * -tau_s * diag))
 
 

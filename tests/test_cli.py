@@ -164,3 +164,36 @@ class TestCompileCheck:
                                "--against", str(tmp_path / "nope.npy"))
         assert code == 1
         assert "E_CONFIG" in err
+
+    @pytest.mark.parametrize("line", ["delay quad 1e400s", "refocus 1e999us",
+                                      "pulse sel 01-11 x pi gaussian 1e400s",
+                                      "acquire 1024 1e999s"])
+    def test_infinite_duration_is_bad_value(self, tmp_path, capsys, line):
+        script = tmp_path / "inf.qseq"
+        script.write_text(f"system I=3/2 splitting=16kHz\n{line}\n")
+        code, out, err = run_cli(capsys, "compile-check", str(script),
+                                 "--against", "u1", "--strict")
+        assert code == 1
+        assert "error[E_BAD_VALUE]" in err and "line 2" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("decl", ["splitting=1e400Hz",
+                                      "splitting=16kHz offset=1e400Hz"])
+    def test_infinite_system_value_is_bad_value(self, tmp_path, capsys, decl):
+        script = tmp_path / "inf.qseq"
+        script.write_text(f"system I=3/2 {decl}\n")
+        code, _, err = run_cli(capsys, "compile-check", str(script), "--against", "u1")
+        assert code == 1
+        assert "error[E_BAD_VALUE]" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_target_is_config_error(self, tmp_path, capsys, bad):
+        target = tmp_path / "gate.txt"
+        target.write_text(f"1 0 0 0\n0 {bad} 0 0\n0 0 1 0\n0 0 0 1\n")
+        script = tmp_path / "noop.qseq"
+        script.write_text("system I=3/2 splitting=16kHz\n")
+        code, out, err = run_cli(capsys, "compile-check", str(script),
+                                 "--against", str(target))
+        assert code == 1
+        assert "error[E_CONFIG]" in err and "non-finite" in err
+        assert out == ""

@@ -28,14 +28,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden_csv_sha256_variants.json"
 VARIANTS = {
     "relax": (dict(relax=RelaxationParams()), METHODS),
     "shaped": (dict(shaped_pulses=True), SEQUENCE_METHODS),
-    "relax-shaped": (dict(relax=RelaxationParams(), shaped_pulses=True), SEQUENCE_METHODS),
+    "relax-shaped": (dict(relax=RelaxationParams(), shaped_pulses=True),
+                     SEQUENCE_METHODS),
 }
 CASES = [(variant, oracle_id, method)
          for variant, (_, methods) in VARIANTS.items()
          for oracle_id in ORACLE_IDS for method in methods]
 
 
-def variant_hashes(outdir: Path, variant: str, oracle_id: str, method: str) -> dict[str, str]:
+def variant_hashes(outdir: Path, variant: str, oracle_id: str,
+                   method: str) -> dict[str, str]:
     outcome = run_dj(oracle_id, method=method, **VARIANTS[variant][0])
     assert outcome.correct, (variant, oracle_id, method)
     stem = f"dj_{variant}_{oracle_id}_{method}"

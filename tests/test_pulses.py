@@ -240,6 +240,11 @@ class TestShapedPulseClosedForm:
         with pytest.raises(ForbiddenTransitionError):
             shaped_pulse(sys32, "00-10", "x", PI, 1e-4)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, sys32, duration):
+        with pytest.raises(ValueError, match="finite"):
+            shaped_pulse(sys32, "01-11", "x", PI, duration)
+
 
 class TestRefocusBlock:
     def test_offset_independent(self):
@@ -259,6 +264,11 @@ class TestRefocusBlock:
         tau = cphase_delay_s(sys32)
         expected = hard_pulse(sys32, "-y", PI) @ quad_evolution(sys32, tau)
         assert matrices_close(refocus_block(sys32, tau), expected, atol=1e-10)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1e-6])
+    def test_non_finite_or_negative_delay_rejected(self, sys32, tau):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            refocus_block(sys32, tau)
 
 
 class TestGradientCrush:

@@ -94,3 +94,9 @@ def test_invalid_params_rejected(bad):
 def test_negative_interval_rejected(sys32, params):
     with pytest.raises(ValueError):
         apply_relaxation(coherent_test_state(), -1e-3, params, sys32)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_interval_rejected(sys32, params, dt):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        apply_relaxation(coherent_test_state(), dt, params, sys32)

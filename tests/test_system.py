@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,3 +152,20 @@ def test_diagonal_propagators_equal_eigh_reference(two_i, offset, coupling, tau)
                           expm_hermitian(reference_hamiltonian(sys), -tau))
     assert np.array_equal(quad_evolution(sys, tau),
                           expm_hermitian(reference_hamiltonian(sys, zeeman=False), -tau))
+
+
+def test_labels_are_derived_from_the_spin():
+    init_fields = [f.name for f in dataclasses.fields(SpinSystem) if f.init]
+    assert init_fields == ["spin", "offset_hz", "lambda_hz"]
+    assert SpinSystem().labels == ("00", "01", "11", "10")
+    assert SpinSystem(spin=1.0).labels == ("00", "01", "10")
+    assert SpinSystem(spin=3.5).labels == tuple(format(k, "03b") for k in range(8))
+    with pytest.raises(TypeError):
+        SpinSystem(labels=("a", "b", "c", "d"))
+
+
+@pytest.mark.parametrize("propagator", [free_evolution, quad_evolution])
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf"), -1e-9])
+def test_non_finite_or_negative_time_rejected(propagator, tau):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        propagator(SpinSystem(), tau)
