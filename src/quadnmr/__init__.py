@@ -4,7 +4,7 @@ transition-selective and quadrupolar-evolution gates, Deutsch-Jozsa runs and
 sign-based spectral readout."""
 
 from .compiler import (NonUnitaryEventError, TrajectoryResult, compile_unitary,
-                       event_propagator, run_trajectory)
+                       event_propagator, refocus_block, run_trajectory)
 from .dj import (AmbiguousReadoutError, DJOutcome, ORACLE_IDS, METHODS,
                  classify_peaks, ideal_density_after_oracle,
                  ideal_state_after_oracle, oracle_class, oracle_matrix,
@@ -13,9 +13,8 @@ from .linalg import (SpinOperators, conjugate, expm_hermitian,
                      gate_fidelity_global_phase, global_phase, is_hermitian,
                      is_unitary, matrices_close, spin_operators)
 from .prep import equilibrium_state, pseudopure_00
-from .pulses import (SubspaceOperator, bloch_angle, gradient_crush, hard_pulse,
-                     refocus_block, selective_pulse, selective_z_closed_form,
-                     selective_z_pulse, shaped_pulse, subspace_operators)
+from .pulses import (gradient_crush, hard_pulse, selective_pulse,
+                     selective_z_closed_form, selective_z_pulse, shaped_pulse)
 from .readout import (FID, Peak, Spectrum, acquire, observable_amplitudes,
                       spectrum, synthesize_fid, write_peaks_csv,
                       write_spectrum_csv)

@@ -218,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ParseError as exc:
-        return _fail(exc.code, str(exc))
+        return _fail(exc.code, f"line {exc.line}:{exc.column}: {exc.message}")
     except dj_mod.AmbiguousReadoutError as exc:
         print(f"error[E_AMBIGUOUS]: {exc}", file=_sys.stderr)
         return EXIT_AMBIGUOUS

@@ -1,11 +1,11 @@
 """Execution of parsed sequences: unitary compilation and state trajectories.
 
+One step table (_steps) gives each unitary event's propagators in time order
+with the time each relaxes for; ideal pulses are instantaneous and lossless.
 compile_unitary multiplies event propagators so that the first script line
 acts first on the state (the total is P_n ... P_2 P_1). run_trajectory walks
-a deviation matrix through the same events, additionally handling crusher
-gradients, acquisition and, when requested, relaxation during the timed
-events (delays, refocusing blocks, shaped pulses); ideal pulses stay
-instantaneous and lossless.
+a deviation matrix through the same events plus crusher gradients and
+acquisition, step by step when relaxation is requested.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import conjugate
-from .pulses import (gradient_crush, hard_pulse, refocus_block, selective_pulse,
+from .pulses import (gradient_crush, hard_pulse, selective_pulse,
                      selective_z_closed_form, shaped_pulse)
 from .readout import DEFAULT_LB_HZ, FID, observable_amplitudes, synthesize_fid
 from .relaxation import RelaxationParams, apply_relaxation
@@ -28,30 +28,51 @@ class NonUnitaryEventError(ValueError):
     """Sequence contains gradient/acquire events; use run_trajectory instead."""
 
 
-def _resolve_tau(tau_s: float, tau_text: str, sys: SpinSystem) -> float:
-    if tau_text == SYMBOLIC_CPHASE_DELAY:
-        return cphase_delay_s(sys)
-    return tau_s
+def _steps(event: Event, sys: SpinSystem) -> list[tuple[np.ndarray, float | None]]:
+    """Propagators of one event in time order, each with the time it relaxes for
+    (None for a pulse). A refocus block relaxes in its two free-evolution
+    halves, on the transitions its coherences occupy around the inversion."""
+    if isinstance(event, HardPulse):
+        return [(hard_pulse(sys, event.axis, event.angle_rad), None)]
+    if isinstance(event, SelPulse):
+        if event.shape is None:
+            return [(selective_pulse(sys, event.transition, event.axis,
+                                     event.angle_rad), None)]
+        return [(shaped_pulse(sys, event.transition, event.axis, event.angle_rad,
+                              event.shape.duration_s, event.shape.n_slices),
+                 event.shape.duration_s)]
+    if isinstance(event, ZPulse):
+        return [(selective_z_closed_form(sys, event.transition, event.angle_rad), None)]
+    if isinstance(event, (QuadDelay, Refocus)):
+        tau = (cphase_delay_s(sys) if event.tau_text == SYMBOLIC_CPHASE_DELAY
+               else event.tau_s)
+        if isinstance(event, QuadDelay):
+            return [(quad_evolution(sys, tau), tau)]
+        half = free_evolution(sys, tau / 2.0)
+        return [(half, tau / 2.0), (hard_pulse(sys, "-y", np.pi), None),
+                (half, tau / 2.0)]
+    raise NonUnitaryEventError(
+        f"event {type(event).__name__} at line {event.line} is not unitary; "
+        "run the sequence through run_trajectory")
 
 
 def event_propagator(event: Event, sys: SpinSystem) -> np.ndarray:
     """Unitary propagator of a single (non-gradient, non-acquire) event."""
-    if isinstance(event, HardPulse):
-        return hard_pulse(sys, event.axis, event.angle_rad)
-    if isinstance(event, SelPulse):
-        if event.shape is None:
-            return selective_pulse(sys, event.transition, event.axis, event.angle_rad)
-        return shaped_pulse(sys, event.transition, event.axis, event.angle_rad,
-                            event.shape.duration_s, event.shape.n_slices)
-    if isinstance(event, ZPulse):
-        return selective_z_closed_form(sys, event.transition, event.angle_rad)
-    if isinstance(event, QuadDelay):
-        return quad_evolution(sys, _resolve_tau(event.tau_s, event.tau_text, sys))
-    if isinstance(event, Refocus):
-        return refocus_block(sys, _resolve_tau(event.tau_s, event.tau_text, sys))
-    raise NonUnitaryEventError(
-        f"event {type(event).__name__} at line {event.line} is not unitary; "
-        "run the sequence through run_trajectory")
+    steps = _steps(event, sys)
+    total = steps[-1][0]
+    for u, _ in reversed(steps[:-1]):
+        total = total @ u
+    return total
+
+
+def refocus_block(sys: SpinSystem, tau_s: float) -> np.ndarray:
+    """tau/2 - hard pi about -y - tau/2 under the full Hamiltonian.
+
+    The echo removes the Zeeman offset, leaving (hard pi) * quad_evolution(tau)
+    regardless of offset_hz, because 3 Iz^2 is invariant under the pi flip
+    while Iz changes sign. free_evolution rejects a negative or non-finite tau.
+    """
+    return event_propagator(Refocus(tau_s=tau_s, tau_text=""), sys)
 
 
 def compile_unitary(ir: SequenceIR, sys: SpinSystem | None = None) -> np.ndarray:
@@ -74,10 +95,9 @@ def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
                    lb_hz: float = DEFAULT_LB_HZ) -> TrajectoryResult:
     """Apply each event in order to the deviation matrix rho0.
 
-    With relax given, relaxation acts during quadrupolar delays, refocusing
-    blocks, shaped pulses and acquisition. The refocused block is split into
-    its two free-evolution halves so coherences relax on the transition they
-    occupy on either side of the inversion pulse.
+    With relax given, relaxation acts after each timed step of the step
+    table (quadrupolar delays, the halves of refocusing blocks, shaped
+    pulses) and during acquisition.
     """
     sys = ir.system() if sys is None else sys
     rho = np.asarray(rho0, dtype=complex).copy()
@@ -93,19 +113,12 @@ def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
             amps = observable_amplitudes(rho, sys)
             fid = synthesize_fid(amps, sys, points=event.points,
                                  dwell_s=event.dwell_s, lb_hz=lb_hz, relax=relax)
-        elif isinstance(event, Refocus) and relax is not None:
-            tau = _resolve_tau(event.tau_s, event.tau_text, sys)
-            half = free_evolution(sys, tau / 2.0)
-            rho = apply_relaxation(conjugate(rho, half), tau / 2.0, relax, sys)
-            rho = conjugate(rho, hard_pulse(sys, "-y", np.pi))
-            rho = apply_relaxation(conjugate(rho, half), tau / 2.0, relax, sys)
-        else:
+        elif relax is None:
             rho = conjugate(rho, event_propagator(event, sys))
-            if relax is not None:
-                if isinstance(event, QuadDelay):
-                    rho = apply_relaxation(
-                        rho, _resolve_tau(event.tau_s, event.tau_text, sys), relax, sys)
-                elif isinstance(event, SelPulse) and event.shape is not None:
-                    rho = apply_relaxation(rho, event.shape.duration_s, relax, sys)
+        else:
+            for u, dt in _steps(event, sys):
+                rho = conjugate(rho, u)
+                if dt is not None:
+                    rho = apply_relaxation(rho, dt, relax, sys)
         states.append(rho.copy())
     return TrajectoryResult(states=states, fid=fid)

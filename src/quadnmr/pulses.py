@@ -1,4 +1,6 @@
-"""Pulse propagators: hard, transition-selective, composite z, shaped, refocused.
+"""Pulse propagators: hard, transition-selective, composite z and shaped.
+
+The refocus block (tau/2 - hard pi - tau/2) is compiler.refocus_block.
 
 Axis and flip-angle conventions:
 
@@ -6,8 +8,9 @@ Axis and flip-angle conventions:
   about +x it is exp(+i Ix a) and about -x exp(-i Ix a). The hard 90 about -y
   therefore has first column (1, -sqrt3, sqrt3, -1)/(2 sqrt2) when applied to
   the top level.
-* selective pulses act only inside one transition's 2x2 block. On a
-  transition whose Ix matrix element is 1 (the central transition of spin
+* selective pulses act only inside one transition's 2x2 block, whose
+  generator holds the two off-diagonal Ix (or Iy) elements of that pair. On
+  a transition whose Ix matrix element is 1 (the central transition of spin
   3/2) the angle argument equals the Bloch rotation angle, so a "pi" pulse
   inverts populations. On any other transition the raw block generator is
   exponentiated, so the Bloch angle is 2*|Ix_element|*angle and an outer-line
@@ -20,13 +23,10 @@ Axis and flip-angle conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import expm_hermitian
-from .system import (ForbiddenTransitionError, SpinSystem, Transition,
-                     free_evolution)
+from .system import ForbiddenTransitionError, SpinSystem, Transition, free_evolution
 
 _AXIS_SIGN = {"x": +1.0, "-x": -1.0, "y": -1.0, "-y": +1.0}
 
@@ -40,58 +40,29 @@ def _resolve_transition(sys: SpinSystem, transition) -> Transition:
     return transition
 
 
-@dataclass(frozen=True)
-class SubspaceOperator:
-    """Full-dimension embeddings of Ix and Iy restricted to one transition."""
-
-    transition: Transition
-    ix_sub: np.ndarray
-    iy_sub: np.ndarray
-
-
-def subspace_operators(sys: SpinSystem, transition) -> SubspaceOperator:
-    tr = _resolve_transition(sys, transition)
+def _drive(sys: SpinSystem, axis: str, angle_rad: float) -> tuple[float, np.ndarray]:
+    """Sign and full Ix or Iy generator of a pulse about axis with a finite angle."""
+    if axis not in _AXIS_SIGN:
+        raise ValueError(f"pulse axis must be one of x, -x, y, -y, got {axis!r}")
+    if not np.isfinite(angle_rad):
+        raise ValueError("pulse angle must be finite")
     ops = sys.operators
-    i, j = tr.upper_index, tr.lower_index
-    ix_sub = np.zeros((sys.dim, sys.dim), dtype=complex)
-    iy_sub = np.zeros((sys.dim, sys.dim), dtype=complex)
-    for a in (i, j):
-        for b in (i, j):
-            ix_sub[a, b] = ops.ix[a, b]
-            iy_sub[a, b] = ops.iy[a, b]
-    return SubspaceOperator(transition=tr, ix_sub=ix_sub, iy_sub=iy_sub)
+    return _AXIS_SIGN[axis], (ops.ix if axis in ("x", "-x") else ops.iy)
+
+
+def _unit_element(tr: Transition) -> bool:
+    """A unit Ix element makes the angle argument the Bloch angle itself."""
+    return abs(tr.ix_element - 1.0) < 1e-12
 
 
 def hard_pulse(sys: SpinSystem, axis: str, angle_rad: float) -> np.ndarray:
     """Nonselective pulse propagator exp(sign * i * I_axis * angle)."""
-    if axis not in _AXIS_SIGN:
-        raise ValueError(f"hard pulse axis must be one of x, -x, y, -y, got {axis!r}")
-    if not np.isfinite(angle_rad):
-        raise ValueError("pulse angle must be finite")
-    ops = sys.operators
-    gen = ops.ix if axis in ("x", "-x") else ops.iy
-    return expm_hermitian(gen, _AXIS_SIGN[axis] * angle_rad)
-
-
-def _selective_generator(sys: SpinSystem, tr: Transition, axis: str) -> np.ndarray:
-    sub = subspace_operators(sys, tr)
-    gen = sub.ix_sub if axis in ("x", "-x") else sub.iy_sub
-    # unit matrix element: angle parameter is the Bloch angle itself
-    if abs(tr.ix_element - 1.0) < 1e-12:
-        gen = gen / 2.0
-    return gen
-
-
-def bloch_angle(sys: SpinSystem, transition, angle_rad: float) -> float:
-    """Rotation angle on the Bloch sphere of the transition's 2x2 subspace."""
-    tr = _resolve_transition(sys, transition)
-    if abs(tr.ix_element - 1.0) < 1e-12:
-        return angle_rad
-    return 2.0 * tr.ix_element * angle_rad
+    sign, gen = _drive(sys, axis, angle_rad)
+    return expm_hermitian(gen, sign * angle_rad)
 
 
 def _angle_for_bloch(tr: Transition, bloch_rad: float) -> float:
-    if abs(tr.ix_element - 1.0) < 1e-12:
+    if _unit_element(tr):
         return bloch_rad
     return bloch_rad / (2.0 * tr.ix_element)
 
@@ -102,13 +73,14 @@ def selective_pulse(sys: SpinSystem, transition, axis: str, angle_rad: float) ->
     Identity outside the transition's 2x2 block; rejects forbidden
     transitions such as the |delta m| = 3 pair of spin 3/2.
     """
-    if axis not in _AXIS_SIGN:
-        raise ValueError(f"selective pulse axis must be one of x, -x, y, -y, got {axis!r}")
-    if not np.isfinite(angle_rad):
-        raise ValueError("pulse angle must be finite")
+    sign, full = _drive(sys, axis, angle_rad)
     tr = _resolve_transition(sys, transition)
-    gen = _selective_generator(sys, tr, axis)
-    return expm_hermitian(gen, _AXIS_SIGN[axis] * angle_rad)
+    i, j = tr.upper_index, tr.lower_index
+    gen = np.zeros((sys.dim, sys.dim), dtype=complex)
+    gen[i, j], gen[j, i] = full[i, j], full[j, i]
+    if _unit_element(tr):
+        gen = gen / 2.0
+    return expm_hermitian(gen, sign * angle_rad)
 
 
 def _z_orientation(tr: Transition) -> int:
@@ -149,24 +121,11 @@ def gradient_crush(rho: np.ndarray) -> np.ndarray:
     return np.diag(np.diag(rho)).astype(complex)
 
 
-def refocus_block(sys: SpinSystem, tau_s: float) -> np.ndarray:
-    """tau/2 - hard pi about -y - tau/2 under the full Hamiltonian.
-
-    The echo removes the Zeeman offset, leaving (hard pi) * quad_evolution(tau)
-    regardless of offset_hz, because 3 Iz^2 is invariant under the pi flip
-    while Iz changes sign. The pi pulse is always about -y, the axis the
-    relaxed path of run_trajectory uses too; free_evolution rejects a
-    negative or non-finite tau.
-    """
-    half = free_evolution(sys, tau_s / 2.0)
-    return half @ hard_pulse(sys, "-y", np.pi) @ half
-
-
 def shaped_pulse(sys: SpinSystem, transition, axis: str, nominal_angle_rad: float,
                  duration_s: float, n_slices: int = 512) -> np.ndarray:
     """Gaussian soft pulse on one transition, in closed form.
 
-    The drive is confined to the target transition's subspace operator and
+    The drive is confined to the target transition's 2x2 block generator and
     kept resonant with it. In the interaction frame of the diagonal H0, every
     slice of the envelope is then an exponential of the same block generator,
     so the slice product telescopes to free_evolution(T) after the ideal

@@ -117,7 +117,8 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
 
     Without a system, the raw unphased transform is returned. With one, the
     per-transition windows are integrated, a global zero-order phase is
-    chosen, and the stored amplitude is the phased spectrum.
+    chosen, and the stored amplitude is the phased spectrum. A window that
+    holds no frequency bin is a ValueError naming the line.
     """
     freq = np.fft.fftshift(np.fft.fftfreq(fid.points, fid.dwell_s))
     amp = np.fft.fftshift(np.fft.fft(fid.samples))
@@ -127,18 +128,20 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     table = transition_table(sys)
     masks = [np.abs(freq - tr.frequency_hz) <= half_width for tr in table]
+    for tr, mask in zip(table, masks):
+        if not np.any(mask):
+            raise ValueError(
+                f"readout window of line {tr.label} ({tr.frequency_hz:g} Hz "
+                f"+- {half_width:g} Hz) holds no frequency bin; raise the line "
+                "broadening or the acquisition time points * dwell")
     df = freq[1] - freq[0]
     raw = np.array([complex(np.sum(amp[mask]) * df) for mask in masks])
     phase = _best_phase(raw)
     amp = amp * np.exp(1j * phase)
     peaks = []
     for tr, mask, integral in zip(table, masks, raw * np.exp(1j * phase)):
-        if np.any(mask):
-            idx = np.flatnonzero(mask)[int(np.argmax(np.abs(amp[mask])))]
-            loc = float(freq[idx])
-        else:
-            loc = tr.frequency_hz
-        peaks.append(Peak(transition=tr.label, frequency_hz=loc,
+        idx = np.flatnonzero(mask)[int(np.argmax(np.abs(amp[mask])))]
+        peaks.append(Peak(transition=tr.label, frequency_hz=float(freq[idx]),
                           real_integral=float(integral.real),
                           sign=int(np.sign(integral.real)) or 1))
     return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)

@@ -63,8 +63,10 @@ def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
                      sys: SpinSystem) -> np.ndarray:
     """Relax a deviation matrix for a time dt (exact exponential map).
 
-    The map is a semigroup in dt, preserves Hermiticity and the trace, and
-    has equilibrium_state(sys) as its fixed point.
+    The map is a semigroup in dt, preserves Hermiticity and has
+    equilibrium_state(sys) as its fixed point. It keeps the trace only of a
+    traceless deviation matrix: the populations decay toward the traceless
+    equilibrium, so a trace t ends as t * exp(-dt / T1).
     """
     if not (np.isfinite(dt_s) and dt_s >= 0):
         raise ValueError(

@@ -93,13 +93,19 @@ class Token:
 
 # --- events -----------------------------------------------------------------
 
+@dataclass(frozen=True, kw_only=True)
+class _Located:
+    """Source position of an event; 0 for events built outside the parser."""
+
+    line: int = field(default=0, compare=False)
+    column: int = field(default=0, compare=False)
+
+
 @dataclass(frozen=True)
-class HardPulse:
+class HardPulse(_Located):
     axis: str
     angle_rad: float
     angle_text: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -110,54 +116,43 @@ class GaussianShape:
 
 
 @dataclass(frozen=True)
-class SelPulse:
+class SelPulse(_Located):
     transition: str
     axis: str
     angle_rad: float
     angle_text: str
     shape: GaussianShape | None = None
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class ZPulse:
+class ZPulse(_Located):
     transition: str
     angle_rad: float
     angle_text: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class QuadDelay:
+class QuadDelay(_Located):
     tau_s: float
     tau_text: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class Refocus:
+class Refocus(_Located):
     tau_s: float
     tau_text: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class Gradient:
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class Gradient(_Located):
+    """Perfect crusher gradient."""
 
 
 @dataclass(frozen=True)
-class Acquire:
+class Acquire(_Located):
     points: int
     dwell_s: float
     dwell_text: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
 
 
 Event = HardPulse | SelPulse | ZPulse | QuadDelay | Refocus | Gradient | Acquire

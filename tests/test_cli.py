@@ -52,7 +52,9 @@ class TestDJCommand:
     @pytest.mark.parametrize("option, value", [("--lb", "nan"), ("--lb", "-100"),
                                                ("--offset", "nan"),
                                                ("--splitting", "inf"),
-                                               ("--dwell", "nan")])
+                                               ("--dwell", "nan"),
+                                               ("--points", "3"), ("--lb", "0"),
+                                               ("--dwell", "1e-7")])
     def test_bad_value_is_config_error(self, tmp_path, capsys, option, value):
         code, _, err = run_cli(capsys, "--outdir", str(tmp_path), "dj",
                                "--oracle", "f3", option, value)
@@ -175,6 +177,7 @@ class TestCompileCheck:
                                  "--against", "u1", "--strict")
         assert code == 1
         assert "error[E_BAD_VALUE]" in err and "line 2" in err
+        assert err.count("E_BAD_VALUE") == 1
         assert out == ""
 
     @pytest.mark.parametrize("decl", ["splitting=1e400Hz",

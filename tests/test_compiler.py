@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from quadnmr import (NonUnitaryEventError, RelaxationParams, compile_unitary,
-                     equilibrium_state, matrices_close, oracle_matrix,
+from quadnmr import (NonUnitaryEventError, RelaxationParams, SpinSystem,
+                     apply_relaxation, compile_unitary, conjugate, equilibrium_state,
+                     free_evolution, hard_pulse, matrices_close, oracle_matrix,
                      parse_sequence, pseudopure_00, run_trajectory, spectrum)
 from quadnmr.compiler import event_propagator
 
@@ -110,6 +111,20 @@ class TestRunTrajectory:
         out = run_trajectory(ir, sys32, rho0, relax=RelaxationParams()).states[-1]
         assert np.trace(out).real == pytest.approx(0.0, abs=1e-12)
         assert matrices_close(out, out.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("tau_text, tau_s", [("1ms", 1e-3), ("0us", 0.0)])
+    def test_relaxed_refocus_is_half_relax_pi_half_relax(self, tau_text, tau_s):
+        text = f"system I=3/2 splitting=16kHz offset=700Hz\nrefocus {tau_text}\n"
+        ir = parse_sequence(text)
+        sys = SpinSystem.from_splitting(16_000.0, offset_hz=700.0)
+        params = RelaxationParams()
+        rho0 = conjugate(pseudopure_00(sys), hard_pulse(sys, "-y", np.pi / 2))
+        half = free_evolution(sys, tau_s / 2)
+        expected = apply_relaxation(conjugate(rho0, half), tau_s / 2, params, sys)
+        expected = conjugate(expected, hard_pulse(sys, "-y", np.pi))
+        expected = apply_relaxation(conjugate(expected, half), tau_s / 2, params, sys)
+        out = run_trajectory(ir, sys, rho0, relax=params).states[-1]
+        assert np.array_equal(out, expected)
 
     def test_wrong_state_shape_rejected(self, sys32):
         ir = parse_sequence("system I=3/2 splitting=16kHz\n")

@@ -7,8 +7,7 @@ from quadnmr import (ForbiddenTransitionError, SpinSystem, expm_hermitian,
                      free_evolution, gate_fidelity_global_phase, gradient_crush,
                      hamiltonian, hard_pulse, is_unitary, matrices_close,
                      quad_evolution, refocus_block, selective_pulse,
-                     selective_z_closed_form, selective_z_pulse, shaped_pulse,
-                     subspace_operators)
+                     selective_z_closed_form, selective_z_pulse, shaped_pulse)
 from quadnmr.system import cphase_delay_s
 
 from conftest import HARD_90_MINUS_Y
@@ -123,22 +122,6 @@ class TestSelectiveZPulse:
             selective_z_pulse(sys32, "00-10", PI)
 
 
-class TestSubspaceOperators:
-    def test_central_pair_entries(self, sys32):
-        sub = subspace_operators(sys32, "01-11")
-        ix = np.zeros((4, 4), dtype=complex)
-        ix[1, 2] = ix[2, 1] = 1.0
-        iy = np.zeros((4, 4), dtype=complex)
-        iy[1, 2], iy[2, 1] = -1j, 1j
-        assert matrices_close(sub.ix_sub, ix, atol=1e-12)
-        assert matrices_close(sub.iy_sub, iy, atol=1e-12)
-
-    def test_zero_outside_block(self, sys32):
-        sub = subspace_operators(sys32, "00-01")
-        assert np.max(np.abs(sub.ix_sub[2:, :])) == 0
-        assert np.max(np.abs(sub.ix_sub[:, 2:])) == 0
-
-
 class TestShapedPulse:
     def test_short_duration_approaches_ideal(self, sys32):
         ideal = selective_pulse(sys32, "10-11", "-y", PI / SQRT3)
@@ -189,8 +172,11 @@ def _slice_product(sys, transition, axis, angle, duration, n_slices):
     it stays resonant with its block, and a second free half-step.
     """
     tr = sys.transition(transition)
-    sub = subspace_operators(sys, tr)
-    gen = sub.ix_sub if axis in ("x", "-x") else sub.iy_sub
+    full = sys.operators.ix if axis in ("x", "-x") else sys.operators.iy
+    gen = np.zeros((sys.dim, sys.dim), dtype=complex)
+    for a in (tr.upper_index, tr.lower_index):
+        for b in (tr.upper_index, tr.lower_index):
+            gen[a, b] = full[a, b]
     if abs(tr.ix_element - 1.0) < 1e-12:
         gen = gen / 2.0
     sign = {"x": 1.0, "-x": -1.0, "y": -1.0, "-y": 1.0}[axis]
@@ -255,6 +241,14 @@ class TestRefocusBlock:
             references.append(refocus_block(sys, tau))
         assert matrices_close(references[0], references[1], atol=1e-9)
         assert matrices_close(references[0], references[2], atol=1e-9)
+
+    @pytest.mark.parametrize("offset_hz", [0.0, 700.0])
+    def test_is_half_pi_half(self, offset_hz):
+        sys = SpinSystem.from_splitting(16_000.0, offset_hz=offset_hz)
+        tau = 43e-6
+        half = free_evolution(sys, tau / 2)
+        assert np.array_equal(refocus_block(sys, tau),
+                              half @ hard_pulse(sys, "-y", PI) @ half)
 
     def test_zero_delay_is_hard_pi(self, sys32):
         assert matrices_close(refocus_block(sys32, 0.0),
