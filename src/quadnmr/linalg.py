@@ -4,9 +4,12 @@ All operators are plain ``numpy`` arrays of shape (d, d) with d = 2I+1.
 The basis is ordered by descending magnetic quantum number m = I, I-1, ..., -I
 throughout the package; ``Iz`` is therefore diagonal with its largest entry
 first. Only pulse generators, which are not diagonal, are exponentiated
-through an eigendecomposition (expm_hermitian), which keeps their propagators
-unitary to machine precision for the d <= 8 matrices handled here; delay
-propagators are elementwise exponentials of the diagonal Hamiltonian.
+through an eigendecomposition, which keeps their propagators unitary to
+machine precision for the d <= 8 matrices handled here. The pulses module
+decomposes each generator once per spin and forms every propagator with
+expm_from_eigh, the formula expm_hermitian applies to any Hermitian matrix
+it is given; delay propagators are elementwise exponentials of the diagonal
+Hamiltonian.
 """
 
 from __future__ import annotations
@@ -97,6 +100,11 @@ def expm_hermitian(hermitian: np.ndarray, scale: float, atol: float = ATOL) -> n
     if not is_hermitian(hermitian, atol=atol):
         raise ValueError("generator is not Hermitian within tolerance")
     eigvals, eigvecs = np.linalg.eigh(hermitian)
+    return expm_from_eigh(eigvals, eigvecs, scale)
+
+
+def expm_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, scale: float) -> np.ndarray:
+    """Return exp(i * scale * H) from the eigh factors of a Hermitian H."""
     return (eigvecs * np.exp(1j * scale * eigvals)) @ eigvecs.conj().T
 
 

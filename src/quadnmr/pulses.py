@@ -2,6 +2,12 @@
 
 The refocus block (tau/2 - hard pi - tau/2) is compiler.refocus_block.
 
+A hard or selective pulse generator depends only on the spin, the x or y
+drive and the transition, so its eigendecomposition is computed (and its
+Hermiticity checked) once per process on first use and kept read-only; each
+pulse then only exponentiates the eigenvalues, exactly as expm_hermitian
+would. A Transition object is accepted only from the system it is used on.
+
 Axis and flip-angle conventions:
 
 * a pulse about -y with angle a is exp(+i Iy a); about +y it is exp(-i Iy a);
@@ -23,10 +29,13 @@ Axis and flip-angle conventions:
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-from .linalg import expm_hermitian
-from .system import ForbiddenTransitionError, SpinSystem, Transition, free_evolution
+from .linalg import expm_from_eigh, is_hermitian, spin_operators
+from .system import (ForbiddenTransitionError, SpinSystem, Transition,
+                     UnknownTransitionError, free_evolution)
 
 _AXIS_SIGN = {"x": +1.0, "-x": -1.0, "y": -1.0, "-y": +1.0}
 
@@ -34,35 +43,65 @@ _AXIS_SIGN = {"x": +1.0, "-x": -1.0, "y": -1.0, "-y": +1.0}
 def _resolve_transition(sys: SpinSystem, transition) -> Transition:
     if isinstance(transition, str):
         return sys.transition(transition)
+    key = (transition.upper_index, transition.lower_index)
+    if sys._transitions.get(key) != transition:
+        raise UnknownTransitionError(
+            f"transition {transition.label} does not belong to this spin system")
     if transition.kind != "single-quantum-observable":
         raise ForbiddenTransitionError(
             f"transition {transition.label} is not a single-quantum transition")
     return transition
 
 
-def _drive(sys: SpinSystem, axis: str, angle_rad: float) -> tuple[float, np.ndarray]:
-    """Sign and full Ix or Iy generator of a pulse about axis with a finite angle."""
+def _drive(axis: str, angle_rad: float) -> tuple[float, bool]:
+    """Sign of a pulse about axis with a finite angle, and whether it drives Ix."""
     if axis not in _AXIS_SIGN:
         raise ValueError(f"pulse axis must be one of x, -x, y, -y, got {axis!r}")
     if not np.isfinite(angle_rad):
         raise ValueError("pulse angle must be finite")
-    ops = sys.operators
-    return _AXIS_SIGN[axis], (ops.ix if axis in ("x", "-x") else ops.iy)
+    return _AXIS_SIGN[axis], axis in ("x", "-x")
 
 
-def _unit_element(tr: Transition) -> bool:
+def _unit_element(ix_element: float) -> bool:
     """A unit Ix element makes the angle argument the Bloch angle itself."""
-    return abs(tr.ix_element - 1.0) < 1e-12
+    return abs(ix_element - 1.0) < 1e-12
+
+
+@cache
+def _generator_factors(dim: int, x_drive: bool,
+                       block: tuple[int, int] | None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigh factors (w, v) of a pulse generator, built once per key.
+
+    The generator is the full Ix (x_drive) or Iy for block None; for a block
+    (i, j) it holds only the two off-diagonal elements of that pair, halved
+    for a unit Ix element. A spin has at most 2 + 2*(dim - 1) entries.
+    """
+    ops = spin_operators((dim - 1) / 2.0)
+    full = ops.ix if x_drive else ops.iy
+    gen = full
+    if block is not None:
+        i, j = block
+        gen = np.zeros((dim, dim), dtype=complex)
+        gen[i, j], gen[j, i] = full[i, j], full[j, i]
+        if _unit_element(float(abs(ops.ix[i, j]))):
+            gen = gen / 2.0
+    if not is_hermitian(gen):
+        raise ValueError("generator is not Hermitian within tolerance")
+    eigvals, eigvecs = np.linalg.eigh(gen)
+    for factor in (eigvals, eigvecs):
+        factor.flags.writeable = False
+    return eigvals, eigvecs
 
 
 def hard_pulse(sys: SpinSystem, axis: str, angle_rad: float) -> np.ndarray:
     """Nonselective pulse propagator exp(sign * i * I_axis * angle)."""
-    sign, gen = _drive(sys, axis, angle_rad)
-    return expm_hermitian(gen, sign * angle_rad)
+    sign, x_drive = _drive(axis, angle_rad)
+    eigvals, eigvecs = _generator_factors(sys.dim, x_drive, None)
+    return expm_from_eigh(eigvals, eigvecs, sign * angle_rad)
 
 
 def _angle_for_bloch(tr: Transition, bloch_rad: float) -> float:
-    if _unit_element(tr):
+    if _unit_element(tr.ix_element):
         return bloch_rad
     return bloch_rad / (2.0 * tr.ix_element)
 
@@ -71,16 +110,14 @@ def selective_pulse(sys: SpinSystem, transition, axis: str, angle_rad: float) ->
     """Ideal (instantaneous) transition-selective pulse propagator.
 
     Identity outside the transition's 2x2 block; rejects forbidden
-    transitions such as the |delta m| = 3 pair of spin 3/2.
+    transitions such as the |delta m| = 3 pair of spin 3/2, and Transition
+    objects that are not this system's own.
     """
-    sign, full = _drive(sys, axis, angle_rad)
+    sign, x_drive = _drive(axis, angle_rad)
     tr = _resolve_transition(sys, transition)
-    i, j = tr.upper_index, tr.lower_index
-    gen = np.zeros((sys.dim, sys.dim), dtype=complex)
-    gen[i, j], gen[j, i] = full[i, j], full[j, i]
-    if _unit_element(tr):
-        gen = gen / 2.0
-    return expm_hermitian(gen, sign * angle_rad)
+    eigvals, eigvecs = _generator_factors(sys.dim, x_drive,
+                                          (tr.upper_index, tr.lower_index))
+    return expm_from_eigh(eigvals, eigvecs, sign * angle_rad)
 
 
 def _z_orientation(tr: Transition) -> int:

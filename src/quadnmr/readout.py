@@ -32,8 +32,13 @@ PEAK_WINDOW_LINEWIDTHS = 3.0
 
 
 def observable_amplitudes(rho: np.ndarray, sys: SpinSystem) -> np.ndarray:
-    """Complex amplitude of each observable transition, in table order."""
+    """Complex amplitude of each observable transition, in table order.
+
+    Raises ValueError unless rho is sys.dim x sys.dim.
+    """
     rho = np.asarray(rho)
+    if rho.shape != (sys.dim, sys.dim):
+        raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
     table = transition_table(sys)
     return np.array([tr.ix_element * rho[tr.upper_index, tr.lower_index]
                      for tr in table], dtype=complex)

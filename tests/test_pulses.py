@@ -3,11 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnmr import (ForbiddenTransitionError, SpinSystem, expm_hermitian,
-                     free_evolution, gate_fidelity_global_phase, gradient_crush,
-                     hamiltonian, hard_pulse, is_unitary, matrices_close,
-                     quad_evolution, refocus_block, selective_pulse,
-                     selective_z_closed_form, selective_z_pulse, shaped_pulse)
+from quadnmr import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError,
+                     compile_unitary, expm_hermitian, free_evolution,
+                     gate_fidelity_global_phase, gradient_crush, hamiltonian,
+                     hard_pulse, is_unitary, matrices_close, quad_evolution,
+                     refocus_block, run_trajectory, selective_pulse,
+                     selective_z_closed_form, selective_z_pulse, shaped_pulse,
+                     transition_table)
+from quadnmr import pulses
+from quadnmr.seqlang import (GaussianShape, HardPulse, QuadDelay, Refocus, SelPulse,
+                             SequenceIR, SystemDecl, ZPulse)
 from quadnmr.system import cphase_delay_s
 
 from conftest import HARD_90_MINUS_Y
@@ -83,6 +88,19 @@ class TestSelectivePulse:
     def test_forbidden_transition_rejected(self, sys32):
         with pytest.raises(ForbiddenTransitionError):
             selective_pulse(sys32, "00-10", "x", PI)
+
+    def test_own_transition_object_accepted(self, sys32):
+        tr = sys32.transition("01-11")
+        assert np.array_equal(selective_pulse(sys32, tr, "x", PI),
+                              selective_pulse(sys32, "01-11", "x", PI))
+
+    @pytest.mark.parametrize("spin, pair", [(2.5, "001-010"), (0.5, "0-1")])
+    def test_foreign_transition_object_rejected(self, sys32, spin, pair):
+        foreign = SpinSystem(spin=spin).transition(pair)
+        with pytest.raises(UnknownTransitionError):
+            selective_pulse(sys32, foreign, "x", PI)
+        with pytest.raises(UnknownTransitionError):
+            selective_z_closed_form(sys32, foreign, PI)
 
 
 class TestSelectiveZPulse:
@@ -164,6 +182,24 @@ class TestShapedPulse:
             shaped_pulse(sys32, "01-11", "x", PI, 1e-4, 32)
 
 
+AXIS_SIGN = {"x": 1.0, "-x": -1.0, "y": -1.0, "-y": 1.0}
+
+
+def _explicit_generator(sys, axis, tr=None):
+    """Pulse generator built in full: Ix or Iy, or for a transition only its
+    two off-diagonal elements, halved for a unit Ix element."""
+    full = sys.operators.ix if axis in ("x", "-x") else sys.operators.iy
+    if tr is None:
+        return full
+    gen = np.zeros((sys.dim, sys.dim), dtype=complex)
+    for a in (tr.upper_index, tr.lower_index):
+        for b in (tr.upper_index, tr.lower_index):
+            gen[a, b] = full[a, b]
+    if abs(tr.ix_element - 1.0) < 1e-12:
+        gen = gen / 2.0
+    return gen
+
+
 def _slice_product(sys, transition, axis, angle, duration, n_slices):
     """Reference slice integrator of the gaussian pulse, uncalibrated.
 
@@ -171,15 +207,8 @@ def _slice_product(sys, transition, axis, angle, duration, n_slices):
     a free half-step, a kick with the drive rotated to the slice midpoint so
     it stays resonant with its block, and a second free half-step.
     """
-    tr = sys.transition(transition)
-    full = sys.operators.ix if axis in ("x", "-x") else sys.operators.iy
-    gen = np.zeros((sys.dim, sys.dim), dtype=complex)
-    for a in (tr.upper_index, tr.lower_index):
-        for b in (tr.upper_index, tr.lower_index):
-            gen[a, b] = full[a, b]
-    if abs(tr.ix_element - 1.0) < 1e-12:
-        gen = gen / 2.0
-    sign = {"x": 1.0, "-x": -1.0, "y": -1.0, "-y": 1.0}[axis]
+    gen = _explicit_generator(sys, axis, sys.transition(transition))
+    sign = AXIS_SIGN[axis]
     h0 = np.diag(hamiltonian(sys)).real
     dt = duration / n_slices
     t = (np.arange(n_slices) + 0.5) * dt
@@ -295,3 +324,82 @@ def test_every_pulse_is_unitary(axis, angle, trans):
     else:
         u = selective_pulse(sys, trans, axis, angle)
     assert is_unitary(u, atol=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spin=st.integers(1, 7).map(lambda two_i: two_i / 2.0),
+       axis=st.sampled_from(["x", "-x", "y", "-y"]),
+       angle=st.one_of(st.sampled_from([0.0, -0.0, -PI, 1e12, -1e12]),
+                       st.floats(-1e12, 1e12)))
+def test_pulses_equal_expm_of_explicit_generator(spin, axis, angle):
+    """The cached eigendecompositions give exactly expm_hermitian's result."""
+    sys = SpinSystem(spin=spin)
+    scale = AXIS_SIGN[axis] * angle
+    assert np.array_equal(hard_pulse(sys, axis, angle),
+                          expm_hermitian(_explicit_generator(sys, axis), scale))
+    for tr in transition_table(sys):
+        assert np.array_equal(selective_pulse(sys, tr.label, axis, angle),
+                              expm_hermitian(_explicit_generator(sys, axis, tr), scale))
+
+
+def _generated_sequence(sys, n_events, rng):
+    """Random unitary events on every observable transition of sys."""
+    labels = [tr.label for tr in transition_table(sys)]
+    axes = ["x", "-x", "y", "-y"]
+    events = []
+    for _ in range(n_events):
+        kind, angle = rng.integers(6), float(rng.uniform(-10.0, 10.0))
+        label, axis = labels[rng.integers(len(labels))], axes[rng.integers(4)]
+        if kind == 0:
+            events.append(HardPulse(axis=axis, angle_rad=angle, angle_text="a"))
+        elif kind in (1, 2):
+            shape = GaussianShape(duration_s=1e-4, duration_text="d") if kind == 2 else None
+            events.append(SelPulse(transition=label, axis=axis, angle_rad=angle,
+                                   angle_text="a", shape=shape))
+        elif kind == 3:
+            events.append(ZPulse(transition=label, angle_rad=angle, angle_text="a"))
+        else:
+            event_type = QuadDelay if kind == 4 else Refocus
+            events.append(event_type(tau_s=float(rng.uniform(0.0, 1e-4)), tau_text="d"))
+    decl = SystemDecl(spin=sys.spin, splitting_hz=sys.splitting_hz,
+                      offset_hz=sys.offset_hz)
+    return SequenceIR(system_decl=decl, events=tuple(events))
+
+
+class TestGeneratorCache:
+    def test_cached_factors_are_read_only(self, sys32):
+        hard_pulse(sys32, "x", 1.0)
+        selective_pulse(sys32, "01-11", "y", 1.0)
+        for key in [(4, True, None), (4, False, (1, 2))]:
+            for factor in pulses._generator_factors(*key):
+                assert not factor.flags.writeable
+                with pytest.raises(ValueError):
+                    factor[0] = 0
+
+    @pytest.mark.parametrize("pulse", [
+        lambda sys: hard_pulse(sys, "-y", 0.3),
+        lambda sys: selective_pulse(sys, "00-01", "x", 0.3),
+    ])
+    def test_each_call_returns_a_fresh_writable_array(self, sys32, pulse):
+        first, second = pulse(sys32), pulse(sys32)
+        assert not np.shares_memory(first, second)
+        assert first.flags.writeable and second.flags.writeable
+        expected = second.copy()
+        first[:] = 0
+        second[:] = 0
+        assert np.array_equal(pulse(sys32), expected)
+
+    def test_eigh_runs_once_per_generator(self, monkeypatch):
+        sys = SpinSystem.from_splitting(16_000.0, offset_hz=700.0, spin=3.5)
+        ir = _generated_sequence(sys, 200, np.random.default_rng(7))
+        pulses._generator_factors.cache_clear()
+        real_eigh, calls = np.linalg.eigh, []
+
+        def counting_eigh(matrix):
+            calls.append(matrix)
+            return real_eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        compile_unitary(ir, sys)
+        run_trajectory(ir, sys, np.diag(np.diag(sys.operators.iz)))
+        assert 0 < len(calls) <= 2 + 2 * (sys.dim - 1)

@@ -35,6 +35,14 @@ class TestObservableAmplitudes:
         amps = observable_amplitudes(rho, sys32).real
         assert amps[0] < 0 and amps[2] < 0 and amps[1] > 0
 
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_wrong_state_shape_rejected(self, sys32, dim):
+        rho = np.eye(dim, dtype=complex)
+        with pytest.raises(ValueError, match=r"state must be 4x4, got \(%d, %d\)" % (dim, dim)):
+            observable_amplitudes(rho, sys32)
+        with pytest.raises(ValueError, match="state must be 4x4"):
+            acquire(rho, sys32)
+
 
 class TestSynthesizeFid:
     def test_single_resonant_line_is_constant(self):
