@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,11 +102,14 @@ class TestParseErrors:
     @pytest.mark.parametrize("path", sorted(INVALID_DIR.glob("*.qseq")),
                              ids=lambda p: p.stem)
     def test_invalid_corpus(self, path):
-        expected_code = path.read_text().splitlines()[0].split(":")[0].lstrip("# ")
+        # each file's header reads "# E_CODE at LINE:COLUMN[: why]"
+        header = re.match(r"# (E_[A-Z0-9_]+) at (\d+):(\d+)\b", path.read_text())
+        assert header, f"{path.name}: header names no code and position"
         with pytest.raises(ParseError) as err:
             parse_sequence(path.read_text())
-        assert err.value.code == expected_code
-        assert err.value.line >= 1 and err.value.column >= 1
+        assert err.value.code == header.group(1)
+        assert (err.value.line, err.value.column) == \
+            (int(header.group(2)), int(header.group(3)))
 
     @pytest.mark.parametrize("text,code", [
         ("system I=0.3 splitting=16kHz\n", "E_BAD_VALUE"),
