@@ -126,6 +126,8 @@ def _z_orientation(tr: Transition) -> int:
 
 
 def selective_z_closed_form(sys: SpinSystem, transition, phi_rad: float) -> np.ndarray:
+    if not np.isfinite(phi_rad):
+        raise ValueError("pulse angle must be finite")
     tr = _resolve_transition(sys, transition)
     u = np.eye(sys.dim, dtype=complex)
     s = _z_orientation(tr)

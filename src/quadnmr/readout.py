@@ -122,8 +122,11 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
 
     Without a system, the raw unphased transform is returned. With one, the
     per-transition windows are integrated, a global zero-order phase is
-    chosen, and the stored amplitude is the phased spectrum. A window that
-    holds no frequency bin is a ValueError naming the line.
+    chosen, and the stored amplitude is the phased spectrum. Each window
+    spans +-3 lb around its line and keeps only the bins no farther from it
+    than from any other line, so overlapping windows share no signal except
+    at exact ties. A window that holds no frequency bin is a ValueError
+    naming the line.
     """
     freq = np.fft.fftshift(np.fft.fftfreq(fid.points, fid.dwell_s))
     amp = np.fft.fftshift(np.fft.fft(fid.samples))
@@ -132,7 +135,12 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
 
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     table = transition_table(sys)
-    masks = [np.abs(freq - tr.frequency_hz) <= half_width for tr in table]
+    lines = np.array([tr.frequency_hz for tr in table])
+    masks = [np.abs(freq - line) <= half_width for line in lines]
+    for k, mask in enumerate(masks):
+        idx = np.flatnonzero(mask)
+        dist = np.abs(freq[idx, None] - lines)
+        mask[idx[dist[:, k] > dist.min(axis=1)]] = False
     for tr, mask in zip(table, masks):
         if not np.any(mask):
             raise ValueError(

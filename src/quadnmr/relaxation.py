@@ -72,6 +72,8 @@ def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
         raise ValueError(
             f"relaxation interval must be finite and nonnegative, got {dt_s}")
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (sys.dim, sys.dim):
+        raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
     out = rho * np.exp(-dt_s / coherence_t2_s(params, sys))
     eq = np.diag(equilibrium_state(sys)).real
     pops = np.diag(rho).real

@@ -28,12 +28,14 @@ A gaussian clause makes a selective pulse soft (see pulses.shaped_pulse);
 its optional slice count (>= 64) is validated and printed back but does not
 change the propagator.
 
-Every parse error carries a 1-based line and column and a machine-readable
-code (the E_* constants below).
+Tokens are the whitespace-separated words of a line, as str.split gives
+them. Every parse error carries a 1-based line and a 1-based column, counted
+in code points, and a machine-readable code (the E_* constants below).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,16 +81,6 @@ _DURATION_RE = re.compile(r"^([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)(s|ms|us)
 _FREQ_RE = re.compile(r"^([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)(Hz|kHz)?$")
 
 _DURATION_SCALE = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
-
-
-@dataclass(frozen=True)
-class Token:
-    text: str
-    line: int
-    column: int
-
-    def error(self, message: str, code: str) -> ParseError:
-        return ParseError(message, self.line, self.column, code)
 
 
 # --- events -----------------------------------------------------------------
@@ -179,16 +171,18 @@ class SequenceIR:
         return self.system_decl.to_system()
 
 
-# --- token-level helpers ----------------------------------------------------
+# --- word-level helpers -----------------------------------------------------
 
-def _tokenize_line(text: str, lineno: int) -> list[Token]:
-    code = text.split("#", 1)[0]
-    return [Token(m.group(0), lineno, m.start() + 1)
-            for m in re.finditer(r"\S+", code)]
+class _WordError(Exception):
+    """A parse error at word `index` of its line, `offset` code points into
+    the word; parse_sequence turns it into a located ParseError."""
+
+    def __init__(self, message: str, code: str, index: int, offset: int = 0):
+        super().__init__(message, code, index, offset)
 
 
-def _parse_angle(tok: Token) -> float:
-    text = tok.text
+def _parse_angle(words: list[str], i: int) -> float:
+    text = words[i]
     negative = text.startswith("-")
     body = text[1:] if negative else text
     if body in _ANGLE_SYMBOLS:
@@ -197,190 +191,183 @@ def _parse_angle(tok: Token) -> float:
         try:
             value = float(text)
         except ValueError:
-            raise tok.error(f"bad angle {text!r}", E_BAD_NUMBER) from None
+            raise _WordError(f"bad angle {text!r}", E_BAD_NUMBER, i) from None
         negative = False
-    if not np.isfinite(value):
-        raise tok.error(f"angle must be finite, got {text!r}", E_BAD_VALUE)
+    if not math.isfinite(value):
+        raise _WordError(f"angle must be finite, got {text!r}", E_BAD_VALUE, i)
     return -value if negative else value
 
 
-def _parse_duration(tok: Token, sys: SpinSystem) -> float:
-    text = tok.text
+def _parse_duration(words: list[str], i: int, sys: SpinSystem) -> float:
+    text = words[i]
     if text == SYMBOLIC_CPHASE_DELAY:
         try:
-            return cphase_delay_s(sys)
+            value = cphase_delay_s(sys)
         except ValueError:
-            raise tok.error("symbolic duration needs a declared nonzero coupling",
-                            E_NO_LAMBDA) from None
-    match = _DURATION_RE.match(text)
-    if not match:
-        raise tok.error(f"bad duration {text!r} (use s/ms/us or {SYMBOLIC_CPHASE_DELAY})",
-                        E_BAD_NUMBER)
-    value = float(match.group(1)) * _DURATION_SCALE[match.group(2)]
-    if not (np.isfinite(value) and value >= 0):
-        raise tok.error(f"duration must be finite and nonnegative, got {text!r}",
-                        E_BAD_VALUE)
+            raise _WordError("symbolic duration needs a declared nonzero coupling",
+                             E_NO_LAMBDA, i) from None
+    else:
+        match = _DURATION_RE.match(text)
+        if not match:
+            raise _WordError(f"bad duration {text!r} (use s/ms/us or "
+                             f"{SYMBOLIC_CPHASE_DELAY})", E_BAD_NUMBER, i)
+        value = float(match.group(1)) * _DURATION_SCALE[match.group(2)]
+    if not (math.isfinite(value) and value >= 0):
+        raise _WordError(f"duration must be finite and nonnegative, got {text!r}",
+                         E_BAD_VALUE, i)
     return value
 
 
-def _parse_freq(tok: Token) -> float:
-    match = _FREQ_RE.match(tok.text)
+def _parse_freq(text: str, i: int, offset: int) -> float:
+    match = _FREQ_RE.match(text)
     if not match:
-        raise tok.error(f"bad frequency {tok.text!r}", E_BAD_NUMBER)
+        raise _WordError(f"bad frequency {text!r}", E_BAD_NUMBER, i, offset)
     return float(match.group(1)) * (1000.0 if match.group(2) == "kHz" else 1.0)
 
 
-def _parse_int(tok: Token) -> int:
+def _parse_int(words: list[str], i: int) -> int:
     try:
-        return int(tok.text)
+        return int(words[i])
     except ValueError:
-        raise tok.error(f"bad integer {tok.text!r}", E_BAD_NUMBER) from None
+        raise _WordError(f"bad integer {words[i]!r}", E_BAD_NUMBER, i) from None
 
 
-def _check_transition(tok: Token, sys: SpinSystem) -> str:
+def _check_transition(words: list[str], i: int, sys: SpinSystem) -> str:
+    text = _expect(words, i, "transition")
     try:
-        sys.transition(tok.text)
+        sys.transition(text)
     except ForbiddenTransitionError as exc:
-        raise tok.error(str(exc), E_FORBIDDEN_TRANSITION) from None
+        raise _WordError(str(exc), E_FORBIDDEN_TRANSITION, i) from None
     except UnknownTransitionError as exc:
-        raise tok.error(str(exc), E_UNKNOWN_TRANSITION) from None
-    return tok.text
+        raise _WordError(str(exc), E_UNKNOWN_TRANSITION, i) from None
+    return text
 
 
-def _check_axis(tok: Token) -> str:
-    if tok.text not in ("x", "-x", "y", "-y"):
-        raise tok.error(f"axis must be x, -x, y or -y, got {tok.text!r}", E_SYNTAX)
-    return tok.text
+def _check_axis(words: list[str], i: int) -> str:
+    text = _expect(words, i, "axis")
+    if text not in ("x", "-x", "y", "-y"):
+        raise _WordError(f"axis must be x, -x, y or -y, got {text!r}", E_SYNTAX, i)
+    return text
 
 
-def _expect(tokens: list[Token], idx: int, what: str, lineno: int) -> Token:
-    if idx >= len(tokens):
-        last = tokens[-1] if tokens else Token("", lineno, 1)
-        raise ParseError(f"expected {what}", lineno,
-                         last.column + len(last.text), E_SYNTAX)
-    return tokens[idx]
+def _expect(words: list[str], i: int, what: str) -> str:
+    if i >= len(words):
+        raise _WordError(f"expected {what}", E_SYNTAX, len(words) - 1, len(words[-1]))
+    return words[i]
 
 
-def _no_more(tokens: list[Token], idx: int) -> None:
-    if idx < len(tokens):
-        extra = tokens[idx]
-        raise extra.error(f"unexpected trailing token {extra.text!r}", E_SYNTAX)
+def _no_more(words: list[str], i: int) -> None:
+    if i < len(words):
+        raise _WordError(f"unexpected trailing token {words[i]!r}", E_SYNTAX, i)
 
 
 # --- statement parsers ------------------------------------------------------
 
-def _parse_system(tokens: list[Token]) -> tuple[SystemDecl, SpinSystem]:
+def _parse_system(words: list[str]) -> tuple[SystemDecl, SpinSystem]:
     spin = None
     splitting = None
     offset = 0.0
-    for tok in tokens[1:]:
-        if "=" not in tok.text:
-            raise tok.error(f"expected key=value, got {tok.text!r}", E_SYNTAX)
-        key, value = tok.text.split("=", 1)
-        vtok = Token(value, tok.line, tok.column + len(key) + 1)
+    for i in range(1, len(words)):
+        if "=" not in words[i]:
+            raise _WordError(f"expected key=value, got {words[i]!r}", E_SYNTAX, i)
+        key, value = words[i].split("=", 1)
+        at = len(key) + 1
         if key == "I":
             try:
                 spin = float(Fraction(value))
-            except (ValueError, ZeroDivisionError):
-                raise vtok.error(f"bad spin {value!r}", E_BAD_NUMBER) from None
+            except (ValueError, ZeroDivisionError, OverflowError):
+                raise _WordError(f"bad spin {value!r}", E_BAD_NUMBER, i, at) from None
         elif key in ("splitting", "lambda"):
-            splitting = _parse_freq(vtok)
+            splitting = _parse_freq(value, i, at)
             if splitting < 0:
-                raise vtok.error(f"{key} must be nonnegative", E_BAD_VALUE)
+                raise _WordError(f"{key} must be nonnegative", E_BAD_VALUE, i, at)
             if key == "lambda":
                 splitting *= 6.0
         elif key == "offset":
-            offset = _parse_freq(vtok)
+            offset = _parse_freq(value, i, at)
         else:
-            raise tok.error(f"unknown system parameter {key!r}", E_UNKNOWN_KEYWORD)
+            raise _WordError(f"unknown system parameter {key!r}", E_UNKNOWN_KEYWORD, i)
     if spin is None:
-        raise tokens[0].error("system declaration needs I=<spin>", E_SYNTAX)
+        raise _WordError("system declaration needs I=<spin>", E_SYNTAX, 0)
     decl = SystemDecl(spin=spin, splitting_hz=splitting, offset_hz=offset)
     try:
         return decl, decl.to_system()
     except ValueError as exc:
-        raise tokens[0].error(str(exc), E_BAD_VALUE) from None
+        raise _WordError(str(exc), E_BAD_VALUE, 0) from None
 
 
-def _parse_pulse(tokens: list[Token], sys: SpinSystem) -> Event:
-    head = tokens[0]
-    scope = _expect(tokens, 1, "pulse scope (hard|sel)", head.line)
-    if scope.text == "hard":
-        axis = _check_axis(_expect(tokens, 2, "axis", head.line))
-        angle_tok = _expect(tokens, 3, "angle", head.line)
-        _no_more(tokens, 4)
-        return HardPulse(axis=axis, angle_rad=_parse_angle(angle_tok),
-                         angle_text=angle_tok.text,
-                         line=head.line, column=head.column)
-    if scope.text == "sel":
-        trans = _check_transition(_expect(tokens, 2, "transition", head.line), sys)
-        axis = _check_axis(_expect(tokens, 3, "axis", head.line))
-        angle_tok = _expect(tokens, 4, "angle", head.line)
+def _parse_pulse(words: list[str], sys: SpinSystem, pos: dict) -> Event:
+    scope = _expect(words, 1, "pulse scope (hard|sel)")
+    if scope == "hard":
+        axis = _check_axis(words, 2)
+        _expect(words, 3, "angle")
+        _no_more(words, 4)
+        return HardPulse(axis=axis, angle_rad=_parse_angle(words, 3),
+                         angle_text=words[3], **pos)
+    if scope == "sel":
+        trans = _check_transition(words, 2, sys)
+        axis = _check_axis(words, 3)
+        _expect(words, 4, "angle")
         shape = None
-        if len(tokens) > 5:
-            shape_tok = tokens[5]
-            if shape_tok.text != "gaussian":
-                raise shape_tok.error(
-                    f"unknown pulse shape {shape_tok.text!r}", E_UNKNOWN_KEYWORD)
-            dur_tok = _expect(tokens, 6, "shape duration", head.line)
-            duration = _parse_duration(dur_tok, sys)
+        if len(words) > 5:
+            if words[5] != "gaussian":
+                raise _WordError(f"unknown pulse shape {words[5]!r}",
+                                 E_UNKNOWN_KEYWORD, 5)
+            _expect(words, 6, "shape duration")
+            duration = _parse_duration(words, 6, sys)
             if duration <= 0:
-                raise dur_tok.error("shaped pulse duration must be positive", E_BAD_VALUE)
+                raise _WordError("shaped pulse duration must be positive", E_BAD_VALUE, 6)
             n_slices = 512
-            if len(tokens) > 7:
-                n_slices = _parse_int(tokens[7])
+            if len(words) > 7:
+                n_slices = _parse_int(words, 7)
                 if n_slices < 64:
-                    raise tokens[7].error("need at least 64 slices", E_BAD_VALUE)
-                _no_more(tokens, 8)
-            shape = GaussianShape(duration_s=duration, duration_text=dur_tok.text,
+                    raise _WordError("need at least 64 slices", E_BAD_VALUE, 7)
+                _no_more(words, 8)
+            shape = GaussianShape(duration_s=duration, duration_text=words[6],
                                   n_slices=n_slices)
-        return SelPulse(transition=trans, axis=axis,
-                        angle_rad=_parse_angle(angle_tok), angle_text=angle_tok.text,
-                        shape=shape, line=head.line, column=head.column)
-    raise scope.error(f"pulse scope must be hard or sel, got {scope.text!r}",
-                      E_UNKNOWN_KEYWORD)
+        return SelPulse(transition=trans, axis=axis, angle_rad=_parse_angle(words, 4),
+                        angle_text=words[4], shape=shape, **pos)
+    raise _WordError(f"pulse scope must be hard or sel, got {scope!r}",
+                     E_UNKNOWN_KEYWORD, 1)
 
 
-def _parse_statement(tokens: list[Token], sys: SpinSystem) -> Event:
-    head = tokens[0]
-    if head.text == "pulse":
-        return _parse_pulse(tokens, sys)
-    if head.text == "zpulse":
-        trans = _check_transition(_expect(tokens, 1, "transition", head.line), sys)
-        angle_tok = _expect(tokens, 2, "angle", head.line)
-        _no_more(tokens, 3)
-        return ZPulse(transition=trans, angle_rad=_parse_angle(angle_tok),
-                      angle_text=angle_tok.text, line=head.line, column=head.column)
-    if head.text == "delay":
-        kind = _expect(tokens, 1, "delay kind (quad)", head.line)
-        if kind.text != "quad":
-            raise kind.error(f"unknown delay kind {kind.text!r}", E_UNKNOWN_KEYWORD)
-        tau_tok = _expect(tokens, 2, "duration", head.line)
-        _no_more(tokens, 3)
-        return QuadDelay(tau_s=_parse_duration(tau_tok, sys), tau_text=tau_tok.text,
-                         line=head.line, column=head.column)
-    if head.text == "refocus":
-        tau_tok = _expect(tokens, 1, "duration", head.line)
-        _no_more(tokens, 2)
-        return Refocus(tau_s=_parse_duration(tau_tok, sys), tau_text=tau_tok.text,
-                       line=head.line, column=head.column)
-    if head.text == "gradient":
-        _no_more(tokens, 1)
-        return Gradient(line=head.line, column=head.column)
-    if head.text == "acquire":
-        pts_tok = _expect(tokens, 1, "point count", head.line)
-        points = _parse_int(pts_tok)
+def _parse_statement(words: list[str], sys: SpinSystem, pos: dict) -> Event:
+    head = words[0]
+    if head == "pulse":
+        return _parse_pulse(words, sys, pos)
+    if head == "zpulse":
+        trans = _check_transition(words, 1, sys)
+        _expect(words, 2, "angle")
+        _no_more(words, 3)
+        return ZPulse(transition=trans, angle_rad=_parse_angle(words, 2),
+                      angle_text=words[2], **pos)
+    if head == "delay":
+        kind = _expect(words, 1, "delay kind (quad)")
+        if kind != "quad":
+            raise _WordError(f"unknown delay kind {kind!r}", E_UNKNOWN_KEYWORD, 1)
+        _expect(words, 2, "duration")
+        _no_more(words, 3)
+        return QuadDelay(tau_s=_parse_duration(words, 2, sys), tau_text=words[2], **pos)
+    if head == "refocus":
+        _expect(words, 1, "duration")
+        _no_more(words, 2)
+        return Refocus(tau_s=_parse_duration(words, 1, sys), tau_text=words[1], **pos)
+    if head == "gradient":
+        _no_more(words, 1)
+        return Gradient(**pos)
+    if head == "acquire":
+        _expect(words, 1, "point count")
+        points = _parse_int(words, 1)
         if points < 2 or points & (points - 1):
-            raise pts_tok.error(f"acquire points must be a power of two, got {points}",
-                                E_POINTS_NOT_POWER2)
-        dwell_tok = _expect(tokens, 2, "dwell time", head.line)
-        dwell = _parse_duration(dwell_tok, sys)
+            raise _WordError(f"acquire points must be a power of two, got {points}",
+                             E_POINTS_NOT_POWER2, 1)
+        _expect(words, 2, "dwell time")
+        dwell = _parse_duration(words, 2, sys)
         if dwell <= 0:
-            raise dwell_tok.error("dwell time must be positive", E_BAD_VALUE)
-        _no_more(tokens, 3)
-        return Acquire(points=points, dwell_s=dwell, dwell_text=dwell_tok.text,
-                       line=head.line, column=head.column)
-    raise head.error(f"unknown statement {head.text!r}", E_UNKNOWN_KEYWORD)
+            raise _WordError("dwell time must be positive", E_BAD_VALUE, 2)
+        _no_more(words, 3)
+        return Acquire(points=points, dwell_s=dwell, dwell_text=words[2], **pos)
+    raise _WordError(f"unknown statement {head!r}", E_UNKNOWN_KEYWORD, 0)
 
 
 def parse_sequence(text: str) -> SequenceIR:
@@ -390,22 +377,30 @@ def parse_sequence(text: str) -> SequenceIR:
     events: list[Event] = []
     acquire_seen: Acquire | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, lineno)
-        if not tokens:
+        code = raw.split("#", 1)[0]
+        words = code.split()
+        if not words:
             continue
-        if tokens[0].text == "system":
-            if decl is not None:
-                raise tokens[0].error("duplicate system declaration", E_DUPLICATE_SYSTEM)
-            decl, sys = _parse_system(tokens)
-            continue
-        if decl is None or sys is None:
-            raise tokens[0].error("system declaration must come first", E_MISSING_SYSTEM)
-        event = _parse_statement(tokens, sys)
-        if acquire_seen is not None:
-            if isinstance(event, Acquire):
-                raise tokens[0].error("only one acquire event is allowed",
-                                      E_DUPLICATE_ACQUIRE)
-            raise tokens[0].error("acquire must be the last event", E_ACQUIRE_NOT_LAST)
+        try:
+            if words[0] == "system":
+                if decl is not None:
+                    raise _WordError("duplicate system declaration", E_DUPLICATE_SYSTEM, 0)
+                decl, sys = _parse_system(words)
+                continue
+            if decl is None or sys is None:
+                raise _WordError("system declaration must come first", E_MISSING_SYSTEM, 0)
+            pos = {"line": lineno, "column": len(code) - len(code.lstrip()) + 1}
+            event = _parse_statement(words, sys, pos)
+            if acquire_seen is not None:
+                if isinstance(event, Acquire):
+                    raise _WordError("only one acquire event is allowed",
+                                     E_DUPLICATE_ACQUIRE, 0)
+                raise _WordError("acquire must be the last event", E_ACQUIRE_NOT_LAST, 0)
+        except _WordError as exc:
+            message, error_code, index, offset = exc.args
+            # columns are found only here: \S+ matches the words str.split gave
+            start = [m.start() for m in re.finditer(r"\S+", code)][index]
+            raise ParseError(message, lineno, start + 1 + offset, error_code) from None
         if isinstance(event, Acquire):
             acquire_seen = event
         events.append(event)

@@ -28,6 +28,17 @@ class TestDJCommand:
         assert code == 0
         assert out.strip() == "constant"
 
+    # adjacent +-3*lb windows overlap below a splitting of 6*lb; unclipped,
+    # each integral took in its neighbours' lines and f3 read "constant"
+    @pytest.mark.parametrize("option, value", [("--splitting", "300"),
+                                               ("--lb", "8000"),
+                                               ("--splitting", "600")])
+    def test_overlapping_windows_keep_balanced_oracle_balanced(
+            self, tmp_path, capsys, option, value):
+        code, out, _ = run_cli(capsys, "--outdir", str(tmp_path), "dj",
+                               "--oracle", "f3", option, value)
+        assert (code, out.strip()) == (0, "balanced")
+
     def test_unknown_oracle_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "--outdir", str(tmp_path), "dj",
                                "--oracle", "f9")

@@ -139,6 +139,12 @@ class TestSelectiveZPulse:
         with pytest.raises(ForbiddenTransitionError):
             selective_z_pulse(sys32, "00-10", PI)
 
+    @pytest.mark.parametrize("z_pulse", [selective_z_pulse, selective_z_closed_form])
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_rejected(self, sys32, z_pulse, phi):
+        with pytest.raises(ValueError, match="pulse angle must be finite"):
+            z_pulse(sys32, "01-11", phi)
+
 
 class TestShapedPulse:
     def test_short_duration_approaches_ideal(self, sys32):

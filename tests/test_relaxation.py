@@ -100,3 +100,9 @@ def test_negative_interval_rejected(sys32, params):
 def test_non_finite_interval_rejected(sys32, params, dt):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         apply_relaxation(coherent_test_state(), dt, params, sys32)
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (4, 6), (4,)])
+def test_state_of_wrong_shape_rejected(sys32, params, shape):
+    with pytest.raises(ValueError, match=r"state must be 4x4, got \(" + f"{shape[0]},"):
+        apply_relaxation(np.zeros(shape, dtype=complex), 1e-3, params, sys32)
