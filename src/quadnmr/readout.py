@@ -135,12 +135,16 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
 
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     table = transition_table(sys)
-    lines = np.array([tr.frequency_hz for tr in table])
+    lines = [tr.frequency_hz for tr in table]
     masks = [np.abs(freq - line) <= half_width for line in lines]
-    for k, mask in enumerate(masks):
-        idx = np.flatnonzero(mask)
-        dist = np.abs(freq[idx, None] - lines)
-        mask[idx[dist[:, k] > dist.min(axis=1)]] = False
+    for line, mask in zip(lines, masks):
+        # only a line whose window overlaps this one can be nearer to its
+        # bins (the margin covers rounding); a coincident line ties everywhere
+        rivals = [f for f in lines if 0 < abs(f - line) <= 2.001 * half_width]
+        if rivals:
+            idx = np.flatnonzero(mask)
+            nearest_rival = np.min(np.abs(freq[idx, None] - rivals), axis=1)
+            mask[idx[nearest_rival < np.abs(freq[idx] - line)]] = False
     for tr, mask in zip(table, masks):
         if not np.any(mask):
             raise ValueError(

@@ -6,6 +6,7 @@ from quadnmr import (FID, RelaxationParams, SpinSystem, acquire, conjugate,
                      observable_amplitudes, spectrum, synthesize_fid,
                      write_peaks_csv, write_spectrum_csv)
 from quadnmr.readout import PEAK_WINDOW_LINEWIDTHS
+from quadnmr.system import transition_table
 
 
 def analytic_window_integral(amplitude, lb_hz, dwell_s,
@@ -118,6 +119,25 @@ class TestSpectrum:
         bin_hz = 1.0 / (fid.points * fid.dwell_s)
         for peak, freq in zip(spec.peaks, (16_000.0, 0.0, -16_000.0)):
             assert abs(peak.frequency_hz - freq) <= bin_hz
+
+    @pytest.mark.parametrize("splitting_hz, offset_hz, lb_hz", [
+        (300.0, 0.0, 200.0), (600.0, 700.0, 200.0), (1_000.0, -1_500.0, 200.0),
+        (16_000.0, 0.0, 8_000.0), (16_000.0, 0.0, 200.0), (0.0, 0.0, 200.0)])
+    def test_windows_keep_bins_nearest_their_line(self, splitting_hz, offset_hz, lb_hz):
+        # reference: a bin counts for line k when it lies within 3*lb of it
+        # and no farther from it than from any line, ties shared
+        sys = SpinSystem.from_splitting(splitting_hz=splitting_hz, offset_hz=offset_hz)
+        fid = synthesize_fid([0.8, -1.0, 0.6j], sys, points=4096, lb_hz=lb_hz)
+        spec = spectrum(fid, sys)
+        lines = np.array([tr.frequency_hz for tr in transition_table(sys)])
+        dist = np.abs(spec.freq_hz[:, None] - lines)
+        windows = (dist <= PEAK_WINDOW_LINEWIDTHS * lb_hz) & \
+            (dist <= dist.min(axis=1, keepdims=True))
+        df = spec.freq_hz[1] - spec.freq_hz[0]
+        for peak, window in zip(spec.peaks, windows.T):
+            scale = np.sum(np.abs(spec.amplitude[window])) * df
+            assert peak.real_integral == pytest.approx(
+                np.sum(spec.amplitude[window]).real * df, rel=0, abs=1e-12 * scale)
 
     def test_grid_spacing(self, sys32):
         fid, spec = acquire(equilibrium_state(sys32), sys32, points=1024)
