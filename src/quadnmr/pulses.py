@@ -29,6 +29,7 @@ Axis and flip-angle conventions:
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -126,7 +127,7 @@ def _z_orientation(tr: Transition) -> int:
 
 
 def selective_z_closed_form(sys: SpinSystem, transition, phi_rad: float) -> np.ndarray:
-    if not np.isfinite(phi_rad):
+    if not math.isfinite(phi_rad):
         raise ValueError("pulse angle must be finite")
     tr = _resolve_transition(sys, transition)
     u = np.eye(sys.dim, dtype=complex)

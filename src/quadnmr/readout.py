@@ -137,10 +137,11 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     table = transition_table(sys)
     lines = [tr.frequency_hz for tr in table]
     masks = [np.abs(freq - line) <= half_width for line in lines]
+    # only a line whose window overlaps this one can be nearer to its bins
+    # (the 0.1% margin covers rounding); a coincident line ties everywhere
+    reach = 2.001 * half_width
     for line, mask in zip(lines, masks):
-        # only a line whose window overlaps this one can be nearer to its
-        # bins (the margin covers rounding); a coincident line ties everywhere
-        rivals = [f for f in lines if 0 < abs(f - line) <= 2.001 * half_width]
+        rivals = [f for f in lines if 0 < abs(f - line) <= reach]
         if rivals:
             idx = np.flatnonzero(mask)
             nearest_rival = np.min(np.abs(freq[idx, None] - rivals), axis=1)
