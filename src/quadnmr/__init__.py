@@ -8,7 +8,8 @@ from .compiler import (NonUnitaryEventError, TrajectoryResult, compile_unitary,
 from .dj import (AmbiguousReadoutError, DJOutcome, ORACLE_IDS, METHODS,
                  classify_peaks, ideal_density_after_oracle,
                  ideal_state_after_oracle, oracle_class, oracle_matrix,
-                 oracle_sequence, run_dj, superposition_state)
+                 oracle_sequence, run_dj, superposition_state,
+                 UnresolvedLinesError)
 from .linalg import (SpinOperators, conjugate, expm_hermitian,
                      gate_fidelity_global_phase, global_phase, is_hermitian,
                      is_unitary, matrices_close, spin_operators)

@@ -3,7 +3,8 @@
 Subcommands: equilibrium, pseudopure, dj, compile-check. Spectra and peak
 tables are written as CSV (headers mandatory, 17-significant-digit floats)
 into --outdir, which defaults to $QUADNMR_OUTDIR or the current directory.
-Exit codes: 0 success, 1 configuration/parse errors, 2 ambiguous readout;
+Exit codes: 0 success, 1 configuration/parse errors (E_UNRESOLVED when dj's
+lines are too close or too broad to read their signs), 2 ambiguous readout;
 compile-check returns 4 when --strict is set and the fidelity check fails.
 """
 
@@ -219,6 +220,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ParseError as exc:
         return _fail(exc.code, f"line {exc.line}:{exc.column}: {exc.message}")
+    except dj_mod.UnresolvedLinesError as exc:
+        return _fail("E_UNRESOLVED", str(exc))
     except dj_mod.AmbiguousReadoutError as exc:
         print(f"error[E_AMBIGUOUS]: {exc}", file=_sys.stderr)
         return EXIT_AMBIGUOUS

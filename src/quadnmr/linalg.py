@@ -5,7 +5,7 @@ The basis is ordered by descending magnetic quantum number m = I, I-1, ..., -I
 throughout the package; ``Iz`` is therefore diagonal with its largest entry
 first. Only pulse generators, which are not diagonal, are exponentiated
 through an eigendecomposition, which keeps their propagators unitary to
-machine precision for the d <= 8 matrices handled here. The pulses module
+machine precision for the d <= 16 matrices handled here. The pulses module
 decomposes each generator once per spin and forms every propagator with
 expm_from_eigh, the formula expm_hermitian applies to any Hermitian matrix
 it is given; delay propagators are elementwise exponentials of the diagonal
@@ -57,10 +57,18 @@ class SpinOperators:
         return self.iz.shape[0]
 
 
+# Largest 2I accepted: 16 levels, four qubits. SpinSystem builds all
+# dim*(dim-1)/2 transitions up front, so the cost grows with dim squared.
+MAX_TWO_SPIN = 15
+
+
 def _check_spin(spin: float) -> int:
     two_i = 2.0 * spin
     if abs(two_i - round(two_i)) > 1e-12 or round(two_i) < 1:
         raise ValueError(f"spin must be a positive half-integer, got {spin}")
+    if round(two_i) > MAX_TWO_SPIN:
+        raise ValueError(f"spin must be at most {MAX_TWO_SPIN}/2 "
+                         f"({MAX_TWO_SPIN + 1} levels), got {spin}")
     return int(round(two_i)) + 1
 
 

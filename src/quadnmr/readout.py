@@ -11,12 +11,19 @@ Fourier transformed with the frequency axis centered on zero, phased by a
 global zero-order phase that maximizes the summed |real peak integrals|
 (largest peak forced positive), and summarized as one signed integral per
 transition over +-3 nominal linewidths.
+
+Each line's oscillator exp(i 2 pi f_t t_k) depends only on its frequency and
+the time grid, so it is computed once per (frequency, points, dwell) and
+reused by later acquisitions on the same system and grid. The cache holds
+four oscillators, one spin-3/2 system's three lines, which pins at most
+1 MiB at 16384 points; the cached arrays are read-only.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +37,13 @@ DEFAULT_LB_HZ = 200.0
 # Number of nominal linewidths (each side) integrated around a line.
 PEAK_WINDOW_LINEWIDTHS = 3.0
 
+# Zero-order phases tried by _best_phase and their rotations; the summed
+# |Re| has period pi, so [0, pi] covers every distinct score.
+_TRIAL = np.linspace(0.0, np.pi, 1801)
+_TRIAL_ROTATIONS = np.exp(1j * _TRIAL)
+_TRIAL.flags.writeable = False
+_TRIAL_ROTATIONS.flags.writeable = False
+
 
 def observable_amplitudes(rho: np.ndarray, sys: SpinSystem) -> np.ndarray:
     """Complex amplitude of each observable transition, in table order.
@@ -42,6 +56,14 @@ def observable_amplitudes(rho: np.ndarray, sys: SpinSystem) -> np.ndarray:
     table = transition_table(sys)
     return np.array([tr.ix_element * rho[tr.upper_index, tr.lower_index]
                      for tr in table], dtype=complex)
+
+
+@lru_cache(maxsize=4)
+def _oscillator(frequency_hz: float, points: int, dwell_s: float) -> np.ndarray:
+    """Read-only exp(i 2 pi f t) on the grid t_k = k * dwell, k < points."""
+    osc = np.exp(2j * np.pi * frequency_hz * (np.arange(points) * dwell_s))
+    osc.flags.writeable = False
+    return osc
 
 
 @dataclass(frozen=True)
@@ -84,7 +106,7 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
         decay = broadening
         if t2 is not None:
             decay = decay * np.exp(-t / t2[tr.upper_index, tr.lower_index])
-        samples += a * np.exp(2j * np.pi * tr.frequency_hz * t) * decay
+        samples += a * _oscillator(tr.frequency_hz, points, dwell_s) * decay
     return FID(points=points, dwell_s=dwell_s, samples=samples, lb_hz=lb_hz)
 
 
@@ -108,9 +130,8 @@ def _best_phase(integrals: np.ndarray) -> float:
     """Zero-order phase maximizing sum of |real parts|, largest peak positive."""
     if len(integrals) == 0 or np.max(np.abs(integrals)) == 0:
         return 0.0
-    trial = np.linspace(0.0, np.pi, 1801)  # |Re| sum has period pi
-    scores = np.abs(np.real(np.exp(1j * trial)[:, None] * integrals[None, :])).sum(axis=1)
-    phase = float(trial[int(np.argmax(scores))])
+    scores = np.abs(np.real(_TRIAL_ROTATIONS[:, None] * integrals[None, :])).sum(axis=1)
+    phase = float(_TRIAL[int(np.argmax(scores))])
     biggest = integrals[int(np.argmax(np.abs(integrals)))]
     if np.real(np.exp(1j * phase) * biggest) < 0:
         phase += np.pi

@@ -39,6 +39,16 @@ class TestDJCommand:
                                "--oracle", "f3", option, value)
         assert (code, out.strip()) == (0, "balanced")
 
+    # lines closer than the Sparrow limit of their widths merge; f3 read
+    # "constant" with exit 0 at these splittings
+    @pytest.mark.parametrize("splitting", ["100", "1e-300"])
+    def test_unresolved_lines_are_refused(self, tmp_path, capsys, splitting):
+        code, out, err = run_cli(capsys, "--outdir", str(tmp_path), "dj",
+                                 "--oracle", "f3", "--splitting", splitting)
+        assert (code, out) == (1, "")
+        assert "error[E_UNRESOLVED]" in err and "Sparrow limit" in err
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_oracle_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "--outdir", str(tmp_path), "dj",
                                "--oracle", "f9")

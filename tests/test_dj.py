@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadnmr import (AmbiguousReadoutError, RelaxationParams, acquire,
                      classify_peaks, compile_unitary, conjugate, equilibrium_state,
@@ -12,7 +14,8 @@ from quadnmr import (AmbiguousReadoutError, RelaxationParams, acquire,
                      oracle_matrix, oracle_sequence, pseudopure_00, run_dj,
                      superposition_state)
 from quadnmr import SpinSystem, cphase_delay_s
-from quadnmr.dj import ORACLE_IDS, ORACLE_PHASES, SEQUENCE_METHODS
+from quadnmr.dj import (METHODS, ORACLE_IDS, ORACLE_PHASES, SEQUENCE_METHODS,
+                        UnresolvedLinesError)
 from quadnmr.dj import _ORACLE_FILES, oracle_events
 from quadnmr.readout import Peak
 from quadnmr.seqlang import QuadDelay
@@ -217,3 +220,40 @@ class TestRunDJ:
             run_dj("f9", sys32)
         with pytest.raises(ValueError):
             run_dj("f1", sys32, method="astral")
+
+
+# Each configuration printed the wrong class with exit 0 before the
+# resolvability check: lines within the Sparrow limit of their width on the
+# grid, and lines too broad for the spectral width.
+@pytest.mark.parametrize("oracle_id, method, relax, splitting, offset, lb, dwell, points", [
+    ("f3", "ideal-matrix", False, 20.2866, 1071.47, 33.4356, 1.04788e-4, 512),
+    ("f4", "ideal-matrix", True, 92.5, 0.0, 56.4, 3.45e-3, 2048),
+    ("f3", "selective-z", True, 13.5, 0.0, 4.5, 8.2e-3, 16384)])
+def test_unresolved_lines_are_refused(oracle_id, method, relax, splitting, offset, lb,
+                                      dwell, points):
+    sys = SpinSystem.from_splitting(splitting, offset)
+    with pytest.raises(UnresolvedLinesError):
+        run_dj(oracle_id, sys, method=method, relax=RelaxationParams() if relax else None,
+               points=points, dwell_s=dwell, lb_hz=lb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratio=st.one_of(st.just(0.0), st.just(1e-300), st.floats(0.0, 4.0)),
+       offset=st.one_of(st.just(0.0), st.floats(-3e3, 3e3)),
+       lb=st.floats(0.5, 4.0).map(lambda e: 10.0 ** e),
+       width_dwell=st.floats(-4.0, -0.5).map(lambda e: 10.0 ** e),
+       points=st.integers(6, 14).map(lambda k: 2 ** k),
+       oracle_id=st.sampled_from(ORACLE_IDS), method=st.sampled_from(METHODS),
+       relaxed=st.booleans())
+def test_run_dj_is_right_or_refuses(ratio, offset, lb, width_dwell, points, oracle_id,
+                                    method, relaxed):
+    # ratio is splitting / lb; the dwell spans line widths from 1e-4 to 0.3
+    # of the spectral width, past where broad lines read the wrong sign
+    sys = SpinSystem.from_splitting(ratio * lb, offset)
+    try:
+        outcome = run_dj(oracle_id, sys, method=method,
+                         relax=RelaxationParams() if relaxed else None,
+                         points=points, dwell_s=width_dwell / lb, lb_hz=lb)
+    except (ValueError, AmbiguousReadoutError):
+        return
+    assert outcome.classification == oracle_class(oracle_id)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadnmr import (FID, RelaxationParams, SpinSystem, acquire, conjugate,
                      equilibrium_state, hard_pulse, ideal_density_after_oracle,
                      observable_amplitudes, spectrum, synthesize_fid,
                      write_peaks_csv, write_spectrum_csv)
-from quadnmr.readout import PEAK_WINDOW_LINEWIDTHS
+from quadnmr.readout import PEAK_WINDOW_LINEWIDTHS, _best_phase, _oscillator
+from quadnmr.relaxation import coherence_t2_s
 from quadnmr.system import transition_table
 
 
@@ -72,6 +75,80 @@ class TestSynthesizeFid:
     def test_bad_dwell_rejected(self, sys32, dwell_s):
         with pytest.raises(ValueError, match="dwell time"):
             synthesize_fid([1, 1, 1], sys32, points=64, dwell_s=dwell_s)
+
+
+def reference_fid_samples(amplitudes, sys, points, dwell_s, lb_hz, relax):
+    """synthesize_fid's per-line loop with every oscillator computed afresh."""
+    t = np.arange(points) * dwell_s
+    samples = np.zeros(points, dtype=complex)
+    broadening = np.exp(-np.pi * lb_hz * t)
+    t2 = None if relax is None else coherence_t2_s(relax, sys)
+    for a, tr in zip(amplitudes, transition_table(sys)):
+        decay = broadening
+        if t2 is not None:
+            decay = decay * np.exp(-t / t2[tr.upper_index, tr.lower_index])
+        samples += a * np.exp(2j * np.pi * tr.frequency_hz * t) * decay
+    return samples
+
+
+def reference_best_phase(integrals):
+    """_best_phase with the trial grid and its rotations rebuilt on each call."""
+    if len(integrals) == 0 or np.max(np.abs(integrals)) == 0:
+        return 0.0
+    trial = np.linspace(0.0, np.pi, 1801)
+    scores = np.abs(np.real(np.exp(1j * trial)[:, None] * integrals[None, :])).sum(axis=1)
+    phase = float(trial[int(np.argmax(scores))])
+    biggest = integrals[int(np.argmax(np.abs(integrals)))]
+    if np.real(np.exp(1j * phase) * biggest) < 0:
+        phase += np.pi
+    return phase % (2.0 * np.pi)
+
+
+@st.composite
+def acquisitions(draw):
+    # zero offset and zero coupling put lines at 0 Hz, signed zeros included
+    sys = SpinSystem(spin=draw(st.integers(1, 7)) / 2.0,
+                     offset_hz=draw(st.one_of(st.just(0.0), st.floats(-5e3, 5e3))),
+                     lambda_hz=draw(st.one_of(st.just(0.0), st.floats(0.0, 2e3))))
+    parts = st.floats(-2.0, 2.0)
+    amplitudes = [complex(draw(parts), draw(parts)) for _ in transition_table(sys)]
+    return sys, amplitudes
+
+
+class TestOscillatorCache:
+    # lines stay below 41 kHz and the dwell keeps the Nyquist limit above 50 kHz
+    @settings(max_examples=60, deadline=None)
+    @given(a=acquisitions(), b=acquisitions(), points=st.integers(3, 2048),
+           fewer=st.integers(2, 2048), dwell_s=st.floats(1e-6, 1e-5),
+           lb_hz=st.floats(0.0, 500.0), relaxed=st.booleans())
+    def test_hits_and_misses_equal_the_uncached_loop(self, a, b, points, fewer, dwell_s,
+                                                     lb_hz, relaxed):
+        relax = RelaxationParams() if relaxed else None
+        (sys_a, amps_a), (sys_b, amps_b) = a, b
+        for sys, amps, n in ((sys_a, amps_a, points), (sys_b, amps_b, points),
+                             (sys_a, amps_a, points), (sys_a, amps_a, min(fewer, points - 1))):
+            fid = synthesize_fid(amps, sys, points=n, dwell_s=dwell_s, lb_hz=lb_hz,
+                                 relax=relax)
+            assert np.array_equal(fid.samples,
+                                  reference_fid_samples(amps, sys, n, dwell_s, lb_hz, relax))
+        assert _oscillator.cache_info().currsize <= 4
+
+    def test_repeated_acquisition_hits_and_oscillators_are_read_only(self, sys32):
+        synthesize_fid([1, 1, 1], sys32, points=256)
+        hits = _oscillator.cache_info().hits
+        synthesize_fid([0.5, -1, 2j], sys32, points=256)
+        assert _oscillator.cache_info().hits == hits + 3
+        osc = _oscillator(transition_table(sys32)[0].frequency_hz, 256, 5e-6)
+        assert not osc.flags.writeable
+        with pytest.raises(ValueError):
+            osc[0] = 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                       allow_infinity=False), max_size=7))
+    def test_best_phase_equals_the_rebuilt_grid(self, integrals):
+        integrals = np.array(integrals, dtype=complex)
+        assert _best_phase(integrals) == reference_best_phase(integrals)
 
 
 class TestSpectrum:

@@ -1,0 +1,46 @@
+"""Smoke test of the experiment scripts under scripts/: each runs as its own
+process, exits 0, prints its table and writes the CSV files it names."""
+
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from quadnmr import METHODS, ORACLE_IDS, oracle_class
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, outdir, *args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           "--outdir", str(outdir), *args],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("flags", [(), ("--shaped-pulses", "--relaxation")])
+def test_run_dj_all(tmp_path, flags):
+    result = run_script("run_dj_all.py", tmp_path, *flags)
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header.split()[-1] == "classification"
+    cells = [row.split() for row in rows]
+    assert [(c[0], c[1]) for c in cells] == list(product(ORACLE_IDS, METHODS))
+    assert all(c[-1] == oracle_class(c[0]) for c in cells)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{oracle_id}_{method}_{kind}.csv"
+        for oracle_id, method in product(ORACLE_IDS, METHODS)
+        for kind in ("spectrum", "peaks"))
+
+
+def test_equilibrium_spectrum(tmp_path):
+    result = run_script("equilibrium_spectrum.py", tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 6
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"spectrum_{label}_lb{lb}.csv"
+        for label in ("ideal", "relaxed") for lb in (50, 200, 500))

@@ -118,6 +118,12 @@ def test_non_finite_frequencies_rejected(field, value):
         SpinSystem(**{field: value})
 
 
+def test_spin_above_fifteen_halves_rejected():
+    assert SpinSystem(spin=7.5).dim == 16
+    with pytest.raises(ValueError, match=r"at most 15/2 \(16 levels\), got 8.5"):
+        SpinSystem(spin=8.5)
+
+
 def test_derived_data_is_shared_and_read_only(sys32):
     assert sys32.operators is SpinSystem(offset_hz=99.0).operators
     with pytest.raises(ValueError):
