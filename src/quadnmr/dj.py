@@ -32,7 +32,7 @@ from .linalg import conjugate
 from .prep import equilibrium_state, pseudopure_00
 from .pulses import hard_pulse
 from .readout import DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, Spectrum, acquire
-from .relaxation import RelaxationParams, coherence_t2_s
+from .relaxation import RelaxationParams, coherence_t2_table
 from .seqlang import (Event, GaussianShape, QuadDelay, SelPulse, SequenceIR,
                       SystemDecl, parse_sequence)
 from .system import SpinSystem, cphase_delay_s, transition_table
@@ -82,7 +82,7 @@ def _check_resolved(sys: SpinSystem, points: int, dwell_s: float, lb_hz: float,
     into one peak.
     """
     table = sorted(transition_table(sys), key=lambda tr: tr.frequency_hz)
-    t2 = None if relax is None else coherence_t2_s(relax, sys)
+    t2 = None if relax is None else coherence_t2_table(relax, sys.dim)
     widths = [lb_hz + 1.0 / (points * dwell_s) +
               (0.0 if t2 is None else 1.0 / (np.pi * t2[tr.upper_index, tr.lower_index]))
               for tr in table]

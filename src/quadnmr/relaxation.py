@@ -3,17 +3,19 @@
 Populations decay exponentially toward the thermal deviation state with a
 single T1. Each single-quantum coherence decays with the T2 of its own
 transition; multiple-quantum coherences have no dedicated rate and default
-to the outer-transition T2 (overridable via t2_multi_s). coherence_t2_s is
-the one table of those rates, shared by apply_relaxation and the FID.
+to the outer-transition T2 (overridable via t2_multi_s). coherence_t2_table
+is the one table of those rates, built once per parameter set and level
+count and shared read-only by apply_relaxation, the FID and the readout's
+resolvability check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .prep import equilibrium_state
 from .system import SpinSystem
 
 # Defaults: one T1 for all lines; the outer lines relax much faster than the
@@ -44,19 +46,26 @@ class RelaxationParams:
         return self.t2_outer_s if self.t2_multi_s is None else self.t2_multi_s
 
 
-def coherence_t2_s(params: RelaxationParams, sys: SpinSystem) -> np.ndarray:
-    """T2 (s) of every coherence rho[i, j] of sys, as a dim x dim table.
+@lru_cache(maxsize=8)
+def coherence_t2_table(params: RelaxationParams, dim: int) -> np.ndarray:
+    """T2 (s) of every coherence rho[i, j] of a dim-level spin, read-only.
 
     A single-quantum pair (i, i+1) gets t2_central_s when it is the middle
     line of the spectrum (2*i + 2 == dim, so only half-integer spins have
     one) and t2_outer_s otherwise; every multiple-quantum coherence gets
     multi_quantum_t2_s. The diagonal is not used.
     """
-    t2 = np.full((sys.dim, sys.dim), params.multi_quantum_t2_s)
-    for i in range(sys.dim - 1):
-        t2[i, i + 1] = t2[i + 1, i] = (params.t2_central_s if 2 * i + 2 == sys.dim
+    t2 = np.full((dim, dim), params.multi_quantum_t2_s, dtype=float)
+    for i in range(dim - 1):
+        t2[i, i + 1] = t2[i + 1, i] = (params.t2_central_s if 2 * i + 2 == dim
                                        else params.t2_outer_s)
+    t2.flags.writeable = False
     return t2
+
+
+def coherence_t2_s(params: RelaxationParams, sys: SpinSystem) -> np.ndarray:
+    """A writable copy of coherence_t2_table(params, sys.dim)."""
+    return coherence_t2_table(params, sys.dim).copy()
 
 
 def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
@@ -64,9 +73,9 @@ def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
     """Relax a deviation matrix for a time dt (exact exponential map).
 
     The map is a semigroup in dt, preserves Hermiticity and has
-    equilibrium_state(sys) as its fixed point. It keeps the trace only of a
-    traceless deviation matrix: the populations decay toward the traceless
-    equilibrium, so a trace t ends as t * exp(-dt / T1).
+    equilibrium_state(sys) (Iz) as its fixed point. It keeps the trace only
+    of a traceless deviation matrix: the populations decay toward the
+    traceless equilibrium, so a trace t ends as t * exp(-dt / T1).
     """
     if not (np.isfinite(dt_s) and dt_s >= 0):
         raise ValueError(
@@ -74,8 +83,8 @@ def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (sys.dim, sys.dim):
         raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
-    out = rho * np.exp(-dt_s / coherence_t2_s(params, sys))
-    eq = np.diag(equilibrium_state(sys)).real
+    out = rho * np.exp(-dt_s / coherence_t2_table(params, sys.dim))
+    eq = np.diag(sys.operators.iz).real
     pops = np.diag(rho).real
     np.fill_diagonal(out, eq + (pops - eq) * np.exp(-dt_s / params.t1_s))
     return out

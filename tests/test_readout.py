@@ -1,13 +1,16 @@
+import cmath
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadnmr import (FID, RelaxationParams, SpinSystem, acquire, conjugate,
+from quadnmr import (FID, Peak, RelaxationParams, SpinSystem, Spectrum, acquire, conjugate,
                      equilibrium_state, hard_pulse, ideal_density_after_oracle,
                      observable_amplitudes, spectrum, synthesize_fid,
                      write_peaks_csv, write_spectrum_csv)
-from quadnmr.readout import PEAK_WINDOW_LINEWIDTHS, _best_phase, _oscillator
+from quadnmr.readout import _CSV_CHUNK_ROWS, PEAK_WINDOW_LINEWIDTHS, _best_phase, _oscillator
 from quadnmr.relaxation import coherence_t2_s
 from quadnmr.system import transition_table
 
@@ -105,6 +108,28 @@ def reference_best_phase(integrals):
 
 
 @st.composite
+def phase_integrals(draw):
+    """1 to 15 integrals from 1e-320 to 1e300: zeros, values on the axes,
+    equal magnitudes and independent ones."""
+    scale = 10.0 ** draw(st.floats(-320.0, 300.0))
+    values = []
+    for _ in range(draw(st.integers(1, 15))):
+        kind = draw(st.sampled_from(["zero", "real", "imag", "same", "free"]))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        angle = draw(st.floats(-np.pi, np.pi))
+        if kind == "zero":
+            values.append(complex(sign * 0.0, draw(st.sampled_from([0.0, -0.0]))))
+        elif kind == "real":
+            values.append(complex(sign * scale, 0.0))
+        elif kind == "imag":
+            values.append(complex(0.0, sign * scale))
+        else:
+            size = scale if kind == "same" else 10.0 ** draw(st.floats(-320.0, 300.0))
+            values.append(size * cmath.exp(1j * angle))
+    return values
+
+
+@st.composite
 def acquisitions(draw):
     # zero offset and zero coupling put lines at 0 Hz, signed zeros included
     sys = SpinSystem(spin=draw(st.integers(1, 7)) / 2.0,
@@ -143,15 +168,127 @@ class TestOscillatorCache:
         with pytest.raises(ValueError):
             osc[0] = 0.0
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                                       allow_infinity=False), max_size=7))
+    @settings(max_examples=400, deadline=None)
+    @given(phase_integrals())
+    @example([])
+    @example([0j, -0j])
+    @example([5e-324j])
+    @example([2 + 5e-324j])
+    @example([1 + 0j, 1j, -1 + 0j, -1j])
+    @example([1e300 + 1e300j] * 15)
+    @example([1 + 1j, 1 - 1j])
+    # row 1800 outscores row 0 by rounding
+    @example([0.08050566792068725 + 0.14388578219072626j,
+              13.011741540201928 + 1.4891634781197722j,
+              1.4413070644726258 - 1.6330492603104985j])
+    # the peak lies half a row from the grid, and the farther row wins
+    @example([-0.2678406984317786 - 2.1351605535167177j,
+              0.07216683723397939 + 0.5752963796624128j])
     def test_best_phase_equals_the_rebuilt_grid(self, integrals):
         integrals = np.array(integrals, dtype=complex)
         assert _best_phase(integrals) == reference_best_phase(integrals)
 
 
+def reference_spectrum(fid, sys):
+    """spectrum() with one boolean mask per line over the whole axis, each
+    clipped against the lines within 2.001 half-widths, and the full grid."""
+    freq = np.fft.fftshift(np.fft.fftfreq(fid.points, fid.dwell_s))
+    amp = np.fft.fftshift(np.fft.fft(fid.samples))
+    half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
+    table = transition_table(sys)
+    lines = [tr.frequency_hz for tr in table]
+    masks = [np.abs(freq - line) <= half_width for line in lines]
+    reach = 2.001 * half_width
+    for line, mask in zip(lines, masks):
+        rivals = [f for f in lines if 0 < abs(f - line) <= reach]
+        if rivals:
+            idx = np.flatnonzero(mask)
+            nearest_rival = np.min(np.abs(freq[idx, None] - rivals), axis=1)
+            mask[idx[nearest_rival < np.abs(freq[idx] - line)]] = False
+    for tr, mask in zip(table, masks):
+        if not np.any(mask):
+            raise ValueError(
+                f"readout window of line {tr.label} ({tr.frequency_hz:g} Hz "
+                f"+- {half_width:g} Hz) holds no frequency bin; raise the line "
+                "broadening or the acquisition time points * dwell")
+    df = freq[1] - freq[0]
+    raw = np.array([complex(np.sum(amp[mask]) * df) for mask in masks])
+    phase = reference_best_phase(raw)
+    amp = amp * np.exp(1j * phase)
+    peaks = []
+    for tr, mask, integral in zip(table, masks, raw * np.exp(1j * phase)):
+        idx = np.flatnonzero(mask)[int(np.argmax(np.abs(amp[mask])))]
+        peaks.append(Peak(transition=tr.label, frequency_hz=float(freq[idx]),
+                          real_integral=float(integral.real),
+                          sign=int(np.sign(integral.real)) or 1))
+    return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
+
+
+def readout_outcome(fid, sys, read):
+    """Everything a readout returns, as bytes and reprs, or its ValueError."""
+    try:
+        spec = read(fid, sys)
+    except ValueError as err:
+        return "ValueError", str(err)
+    return (spec.freq_hz.tobytes(), spec.amplitude.tobytes(), repr(spec.phase_rad),
+            repr(spec.peaks))
+
+
+@st.composite
+def readout_cases(draw):
+    """A random FID and system whose lines sit on bins, halfway between
+    them, near +-Nyquist or anywhere, spaced from coincident to far apart,
+    with windows from narrower than a bin to wider than the spectrum."""
+    points = draw(st.one_of(st.integers(2, 17), st.sampled_from([1024, 4096, 16384])))
+    dwell_s = draw(st.one_of(st.sampled_from([5e-6, 1e-7]), st.floats(1e-7, 1e-4)))
+    step = 1.0 / (points * dwell_s)
+    nyquist = 0.5 / dwell_s
+    bins = st.integers(-(points // 2), points - points // 2 - 1)
+    offset_hz = draw(st.one_of(
+        bins.map(lambda k: k * step),
+        bins.map(lambda k: (k + 0.5) * step),
+        st.sampled_from([-nyquist, nyquist * (1 - 1e-12), -nyquist * (1 - 1e-9)]),
+        st.floats(-nyquist, nyquist)))
+    splitting_hz = draw(st.one_of(
+        st.just(0.0),
+        st.floats(1e-320, 1e-9),
+        st.integers(1, 5).map(lambda k: k * step),
+        st.integers(0, 5).map(lambda k: (k + 0.5) * step),
+        st.floats(0.0, nyquist)))
+    lb_hz = draw(st.one_of(
+        st.floats(1e-310, 1e-3),
+        st.floats(0.0, 1.0).map(lambda u: u * step / 6.0),
+        st.integers(0, 8).map(lambda k: k * step / 6.0),
+        st.floats(0.0, 2.0 * nyquist)))
+    sys = SpinSystem(spin=draw(st.sampled_from([0.5, 1.5, 2.5, 7.5])),
+                     offset_hz=offset_hz, lambda_hz=splitting_hz / 6.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+    return FID(points=points, dwell_s=dwell_s, samples=samples, lb_hz=lb_hz), sys
+
+
 class TestSpectrum:
+    @settings(max_examples=300, deadline=None)
+    @given(readout_cases())
+    # lines 1e-300 Hz apart tie at scattered bins, so a window need not be one run
+    @example((FID(points=4096, dwell_s=5e-6, samples=np.ones(4096, dtype=complex)),
+              SpinSystem.from_splitting(splitting_hz=1e-300)))
+    # the bins at +-12 kHz lie exactly halfway between two lines and are shared
+    @example((FID(points=16, dwell_s=1.0 / (16 * 12000.0), samples=np.arange(16.0) + 1j,
+                  lb_hz=4000.0),
+              SpinSystem.from_splitting(splitting_hz=24000.0)))
+    def test_windows_peaks_and_errors_equal_the_mask_code(self, case):
+        fid, sys = case
+        assert readout_outcome(fid, sys, spectrum) == readout_outcome(fid, sys,
+                                                                      reference_spectrum)
+
+    @pytest.mark.parametrize("points", [*range(1, 18), 1024, 4096, 16384])
+    @pytest.mark.parametrize("dwell_s", [5e-6, 1e-7, 1e-5 / 3.0, 2.5e-4])
+    def test_axis_bytes_equal_shifted_fftfreq(self, points, dwell_s):
+        fid = FID(points=points, dwell_s=dwell_s, samples=np.zeros(points, dtype=complex))
+        assert spectrum(fid).freq_hz.tobytes() == \
+            np.fft.fftshift(np.fft.fftfreq(points, dwell_s)).tobytes()
+
     def test_single_line_peaks_at_zero(self):
         sys = SpinSystem(offset_hz=0.0, lambda_hz=0.0)
         fid = synthesize_fid([0, 1.0, 0], sys, points=256, dwell_s=1e-5)
@@ -259,3 +396,24 @@ class TestCsvOutput:
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
         assert np.array_equal(data[:, 0], spec.freq_hz)
         assert np.array_equal(data[:, 1], spec.amplitude.real)
+
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS,
+                                      _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 1])
+    def test_spectrum_bytes_equal_csv_writer(self, tmp_path, rows):
+        special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+                   1e308, 0.1, -1.0 / 3.0]
+        # ten values cycled over three columns put each one in every column
+        values = np.resize(np.array(special), 3 * rows).reshape(rows, 3)
+        amplitude = np.empty(rows, dtype=complex)
+        amplitude.real, amplitude.imag = values[:, 1], values[:, 2]
+        spec = Spectrum(freq_hz=values[:, 0].copy(), amplitude=amplitude)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["freq_hz", "real", "imag"])
+            for f, a in zip(spec.freq_hz, spec.amplitude):
+                writer.writerow([format(float(f), ".17g"), format(float(a.real), ".17g"),
+                                 format(float(a.imag), ".17g")])
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(path, spec)
+        assert path.read_bytes() == reference.read_bytes()

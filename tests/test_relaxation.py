@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from quadnmr import (RelaxationParams, SpinSystem, apply_relaxation,
                      equilibrium_state, matrices_close)
+from quadnmr.relaxation import coherence_t2_s, coherence_t2_table
 
 
 @pytest.fixture
@@ -20,6 +21,22 @@ def coherent_test_state():
     rho[0, 2] = rho[2, 0] = 0.1          # double quantum
     rho[0, 3] = rho[3, 0] = 0.05         # triple quantum
     return rho
+
+
+def test_t2_table_is_built_once_and_shared_read_only(sys32, params):
+    table = coherence_t2_table(params, sys32.dim)
+    assert coherence_t2_table(RelaxationParams(), 4) is table
+    assert not table.flags.writeable
+    copy = coherence_t2_s(params, sys32)
+    copy[0, 1] = 1.0      # the writable copy leaves the shared table alone
+    assert table[0, 1] == params.t2_outer_s
+    assert np.array_equal(coherence_t2_s(params, sys32), table)
+
+
+def test_t2_table_keeps_fractional_times_beside_integer_ones():
+    # an integer multiple-quantum T2 must not make the table integer-valued
+    table = coherence_t2_table(RelaxationParams(t2_multi_s=1), 4)
+    assert table[0, 1] == 4e-3 and table[1, 2] == 14e-3 and table[0, 3] == 1.0
 
 
 def test_zero_interval_is_identity(sys32, params):
