@@ -4,7 +4,7 @@ Subcommands: equilibrium, pseudopure, dj, compile-check. Spectra and peak
 tables are written as CSV (headers mandatory, 17-significant-digit floats)
 into --outdir, which defaults to $QUADNMR_OUTDIR or the current directory.
 Exit codes: 0 success, 1 configuration/parse errors (E_UNRESOLVED when dj's
-lines are too close or too broad to read their signs), 2 ambiguous readout;
+lines lie too close for their widths to read their signs), 2 ambiguous readout;
 compile-check returns 4 when --strict is set and the fidelity check fails.
 """
 

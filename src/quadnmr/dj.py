@@ -60,26 +60,18 @@ class UnresolvedLinesError(ValueError):
     """The readout cannot sign every line apart from its neighbours."""
 
 
-# Widest line, as a fraction of the spectral width 1/dwell, whose sign the
-# readout still reads. A decay sampled from t = 0 puts a flat offset of half
-# its first point into every bin of the real spectrum, which a window
-# spanning much of the spectral width sums up. In random sweeps, lines 6% of
-# the spectral width wide read the wrong class near the Sparrow limit, and
-# lines 13% wide did so at any splitting.
-MAX_WIDTH_SPECTRAL_WIDTH = 0.05
-
-
 def _check_resolved(sys: SpinSystem, points: int, dwell_s: float, lb_hz: float,
                     relax: RelaxationParams | None = None) -> None:
     """Raise UnresolvedLinesError unless every line can be signed on its own.
 
     A line's width is the FWHM it shows on the grid: lb_hz, plus 1/(pi*T2)
     of its coherence when relax is given, plus one bin 1/(points*dwell_s).
-    Every line must be at most MAX_WIDTH_SPECTRAL_WIDTH of the spectral
-    width 1/dwell_s wide, and adjacent lines, including the pair that
-    neighbours across the spectral edge, must lie more than the larger width
-    over sqrt(3) apart: the Sparrow limit, below which two Lorentzians merge
-    into one peak.
+    Adjacent lines, including the pair that neighbours across the spectral
+    edge, must lie more than the larger width over sqrt(3) apart: the
+    Sparrow limit, below which two Lorentzians merge into one peak. No rule
+    bounds a line's width against the spectral width 1/dwell_s: with the
+    first FID sample at half weight (readout.spectrum), broad lines carry no
+    flat offset that could flip their sign.
     """
     table = sorted(transition_table(sys), key=lambda tr: tr.frequency_hz)
     t2 = None if relax is None else coherence_t2_table(relax, sys.dim)
@@ -87,11 +79,6 @@ def _check_resolved(sys: SpinSystem, points: int, dwell_s: float, lb_hz: float,
               (0.0 if t2 is None else 1.0 / (np.pi * t2[tr.upper_index, tr.lower_index]))
               for tr in table]
     spectral_width = 1.0 / dwell_s
-    if not max(widths) <= MAX_WIDTH_SPECTRAL_WIDTH * spectral_width:
-        raise UnresolvedLinesError(
-            f"lines {max(widths):g} Hz wide are too broad for the spectral width "
-            f"{spectral_width:g} Hz: widths above {MAX_WIDTH_SPECTRAL_WIDTH:g} of it "
-            "cannot be signed; lower the line broadening or the dwell time")
     # the spectrum is periodic in 1/dwell, so the highest line neighbours the lowest
     for k, tr in enumerate(table):
         nxt = (k + 1) % len(table)
@@ -219,7 +206,7 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
     duration) lasting one full period of the quadrupolar phase accrual,
     1/(3*lambda), so the background phases wrap by 2*pi. The readout is
     readout.acquire with the given points, dwell, line broadening and relax.
-    Raises UnresolvedLinesError when the lines are too close or too broad
+    Raises UnresolvedLinesError when the lines lie too close for their widths
     to sign (_check_resolved), since they could then read as the wrong class.
     """
     sys = SpinSystem() if sys is None else sys

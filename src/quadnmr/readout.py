@@ -7,7 +7,7 @@ those complex amplitudes on a uniform time grid,
 
     s(t_k) = sum_t  a_t * exp(i 2 pi f_t t_k) * exp(-t_k / T2(t)) * exp(-pi lb t_k),
 
-Fourier transformed with the frequency axis centered on zero, phased by a
+Fourier transformed with the frequency axis centered on zero, phased by the
 global zero-order phase that maximizes the summed |real peak integrals|
 (largest peak forced positive), and summarized as one signed integral per
 transition over +-3 nominal linewidths.
@@ -18,11 +18,15 @@ reused by later acquisitions on the same system and grid. The cache holds
 four oscillators, one spin-3/2 system's three lines, which pins at most
 1 MiB at 16384 points; the cached arrays are read-only.
 
+The spectrum is the transform of the FID with its first sample at half
+weight, the usual first-point correction: a decay sampled from t = 0 at full
+weight would put a flat offset of half its first sample into every bin.
+
 Apart from the FFT, the readout's work grows with the number of lines, not
-with the points or the 1801 trial phases: each window is found as a run of
-bins by testing the bins at its edges (bin by bin only where two lines
-nearly coincide), and only the few trial phases that can score highest are
-scored. Both give the same bits as testing every bin and every phase.
+with the points: each window is found as a run of bins by testing the bins
+at its edges (bin by bin only where two lines nearly coincide), giving the
+same bits as testing every bin, and the exact phase is found among at most
+one sign pattern of the integrals per line.
 """
 
 from __future__ import annotations
@@ -44,14 +48,6 @@ DEFAULT_LB_HZ = 200.0
 
 # Number of nominal linewidths (each side) integrated around a line.
 PEAK_WINDOW_LINEWIDTHS = 3.0
-
-# Zero-order phases tried by _best_phase and their rotations; the summed
-# |Re| has period pi, so [0, pi] covers every distinct score.
-_TRIAL = np.linspace(0.0, np.pi, 1801)
-_TRIAL_ROTATIONS = np.exp(1j * _TRIAL)
-_TRIAL.flags.writeable = False
-_TRIAL_ROTATIONS.flags.writeable = False
-
 
 def observable_amplitudes(rho: np.ndarray, sys: SpinSystem) -> np.ndarray:
     """Complex amplitude of each observable transition, in table order.
@@ -134,55 +130,37 @@ class Spectrum:
     phase_rad: float = 0.0
 
 
-def _phase_rows(integrals: list[complex]) -> np.ndarray:
-    """Rows of the phase grid that can hold the maximum of _best_phase's score.
+def _best_phase(integrals: np.ndarray) -> float:
+    """Zero-order phase maximizing sum of |real parts|, largest peak positive.
 
     The score sum_k |Re(e^{i theta} z_k)| equals |Z_s| cos(theta + arg Z_s)
     with Z_s = sum_k s_k z_k, where the sign pattern s only changes where a
-    term crosses zero, at (pi/2 - arg z_k) mod pi. So it is made of at most
-    one sinusoid per line, and each rises strictly toward its peak
-    -arg Z_s: a grid row that is not next to a peak scores below its
-    neighbour by about 1 - cos(pi/1800) = 1.5e-6 of the maximum, far above
-    rounding. The rows next to each peak are returned, with rows 0 and 1800
-    (the same angle) together. Parts outside [1e-290, 1e290] could round
-    below that margin or overflow, so every row is returned for them.
+    term crosses zero, at (pi/2 - arg z_k) mod pi. So its maximum is the
+    largest |Z_s| over the at most one pattern per stretch between
+    crossings, reached at theta = -arg Z_s. The integrals are first scaled
+    by a power of two, which is exact, so that parts from subnormal to near
+    overflow keep their bits through the rotations and sums.
     """
-    z = [v for v in integrals if v]
-    if not all(p == 0 or 1e-290 <= abs(p) <= 1e290 for v in z for p in (v.real, v.imag)):
-        return np.arange(len(_TRIAL))
-    last = len(_TRIAL) - 1
-    # math.atan2, unlike cmath.phase, returns 0 instead of raising on underflow
-    crossings = sorted((math.pi / 2 - math.atan2(v.imag, v.real)) % math.pi for v in z)
-    rows = set()
+    values = integrals.tolist()
+    top = max((abs(p) for v in values for p in (v.real, v.imag)), default=0.0)
+    if not top:
+        return 0.0
+    e = math.frexp(top)[1]
+    z = [complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e)) for v in values]
+    # math.atan2, unlike cmath.phase, does not raise when the angle underflows
+    crossings = sorted((math.pi / 2 - math.atan2(v.imag, v.real)) % math.pi for v in z if v)
+    best = 0j
     for a, b in zip(crossings, crossings[1:] + [crossings[0] + math.pi]):
         # the sign pattern in the middle of the stretch between two crossings
         turn = cmath.exp(0.5j * (a + b))
         total = sum(v if (turn * v).real > 0 else -v for v in z)
-        peak = -math.atan2(total.imag, total.real) % math.pi
-        centre = round(peak / math.pi * last)
-        rows.update((centre + d) % last for d in (-1, 0, 1))
-    if 0 in rows:
-        rows.add(last)
-    return np.array(sorted(rows))
-
-
-def _best_phase(integrals: np.ndarray) -> float:
-    """Zero-order phase maximizing sum of |real parts|, largest peak positive.
-
-    The phase is the first of the 1801 angles of _TRIAL with the highest
-    score; only the rows _phase_rows picks are scored.
-    """
-    values = integrals.tolist()
-    if not any(values):
-        return 0.0
-    rows = _phase_rows(values)
-    rotations = _TRIAL_ROTATIONS.take(rows)
-    scores = np.abs(np.real(rotations[:, None] * integrals[None, :])).sum(axis=1)
-    phase = float(_TRIAL[rows[int(np.argmax(scores))]])
-    biggest = integrals[int(np.argmax(np.abs(integrals)))]
-    if np.real(np.exp(1j * phase) * biggest) < 0:
-        phase += np.pi
-    return phase % (2.0 * np.pi)
+        if abs(total) > abs(best):
+            best = total
+    phase = -math.atan2(best.imag, best.real)
+    if (cmath.exp(1j * phase) * z[int(np.argmax(np.abs(integrals)))]).real < 0:
+        phase += math.pi
+    phase %= 2.0 * math.pi
+    return 0.0 if phase == 2.0 * math.pi else phase    # -1e-48 % 2pi rounds to 2pi
 
 
 def _window(freq: np.ndarray, span_s: float, line: float, lines: list[float],
@@ -230,10 +208,11 @@ def _window(freq: np.ndarray, span_s: float, line: float, lines: list[float],
 def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     """Discrete Fourier transform with zero-centered axis and a peak table.
 
-    The axis is (k - points//2) / (points * dwell) for k < points, the same
-    values as fftshift(fftfreq(points, dwell)). Without a system, the raw
-    unphased transform is returned. With one, the per-transition windows are
-    integrated, a global zero-order phase is chosen, and the stored
+    The transform takes the first sample at half weight: 0.5 * samples[0]
+    is subtracted from every bin. The axis is (k - points//2) / (points *
+    dwell) for k < points, the same values as fftshift(fftfreq(points,
+    dwell)). Without a system, the unphased transform is returned. With one, the per-transition windows are
+    integrated, the exact zero-order phase is chosen, and the stored
     amplitude is the phased spectrum. Each window spans +-3 lb around its
     line and keeps only the bins no farther from it than from any other
     line, so overlapping windows share no signal except at exact ties. A
@@ -242,6 +221,7 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     n, span_s = fid.points, fid.points * fid.dwell_s
     freq = np.arange(-(n // 2), n - n // 2, dtype=float) * (1.0 / span_s)
     amp = np.fft.fft(fid.samples)
+    amp -= 0.5 * fid.samples[0]     # the first sample at half weight
     amp = np.concatenate((amp[n - n // 2:], amp[:n - n // 2]))   # np.fft.fftshift
     if sys is None:
         return Spectrum(freq_hz=freq, amplitude=amp)

@@ -63,11 +63,6 @@ def coherence_t2_table(params: RelaxationParams, dim: int) -> np.ndarray:
     return t2
 
 
-def coherence_t2_s(params: RelaxationParams, sys: SpinSystem) -> np.ndarray:
-    """A writable copy of coherence_t2_table(params, sys.dim)."""
-    return coherence_t2_table(params, sys.dim).copy()
-
-
 def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
                      sys: SpinSystem) -> np.ndarray:
     """Relax a deviation matrix for a time dt (exact exponential map).

@@ -223,11 +223,9 @@ class TestRunDJ:
 
 
 # Each configuration printed the wrong class with exit 0 before the
-# resolvability check: lines within the Sparrow limit of their width on the
-# grid, and lines too broad for the spectral width.
+# resolvability check: lines within the Sparrow limit of their width on the grid.
 @pytest.mark.parametrize("oracle_id, method, relax, splitting, offset, lb, dwell, points", [
     ("f3", "ideal-matrix", False, 20.2866, 1071.47, 33.4356, 1.04788e-4, 512),
-    ("f4", "ideal-matrix", True, 92.5, 0.0, 56.4, 3.45e-3, 2048),
     ("f3", "selective-z", True, 13.5, 0.0, 4.5, 8.2e-3, 16384)])
 def test_unresolved_lines_are_refused(oracle_id, method, relax, splitting, offset, lb,
                                       dwell, points):
@@ -235,6 +233,15 @@ def test_unresolved_lines_are_refused(oracle_id, method, relax, splitting, offse
     with pytest.raises(UnresolvedLinesError):
         run_dj(oracle_id, sys, method=method, relax=RelaxationParams() if relax else None,
                points=points, dwell_s=dwell, lb_hz=lb)
+
+
+def test_broad_resolved_lines_read_the_right_class():
+    # lines 27% to 47% of the spectral width wide, which a flat offset of half
+    # the first FID sample in every bin would read as constant
+    sys = SpinSystem.from_splitting(92.5, 0.0)
+    outcome = run_dj("f4", sys, method="ideal-matrix", relax=RelaxationParams(),
+                     points=2048, dwell_s=3.45e-3, lb_hz=56.4)
+    assert outcome.classification == "balanced"
 
 
 @settings(max_examples=150, deadline=None)
@@ -248,7 +255,7 @@ def test_unresolved_lines_are_refused(oracle_id, method, relax, splitting, offse
 def test_run_dj_is_right_or_refuses(ratio, offset, lb, width_dwell, points, oracle_id,
                                     method, relaxed):
     # ratio is splitting / lb; the dwell spans line widths from 1e-4 to 0.3
-    # of the spectral width, past where broad lines read the wrong sign
+    # of the spectral width, where a first-point offset would flip broad lines
     sys = SpinSystem.from_splitting(ratio * lb, offset)
     try:
         outcome = run_dj(oracle_id, sys, method=method,

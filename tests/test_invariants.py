@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from quadnmr import (RelaxationParams, SpinSystem, apply_relaxation, equilibrium_state,
                      is_hermitian, is_unitary, run_trajectory, transition_table)
 from quadnmr.compiler import event_propagator
-from quadnmr.relaxation import coherence_t2_s
+from quadnmr.relaxation import coherence_t2_table
 from quadnmr.seqlang import (Acquire, GaussianShape, Gradient, HardPulse, QuadDelay,
                              Refocus, SelPulse, SequenceIR, SystemDecl, ZPulse)
 
@@ -106,7 +106,7 @@ def test_equilibrium_is_the_relaxation_fixed_point(spin, dt, t1, t2):
 def test_central_t2_goes_to_the_mid_spectrum_line_only(spin, lambda_hz):
     sys = SpinSystem(spin=spin, lambda_hz=lambda_hz)
     params = RelaxationParams(t2_central_s=14e-3, t2_outer_s=4e-3, t2_multi_s=1e-3)
-    t2 = coherence_t2_s(params, sys)
+    t2 = coherence_t2_table(params, sys.dim)
     assert np.array_equal(t2, t2.T)
     central = []
     for tr in transition_table(sys, include_forbidden=True):

@@ -1,5 +1,6 @@
 import cmath
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from quadnmr import (FID, Peak, RelaxationParams, SpinSystem, Spectrum, acquire,
                      observable_amplitudes, spectrum, synthesize_fid,
                      write_peaks_csv, write_spectrum_csv)
 from quadnmr.readout import _CSV_CHUNK_ROWS, PEAK_WINDOW_LINEWIDTHS, _best_phase, _oscillator
-from quadnmr.relaxation import coherence_t2_s
+from quadnmr.relaxation import coherence_t2_table
 from quadnmr.system import transition_table
 
 
@@ -85,7 +86,7 @@ def reference_fid_samples(amplitudes, sys, points, dwell_s, lb_hz, relax):
     t = np.arange(points) * dwell_s
     samples = np.zeros(points, dtype=complex)
     broadening = np.exp(-np.pi * lb_hz * t)
-    t2 = None if relax is None else coherence_t2_s(relax, sys)
+    t2 = None if relax is None else coherence_t2_table(relax, sys.dim)
     for a, tr in zip(amplitudes, transition_table(sys)):
         decay = broadening
         if t2 is not None:
@@ -94,17 +95,35 @@ def reference_fid_samples(amplitudes, sys, points, dwell_s, lb_hz, relax):
     return samples
 
 
-def reference_best_phase(integrals):
-    """_best_phase with the trial grid and its rotations rebuilt on each call."""
-    if len(integrals) == 0 or np.max(np.abs(integrals)) == 0:
-        return 0.0
+def scaled(integrals):
+    """The integrals times the power of two that brings their largest part into
+    [0.5, 1): exact for every part that does not underflow, and scores of
+    subnormal integrals keep their bits."""
+    top = max((abs(p) for v in integrals for p in (v.real, v.imag)), default=0.0)
+    e = math.frexp(top)[1]
+    return np.array([complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e))
+                     for v in integrals], dtype=complex)
+
+
+def phase_score(phase, z):
+    """sum_k |Re(e^{i phase} z_k)|, the score _best_phase maximizes."""
+    return float(np.sum(np.abs(np.real(np.exp(1j * phase) * z))))
+
+
+def grid_scores(z):
+    """The score at each of the 1801 angles of the old grid linspace(0, pi, 1801)."""
     trial = np.linspace(0.0, np.pi, 1801)
-    scores = np.abs(np.real(np.exp(1j * trial)[:, None] * integrals[None, :])).sum(axis=1)
-    phase = float(trial[int(np.argmax(scores))])
-    biggest = integrals[int(np.argmax(np.abs(integrals)))]
-    if np.real(np.exp(1j * phase) * biggest) < 0:
-        phase += np.pi
-    return phase % (2.0 * np.pi)
+    return np.abs(np.real(np.exp(1j * trial)[:, None] * z[None, :])).sum(axis=1)
+
+
+def brute_force_maximum(z):
+    """max |sum_k s_k z_k| over all 2^(L-1) sign patterns s with s_0 = +1,
+    which is the maximum score over every phase."""
+    if len(z) == 0:
+        return 0.0
+    bits = (np.arange(2 ** (len(z) - 1))[:, None] >> np.arange(len(z) - 1)) & 1
+    signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
+    return float(np.max(np.abs(signs @ z)))
 
 
 @st.composite
@@ -177,23 +196,32 @@ class TestOscillatorCache:
     @example([1 + 0j, 1j, -1 + 0j, -1j])
     @example([1e300 + 1e300j] * 15)
     @example([1 + 1j, 1 - 1j])
-    # row 1800 outscores row 0 by rounding
+    # the maximum lies near theta = 0 = pi, where grid rows 0 and 1800 meet
     @example([0.08050566792068725 + 0.14388578219072626j,
               13.011741540201928 + 1.4891634781197722j,
               1.4413070644726258 - 1.6330492603104985j])
-    # the peak lies half a row from the grid, and the farther row wins
+    # the maximum lies half a grid row between two rows
     @example([-0.2678406984317786 - 2.1351605535167177j,
               0.07216683723397939 + 0.5752963796624128j])
-    def test_best_phase_equals_the_rebuilt_grid(self, integrals):
+    def test_best_phase_is_the_exact_maximum(self, integrals):
         integrals = np.array(integrals, dtype=complex)
-        assert _best_phase(integrals) == reference_best_phase(integrals)
+        phase = _best_phase(integrals)
+        assert 0.0 <= phase < 2.0 * np.pi
+        z = scaled(integrals)
+        score = phase_score(phase, z)
+        assert score >= np.max(grid_scores(z)) * (1.0 - 1e-12)
+        assert score == pytest.approx(brute_force_maximum(z), rel=1e-12, abs=0.0)
+        if np.any(z):
+            # the largest peak comes out positive
+            assert np.real(np.exp(1j * phase) * z[np.argmax(np.abs(integrals))]) >= 0.0
 
 
-def reference_spectrum(fid, sys):
-    """spectrum() with one boolean mask per line over the whole axis, each
-    clipped against the lines within 2.001 half-widths, and the full grid."""
+def reference_spectrum(fid, sys, choose_phase):
+    """spectrum() with the first sample at half weight, one boolean mask per
+    line over the whole axis, each clipped against the lines within 2.001
+    half-widths, and the zero-order phase choose_phase(raw integrals)."""
     freq = np.fft.fftshift(np.fft.fftfreq(fid.points, fid.dwell_s))
-    amp = np.fft.fftshift(np.fft.fft(fid.samples))
+    amp = np.fft.fftshift(np.fft.fft(fid.samples)) - 0.5 * fid.samples[0]
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     table = transition_table(sys)
     lines = [tr.frequency_hz for tr in table]
@@ -213,7 +241,7 @@ def reference_spectrum(fid, sys):
                 "broadening or the acquisition time points * dwell")
     df = freq[1] - freq[0]
     raw = np.array([complex(np.sum(amp[mask]) * df) for mask in masks])
-    phase = reference_best_phase(raw)
+    phase = choose_phase(raw)
     amp = amp * np.exp(1j * phase)
     peaks = []
     for tr, mask, integral in zip(table, masks, raw * np.exp(1j * phase)):
@@ -279,8 +307,19 @@ class TestSpectrum:
               SpinSystem.from_splitting(splitting_hz=24000.0)))
     def test_windows_peaks_and_errors_equal_the_mask_code(self, case):
         fid, sys = case
-        assert readout_outcome(fid, sys, spectrum) == readout_outcome(fid, sys,
-                                                                      reference_spectrum)
+        try:
+            phase = spectrum(fid, sys).phase_rad
+        except ValueError:
+            phase = math.nan    # the reference must raise the same error before phasing
+
+        def spectrum_phase(raw):
+            # spectrum()'s phase, which must score as high as every row of the old grid
+            z = scaled(raw)
+            assert phase_score(phase, z) >= np.max(grid_scores(z)) * (1.0 - 1e-12)
+            return phase
+
+        assert readout_outcome(fid, sys, spectrum) == readout_outcome(
+            fid, sys, lambda f, s: reference_spectrum(f, s, spectrum_phase))
 
     @pytest.mark.parametrize("points", [*range(1, 18), 1024, 4096, 16384])
     @pytest.mark.parametrize("dwell_s", [5e-6, 1e-7, 1e-5 / 3.0, 2.5e-4])
@@ -288,6 +327,21 @@ class TestSpectrum:
         fid = FID(points=points, dwell_s=dwell_s, samples=np.zeros(points, dtype=complex))
         assert spectrum(fid).freq_hz.tobytes() == \
             np.fft.fftshift(np.fft.fftfreq(points, dwell_s)).tobytes()
+
+    @pytest.mark.parametrize("points", [17, 1000, 1024, 4097])
+    def test_one_decaying_line_equals_its_closed_form(self, points):
+        # the DFT of a * q^k, k < N, is a (1 - q^N) / (1 - q w^j) with
+        # w = exp(-2 pi i / N); the first sample at half weight takes a/2 off
+        dwell_s, lb_hz, a = 5e-6, 200.0, 0.7 - 0.3j
+        sys = SpinSystem(offset_hz=1234.5)
+        f = transition_table(sys)[1].frequency_hz
+        fid = synthesize_fid([0, a, 0], sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz)
+        q = np.exp((2j * np.pi * f - np.pi * lb_hz) * dwell_s)
+        w = np.exp(-2j * np.pi * np.arange(points) / points)
+        expected = np.fft.fftshift(a * (1 - q ** points) / (1 - q * w) - a / 2)
+        amp = spectrum(fid).amplitude
+        # every bin to 1e-12 of the tallest
+        assert np.max(np.abs(amp - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_single_line_peaks_at_zero(self):
         sys = SpinSystem(offset_hz=0.0, lambda_hz=0.0)
@@ -298,7 +352,9 @@ class TestSpectrum:
     def test_parseval(self, sys32):
         rho = conjugate(equilibrium_state(sys32), hard_pulse(sys32, "-y", np.pi / 2))
         fid, spec = acquire(rho, sys32)
-        time_energy = np.sum(np.abs(fid.samples) ** 2)
+        halved = fid.samples.copy()
+        halved[0] *= 0.5        # the spectrum takes the first sample at half weight
+        time_energy = np.sum(np.abs(halved) ** 2)
         freq_energy = np.sum(np.abs(spec.amplitude) ** 2) / fid.points
         assert freq_energy == pytest.approx(time_energy, rel=1e-9)
 
@@ -324,8 +380,8 @@ class TestSpectrum:
         amps = np.abs(observable_amplitudes(rho, sys32))
         for peak, a in zip(spec.peaks, amps):
             expected = analytic_window_integral(a, fid.lb_hz, fid.dwell_s)
-            # discretization (half-sample baseline, finite grid) costs ~2%
-            assert abs(peak.real_integral) == pytest.approx(expected, rel=0.03)
+            # the finite grid and the neighbours' tails cost about 0.25%
+            assert abs(peak.real_integral) == pytest.approx(expected, rel=0.01)
 
     def test_peak_locations_within_one_bin(self, sys32):
         rho = conjugate(equilibrium_state(sys32), hard_pulse(sys32, "-y", np.pi / 2))
