@@ -17,7 +17,7 @@ import numpy as np
 from .linalg import conjugate
 from .pulses import (gradient_crush, hard_pulse, selective_pulse,
                      selective_z_closed_form, shaped_pulse)
-from .readout import DEFAULT_LB_HZ, FID, observable_amplitudes, synthesize_fid
+from .readout import FID, observable_amplitudes, synthesize_fid
 from .relaxation import RelaxationParams, apply_relaxation
 from .seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, Event, Gradient, HardPulse,
                       QuadDelay, Refocus, SelPulse, SequenceIR, ZPulse)
@@ -39,8 +39,7 @@ def _steps(event: Event, sys: SpinSystem) -> list[tuple[np.ndarray, float | None
             return [(selective_pulse(sys, event.transition, event.axis,
                                      event.angle_rad), None)]
         return [(shaped_pulse(sys, event.transition, event.axis, event.angle_rad,
-                              event.shape.duration_s, event.shape.n_slices),
-                 event.shape.duration_s)]
+                              event.shape.duration_s), event.shape.duration_s)]
     if isinstance(event, ZPulse):
         return [(selective_z_closed_form(sys, event.transition, event.angle_rad), None)]
     if isinstance(event, (QuadDelay, Refocus)):
@@ -91,13 +90,12 @@ class TrajectoryResult:
 
 
 def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
-                   relax: RelaxationParams | None = None,
-                   lb_hz: float = DEFAULT_LB_HZ) -> TrajectoryResult:
+                   relax: RelaxationParams | None = None) -> TrajectoryResult:
     """Apply each event in order to the deviation matrix rho0.
 
     With relax given, relaxation acts after each timed step of the step
     table (quadrupolar delays, the halves of refocusing blocks, shaped
-    pulses) and during acquisition.
+    pulses) and during acquisition, which uses the default line broadening.
     """
     sys = ir.system() if sys is None else sys
     rho = np.asarray(rho0, dtype=complex).copy()
@@ -112,7 +110,7 @@ def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
         elif isinstance(event, Acquire):
             amps = observable_amplitudes(rho, sys)
             fid = synthesize_fid(amps, sys, points=event.points,
-                                 dwell_s=event.dwell_s, lb_hz=lb_hz, relax=relax)
+                                 dwell_s=event.dwell_s, relax=relax)
         elif relax is None:
             rho = conjugate(rho, event_propagator(event, sys))
         else:

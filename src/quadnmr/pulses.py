@@ -162,7 +162,7 @@ def gradient_crush(rho: np.ndarray) -> np.ndarray:
 
 
 def shaped_pulse(sys: SpinSystem, transition, axis: str, nominal_angle_rad: float,
-                 duration_s: float, n_slices: int = 512) -> np.ndarray:
+                 duration_s: float) -> np.ndarray:
     """Gaussian soft pulse on one transition, in closed form.
 
     The drive is confined to the target transition's 2x2 block generator and
@@ -174,12 +174,9 @@ def shaped_pulse(sys: SpinSystem, transition, axis: str, nominal_angle_rad: floa
     accrued over the duration. With a zero angle the result is the
     free-evolution propagator; when the accrued phases are multiples of 2*pi
     it is the ideal instantaneous selective pulse. A negative angle is the
-    positive angle about the opposite axis. n_slices is validated for the
-    sequence grammar but does not change the result.
+    positive angle about the opposite axis.
     """
     if duration_s <= 0:
         raise ValueError("shaped pulse duration must be positive")
-    if n_slices < 64:
-        raise ValueError("shaped pulse needs at least 64 slices")
     pulse = selective_pulse(sys, transition, axis, nominal_angle_rad)
     return free_evolution(sys, duration_s) @ pulse

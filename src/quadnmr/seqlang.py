@@ -25,12 +25,15 @@ symbolic form pi/(12*lambda), resolved against the declared coupling.
 Transitions are bit-string pairs like 10-11; pairs whose levels are not
 adjacent (the unphysical |delta m| > 1 drives) are rejected at parse time.
 A gaussian clause makes a selective pulse soft (see pulses.shaped_pulse);
-its optional slice count (>= 64) is validated and printed back but does not
-change the propagator.
+its optional slice count (>= 64) is only validated and printed back.
 
-Tokens are the whitespace-separated words of a line, as str.split gives
-them. Every parse error carries a 1-based line and a 1-based column, counted
-in code points, and a machine-readable code (the E_* constants below).
+One table (_STATEMENTS) gives each statement's event class and its words in
+the order the parser reads them and the printer writes them. The words of a
+line are its whitespace-separated tokens, as str.split gives them, checked
+left to right: an error names the leftmost bad word, and a word left over
+after a complete statement is reported last. Every parse error carries a
+1-based line and a 1-based column, counted in code points, and a
+machine-readable code (the E_* constants below).
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .system import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError,
                      cphase_delay_s)
@@ -71,10 +72,10 @@ class ParseError(ValueError):
 
 
 _ANGLE_SYMBOLS = {
-    "pi": np.pi,
-    "pi/2": np.pi / 2.0,
-    "pi/4": np.pi / 4.0,
-    "pi/sqrt(3)": np.pi / np.sqrt(3.0),
+    "pi": math.pi,
+    "pi/2": math.pi / 2.0,
+    "pi/4": math.pi / 4.0,
+    "pi/sqrt(3)": math.pi / math.sqrt(3.0),
 }
 
 _DURATION_RE = re.compile(r"^([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)(s|ms|us)$")
@@ -171,7 +172,7 @@ class SequenceIR:
         return self.system_decl.to_system()
 
 
-# --- word-level helpers -----------------------------------------------------
+# --- word readers -----------------------------------------------------------
 
 class _WordError(Exception):
     """A parse error at word `index` of its line, `offset` code points into
@@ -181,8 +182,8 @@ class _WordError(Exception):
         super().__init__(message, code, index, offset)
 
 
-def _parse_angle(words: list[str], i: int) -> float:
-    text = words[i]
+# A reader takes one word, its index in the line and the declared system.
+def _read_angle(text: str, i: int, sys: SpinSystem) -> float:
     negative = text.startswith("-")
     body = text[1:] if negative else text
     if body in _ANGLE_SYMBOLS:
@@ -198,8 +199,7 @@ def _parse_angle(words: list[str], i: int) -> float:
     return -value if negative else value
 
 
-def _parse_duration(words: list[str], i: int, sys: SpinSystem) -> float:
-    text = words[i]
+def _read_duration(text: str, i: int, sys: SpinSystem) -> float:
     if text == SYMBOLIC_CPHASE_DELAY:
         try:
             value = cphase_delay_s(sys)
@@ -218,22 +218,14 @@ def _parse_duration(words: list[str], i: int, sys: SpinSystem) -> float:
     return value
 
 
-def _parse_freq(text: str, i: int, offset: int) -> float:
-    match = _FREQ_RE.match(text)
-    if not match:
-        raise _WordError(f"bad frequency {text!r}", E_BAD_NUMBER, i, offset)
-    return float(match.group(1)) * (1000.0 if match.group(2) == "kHz" else 1.0)
-
-
-def _parse_int(words: list[str], i: int) -> int:
+def _read_int(text: str, i: int, sys: SpinSystem) -> int:
     try:
-        return int(words[i])
+        return int(text)
     except ValueError:
-        raise _WordError(f"bad integer {words[i]!r}", E_BAD_NUMBER, i) from None
+        raise _WordError(f"bad integer {text!r}", E_BAD_NUMBER, i) from None
 
 
-def _check_transition(words: list[str], i: int, sys: SpinSystem) -> str:
-    text = _expect(words, i, "transition")
+def _read_transition(text: str, i: int, sys: SpinSystem) -> str:
     try:
         sys.transition(text)
     except ForbiddenTransitionError as exc:
@@ -243,25 +235,73 @@ def _check_transition(words: list[str], i: int, sys: SpinSystem) -> str:
     return text
 
 
-def _check_axis(words: list[str], i: int) -> str:
-    text = _expect(words, i, "axis")
+def _read_axis(text: str, i: int, sys: SpinSystem) -> str:
     if text not in ("x", "-x", "y", "-y"):
         raise _WordError(f"axis must be x, -x, y or -y, got {text!r}", E_SYNTAX, i)
     return text
 
 
-def _expect(words: list[str], i: int, what: str) -> str:
-    if i >= len(words):
-        raise _WordError(f"expected {what}", E_SYNTAX, len(words) - 1, len(words[-1]))
-    return words[i]
+def _parse_freq(text: str, i: int, offset: int) -> float:
+    match = _FREQ_RE.match(text)
+    if not match:
+        raise _WordError(f"bad frequency {text!r}", E_BAD_NUMBER, i, offset)
+    return float(match.group(1)) * (1000.0 if match.group(2) == "kHz" else 1.0)
 
 
-def _no_more(words: list[str], i: int) -> None:
-    if i < len(words):
-        raise _WordError(f"unexpected trailing token {words[i]!r}", E_SYNTAX, i)
+# --- statement table --------------------------------------------------------
+
+# A field is (the name a missing word gets, its reader, the attribute the
+# value goes to, the attribute that keeps the word's text or None, and None or
+# a check of the value: (test, message formatted with the value, code)).
+_AXIS = ("axis", _read_axis, "axis", None, None)
+_TRANSITION = ("transition", _read_transition, "transition", None, None)
+_ANGLE = ("angle", _read_angle, "angle_rad", "angle_text", None)
+_TAU = ("duration", _read_duration, "tau_s", "tau_text", None)
+
+# Each keyword path maps to its event class and its fields, in the order they
+# are read (left to right, a trailing word last) and printed.
+_STATEMENTS = {
+    "pulse hard": (HardPulse, (_AXIS, _ANGLE)),
+    "pulse sel": (SelPulse, (_TRANSITION, _AXIS, _ANGLE)),
+    "zpulse": (ZPulse, (_TRANSITION, _ANGLE)),
+    "delay quad": (QuadDelay, (_TAU,)),
+    "refocus": (Refocus, (_TAU,)),
+    "gradient": (Gradient, ()),
+    "acquire": (Acquire, (
+        ("point count", _read_int, "points", None,
+         (lambda n: n >= 2 and not n & (n - 1),
+          "acquire points must be a power of two, got {}", E_POINTS_NOT_POWER2)),
+        ("dwell time", _read_duration, "dwell_s", "dwell_text",
+         (lambda t: t > 0, "dwell time must be positive", E_BAD_VALUE)))),
+}
+# the one irregular clause, the optional tail of pulse sel: gaussian D [N]
+_SHAPE = (GaussianShape, (
+    ("shape duration", _read_duration, "duration_s", "duration_text",
+     (lambda t: t > 0, "shaped pulse duration must be positive", E_BAD_VALUE)),
+    ("slices", _read_int, "n_slices", None,
+     (lambda n: n >= 64, "need at least 64 slices", E_BAD_VALUE))))
+# first words of two-word paths: what the second is called, and its error
+_SECOND_WORD = {
+    "pulse": ("pulse scope (hard|sel)", "pulse scope must be hard or sel, got {!r}"),
+    "delay": ("delay kind (quad)", "unknown delay kind {!r}")}
 
 
-# --- statement parsers ------------------------------------------------------
+def _read_fields(words: list[str], start: int, fields, sys: SpinSystem,
+                 values: dict) -> int:
+    """Read fields left to right from words[start:] into values; the index after."""
+    i = start
+    for what, read, name, text_name, check in fields:
+        if i == len(words):
+            raise _WordError(f"expected {what}", E_SYNTAX, i - 1, len(words[i - 1]))
+        text = words[i]
+        values[name] = value = read(text, i, sys)
+        if check and not check[0](value):
+            raise _WordError(check[1].format(value), check[2], i)
+        if text_name:
+            values[text_name] = text
+        i += 1
+    return i
+
 
 def _parse_system(words: list[str]) -> tuple[SystemDecl, SpinSystem]:
     spin = None
@@ -296,78 +336,32 @@ def _parse_system(words: list[str]) -> tuple[SystemDecl, SpinSystem]:
         raise _WordError(str(exc), E_BAD_VALUE, 0) from None
 
 
-def _parse_pulse(words: list[str], sys: SpinSystem, pos: dict) -> Event:
-    scope = _expect(words, 1, "pulse scope (hard|sel)")
-    if scope == "hard":
-        axis = _check_axis(words, 2)
-        _expect(words, 3, "angle")
-        _no_more(words, 4)
-        return HardPulse(axis=axis, angle_rad=_parse_angle(words, 3),
-                         angle_text=words[3], **pos)
-    if scope == "sel":
-        trans = _check_transition(words, 2, sys)
-        axis = _check_axis(words, 3)
-        _expect(words, 4, "angle")
-        shape = None
-        if len(words) > 5:
-            if words[5] != "gaussian":
-                raise _WordError(f"unknown pulse shape {words[5]!r}",
-                                 E_UNKNOWN_KEYWORD, 5)
-            _expect(words, 6, "shape duration")
-            duration = _parse_duration(words, 6, sys)
-            if duration <= 0:
-                raise _WordError("shaped pulse duration must be positive", E_BAD_VALUE, 6)
-            n_slices = 512
-            if len(words) > 7:
-                n_slices = _parse_int(words, 7)
-                if n_slices < 64:
-                    raise _WordError("need at least 64 slices", E_BAD_VALUE, 7)
-                _no_more(words, 8)
-            shape = GaussianShape(duration_s=duration, duration_text=words[6],
-                                  n_slices=n_slices)
-        return SelPulse(transition=trans, axis=axis, angle_rad=_parse_angle(words, 4),
-                        angle_text=words[4], shape=shape, **pos)
-    raise _WordError(f"pulse scope must be hard or sel, got {scope!r}",
-                     E_UNKNOWN_KEYWORD, 1)
-
-
-def _parse_statement(words: list[str], sys: SpinSystem, pos: dict) -> Event:
+def _parse_event(words: list[str], sys: SpinSystem, values: dict) -> Event:
+    """The event of one statement line; values holds its line and column."""
     head = words[0]
-    if head == "pulse":
-        return _parse_pulse(words, sys, pos)
-    if head == "zpulse":
-        trans = _check_transition(words, 1, sys)
-        _expect(words, 2, "angle")
-        _no_more(words, 3)
-        return ZPulse(transition=trans, angle_rad=_parse_angle(words, 2),
-                      angle_text=words[2], **pos)
-    if head == "delay":
-        kind = _expect(words, 1, "delay kind (quad)")
-        if kind != "quad":
-            raise _WordError(f"unknown delay kind {kind!r}", E_UNKNOWN_KEYWORD, 1)
-        _expect(words, 2, "duration")
-        _no_more(words, 3)
-        return QuadDelay(tau_s=_parse_duration(words, 2, sys), tau_text=words[2], **pos)
-    if head == "refocus":
-        _expect(words, 1, "duration")
-        _no_more(words, 2)
-        return Refocus(tau_s=_parse_duration(words, 1, sys), tau_text=words[1], **pos)
-    if head == "gradient":
-        _no_more(words, 1)
-        return Gradient(**pos)
-    if head == "acquire":
-        _expect(words, 1, "point count")
-        points = _parse_int(words, 1)
-        if points < 2 or points & (points - 1):
-            raise _WordError(f"acquire points must be a power of two, got {points}",
-                             E_POINTS_NOT_POWER2, 1)
-        _expect(words, 2, "dwell time")
-        dwell = _parse_duration(words, 2, sys)
-        if dwell <= 0:
-            raise _WordError("dwell time must be positive", E_BAD_VALUE, 2)
-        _no_more(words, 3)
-        return Acquire(points=points, dwell_s=dwell, dwell_text=words[2], **pos)
-    raise _WordError(f"unknown statement {head!r}", E_UNKNOWN_KEYWORD, 0)
+    entry, start = _STATEMENTS.get(head), 1
+    if entry is None:
+        if head not in _SECOND_WORD:
+            raise _WordError(f"unknown statement {head!r}", E_UNKNOWN_KEYWORD, 0)
+        what, wrong = _SECOND_WORD[head]
+        if len(words) == 1:
+            raise _WordError(f"expected {what}", E_SYNTAX, 0, len(head))
+        entry, start = _STATEMENTS.get(f"{head} {words[1]}"), 2
+        if entry is None:
+            raise _WordError(wrong.format(words[1]), E_UNKNOWN_KEYWORD, 1)
+    cls, fields = entry
+    end = _read_fields(words, start, fields, sys, values)
+    if end < len(words) and cls is SelPulse:
+        if words[end] != "gaussian":
+            raise _WordError(f"unknown pulse shape {words[end]!r}", E_UNKNOWN_KEYWORD, end)
+        shape = {}
+        # the slice count is optional
+        shape_fields = _SHAPE[1][:2 if end + 2 < len(words) else 1]
+        end = _read_fields(words, end + 1, shape_fields, sys, shape)
+        values["shape"] = GaussianShape(**shape)
+    if end < len(words):
+        raise _WordError(f"unexpected trailing token {words[end]!r}", E_SYNTAX, end)
+    return cls(**values)
 
 
 def parse_sequence(text: str) -> SequenceIR:
@@ -375,7 +369,6 @@ def parse_sequence(text: str) -> SequenceIR:
     decl: SystemDecl | None = None
     sys: SpinSystem | None = None
     events: list[Event] = []
-    acquire_seen: Acquire | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
         words = code.split()
@@ -389,9 +382,9 @@ def parse_sequence(text: str) -> SequenceIR:
                 continue
             if decl is None or sys is None:
                 raise _WordError("system declaration must come first", E_MISSING_SYSTEM, 0)
-            pos = {"line": lineno, "column": len(code) - len(code.lstrip()) + 1}
-            event = _parse_statement(words, sys, pos)
-            if acquire_seen is not None:
+            event = _parse_event(words, sys, {
+                "line": lineno, "column": len(code) - len(code.lstrip()) + 1})
+            if events and isinstance(events[-1], Acquire):
                 if isinstance(event, Acquire):
                     raise _WordError("only one acquire event is allowed",
                                      E_DUPLICATE_ACQUIRE, 0)
@@ -401,8 +394,6 @@ def parse_sequence(text: str) -> SequenceIR:
             # columns are found only here: \S+ matches the words str.split gave
             start = [m.start() for m in re.finditer(r"\S+", code)][index]
             raise ParseError(message, lineno, start + 1 + offset, error_code) from None
-        if isinstance(event, Acquire):
-            acquire_seen = event
         events.append(event)
     if decl is None:
         raise ParseError("empty script: system declaration required", 1, 1,
@@ -412,41 +403,23 @@ def parse_sequence(text: str) -> SequenceIR:
 
 # --- canonical printer ------------------------------------------------------
 
-def _spin_text(spin: float) -> str:
-    frac = Fraction(spin).limit_denominator(2)
-    return f"{frac.numerator}/{frac.denominator}" if frac.denominator != 1 \
-        else str(frac.numerator)
-
-
-def _format_event(event: Event) -> str:
-    if isinstance(event, HardPulse):
-        return f"pulse hard {event.axis} {event.angle_text}"
-    if isinstance(event, SelPulse):
-        base = f"pulse sel {event.transition} {event.axis} {event.angle_text}"
-        if event.shape is not None:
-            base += f" gaussian {event.shape.duration_text} {event.shape.n_slices}"
-        return base
-    if isinstance(event, ZPulse):
-        return f"zpulse {event.transition} {event.angle_text}"
-    if isinstance(event, QuadDelay):
-        return f"delay quad {event.tau_text}"
-    if isinstance(event, Refocus):
-        return f"refocus {event.tau_text}"
-    if isinstance(event, Gradient):
-        return "gradient"
-    if isinstance(event, Acquire):
-        return f"acquire {event.points} {event.dwell_text}"
-    raise TypeError(f"unknown event {event!r}")
+# a %-template per class: its keyword path, then the text of each field
+_TEMPLATES = {cls: " ".join([key, *(f"%({field[3] or field[2]})s" for field in fields)])
+              for key, (cls, fields) in [*_STATEMENTS.items(), ("gaussian", _SHAPE)]}
 
 
 def format_sequence(ir: SequenceIR) -> str:
     """Canonical text form; parse(format_sequence(ir)) reproduces ir."""
     decl = ir.system_decl
-    parts = [f"system I={_spin_text(decl.spin)}"]
+    parts = ["system I=" + str(Fraction(decl.spin).limit_denominator(2))]
     if decl.splitting_hz is not None:
         parts.append(f"splitting={decl.splitting_hz:.17g}Hz")
     if decl.offset_hz:
         parts.append(f"offset={decl.offset_hz:.17g}Hz")
     lines = [" ".join(parts)]
-    lines.extend(_format_event(event) for event in ir.events)
+    for event in ir.events:
+        line = _TEMPLATES[type(event)] % event.__dict__
+        if type(event) is SelPulse and event.shape is not None:
+            line += " " + _TEMPLATES[GaussianShape] % event.shape.__dict__
+        lines.append(line)
     return "\n".join(lines) + "\n"

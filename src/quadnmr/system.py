@@ -154,16 +154,13 @@ def _build_transition(sys: SpinSystem, i: int, j: int) -> Transition:
         frequency_hz=freq, ix_element=float(abs(ops.ix[i, j])))
 
 
-def transition_table(sys: SpinSystem, include_forbidden: bool = False) -> list[Transition]:
+def transition_table(sys: SpinSystem) -> list[Transition]:
     """Observable single-quantum transitions, ordered by upper-level index.
 
     For spin 3/2 on resonance this is 00-01 at +6*lambda, 01-11 at 0 and
-    11-10 at -6*lambda, with Ix elements sqrt(3)/2, 1, sqrt(3)/2. With
-    include_forbidden=True, |delta m| > 1 pairs are appended flagged
-    "forbidden" (for spin 3/2 that includes the 00-10 pair).
+    11-10 at -6*lambda, with Ix elements sqrt(3)/2, 1, sqrt(3)/2.
     """
-    return [tr for tr in sys._transitions.values()
-            if include_forbidden or tr.kind != "forbidden"]
+    return [tr for tr in sys._transitions.values() if tr.kind != "forbidden"]
 
 
 def quad_evolution(sys: SpinSystem, tau_s: float) -> np.ndarray:

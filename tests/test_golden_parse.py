@@ -22,7 +22,8 @@ result regenerates it with
 
     PYTHONPATH=src python tests/test_golden_parse.py
 
-and states why in CHANGES.md.
+which prints the name of every text whose hash changed (these go in
+CHANGES.md with the reason).
 """
 
 import dataclasses
@@ -219,5 +220,9 @@ def test_corpus_reaches_both_outcomes_and_every_code(outcomes):
 
 if __name__ == "__main__":
     hashes = digests({name: outcome(text) for name, text in corpus().items()})
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name in sorted(set(hashes) | set(old)):
+        if hashes.get(name) != old.get(name):
+            print(f"changed: {name}")
     GOLDEN.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(hashes)} hashes to {GOLDEN}")

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from quadnmr import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError,
                      compile_unitary, expm_hermitian, free_evolution,
                      gate_fidelity_global_phase, gradient_crush, hamiltonian,
-                     hard_pulse, is_unitary, matrices_close, quad_evolution,
-                     refocus_block, run_trajectory, selective_pulse,
+                     hard_pulse, is_unitary, matrices_close, parse_sequence,
+                     quad_evolution, refocus_block, run_trajectory, selective_pulse,
                      selective_z_closed_form, selective_z_pulse, shaped_pulse,
                      transition_table)
 from quadnmr import pulses
@@ -149,43 +149,45 @@ class TestSelectiveZPulse:
 class TestShapedPulse:
     def test_short_duration_approaches_ideal(self, sys32):
         ideal = selective_pulse(sys32, "10-11", "-y", PI / SQRT3)
-        u = shaped_pulse(sys32, "10-11", "-y", PI / SQRT3, 1e-7, 64)
+        u = shaped_pulse(sys32, "10-11", "-y", PI / SQRT3, 1e-7)
         assert gate_fidelity_global_phase(ideal, u) >= 0.999
 
     def test_zero_amplitude_is_free_evolution(self, sys32):
         duration = 37e-6
-        u = shaped_pulse(sys32, "10-11", "x", 0.0, duration, 128)
+        u = shaped_pulse(sys32, "10-11", "x", 0.0, duration)
         assert matrices_close(u, quad_evolution(sys32, duration), atol=1e-10)
 
     def test_full_phase_period_matches_ideal(self, sys32):
         duration = 1.0 / (3.0 * sys32.lambda_hz)
         ideal = selective_pulse(sys32, "10-11", "-y", PI / SQRT3)
-        u = shaped_pulse(sys32, "10-11", "-y", PI / SQRT3, duration, 512)
+        u = shaped_pulse(sys32, "10-11", "-y", PI / SQRT3, duration)
         assert gate_fidelity_global_phase(ideal, u) >= 0.99
 
     def test_quarter_period_ruins_fidelity(self, sys32):
         duration = 1.25 / (3.0 * sys32.lambda_hz)
         ideal = selective_pulse(sys32, "10-11", "-y", PI / SQRT3)
-        u = shaped_pulse(sys32, "10-11", "-y", PI / SQRT3, duration, 512)
+        u = shaped_pulse(sys32, "10-11", "-y", PI / SQRT3, duration)
         assert gate_fidelity_global_phase(ideal, u) < 0.5
 
     def test_slice_doubling_converged(self, sys32):
         duration = 1.0 / (3.0 * sys32.lambda_hz)
-        u1 = shaped_pulse(sys32, "00-01", "x", PI / SQRT3, duration, 1024)
-        u2 = shaped_pulse(sys32, "00-01", "x", PI / SQRT3, duration, 2048)
+        u1 = shaped_pulse(sys32, "00-01", "x", PI / SQRT3, duration)
+        u2 = shaped_pulse(sys32, "00-01", "x", PI / SQRT3, duration)
         assert np.max(np.abs(u1 - u2)) < 1e-6
 
     def test_negative_angle_flips_axis(self, sys32):
         duration = 1.0 / (3.0 * sys32.lambda_hz)
-        a = shaped_pulse(sys32, "01-11", "x", -PI / 2, duration, 128)
-        b = shaped_pulse(sys32, "01-11", "-x", PI / 2, duration, 128)
+        a = shaped_pulse(sys32, "01-11", "x", -PI / 2, duration)
+        b = shaped_pulse(sys32, "01-11", "-x", PI / 2, duration)
         assert matrices_close(a, b, atol=1e-12)
 
     def test_bad_arguments(self, sys32):
         with pytest.raises(ValueError):
-            shaped_pulse(sys32, "01-11", "x", PI, 0.0, 128)
-        with pytest.raises(ValueError):
-            shaped_pulse(sys32, "01-11", "x", PI, 1e-4, 32)
+            shaped_pulse(sys32, "01-11", "x", PI, 0.0)
+        # the slice count is checked where it is written, in the parser
+        with pytest.raises(ValueError, match="at least 64 slices"):
+            parse_sequence("system I=3/2 splitting=16kHz\n"
+                           "pulse sel 01-11 x pi gaussian 100us 32\n")
 
 
 AXIS_SIGN = {"x": 1.0, "-x": -1.0, "y": -1.0, "-y": 1.0}
@@ -239,7 +241,7 @@ class TestShapedPulseClosedForm:
         duration = 1.1 / (3.0 * sys.lambda_hz)
         for axis in ("x", "-y"):
             reference = _slice_product(sys, transition, axis, angle, duration, 128)
-            u = shaped_pulse(sys, transition, axis, angle, duration, 128)
+            u = shaped_pulse(sys, transition, axis, angle, duration)
             assert np.max(np.abs(u - reference)) < 1e-12
 
     @pytest.mark.parametrize("transition, angle", [("00-01", PI),

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadnmr import ParseError, format_sequence, parse_sequence
-from quadnmr.seqlang import (Acquire, Gradient, HardPulse, QuadDelay, Refocus,
-                             SelPulse, SequenceIR, SystemDecl, ZPulse)
+from quadnmr.seqlang import (Acquire, GaussianShape, Gradient, HardPulse, QuadDelay,
+                             Refocus, SelPulse, SequenceIR, SystemDecl, ZPulse)
 
 from conftest import INVALID_DIR, SEQUENCES_DIR
 
@@ -117,11 +117,22 @@ class TestParseErrors:
         ("system I=3/2 splitting=16kHz\npulse sel 01-11 q pi\n", "E_SYNTAX"),
         ("system I=3/2 splitting=16kHz\npulse hard -y\n", "E_SYNTAX"),
         ("system I=3/2 splitting=16kHz\nacquire 1024 0us\n", "E_BAD_VALUE"),
+        # words are checked left to right: the first bad word is reported,
+        # not the trailing word a duplicated word pushes out
+        ("system I=3/2 splitting=16kHz\npulse hard x x pi\n", "E_BAD_NUMBER at 2:14"),
+        ("system I=3/2 splitting=16kHz\nzpulse 01-11 01-11 -pi/2\n",
+         "E_BAD_NUMBER at 2:14"),
+        ("system I=3/2 splitting=16kHz\ndelay quad quad 5us\n", "E_BAD_NUMBER at 2:12"),
     ])
     def test_inline_error_cases(self, text, code):
+        # code is "E_CODE" or, to pin the position too, "E_CODE at LINE:COLUMN"
+        expected = re.fullmatch(r"(E_[A-Z0-9_]+)(?: at (\d+):(\d+))?", code)
         with pytest.raises(ParseError) as err:
             parse_sequence(text)
-        assert err.value.code == code
+        assert err.value.code == expected.group(1)
+        if expected.group(2):
+            assert (err.value.line, err.value.column) == \
+                (int(expected.group(2)), int(expected.group(3)))
 
     def test_eight_level_system_labels(self):
         ir = parse_sequence("system I=7/2 splitting=12kHz\nzpulse 001-010 pi\n")
@@ -152,13 +163,16 @@ class TestRoundTrip:
     durations = st.sampled_from(
         [("10us", 10.0 * 1e-6), ("1.5ms", 1.5 * 1e-3), ("2e-5s", 2e-5 * 1.0),
          ("pi/(12*lambda)", 1.0 / (24.0 * (16_000.0 / 6.0)))])
+    shapes = st.one_of(st.none(), st.builds(
+        lambda d, n: GaussianShape(duration_s=d[1], duration_text=d[0], n_slices=n),
+        durations, st.sampled_from([64, 512])))
 
     events = st.one_of(
         st.builds(lambda ax, a: HardPulse(axis=ax, angle_rad=a[1], angle_text=a[0]),
                   axes, angles),
-        st.builds(lambda tr, ax, a: SelPulse(transition=tr, axis=ax,
-                                             angle_rad=a[1], angle_text=a[0]),
-                  transitions, axes, angles),
+        st.builds(lambda tr, ax, a, sh: SelPulse(transition=tr, axis=ax, angle_rad=a[1],
+                                                 angle_text=a[0], shape=sh),
+                  transitions, axes, angles, shapes),
         st.builds(lambda tr, a: ZPulse(transition=tr, angle_rad=a[1], angle_text=a[0]),
                   transitions, angles),
         st.builds(lambda d: QuadDelay(tau_s=d[1], tau_text=d[0]), durations),
@@ -168,10 +182,10 @@ class TestRoundTrip:
 
     @settings(max_examples=80, deadline=None)
     @given(events=st.lists(events, max_size=8),
-           with_acquire=st.booleans())
-    def test_generated_ir_round_trips(self, events, with_acquire):
-        if with_acquire:
-            events = events + [Acquire(points=512, dwell_s=5.0 * 1e-6,
+           acquire_points=st.sampled_from([None, 2, 512, 16384]))
+    def test_generated_ir_round_trips(self, events, acquire_points):
+        if acquire_points is not None:
+            events = events + [Acquire(points=acquire_points, dwell_s=5.0 * 1e-6,
                                        dwell_text="5us")]
         ir = SequenceIR(system_decl=SystemDecl(spin=1.5, splitting_hz=16_000.0),
                         events=tuple(events))

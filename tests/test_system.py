@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -54,13 +55,17 @@ class TestTransitionTable:
             assert tr.frequency_hz == pytest.approx(-440.0)
 
     def test_forbidden_pairs_flagged(self, sys32):
-        table = transition_table(sys32, include_forbidden=True)
-        forbidden = {tr.label for tr in table if tr.kind == "forbidden"}
-        assert "00-10" in forbidden or "10-00" in forbidden or "00-11" in forbidden
-        pair = next(tr for tr in table
-                    if tr.kind == "forbidden" and {tr.upper_label, tr.lower_label} ==
-                    {"00", "10"})
-        assert pair.lower_index - pair.upper_index == 3
+        forbidden = []
+        for i, j in itertools.combinations(range(sys32.dim), 2):
+            try:
+                sys32.transition(f"{sys32.labels[i]}-{sys32.labels[j]}")
+            except ForbiddenTransitionError:
+                forbidden.append((i, j))
+        labels = {f"{sys32.labels[i]}-{sys32.labels[j]}" for i, j in forbidden}
+        assert "00-10" in labels or "10-00" in labels or "00-11" in labels
+        i, j = next((i, j) for i, j in forbidden
+                    if {sys32.labels[i], sys32.labels[j]} == {"00", "10"})
+        assert j - i == 3
 
     def test_lookup_by_label(self, sys32):
         tr = sys32.transition("10-11")
