@@ -2,31 +2,32 @@
 
 The observable part of a deviation matrix is decomposed transition by
 transition: each single-quantum line contributes its Ix matrix element times
-the corresponding coherence. A free-induction decay is synthesized from
-those complex amplitudes on a uniform time grid,
+the corresponding coherence. A free-induction decay on the grid
+t_k = k * dwell, k < N, is the sum of its lines,
 
     s(t_k) = sum_t  a_t * exp(i 2 pi f_t t_k) * exp(-t_k / T2(t)) * exp(-pi lb t_k),
 
-Fourier transformed with the frequency axis centered on zero, phased by the
-global zero-order phase that maximizes the summed |real peak integrals|
+each a sampled damped exponential a_t q_t^k with
+q_t = exp((2 pi i f_t - pi lb - 1/T2(t)) dwell). synthesize_fid keeps the
+lines (amplitude, frequency, T2) and computes the samples only when they are
+read.
+
+The spectrum is the discrete transform on a frequency axis centred on zero,
+with the first sample at half weight, the usual first-point correction: a
+decay sampled from t = 0 at full weight would put a flat offset of half its
+first sample into every bin. For an FID that keeps its lines the transform is
+the closed form sum_t a_t (1 - q_t^N) / (1 - q_t w^j) - a_t / 2, with
+w^j = exp(-2 pi i (j - N//2) / N), so no samples and no FFT are computed; an
+FID given as samples is transformed by FFT. The spectrum is then phased by
+the global zero-order phase that maximizes the summed |real peak integrals|
 (largest peak forced positive), and summarized as one signed integral per
 transition over +-3 nominal linewidths.
 
-Each line's oscillator exp(i 2 pi f_t t_k) depends only on its frequency and
-the time grid, so it is computed once per (frequency, points, dwell) and
-reused by later acquisitions on the same system and grid. The cache holds
-four oscillators, one spin-3/2 system's three lines, which pins at most
-1 MiB at 16384 points; the cached arrays are read-only.
-
-The spectrum is the transform of the FID with its first sample at half
-weight, the usual first-point correction: a decay sampled from t = 0 at full
-weight would put a flat offset of half its first sample into every bin.
-
-Apart from the FFT, the readout's work grows with the number of lines, not
-with the points: each window is found as a run of bins by testing the bins
-at its edges (bin by bin only where two lines nearly coincide), giving the
-same bits as testing every bin, and the exact phase is found among at most
-one sign pattern of the integrals per line.
+Apart from the transform, the readout's work grows with the number of lines,
+not with the points: each window is found as a run of bins by testing the
+bins at its edges (bin by bin only where two lines nearly coincide), giving
+the same bits as testing every bin, and the exact phase is found among at
+most one sign pattern of the integrals per line.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,20 +63,51 @@ def observable_amplitudes(rho: np.ndarray, sys: SpinSystem) -> np.ndarray:
                      for tr in table], dtype=complex)
 
 
-@lru_cache(maxsize=4)
-def _oscillator(frequency_hz: float, points: int, dwell_s: float) -> np.ndarray:
-    """Read-only exp(i 2 pi f t) on the grid t_k = k * dwell, k < points."""
-    osc = np.exp(2j * np.pi * frequency_hz * (np.arange(points) * dwell_s))
-    osc.flags.writeable = False
-    return osc
-
-
-@dataclass(frozen=True)
 class FID:
-    points: int
-    dwell_s: float
-    samples: np.ndarray
-    lb_hz: float = DEFAULT_LB_HZ
+    """A free-induction decay on the grid t_k = k * dwell_s, k < points.
+
+    Built from samples=, it holds those, and spectrum() transforms them by
+    FFT. Built by synthesize_fid, it holds its lines instead, one
+    (amplitude, frequency_hz, t2_s) per transition with t2_s = inf without
+    relaxation; spectrum() transforms those in closed form, and samples are
+    computed when first read.
+    """
+
+    def __init__(self, points: int, dwell_s: float, samples: np.ndarray | None = None,
+                 lb_hz: float = DEFAULT_LB_HZ,
+                 lines: tuple[tuple[complex, float, float], ...] | None = None):
+        if (samples is None) == (lines is None):
+            raise ValueError("an FID holds either its samples or its lines")
+        self.points, self.dwell_s, self.lb_hz, self.lines = points, dwell_s, lb_hz, lines
+        if samples is not None:
+            self.samples = samples
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        t = np.arange(self.points) * self.dwell_s
+        samples = np.zeros(self.points, dtype=complex)
+        broadening = np.exp(-np.pi * self.lb_hz * t)
+        for a, f, t2 in self.lines:
+            decay = broadening if t2 == math.inf else broadening * np.exp(-t / t2)
+            samples += a * np.exp(2j * np.pi * f * t) * decay
+        return samples
+
+
+def _lines(amplitudes: np.ndarray, sys: SpinSystem, dwell_s: float,
+           relax: RelaxationParams | None) -> tuple[tuple[complex, float, float], ...]:
+    """(amplitude, frequency_hz, t2_s) of each line in table order, t2_s = inf
+    without relax; rejects lines at or beyond the Nyquist frequency 1/(2*dwell)."""
+    nyquist = 1.0 / (2.0 * dwell_s)
+    t2 = None if relax is None else coherence_t2_table(relax, sys.dim)
+    lines = []
+    for a, tr in zip(amplitudes.tolist(), transition_table(sys)):
+        if abs(tr.frequency_hz) >= nyquist:
+            raise ValueError(
+                f"transition {tr.label} at {tr.frequency_hz:g} Hz violates the "
+                f"Nyquist limit {nyquist:g} Hz; decrease the dwell time")
+        lines.append((a, tr.frequency_hz,
+                      math.inf if t2 is None else float(t2[tr.upper_index, tr.lower_index])))
+    return tuple(lines)
 
 
 def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAULT_POINTS,
@@ -85,7 +117,9 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
 
     Every line decays with the Lorentzian broadening factor lb_hz; when relax
     is given, each line additionally decays with its own transition T2.
-    Rejects lines at or beyond the Nyquist frequency 1/(2*dwell).
+    Rejects lines at or beyond the Nyquist frequency 1/(2*dwell). The FID
+    keeps its lines: its samples are computed only when read, by the
+    formula of the module docstring, and spectrum() needs none of them.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
     table = transition_table(sys)
@@ -97,21 +131,8 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
         raise ValueError(f"dwell time must be positive and finite, got {dwell_s}")
     if not np.isfinite(lb_hz) or lb_hz < 0:
         raise ValueError(f"line broadening must be finite and nonnegative, got {lb_hz}")
-    nyquist = 1.0 / (2.0 * dwell_s)
-    t = np.arange(points) * dwell_s
-    samples = np.zeros(points, dtype=complex)
-    broadening = np.exp(-np.pi * lb_hz * t)
-    t2 = None if relax is None else coherence_t2_table(relax, sys.dim)
-    for a, tr in zip(amplitudes, table):
-        if abs(tr.frequency_hz) >= nyquist:
-            raise ValueError(
-                f"transition {tr.label} at {tr.frequency_hz:g} Hz violates the "
-                f"Nyquist limit {nyquist:g} Hz; decrease the dwell time")
-        decay = broadening
-        if t2 is not None:
-            decay = decay * np.exp(-t / t2[tr.upper_index, tr.lower_index])
-        samples += a * _oscillator(tr.frequency_hz, points, dwell_s) * decay
-    return FID(points=points, dwell_s=dwell_s, samples=samples, lb_hz=lb_hz)
+    return FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz,
+               lines=_lines(amplitudes, sys, dwell_s, relax))
 
 
 @dataclass(frozen=True)
@@ -205,13 +226,91 @@ def _window(freq: np.ndarray, span_s: float, line: float, lines: list[float],
     return slice(lo, hi)
 
 
+# 2 pi - math.tau, the part of 2 pi that math.tau rounds off
+_TAU_LO = 2.4492935982947064e-16
+
+
+@lru_cache(maxsize=3)
+def _twiddles(points: int) -> np.ndarray:
+    """Read-only w^(j-m), j < points, at [(points - points//2 - m) % points:][:points].
+
+    w^k = exp(-2 pi i k / points) is computed once for k in
+    [-(points//2), points - points//2), the shifted axis, and laid out twice
+    in a row, so that every entry holds its angle reduced to [-pi, pi) and
+    the bins near a line m have small angles with few rounding errors.
+    """
+    w = np.exp(-2j * np.pi / points * np.arange(-(points // 2), points - points // 2))
+    table = np.concatenate((w[points // 2:], w, w[:points // 2]))
+    table.flags.writeable = False
+    return table
+
+
+def _expm1(x: float, y: float) -> complex:
+    """exp(x + iy) - 1, keeping its digits where it is near zero."""
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                   math.exp(x) * math.sin(y))
+
+
+def _bin_offset(frequency_hz: float, points: int, dwell_s: float) -> tuple[int, float]:
+    """The bin m nearest a line and N y, y its phase per sample off bin m.
+
+    The phase per sample is (2 pi f) dwell with 2 pi f rounded once, as the
+    samples take it; N times it less 2 pi m is formed exactly in integers
+    (2 pi as math.tau plus _TAU_LO), so only the result is rounded. A
+    rounding of f dwell itself would move an undamped line by up to 1e-16
+    of a turn per sample, which N samples turn into 1e-12 of the tallest bin.
+    """
+    omega = math.tau * frequency_hz
+    m = round(points * omega * dwell_s / math.tau)
+    (wn, wd), (dn, dd) = omega.as_integer_ratio(), float(dwell_s).as_integer_ratio()
+    tn, td = math.tau.as_integer_ratio()
+    scale = max(wd * dd, td)      # powers of two
+    exact = int(points) * wn * dn * (scale // (wd * dd)) - m * tn * (scale // td)
+    return m, exact / scale - m * _TAU_LO
+
+
+def _line_spectrum(fid: FID) -> np.ndarray:
+    """The transform of fid's lines on the shifted axis, first sample at half weight.
+
+    Line a q^k contributes a (1 - q^N) / (1 - q w^j) - a/2. Each line is
+    taken from its nearest bin m (_bin_offset): with y its phase per sample
+    off that bin and d = (pi lb + 1/T2) dwell its decay per sample,
+    q w^j = exp(i y - d) w^(j-m), 1 - q^N = -expm1(N (i y - d)), and the
+    denominator at bin m is -expm1(i y - d). Undamped lines have |q| = 1,
+    where 1 - q^N and 1 - q w^m computed directly would lose their digits;
+    where both vanish (a line exactly on a bin, undamped) bin m holds N a.
+    """
+    n, dwell_s = fid.points, fid.dwell_s
+    table = _twiddles(n)
+    amp = np.full(n, -0.5 * sum(a for a, _, _ in fid.lines), dtype=complex)
+    terms = np.empty(n, dtype=complex)
+    # in place: a fresh array per step would cost more than the arithmetic
+    for a, f, t2 in fid.lines:
+        d = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s
+        m, ny = _bin_offset(f, n, dwell_s)
+        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
+        j = (m + n // 2) % n
+        start = (n - n // 2 - m) % n
+        np.multiply(-cmath.exp(complex(-d, ny / n)), table[start:start + n], out=terms)
+        terms += 1.0
+        terms[j] = 1.0     # set below
+        np.divide(a * numerator, terms, out=terms)
+        # the ratio first, so that a tiny amplitude does not take it subnormal
+        terms[j] = a * (numerator / den) if den else n * a
+        amp += terms
+    return amp
+
+
 def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     """Discrete Fourier transform with zero-centered axis and a peak table.
 
-    The transform takes the first sample at half weight: 0.5 * samples[0]
-    is subtracted from every bin. The axis is (k - points//2) / (points *
-    dwell) for k < points, the same values as fftshift(fftfreq(points,
-    dwell)). Without a system, the unphased transform is returned. With one, the per-transition windows are
+    The transform takes the first sample at half weight, which subtracts
+    half of it from every bin. An FID from synthesize_fid is transformed in
+    closed form from its lines (_line_spectrum), with no samples and no FFT;
+    one given as samples is transformed by FFT. The axis is
+    (k - points//2) / (points * dwell) for k < points, the same values as
+    fftshift(fftfreq(points, dwell)). Without a system, the unphased
+    transform is returned. With one, the per-transition windows are
     integrated, the exact zero-order phase is chosen, and the stored
     amplitude is the phased spectrum. Each window spans +-3 lb around its
     line and keeps only the bins no farther from it than from any other
@@ -220,9 +319,12 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     """
     n, span_s = fid.points, fid.points * fid.dwell_s
     freq = np.arange(-(n // 2), n - n // 2, dtype=float) * (1.0 / span_s)
-    amp = np.fft.fft(fid.samples)
-    amp -= 0.5 * fid.samples[0]     # the first sample at half weight
-    amp = np.concatenate((amp[n - n // 2:], amp[:n - n // 2]))   # np.fft.fftshift
+    if fid.lines is not None:
+        amp = _line_spectrum(fid)
+    else:
+        amp = np.fft.fft(fid.samples)
+        amp -= 0.5 * fid.samples[0]     # the first sample at half weight
+        amp = np.concatenate((amp[n - n // 2:], amp[:n - n // 2]))   # np.fft.fftshift
     if sys is None:
         return Spectrum(freq_hz=freq, amplitude=amp)
 

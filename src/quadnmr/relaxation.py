@@ -70,7 +70,9 @@ def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
     The map is a semigroup in dt, preserves Hermiticity and has
     equilibrium_state(sys) (Iz) as its fixed point. It keeps the trace only
     of a traceless deviation matrix: the populations decay toward the
-    traceless equilibrium, so a trace t ends as t * exp(-dt / T1).
+    traceless equilibrium, so a trace t ends as t * exp(-dt / T1). A decay
+    whose exponent overflows, as over the ~1e307 s quadrupolar delay of a
+    near-zero splitting, reads exactly 0.
     """
     if not (np.isfinite(dt_s) and dt_s >= 0):
         raise ValueError(
@@ -78,7 +80,8 @@ def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (sys.dim, sys.dim):
         raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
-    out = rho * np.exp(-dt_s / coherence_t2_table(params, sys.dim))
+    with np.errstate(over="ignore"):    # dt / T2 = inf decays to exactly 0
+        out = rho * np.exp(-dt_s / coherence_t2_table(params, sys.dim))
     eq = np.diag(sys.operators.iz).real
     pops = np.diag(rho).real
     np.fill_diagonal(out, eq + (pops - eq) * np.exp(-dt_s / params.t1_s))

@@ -24,6 +24,7 @@ from quadnmr.seqlang import ParseError
 
 from conftest import HARD_90_MINUS_Y, INVALID_DIR, SEQUENCES_DIR
 from test_linalg import expm_series, random_hermitian
+from test_pulses import _slice_product
 
 SQRT3 = np.sqrt(3.0)
 
@@ -181,9 +182,10 @@ def test_criterion_09_shaped_pulse():
     ideal = selective_pulse(sys, "10-11", "-y", np.pi / SQRT3)
     u = shaped_pulse(sys, "10-11", "-y", np.pi / SQRT3, duration)
     assert gate_fidelity_global_phase(ideal, u) >= 0.99
-    u1 = shaped_pulse(sys, "10-11", "-y", np.pi / SQRT3, duration)
-    u2 = shaped_pulse(sys, "10-11", "-y", np.pi / SQRT3, duration)
-    assert np.max(np.abs(u1 - u2)) < 1e-6
+    # the closed form equals the slice integrator at 64 and 512 slices
+    for n_slices in (64, 512):
+        reference = _slice_product(sys, "10-11", "-y", np.pi / SQRT3, duration, n_slices)
+        assert np.max(np.abs(u - reference)) < 1e-12
 
 
 @criterion(10, "sequence corpus: valid fixtures compile, invalid ones locate errors")

@@ -49,6 +49,13 @@ class TestDJCommand:
         assert "error[E_UNRESOLVED]" in err and "Sparrow limit" in err
         assert not list(tmp_path.iterdir())
 
+    def test_unresolved_relaxed_near_zero_splitting_prints_one_line(self, tmp_path, capsys):
+        # the ~1e307 s quadrupolar delay once overflowed in the relaxation first
+        code, out, err = run_cli(capsys, "--outdir", str(tmp_path), "dj", "--oracle", "f3",
+                                 "--splitting", "1e-307", "--relaxation")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error[E_UNRESOLVED]")
+
     def test_unknown_oracle_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "--outdir", str(tmp_path), "dj",
                                "--oracle", "f9")

@@ -170,10 +170,12 @@ class TestShapedPulse:
         assert gate_fidelity_global_phase(ideal, u) < 0.5
 
     def test_slice_doubling_converged(self, sys32):
+        # the slice integrator reaches the closed form by 64 slices and stays there
         duration = 1.0 / (3.0 * sys32.lambda_hz)
-        u1 = shaped_pulse(sys32, "00-01", "x", PI / SQRT3, duration)
-        u2 = shaped_pulse(sys32, "00-01", "x", PI / SQRT3, duration)
-        assert np.max(np.abs(u1 - u2)) < 1e-6
+        u = shaped_pulse(sys32, "00-01", "x", PI / SQRT3, duration)
+        for n_slices in (64, 512):
+            reference = _slice_product(sys32, "00-01", "x", PI / SQRT3, duration, n_slices)
+            assert np.max(np.abs(u - reference)) < 1e-12
 
     def test_negative_angle_flips_axis(self, sys32):
         duration = 1.0 / (3.0 * sys32.lambda_hz)

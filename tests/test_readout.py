@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadnmr import (FID, Peak, RelaxationParams, SpinSystem, Spectrum, acquire, conjugate,
                      equilibrium_state, hard_pulse, ideal_density_after_oracle,
                      observable_amplitudes, spectrum, synthesize_fid,
                      write_peaks_csv, write_spectrum_csv)
-from quadnmr.readout import _CSV_CHUNK_ROWS, PEAK_WINDOW_LINEWIDTHS, _best_phase, _oscillator
+from quadnmr.readout import _CSV_CHUNK_ROWS, PEAK_WINDOW_LINEWIDTHS, _best_phase
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.system import transition_table
 
@@ -82,7 +82,7 @@ class TestSynthesizeFid:
 
 
 def reference_fid_samples(amplitudes, sys, points, dwell_s, lb_hz, relax):
-    """synthesize_fid's per-line loop with every oscillator computed afresh."""
+    """The FID by the per-line formula a exp(2 pi i f t) exp(-t/T2) exp(-pi lb t)."""
     t = np.arange(points) * dwell_s
     samples = np.zeros(points, dtype=complex)
     broadening = np.exp(-np.pi * lb_hz * t)
@@ -159,34 +159,34 @@ def acquisitions(draw):
     return sys, amplitudes
 
 
-class TestOscillatorCache:
+class TestLazySamples:
     # lines stay below 41 kHz and the dwell keeps the Nyquist limit above 50 kHz
     @settings(max_examples=60, deadline=None)
-    @given(a=acquisitions(), b=acquisitions(), points=st.integers(3, 2048),
-           fewer=st.integers(2, 2048), dwell_s=st.floats(1e-6, 1e-5),
-           lb_hz=st.floats(0.0, 500.0), relaxed=st.booleans())
-    def test_hits_and_misses_equal_the_uncached_loop(self, a, b, points, fewer, dwell_s,
-                                                     lb_hz, relaxed):
+    @given(acquisition=acquisitions(), points=st.integers(2, 2048),
+           dwell_s=st.floats(1e-6, 1e-5), lb_hz=st.floats(0.0, 500.0), relaxed=st.booleans())
+    def test_samples_equal_the_reference_loop(self, acquisition, points, dwell_s, lb_hz,
+                                              relaxed):
         relax = RelaxationParams() if relaxed else None
-        (sys_a, amps_a), (sys_b, amps_b) = a, b
-        for sys, amps, n in ((sys_a, amps_a, points), (sys_b, amps_b, points),
-                             (sys_a, amps_a, points), (sys_a, amps_a, min(fewer, points - 1))):
-            fid = synthesize_fid(amps, sys, points=n, dwell_s=dwell_s, lb_hz=lb_hz,
-                                 relax=relax)
-            assert np.array_equal(fid.samples,
-                                  reference_fid_samples(amps, sys, n, dwell_s, lb_hz, relax))
-        assert _oscillator.cache_info().currsize <= 4
+        sys, amps = acquisition
+        fid = synthesize_fid(amps, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz,
+                             relax=relax)
+        assert "samples" not in vars(fid)
+        reference = reference_fid_samples(amps, sys, points, dwell_s, lb_hz, relax)
+        assert fid.samples.tobytes() == reference.tobytes()
+        assert fid.samples is fid.samples    # computed once
 
-    def test_repeated_acquisition_hits_and_oscillators_are_read_only(self, sys32):
-        synthesize_fid([1, 1, 1], sys32, points=256)
-        hits = _oscillator.cache_info().hits
-        synthesize_fid([0.5, -1, 2j], sys32, points=256)
-        assert _oscillator.cache_info().hits == hits + 3
-        osc = _oscillator(transition_table(sys32)[0].frequency_hz, 256, 5e-6)
-        assert not osc.flags.writeable
-        with pytest.raises(ValueError):
-            osc[0] = 0.0
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_acquire_computes_no_samples(self, sys32, relaxed):
+        rho = conjugate(equilibrium_state(sys32), hard_pulse(sys32, "-y", np.pi / 2))
+        fid, _ = acquire(rho, sys32, relax=RelaxationParams() if relaxed else None)
+        assert "samples" not in vars(fid)
 
+    def test_fid_holds_samples_or_lines(self):
+        with pytest.raises(ValueError, match="either its samples or its lines"):
+            FID(points=4, dwell_s=1e-5)
+
+
+class TestBestPhase:
     @settings(max_examples=400, deadline=None)
     @given(phase_integrals())
     @example([])
@@ -295,6 +295,35 @@ def readout_cases(draw):
     return FID(points=points, dwell_s=dwell_s, samples=samples, lb_hz=lb_hz), sys
 
 
+@st.composite
+def synthesized_cases(draw):
+    """Arguments of synthesize_fid: odd and even points from 2 to 4097, lb
+    from 0 to 500 Hz, relaxation on or off, zero and nonzero amplitudes, and
+    the line at -offset (the only line of spin 1/2, the central one of 3/2)
+    on a bin, 1e-12 of a bin off one, at the spectral edge or anywhere."""
+    points = draw(st.one_of(st.integers(2, 17), st.integers(2, 4097),
+                            st.sampled_from([1024, 4096, 4097])))
+    dwell_s = draw(st.one_of(st.sampled_from([5e-6, 1e-4]), st.floats(1e-7, 1e-4)))
+    step = 1.0 / (points * dwell_s)
+    nyquist = 0.5 / dwell_s
+    bins = st.integers(-((points - 1) // 2), (points - 1) // 2)
+    line_hz = draw(st.one_of(
+        bins.map(lambda k: k * step),
+        st.tuples(bins, st.sampled_from([1e-12, -1e-12])).map(lambda kd: (kd[0] + kd[1]) * step),
+        st.sampled_from([nyquist * (1 - 1e-12), -nyquist * (1 - 1e-12)]),
+        st.floats(-nyquist, nyquist, exclude_min=True, exclude_max=True)))
+    spin = draw(st.sampled_from([0.5, 1.5]))
+    splitting_hz = draw(st.one_of(st.just(0.0), st.integers(1, 5).map(lambda k: k * step),
+                                  st.floats(0.0, nyquist)))
+    sys = SpinSystem.from_splitting(splitting_hz, offset_hz=-line_hz, spin=spin)
+    assume(all(abs(tr.frequency_hz) < nyquist for tr in transition_table(sys)))
+    # subnormal amplitudes carry too few digits for either transform to agree to 1e-12
+    parts = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_subnormal=False))
+    amplitudes = [complex(draw(parts), draw(parts)) for _ in transition_table(sys)]
+    lb_hz = draw(st.one_of(st.sampled_from([0.0, 1e-6]), st.floats(0.0, 500.0)))
+    return sys, amplitudes, points, dwell_s, lb_hz, draw(st.booleans())
+
+
 class TestSpectrum:
     @settings(max_examples=300, deadline=None)
     @given(readout_cases())
@@ -327,6 +356,25 @@ class TestSpectrum:
         fid = FID(points=points, dwell_s=dwell_s, samples=np.zeros(points, dtype=complex))
         assert spectrum(fid).freq_hz.tobytes() == \
             np.fft.fftshift(np.fft.fftfreq(points, dwell_s)).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(synthesized_cases())
+    # undamped on a bin: 1 - q^N and 1 - q w^m are both 0
+    @example((SpinSystem(offset_hz=0.0), [0.3, 1.0 - 0.5j, 0.7], 64, 5e-6, 0.0, False))
+    # undamped 1e-12 of a bin off bin 1: both differences lose their digits
+    @example((SpinSystem(spin=0.5, offset_hz=-3125.0 * (1 + 1e-12), lambda_hz=0.0), [1.0],
+              64, 5e-6, 0.0, False))
+    def test_closed_form_equals_the_fft_of_the_samples(self, case):
+        sys, amplitudes, points, dwell_s, lb_hz, relaxed = case
+        fid = synthesize_fid(amplitudes, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz,
+                             relax=RelaxationParams() if relaxed else None)
+        amp = spectrum(fid).amplitude
+        assert "samples" not in vars(fid)
+        halved = fid.samples.copy()
+        halved[0] *= 0.5
+        expected = np.fft.fftshift(np.fft.fft(halved))
+        # every bin to 1e-12 of the tallest
+        assert np.max(np.abs(amp - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("points", [17, 1000, 1024, 4097])
     def test_one_decaying_line_equals_its_closed_form(self, points):

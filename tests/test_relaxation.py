@@ -46,6 +46,12 @@ def test_long_time_reaches_equilibrium(sys32, params):
     assert matrices_close(out, equilibrium_state(sys32), atol=1e-12)
 
 
+def test_overflowing_decay_reads_zero(sys32, params):
+    # 1e308 s / 4 ms overflows; the state lands exactly on equilibrium, with no warning
+    out = apply_relaxation(coherent_test_state(), 1e308, params, sys32)
+    assert np.array_equal(out, equilibrium_state(sys32))
+
+
 def test_central_coherence_decays_to_one_over_e(sys32, params):
     rho = coherent_test_state()
     out = apply_relaxation(rho, 14e-3, params, sys32)
