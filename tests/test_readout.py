@@ -366,15 +366,23 @@ class TestSpectrum:
               64, 5e-6, 0.0, False))
     def test_closed_form_equals_the_fft_of_the_samples(self, case):
         sys, amplitudes, points, dwell_s, lb_hz, relaxed = case
-        fid = synthesize_fid(amplitudes, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz,
-                             relax=RelaxationParams() if relaxed else None)
+
+        def fid_of(amps):
+            return synthesize_fid(amps, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz,
+                                  relax=RelaxationParams() if relaxed else None)
+
+        fid = fid_of(amplitudes)
         amp = spectrum(fid).amplitude
         assert "samples" not in vars(fid)
         halved = fid.samples.copy()
         halved[0] *= 0.5
         expected = np.fft.fftshift(np.fft.fft(halved))
-        # every bin to 1e-12 of the tallest
-        assert np.max(np.abs(amp - expected)) <= 1e-12 * np.max(np.abs(expected))
+        # every bin to 1e-12 of the tallest bin the lines reach with their magnitudes
+        # summed: coincident lines (zero splitting) can cancel to any small remainder,
+        # which neither transform resolves better than it resolves the lines
+        tallest = np.max(sum(np.abs(spectrum(fid_of(np.eye(len(amplitudes))[k] * a)).amplitude)
+                             for k, a in enumerate(amplitudes)))
+        assert np.max(np.abs(amp - expected)) <= 1e-12 * tallest
 
     @pytest.mark.parametrize("points", [17, 1000, 1024, 4097])
     def test_one_decaying_line_equals_its_closed_form(self, points):
