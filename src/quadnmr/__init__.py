@@ -6,16 +6,14 @@ sign-based spectral readout."""
 from .compiler import (NonUnitaryEventError, TrajectoryResult, compile_unitary,
                        event_propagator, refocus_block, run_trajectory)
 from .dj import (AmbiguousReadoutError, DJOutcome, ORACLE_IDS, METHODS,
-                 classify_peaks, ideal_density_after_oracle,
-                 ideal_state_after_oracle, oracle_class, oracle_matrix,
+                 classify_peaks, ideal_state_after_oracle, oracle_class, oracle_matrix,
                  oracle_sequence, run_dj, superposition_state,
                  UnresolvedLinesError)
-from .linalg import (SpinOperators, conjugate, expm_hermitian,
-                     gate_fidelity_global_phase, global_phase, is_hermitian,
-                     is_unitary, matrices_close, spin_operators)
+from .linalg import (SpinOperators, conjugate, gate_fidelity_global_phase,
+                     is_hermitian, is_unitary, matrices_close, spin_operators)
 from .prep import equilibrium_state, pseudopure_00
 from .pulses import (gradient_crush, hard_pulse, selective_pulse,
-                     selective_z_closed_form, selective_z_pulse, shaped_pulse)
+                     selective_z_closed_form, shaped_pulse)
 from .readout import (FID, Peak, Spectrum, acquire, observable_amplitudes,
                       spectrum, synthesize_fid, write_peaks_csv,
                       write_spectrum_csv)
@@ -23,6 +21,6 @@ from .relaxation import RelaxationParams, apply_relaxation
 from .seqlang import ParseError, SequenceIR, format_sequence, parse_sequence
 from .system import (ForbiddenTransitionError, SpinSystem, Transition,
                      UnknownTransitionError, cphase_delay_s, free_evolution,
-                     hamiltonian, quad_evolution, transition_table)
+                     quad_evolution, transition_table)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

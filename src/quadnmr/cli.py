@@ -110,7 +110,7 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_pseudopure(args) -> int:
     sys = _system_from(args)
-    rho = pseudopure_00(sys, equilibrium_state(sys))
+    rho = pseudopure_00(sys)
     out = _outdir(args)
     path = out / "pseudopure_populations.csv"
     with open(path, "w", newline="") as fh:
@@ -158,7 +158,11 @@ def _load_target(name: str) -> np.ndarray:
 def cmd_compile_check(args) -> int:
     text = Path(args.file).read_text()
     ir = parse_sequence(text)
-    compiled = compile_unitary(ir)
+    with np.errstate(over="ignore", invalid="ignore"):    # refused below
+        compiled = compile_unitary(ir)
+    if not np.isfinite(compiled).all():
+        raise ValueError("the sequence's propagator is not finite: a delay or pulse "
+                         "angle is too large for its system")
     target = _load_target(args.against)
     if target.shape != compiled.shape:
         raise ValueError(f"target is {target.shape}, sequence compiles to "

@@ -29,10 +29,10 @@ import numpy as np
 
 from .compiler import run_trajectory
 from .linalg import conjugate
-from .prep import equilibrium_state, pseudopure_00
+from .prep import pseudopure_00
 from .pulses import hard_pulse
-from .readout import DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, Spectrum, acquire
-from .relaxation import RelaxationParams, coherence_t2_table
+from .readout import DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, FID, Spectrum, acquire
+from .relaxation import RelaxationParams
 from .seqlang import (Event, GaussianShape, QuadDelay, SelPulse, SequenceIR,
                       SystemDecl, parse_sequence)
 from .system import SpinSystem, cphase_delay_s, transition_table
@@ -60,25 +60,23 @@ class UnresolvedLinesError(ValueError):
     """The readout cannot sign every line apart from its neighbours."""
 
 
-def _check_resolved(sys: SpinSystem, points: int, dwell_s: float, lb_hz: float,
-                    relax: RelaxationParams | None = None) -> None:
-    """Raise UnresolvedLinesError unless every line can be signed on its own.
+def _check_resolved(fid: FID, sys: SpinSystem) -> None:
+    """Raise UnresolvedLinesError unless every line of fid can be signed on its own.
 
-    A line's width is the FWHM it shows on the grid: lb_hz, plus 1/(pi*T2)
-    of its coherence when relax is given, plus one bin 1/(points*dwell_s).
-    Adjacent lines, including the pair that neighbours across the spectral
-    edge, must lie more than the larger width over sqrt(3) apart: the
-    Sparrow limit, below which two Lorentzians merge into one peak. No rule
+    A line's width is the FWHM it shows on the grid: fid.lb_hz, plus one bin
+    1/(points*dwell_s), plus 1/(pi*T2) of the line (0 for T2 = inf, without
+    relaxation). Adjacent lines, including the pair that neighbours across
+    the spectral edge, must lie more than the larger width over sqrt(3)
+    apart: the Sparrow limit, below which two Lorentzians merge. No rule
     bounds a line's width against the spectral width 1/dwell_s: with the
     first FID sample at half weight (readout.spectrum), broad lines carry no
     flat offset that could flip their sign.
     """
-    table = sorted(transition_table(sys), key=lambda tr: tr.frequency_hz)
-    t2 = None if relax is None else coherence_t2_table(relax, sys.dim)
-    widths = [lb_hz + 1.0 / (points * dwell_s) +
-              (0.0 if t2 is None else 1.0 / (np.pi * t2[tr.upper_index, tr.lower_index]))
-              for tr in table]
-    spectral_width = 1.0 / dwell_s
+    pairs = sorted(zip(transition_table(sys), fid.lines), key=lambda p: p[0].frequency_hz)
+    table = [tr for tr, _ in pairs]
+    widths = [fid.lb_hz + 1.0 / (fid.points * fid.dwell_s) + 1.0 / (np.pi * t2)
+              for _, (_, _, t2) in pairs]
+    spectral_width = 1.0 / fid.dwell_s
     # the spectrum is periodic in 1/dwell, so the highest line neighbours the lowest
     for k, tr in enumerate(table):
         nxt = (k + 1) % len(table)
@@ -159,12 +157,6 @@ def ideal_state_after_oracle(oracle_id: str) -> np.ndarray:
     return oracle_matrix(oracle_id) @ superposition_state()
 
 
-def ideal_density_after_oracle(oracle_id: str) -> np.ndarray:
-    """Pure-state density matrix of the post-oracle state (trace one)."""
-    psi = ideal_state_after_oracle(oracle_id)
-    return np.outer(psi, psi.conj())
-
-
 @dataclass(frozen=True)
 class DJOutcome:
     oracle_id: str
@@ -214,7 +206,7 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
-    rho = pseudopure_00(sys, equilibrium_state(sys))
+    rho = pseudopure_00(sys)
     rho = conjugate(rho, hard_pulse(sys, "-y", np.pi / 2.0))
 
     if method == "ideal-matrix":
@@ -230,8 +222,8 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
                 else e for e in ir.events))
         rho = run_trajectory(ir, sys, rho, relax=relax).states[-1]
 
-    _, spec = acquire(rho, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz, relax=relax)
-    _check_resolved(sys, points, dwell_s, lb_hz, relax)
+    fid, spec = acquire(rho, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz, relax=relax)
+    _check_resolved(fid, sys)
     classification = classify_peaks(spec.peaks)
     signs = tuple(p.real_integral for p in spec.peaks)
     return DJOutcome(oracle_id=oracle_id, method=method, peak_signs=signs,

@@ -6,14 +6,14 @@ throughout the package; ``Iz`` is therefore diagonal with its largest entry
 first. Only pulse generators, which are not diagonal, are exponentiated
 through an eigendecomposition, which keeps their propagators unitary to
 machine precision for the d <= 16 matrices handled here. The pulses module
-decomposes each generator once per spin and forms every propagator with
-expm_from_eigh, the formula expm_hermitian applies to any Hermitian matrix
-it is given; delay propagators are elementwise exponentials of the diagonal
-Hamiltonian.
+decomposes each generator once per spin and forms every propagator from
+those factors with expm_from_eigh; delay propagators are elementwise
+exponentials of the diagonal Hamiltonian.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -57,14 +57,15 @@ class SpinOperators:
         return self.iz.shape[0]
 
 
-# Largest 2I accepted: 16 levels, four qubits. SpinSystem builds all
-# dim*(dim-1)/2 transitions up front, so the cost grows with dim squared.
+# Largest 2I accepted: 16 levels, four qubits.
 MAX_TWO_SPIN = 15
 
 
 def _check_spin(spin: float) -> int:
     two_i = 2.0 * spin
-    if abs(two_i - round(two_i)) > 1e-12 or round(two_i) < 1:
+    if two_i == math.inf:            # a spin that doubles past the float range
+        two_i = MAX_TWO_SPIN + 1.0   # is refused as too large
+    if not math.isfinite(two_i) or abs(two_i - round(two_i)) > 1e-12 or round(two_i) < 1:
         raise ValueError(f"spin must be a positive half-integer, got {spin}")
     if round(two_i) > MAX_TWO_SPIN:
         raise ValueError(f"spin must be at most {MAX_TWO_SPIN}/2 "
@@ -99,18 +100,6 @@ def _spin_operators(dim: int) -> SpinOperators:
     return SpinOperators(spin=spin, ix=ix, iy=iy, iz=iz)
 
 
-def expm_hermitian(hermitian: np.ndarray, scale: float, atol: float = ATOL) -> np.ndarray:
-    """Return exp(i * scale * H) for Hermitian H via eigendecomposition.
-
-    Raises ValueError if H is not Hermitian within ``atol``.
-    """
-    hermitian = np.asarray(hermitian, dtype=complex)
-    if not is_hermitian(hermitian, atol=atol):
-        raise ValueError("generator is not Hermitian within tolerance")
-    eigvals, eigvecs = np.linalg.eigh(hermitian)
-    return expm_from_eigh(eigvals, eigvecs, scale)
-
-
 def expm_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, scale: float) -> np.ndarray:
     """Return exp(i * scale * H) from the eigh factors of a Hermitian H."""
     return (eigvecs * np.exp(1j * scale * eigvals)) @ eigvecs.conj().T
@@ -123,13 +112,6 @@ def gate_fidelity_global_phase(u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     d = u.shape[0]
     return float(abs(np.trace(u.conj().T @ v)) / d)
-
-
-def global_phase(u_target: np.ndarray, v: np.ndarray) -> complex:
-    """Phase factor c with v ~ c * u_target, from the normalized overlap trace."""
-    u_target, v = np.asarray(u_target), np.asarray(v)
-    tr = np.trace(u_target.conj().T @ v) / u_target.shape[0]
-    return complex(tr / abs(tr)) if abs(tr) > 0 else complex(0)
 
 
 def conjugate(rho: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -20,20 +20,17 @@ def equilibrium_state(sys: SpinSystem) -> np.ndarray:
     return sys.operators.iz.copy()
 
 
-def pseudopure_00(sys: SpinSystem, rho_eq: np.ndarray | None = None) -> np.ndarray:
-    """Prepare the pseudopure top-level state from a diagonal thermal state.
+def pseudopure_00(sys: SpinSystem) -> np.ndarray:
+    """Prepare the pseudopure top-level state from the thermal state.
 
     Selective population inversion on the 10-11 transition, population
     equilibration (Bloch pi/2) on 01-11, then a crusher gradient. Starting
-    from diag(3, 1, -1, -3)/2 the result is diag(3, -1, -1, -1)/2: every
-    level except |00> ends at the same deviation population.
+    from equilibrium, diag(3, 1, -1, -3)/2, the result is diag(3, -1, -1, -1)/2:
+    every level except |00> ends at the same deviation population.
     """
     if sys.dim != 4:
         raise ValueError("pseudopure preparation is defined for the four-level system")
-    rho = equilibrium_state(sys) if rho_eq is None else np.asarray(rho_eq, dtype=complex)
-    if np.max(np.abs(rho - np.diag(np.diag(rho)))) > 1e-10:
-        raise ValueError("preparation assumes a diagonal (thermal) starting state")
-
-    rho = conjugate(rho, selective_pulse(sys, "10-11", "y", np.pi / np.sqrt(3.0)))
+    rho = conjugate(equilibrium_state(sys),
+                    selective_pulse(sys, "10-11", "y", np.pi / np.sqrt(3.0)))
     rho = conjugate(rho, selective_pulse(sys, "01-11", "y", np.pi / 2.0))
     return gradient_crush(rho)

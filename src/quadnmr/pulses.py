@@ -1,12 +1,12 @@
-"""Pulse propagators: hard, transition-selective, composite z and shaped.
+"""Pulse propagators: hard, transition-selective, closed-form z and shaped.
 
 The refocus block (tau/2 - hard pi - tau/2) is compiler.refocus_block.
 
 A hard or selective pulse generator depends only on the spin, the x or y
 drive and the transition, so its eigendecomposition is computed (and its
 Hermiticity checked) once per process on first use and kept read-only; each
-pulse then only exponentiates the eigenvalues, exactly as expm_hermitian
-would. A Transition object is accepted only from the system it is used on.
+pulse then only exponentiates the eigenvalues (linalg.expm_from_eigh).
+Transitions are named by their 'label-label' pair, such as '10-11'.
 
 Axis and flip-angle conventions:
 
@@ -23,8 +23,8 @@ Axis and flip-angle conventions:
   inversion of spin 3/2 is written pi/sqrt(3).
 * a selective z-pulse with angle phi multiplies the block level with the
   smaller binary label by e^{-i phi} and the other by e^{+i phi} (phase
-  difference 2 phi). It is realized as a y / x / -y composite of selective
-  pulses and the closed diagonal form is what the compiler emits.
+  difference 2 phi). It equals a y / x / -y composite of selective pulses;
+  the closed diagonal form is what the compiler emits.
 """
 
 from __future__ import annotations
@@ -35,23 +35,9 @@ from functools import cache
 import numpy as np
 
 from .linalg import expm_from_eigh, is_hermitian, spin_operators
-from .system import (ForbiddenTransitionError, SpinSystem, Transition,
-                     UnknownTransitionError, free_evolution)
+from .system import SpinSystem, Transition, free_evolution
 
 _AXIS_SIGN = {"x": +1.0, "-x": -1.0, "y": -1.0, "-y": +1.0}
-
-
-def _resolve_transition(sys: SpinSystem, transition) -> Transition:
-    if isinstance(transition, str):
-        return sys.transition(transition)
-    key = (transition.upper_index, transition.lower_index)
-    if sys._transitions.get(key) != transition:
-        raise UnknownTransitionError(
-            f"transition {transition.label} does not belong to this spin system")
-    if transition.kind != "single-quantum-observable":
-        raise ForbiddenTransitionError(
-            f"transition {transition.label} is not a single-quantum transition")
-    return transition
 
 
 def _drive(axis: str, angle_rad: float) -> tuple[float, bool]:
@@ -101,21 +87,15 @@ def hard_pulse(sys: SpinSystem, axis: str, angle_rad: float) -> np.ndarray:
     return expm_from_eigh(eigvals, eigvecs, sign * angle_rad)
 
 
-def _angle_for_bloch(tr: Transition, bloch_rad: float) -> float:
-    if _unit_element(tr.ix_element):
-        return bloch_rad
-    return bloch_rad / (2.0 * tr.ix_element)
-
-
-def selective_pulse(sys: SpinSystem, transition, axis: str, angle_rad: float) -> np.ndarray:
+def selective_pulse(sys: SpinSystem, transition: str, axis: str,
+                    angle_rad: float) -> np.ndarray:
     """Ideal (instantaneous) transition-selective pulse propagator.
 
     Identity outside the transition's 2x2 block; rejects forbidden
-    transitions such as the |delta m| = 3 pair of spin 3/2, and Transition
-    objects that are not this system's own.
+    transitions such as the |delta m| = 3 pair of spin 3/2.
     """
     sign, x_drive = _drive(axis, angle_rad)
-    tr = _resolve_transition(sys, transition)
+    tr = sys.transition(transition)
     eigvals, eigvecs = _generator_factors(sys.dim, x_drive,
                                           (tr.upper_index, tr.lower_index))
     return expm_from_eigh(eigvals, eigvecs, sign * angle_rad)
@@ -126,31 +106,15 @@ def _z_orientation(tr: Transition) -> int:
     return 1 if int(tr.upper_label, 2) < int(tr.lower_label, 2) else -1
 
 
-def selective_z_closed_form(sys: SpinSystem, transition, phi_rad: float) -> np.ndarray:
+def selective_z_closed_form(sys: SpinSystem, transition: str, phi_rad: float) -> np.ndarray:
     if not math.isfinite(phi_rad):
         raise ValueError("pulse angle must be finite")
-    tr = _resolve_transition(sys, transition)
+    tr = sys.transition(transition)
     u = np.eye(sys.dim, dtype=complex)
     s = _z_orientation(tr)
     u[tr.upper_index, tr.upper_index] = np.exp(-1j * s * phi_rad)
     u[tr.lower_index, tr.lower_index] = np.exp(+1j * s * phi_rad)
     return u
-
-
-def selective_z_pulse(sys: SpinSystem, transition, phi_rad: float) -> np.ndarray:
-    """Composite z-rotation on one transition: y / x / -y selective pulses.
-
-    Applies e^{-i phi} to the block level with the smaller binary label and
-    e^{+i phi} to the other (identity elsewhere), matching
-    selective_z_closed_form to roundoff. The x pulse carries a Bloch angle of
-    2*phi and the two y pulses Bloch angles of pi/2.
-    """
-    tr = _resolve_transition(sys, transition)
-    quarter = _angle_for_bloch(tr, np.pi / 2.0)
-    x_axis = "x" if _z_orientation(tr) > 0 else "-x"
-    return (selective_pulse(sys, tr, "y", quarter)
-            @ selective_pulse(sys, tr, x_axis, _angle_for_bloch(tr, 2.0 * phi_rad))
-            @ selective_pulse(sys, tr, "-y", quarter))
 
 
 def gradient_crush(rho: np.ndarray) -> np.ndarray:
@@ -161,7 +125,7 @@ def gradient_crush(rho: np.ndarray) -> np.ndarray:
     return np.diag(np.diag(rho)).astype(complex)
 
 
-def shaped_pulse(sys: SpinSystem, transition, axis: str, nominal_angle_rad: float,
+def shaped_pulse(sys: SpinSystem, transition: str, axis: str, nominal_angle_rad: float,
                  duration_s: float) -> np.ndarray:
     """Gaussian soft pulse on one transition, in closed form.
 

@@ -15,13 +15,12 @@ read.
 The spectrum is the discrete transform on a frequency axis centred on zero,
 with the first sample at half weight, the usual first-point correction: a
 decay sampled from t = 0 at full weight would put a flat offset of half its
-first sample into every bin. For an FID that keeps its lines the transform is
-the closed form sum_t a_t (1 - q_t^N) / (1 - q_t w^j) - a_t / 2, with
-w^j = exp(-2 pi i (j - N//2) / N), so no samples and no FFT are computed; an
-FID given as samples is transformed by FFT. The spectrum is then phased by
-the global zero-order phase that maximizes the summed |real peak integrals|
-(largest peak forced positive), and summarized as one signed integral per
-transition over +-3 nominal linewidths.
+first sample into every bin. The transform is the closed form
+sum_t a_t (1 - q_t^N) / (1 - q_t w^j) - a_t / 2 of the FID's lines, with
+w^j = exp(-2 pi i (j - N//2) / N), so no samples and no FFT are computed.
+The spectrum is then phased by the global zero-order phase that maximizes
+the summed |real peak integrals| (largest peak forced positive), and
+summarized as one signed integral per transition over +-3 nominal linewidths.
 
 Apart from the transform, the readout's work grows with the number of lines,
 not with the points: each window is found as a run of bins by testing the
@@ -66,21 +65,14 @@ def observable_amplitudes(rho: np.ndarray, sys: SpinSystem) -> np.ndarray:
 class FID:
     """A free-induction decay on the grid t_k = k * dwell_s, k < points.
 
-    Built from samples=, it holds those, and spectrum() transforms them by
-    FFT. Built by synthesize_fid, it holds its lines instead, one
-    (amplitude, frequency_hz, t2_s) per transition with t2_s = inf without
-    relaxation; spectrum() transforms those in closed form, and samples are
-    computed when first read.
+    It holds its lines, one (amplitude, frequency_hz, t2_s) per transition
+    with t2_s = inf without relaxation; spectrum() transforms those in closed
+    form, and samples are computed when first read.
     """
 
-    def __init__(self, points: int, dwell_s: float, samples: np.ndarray | None = None,
-                 lb_hz: float = DEFAULT_LB_HZ,
-                 lines: tuple[tuple[complex, float, float], ...] | None = None):
-        if (samples is None) == (lines is None):
-            raise ValueError("an FID holds either its samples or its lines")
+    def __init__(self, points: int, dwell_s: float, lb_hz: float,
+                 lines: tuple[tuple[complex, float, float], ...]):
         self.points, self.dwell_s, self.lb_hz, self.lines = points, dwell_s, lb_hz, lines
-        if samples is not None:
-            self.samples = samples
 
     @cached_property
     def samples(self) -> np.ndarray:
@@ -306,9 +298,8 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     """Discrete Fourier transform with zero-centered axis and a peak table.
 
     The transform takes the first sample at half weight, which subtracts
-    half of it from every bin. An FID from synthesize_fid is transformed in
-    closed form from its lines (_line_spectrum), with no samples and no FFT;
-    one given as samples is transformed by FFT. The axis is
+    half of it from every bin. The FID is transformed in closed form from
+    its lines (_line_spectrum), with no samples and no FFT. The axis is
     (k - points//2) / (points * dwell) for k < points, the same values as
     fftshift(fftfreq(points, dwell)). Without a system, the unphased
     transform is returned. With one, the per-transition windows are
@@ -320,12 +311,7 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     """
     n, span_s = fid.points, fid.points * fid.dwell_s
     freq = np.arange(-(n // 2), n - n // 2, dtype=float) * (1.0 / span_s)
-    if fid.lines is not None:
-        amp = _line_spectrum(fid)
-    else:
-        amp = np.fft.fft(fid.samples)
-        amp -= 0.5 * fid.samples[0]     # the first sample at half weight
-        amp = np.concatenate((amp[n - n // 2:], amp[:n - n // 2]))   # np.fft.fftshift
+    amp = _line_spectrum(fid)
     if sys is None:
         return Spectrum(freq_hz=freq, amplitude=amp)
 

@@ -2,11 +2,10 @@
 
 Populations decay exponentially toward the thermal deviation state with a
 single T1. Each single-quantum coherence decays with the T2 of its own
-transition; multiple-quantum coherences have no dedicated rate and default
-to the outer-transition T2 (overridable via t2_multi_s). coherence_t2_table
-is the one table of those rates, built once per parameter set and level
-count and shared read-only by apply_relaxation, the FID and the readout's
-resolvability check.
+transition; multiple-quantum coherences have no dedicated rate and take
+the outer-transition T2. coherence_t2_table is the one table of those rates,
+built once per parameter set and level count and shared read-only by
+apply_relaxation and the FID's lines.
 """
 
 from __future__ import annotations
@@ -30,35 +29,26 @@ class RelaxationParams:
     t1_s: float = DEFAULT_T1_S
     t2_central_s: float = DEFAULT_T2_CENTRAL_S
     t2_outer_s: float = DEFAULT_T2_OUTER_S
-    t2_multi_s: float | None = None   # None -> t2_outer_s
 
     def __post_init__(self):
         for name in ("t1_s", "t2_central_s", "t2_outer_s"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.t2_multi_s is not None and not (np.isfinite(self.t2_multi_s)
-                                                and self.t2_multi_s > 0):
-            raise ValueError("t2_multi_s must be positive and finite")
-
-    @property
-    def multi_quantum_t2_s(self) -> float:
-        return self.t2_outer_s if self.t2_multi_s is None else self.t2_multi_s
 
 
 @lru_cache(maxsize=8)
 def coherence_t2_table(params: RelaxationParams, dim: int) -> np.ndarray:
     """T2 (s) of every coherence rho[i, j] of a dim-level spin, read-only.
 
-    A single-quantum pair (i, i+1) gets t2_central_s when it is the middle
-    line of the spectrum (2*i + 2 == dim, so only half-integer spins have
-    one) and t2_outer_s otherwise; every multiple-quantum coherence gets
-    multi_quantum_t2_s. The diagonal is not used.
+    The single-quantum pair (i, i+1) that is the middle line of the spectrum
+    (2*i + 2 == dim, so only half-integer spins have one) gets t2_central_s;
+    every other coherence gets t2_outer_s. The diagonal is not used.
     """
-    t2 = np.full((dim, dim), params.multi_quantum_t2_s, dtype=float)
-    for i in range(dim - 1):
-        t2[i, i + 1] = t2[i + 1, i] = (params.t2_central_s if 2 * i + 2 == dim
-                                       else params.t2_outer_s)
+    t2 = np.full((dim, dim), params.t2_outer_s, dtype=float)
+    if dim % 2 == 0:
+        i = dim // 2 - 1
+        t2[i, i + 1] = t2[i + 1, i] = params.t2_central_s
     t2.flags.writeable = False
     return t2
 

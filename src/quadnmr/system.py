@@ -51,8 +51,8 @@ class SpinSystem:
     offset_hz: float = 0.0
     lambda_hz: float = DEFAULT_SPLITTING_HZ / 6.0
     labels: tuple[str, ...] = field(init=False)
-    # derived and built once: every level pair (i < j), adjacent pairs first,
-    # and the read-only diagonals (rad/s) of the quadrupolar term and of H
+    # derived and built once: the observable lines (i, i+1), and the
+    # read-only diagonals (rad/s) of the quadrupolar term and of H
     _transitions: dict[tuple[int, int], Transition] = field(
         init=False, compare=False, repr=False)
     _quad_diag: np.ndarray = field(init=False, compare=False, repr=False)
@@ -63,16 +63,25 @@ class SpinSystem:
         for name, value in (("offset_hz", self.offset_hz), ("lambda_hz", self.lambda_hz)):
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        object.__setattr__(self, "labels", _default_labels(ops.dim))
+        labels = _default_labels(ops.dim)
+        object.__setattr__(self, "labels", labels)
         m = np.diag(ops.iz).real
-        quad = 2.0 * np.pi * self.lambda_hz * (3.0 * m * m - self.spin * (self.spin + 1.0))
-        h_diag = -2.0 * np.pi * self.offset_hz * m + quad
+        with np.errstate(over="ignore", invalid="ignore"):    # refused below
+            quad = 2.0 * np.pi * self.lambda_hz * (3.0 * m * m - self.spin * (self.spin + 1.0))
+            h_diag = -2.0 * np.pi * self.offset_hz * m + quad
+            freq_hz = (h_diag[:-1] - h_diag[1:]) / (2.0 * np.pi)
+        if not (np.isfinite(h_diag).all() and np.isfinite(freq_hz).all()):
+            raise ValueError(
+                f"offset_hz={self.offset_hz:g} and lambda_hz={self.lambda_hz:g} put the "
+                "Hamiltonian or a line frequency beyond the float range")
         for name, diag in (("_quad_diag", quad), ("_h_diag", h_diag)):
             diag.flags.writeable = False
             object.__setattr__(self, name, diag)
         object.__setattr__(self, "_transitions", {
-            (i, i + gap): _build_transition(self, i, i + gap)
-            for gap in range(1, ops.dim) for i in range(ops.dim - gap)})
+            (i, i + 1): Transition(upper_label=labels[i], lower_label=labels[i + 1],
+                                   upper_index=i, lower_index=i + 1, frequency_hz=f,
+                                   ix_element=float(abs(ops.ix[i, i + 1])))
+            for i, f in enumerate(freq_hz.tolist())})
 
     @classmethod
     def from_splitting(cls, splitting_hz: float = DEFAULT_SPLITTING_HZ,
@@ -110,23 +119,22 @@ class SpinSystem:
         i, j = self.index_of(parts[0]), self.index_of(parts[1])
         if i == j:
             raise UnknownTransitionError(f"transition needs two distinct levels: {pair!r}")
-        tr = self._transitions[min(i, j), max(i, j)]
-        if tr.kind == "forbidden":
+        if abs(i - j) > 1:
             raise ForbiddenTransitionError(
                 f"transition {pair} has |delta m| = {abs(i - j)}; "
                 "only single-quantum transitions can be driven")
-        return tr
+        return self._transitions[min(i, j), max(i, j)]
 
 
 @dataclass(frozen=True)
 class Transition:
-    """One pair of levels; upper refers to the higher-m (lower-index) level."""
+    """One observable line between adjacent levels; upper refers to the
+    higher-m (lower-index) level."""
 
     upper_label: str
     lower_label: str
     upper_index: int
     lower_index: int
-    kind: str                 # "single-quantum-observable" or "forbidden"
     frequency_hz: float
     ix_element: float         # |<upper|Ix|lower>|
 
@@ -135,32 +143,13 @@ class Transition:
         return f"{self.upper_label}-{self.lower_label}"
 
 
-def hamiltonian(sys: SpinSystem) -> np.ndarray:
-    """Rotating-frame Hamiltonian in rad/s, diagonal in the m basis.
-
-    H = -2*pi*offset * Iz + 2*pi*lambda * (3 Iz^2 - I(I+1) 1); both terms are
-    traceless.
-    """
-    return np.diag(sys._h_diag).astype(complex)
-
-
-def _build_transition(sys: SpinSystem, i: int, j: int) -> Transition:
-    ops = sys.operators
-    kind = "single-quantum-observable" if j - i == 1 else "forbidden"
-    freq = float((sys._h_diag[i] - sys._h_diag[j]) / (2.0 * np.pi))
-    return Transition(
-        upper_label=sys.labels[i], lower_label=sys.labels[j],
-        upper_index=i, lower_index=j, kind=kind,
-        frequency_hz=freq, ix_element=float(abs(ops.ix[i, j])))
-
-
 def transition_table(sys: SpinSystem) -> list[Transition]:
     """Observable single-quantum transitions, ordered by upper-level index.
 
     For spin 3/2 on resonance this is 00-01 at +6*lambda, 01-11 at 0 and
     11-10 at -6*lambda, with Ix elements sqrt(3)/2, 1, sqrt(3)/2.
     """
-    return [tr for tr in sys._transitions.values() if tr.kind != "forbidden"]
+    return list(sys._transitions.values())
 
 
 def quad_evolution(sys: SpinSystem, tau_s: float) -> np.ndarray:

@@ -12,17 +12,18 @@ import pytest
 
 from quadnmr import (RelaxationParams, SpinSystem, compile_unitary, conjugate,
                      cphase_delay_s, equilibrium_state, format_sequence,
-                     gate_fidelity_global_phase, global_phase, hard_pulse,
+                     gate_fidelity_global_phase, hard_pulse,
                      ideal_state_after_oracle, is_unitary, matrices_close,
                      oracle_class, oracle_matrix, oracle_sequence, parse_sequence,
                      pseudopure_00, quad_evolution, refocus_block, run_dj,
-                     selective_pulse, selective_z_closed_form, selective_z_pulse,
+                     selective_pulse, selective_z_closed_form,
                      shaped_pulse, spin_operators)
 from quadnmr.dj import ORACLE_IDS, ORACLE_PHASES, SEQUENCE_METHODS
 from quadnmr.relaxation import apply_relaxation
 from quadnmr.seqlang import ParseError
 
 from conftest import HARD_90_MINUS_Y, INVALID_DIR, SEQUENCES_DIR
+from helpers import expm_hermitian, global_phase, selective_z_pulse
 from test_linalg import expm_series, random_hermitian
 from test_pulses import _slice_product
 
@@ -88,7 +89,7 @@ def test_criterion_04_pseudopure():
     sys = SpinSystem()
     rho_eq = equilibrium_state(sys)
     assert matrices_close(rho_eq, np.diag([3, 1, -1, -3]) / 2.0, atol=1e-14)
-    rho = pseudopure_00(sys, rho_eq)
+    rho = pseudopure_00(sys)
 
     # independent oracle: hand-applied population swap, then averaging
     pops = [1.5, 0.5, -0.5, -1.5]
@@ -232,7 +233,6 @@ def test_criterion_11_algebra_suite():
         assert matrices_close(casimir, spin * (spin + 1) * np.eye(ops.dim),
                               atol=1e-12)
 
-    from quadnmr import expm_hermitian
     for _ in range(400):
         h = random_hermitian(rng)
         s = rng.uniform(-3, 3)

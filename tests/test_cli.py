@@ -56,6 +56,14 @@ class TestDJCommand:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error[E_UNRESOLVED]")
 
+    # each printed RuntimeWarnings before its error line
+    @pytest.mark.parametrize("flag", ["--offset", "--splitting"])
+    def test_overflowing_hamiltonian_is_config_error(self, tmp_path, capsys, flag):
+        code, out, err = run_cli(capsys, "--outdir", str(tmp_path), "dj", "--oracle", "f3",
+                                 flag, "1e308")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error[E_CONFIG]")
+
     def test_unknown_oracle_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "--outdir", str(tmp_path), "dj",
                                "--oracle", "f9")
@@ -116,6 +124,13 @@ class TestEquilibriumAndPseudopure:
                                "--splitting", "0")
         assert code == 0
         assert "W_DEGENERATE" in err
+
+    def test_overflowing_splitting_is_config_error(self, tmp_path, capsys):
+        # pseudopure reads no line frequency, but its system is refused all the same
+        code, out, err = run_cli(capsys, "--outdir", str(tmp_path), "pseudopure",
+                                 "--splitting", "1e308")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error[E_CONFIG]")
 
     def test_zero_splitting_equilibrium_runs(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "--outdir", str(tmp_path), "equilibrium",
@@ -216,6 +231,26 @@ class TestCompileCheck:
         code, _, err = run_cli(capsys, "compile-check", str(script), "--against", "u1")
         assert code == 1
         assert "error[E_BAD_VALUE]" in err
+
+    # each once crashed with an OverflowError: 2*I overflowed to infinity
+    @pytest.mark.parametrize("spin", ["1e308", "9e307"])
+    def test_spin_whose_double_overflows_is_bad_value(self, tmp_path, capsys, spin):
+        script = tmp_path / "spin.qseq"
+        script.write_text(f"system I={spin}\ngradient\n")
+        code, out, err = run_cli(capsys, "compile-check", str(script), "--against", "u1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error[E_BAD_VALUE]: line 1:1: spin must be at most 15/2")
+
+    # each printed "fidelity nan" with exit 0: the propagator overflowed
+    @pytest.mark.parametrize("decl, line", [
+        ("splitting=1e308Hz", "delay quad pi/(12*lambda)"),
+        ("splitting=16kHz", "delay quad 1e305s")])
+    def test_overflowing_propagator_is_refused(self, tmp_path, capsys, decl, line):
+        script = tmp_path / "overflow.qseq"
+        script.write_text(f"system I=3/2 {decl}\n{line}\n")
+        code, out, err = run_cli(capsys, "compile-check", str(script), "--against", "u3")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error[E_")
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_target_is_config_error(self, tmp_path, capsys, bad):

@@ -85,7 +85,7 @@ def test_every_event_propagator_is_unitary(data):
 @given(seq=sequences(), seed=st.integers(0, 2**32 - 1),
        relax=st.sampled_from([None, RelaxationParams(),
                               RelaxationParams(t1_s=2e-3, t2_central_s=1e-3,
-                                               t2_outer_s=5e-4, t2_multi_s=2e-4)]))
+                                               t2_outer_s=5e-4)]))
 def test_trajectory_keeps_state_hermitian_and_traceless(seq, seed, relax):
     sys, ir = seq
     rho0 = random_deviation_matrix(sys.dim, seed)
@@ -108,7 +108,7 @@ def test_equilibrium_is_the_relaxation_fixed_point(spin, dt, t1, t2):
 @given(spin=SPINS, lambda_hz=st.floats(1.0, 1e4))
 def test_central_t2_goes_to_the_mid_spectrum_line_only(spin, lambda_hz):
     sys = SpinSystem(spin=spin, lambda_hz=lambda_hz)
-    params = RelaxationParams(t2_central_s=14e-3, t2_outer_s=4e-3, t2_multi_s=1e-3)
+    params = RelaxationParams(t2_central_s=14e-3, t2_outer_s=4e-3)
     t2 = coherence_t2_table(params, sys.dim)
     assert np.array_equal(t2, t2.T)
     central = []
@@ -117,7 +117,7 @@ def test_central_t2_goes_to_the_mid_spectrum_line_only(spin, lambda_hz):
         try:
             tr = sys.transition(f"{sys.labels[i]}-{sys.labels[j]}")
         except ForbiddenTransitionError:
-            assert value == params.t2_multi_s
+            assert value == params.t2_outer_s
             continue
         if value == params.t2_central_s:
             central.append(tr)

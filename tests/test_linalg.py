@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnmr import (conjugate, expm_hermitian, gate_fidelity_global_phase,
-                     is_unitary, matrices_close, spin_operators)
+from quadnmr import (conjugate, gate_fidelity_global_phase, is_unitary,
+                     matrices_close, spin_operators)
+
+from helpers import expm_hermitian
 
 SQRT3 = np.sqrt(3.0)
 

@@ -25,7 +25,7 @@ def test_equilibrium_is_half_integer_ladder(sys32):
 
 
 def test_pseudopure_matches_hand_oracle(sys32):
-    rho = pseudopure_00(sys32, equilibrium_state(sys32))
+    rho = pseudopure_00(sys32)
     assert matrices_close(rho, hand_prepared_pseudopure(), atol=1e-12)
     assert matrices_close(rho, np.diag([1.5, -0.5, -0.5, -0.5]), atol=1e-12)
 
@@ -45,15 +45,12 @@ def test_pseudopure_rank_one_support(sys32):
     assert np.max(np.abs(shifted[1:])) < 1e-12
 
 
-def test_pseudopure_rejects_coherent_input(sys32):
-    rho = equilibrium_state(sys32)
-    rho[0, 1] = rho[1, 0] = 0.3
-    with pytest.raises(ValueError):
-        pseudopure_00(sys32, rho)
-
-
 def test_pseudopure_scales_linearly(sys32):
-    rho = pseudopure_00(sys32, 5.0 * equilibrium_state(sys32))
+    from quadnmr import parse_sequence, run_trajectory
+    from conftest import SEQUENCES_DIR
+
+    ir = parse_sequence((SEQUENCES_DIR / "pseudopure.qseq").read_text())
+    rho = run_trajectory(ir, sys32, 5.0 * equilibrium_state(sys32)).states[-1]
     assert matrices_close(rho, 5.0 * np.diag([1.5, -0.5, -0.5, -0.5]), atol=1e-12)
 
 

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnmr import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError,
-                     compile_unitary, expm_hermitian, free_evolution,
-                     gate_fidelity_global_phase, gradient_crush, hamiltonian,
-                     hard_pulse, is_unitary, matrices_close, parse_sequence,
-                     quad_evolution, refocus_block, run_trajectory, selective_pulse,
-                     selective_z_closed_form, selective_z_pulse, shaped_pulse,
+from quadnmr import (ForbiddenTransitionError, SpinSystem, compile_unitary, free_evolution,
+                     gate_fidelity_global_phase, gradient_crush, hard_pulse, is_unitary,
+                     matrices_close, parse_sequence, quad_evolution, refocus_block,
+                     run_trajectory, selective_pulse, selective_z_closed_form, shaped_pulse,
                      transition_table)
 from quadnmr import pulses
 from quadnmr.seqlang import (GaussianShape, HardPulse, QuadDelay, Refocus, SelPulse,
@@ -16,6 +14,7 @@ from quadnmr.seqlang import (GaussianShape, HardPulse, QuadDelay, Refocus, SelPu
 from quadnmr.system import cphase_delay_s
 
 from conftest import HARD_90_MINUS_Y
+from helpers import expm_hermitian, hamiltonian, selective_z_pulse
 
 SQRT3 = np.sqrt(3.0)
 PI = np.pi
@@ -88,19 +87,6 @@ class TestSelectivePulse:
     def test_forbidden_transition_rejected(self, sys32):
         with pytest.raises(ForbiddenTransitionError):
             selective_pulse(sys32, "00-10", "x", PI)
-
-    def test_own_transition_object_accepted(self, sys32):
-        tr = sys32.transition("01-11")
-        assert np.array_equal(selective_pulse(sys32, tr, "x", PI),
-                              selective_pulse(sys32, "01-11", "x", PI))
-
-    @pytest.mark.parametrize("spin, pair", [(2.5, "001-010"), (0.5, "0-1")])
-    def test_foreign_transition_object_rejected(self, sys32, spin, pair):
-        foreign = SpinSystem(spin=spin).transition(pair)
-        with pytest.raises(UnknownTransitionError):
-            selective_pulse(sys32, foreign, "x", PI)
-        with pytest.raises(UnknownTransitionError):
-            selective_z_closed_form(sys32, foreign, PI)
 
 
 class TestSelectiveZPulse:

@@ -8,12 +8,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadnmr import (FID, Peak, RelaxationParams, SpinSystem, Spectrum, acquire, conjugate,
-                     equilibrium_state, hard_pulse, ideal_density_after_oracle,
-                     observable_amplitudes, spectrum, synthesize_fid,
-                     write_peaks_csv, write_spectrum_csv)
+                     equilibrium_state, hard_pulse, observable_amplitudes, spectrum,
+                     synthesize_fid, write_peaks_csv, write_spectrum_csv)
 from quadnmr.readout import _CSV_CHUNK_ROWS, PEAK_WINDOW_LINEWIDTHS, _best_phase
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.system import transition_table
+
+from helpers import ideal_density_after_oracle
 
 
 def analytic_window_integral(amplitude, lb_hz, dwell_s,
@@ -181,10 +182,6 @@ class TestLazySamples:
         fid, _ = acquire(rho, sys32, relax=RelaxationParams() if relaxed else None)
         assert "samples" not in vars(fid)
 
-    def test_fid_holds_samples_or_lines(self):
-        with pytest.raises(ValueError, match="either its samples or its lines"):
-            FID(points=4, dwell_s=1e-5)
-
 
 class TestBestPhase:
     @settings(max_examples=400, deadline=None)
@@ -217,11 +214,11 @@ class TestBestPhase:
 
 
 def reference_spectrum(fid, sys, choose_phase):
-    """spectrum() with the first sample at half weight, one boolean mask per
+    """spectrum() with the transform of spectrum(fid), one boolean mask per
     line over the whole axis, each clipped against the lines within 2.001
     half-widths, and the zero-order phase choose_phase(raw integrals)."""
     freq = np.fft.fftshift(np.fft.fftfreq(fid.points, fid.dwell_s))
-    amp = np.fft.fftshift(np.fft.fft(fid.samples)) - 0.5 * fid.samples[0]
+    amp = spectrum(fid).amplitude
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     table = transition_table(sys)
     lines = [tr.frequency_hz for tr in table]
@@ -264,19 +261,22 @@ def readout_outcome(fid, sys, read):
 
 @st.composite
 def readout_cases(draw):
-    """A random FID and system whose lines sit on bins, halfway between
-    them, near +-Nyquist or anywhere, spaced from coincident to far apart,
-    with windows from narrower than a bin to wider than the spectrum."""
+    """A random FID and system. The FID holds up to four random lines, each
+    on a bin, halfway between bins, near +-Nyquist or anywhere, with a T2 of
+    inf or finite. The system's lines, which place the windows, sit the same
+    ways, spaced from coincident to far apart, with windows from narrower
+    than a bin to wider than the spectrum."""
     points = draw(st.one_of(st.integers(2, 17), st.sampled_from([1024, 4096, 16384])))
     dwell_s = draw(st.one_of(st.sampled_from([5e-6, 1e-7]), st.floats(1e-7, 1e-4)))
     step = 1.0 / (points * dwell_s)
     nyquist = 0.5 / dwell_s
     bins = st.integers(-(points // 2), points - points // 2 - 1)
-    offset_hz = draw(st.one_of(
+    positions = st.one_of(
         bins.map(lambda k: k * step),
         bins.map(lambda k: (k + 0.5) * step),
         st.sampled_from([-nyquist, nyquist * (1 - 1e-12), -nyquist * (1 - 1e-9)]),
-        st.floats(-nyquist, nyquist)))
+        st.floats(-nyquist, nyquist))
+    offset_hz = draw(positions)
     splitting_hz = draw(st.one_of(
         st.just(0.0),
         st.floats(1e-320, 1e-9),
@@ -290,9 +290,11 @@ def readout_cases(draw):
         st.floats(0.0, 2.0 * nyquist)))
     sys = SpinSystem(spin=draw(st.sampled_from([0.5, 1.5, 2.5, 7.5])),
                      offset_hz=offset_hz, lambda_hz=splitting_hz / 6.0)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    samples = rng.standard_normal(points) + 1j * rng.standard_normal(points)
-    return FID(points=points, dwell_s=dwell_s, samples=samples, lb_hz=lb_hz), sys
+    parts = st.floats(-2.0, 2.0)
+    lines = tuple((complex(draw(parts), draw(parts)), draw(positions),
+                   draw(st.one_of(st.just(math.inf), st.floats(1e-6, 1.0))))
+                  for _ in range(draw(st.integers(0, 4))))
+    return FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz, lines=lines), sys
 
 
 @st.composite
@@ -328,11 +330,12 @@ class TestSpectrum:
     @settings(max_examples=300, deadline=None)
     @given(readout_cases())
     # lines 1e-300 Hz apart tie at scattered bins, so a window need not be one run
-    @example((FID(points=4096, dwell_s=5e-6, samples=np.ones(4096, dtype=complex)),
+    @example((FID(points=4096, dwell_s=5e-6, lb_hz=200.0, lines=((1.0, 0.0, math.inf),)),
               SpinSystem.from_splitting(splitting_hz=1e-300)))
     # the bins at +-12 kHz lie exactly halfway between two lines and are shared
-    @example((FID(points=16, dwell_s=1.0 / (16 * 12000.0), samples=np.arange(16.0) + 1j,
-                  lb_hz=4000.0),
+    @example((FID(points=16, dwell_s=1.0 / (16 * 12000.0), lb_hz=4000.0,
+                  lines=((1.0 + 1.0j, 24000.0, math.inf), (0.5, 0.0, 1e-3),
+                         (-0.7j, -24000.0, math.inf))),
               SpinSystem.from_splitting(splitting_hz=24000.0)))
     def test_windows_peaks_and_errors_equal_the_mask_code(self, case):
         fid, sys = case
@@ -353,7 +356,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("points", [*range(1, 18), 1024, 4096, 16384])
     @pytest.mark.parametrize("dwell_s", [5e-6, 1e-7, 1e-5 / 3.0, 2.5e-4])
     def test_axis_bytes_equal_shifted_fftfreq(self, points, dwell_s):
-        fid = FID(points=points, dwell_s=dwell_s, samples=np.zeros(points, dtype=complex))
+        fid = FID(points=points, dwell_s=dwell_s, lb_hz=200.0, lines=())
         assert spectrum(fid).freq_hz.tobytes() == \
             np.fft.fftshift(np.fft.fftfreq(points, dwell_s)).tobytes()
 
@@ -417,8 +420,8 @@ class TestSpectrum:
     def test_linearity(self, sys32):
         fid_a = synthesize_fid([1.0, 0, 0], sys32, points=512)
         fid_b = synthesize_fid([0, 0.5, 0.25], sys32, points=512)
-        combined = FID(points=512, dwell_s=fid_a.dwell_s,
-                       samples=fid_a.samples + fid_b.samples, lb_hz=fid_a.lb_hz)
+        combined = FID(points=512, dwell_s=fid_a.dwell_s, lb_hz=fid_a.lb_hz,
+                       lines=fid_a.lines + fid_b.lines)
         lhs = spectrum(combined).amplitude
         rhs = spectrum(fid_a).amplitude + spectrum(fid_b).amplitude
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(lhs))

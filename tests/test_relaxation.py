@@ -30,9 +30,9 @@ def test_t2_table_is_built_once_and_shared_read_only(sys32, params):
 
 
 def test_t2_table_keeps_fractional_times_beside_integer_ones():
-    # an integer multiple-quantum T2 must not make the table integer-valued
-    table = coherence_t2_table(RelaxationParams(t2_multi_s=1), 4)
-    assert table[0, 1] == 4e-3 and table[1, 2] == 14e-3 and table[0, 3] == 1.0
+    # an integer outer T2 must not make the table integer-valued
+    table = coherence_t2_table(RelaxationParams(t2_outer_s=1), 4)
+    assert table[0, 1] == 1.0 and table[1, 2] == 14e-3 and table[0, 3] == 1.0
 
 
 def test_zero_interval_is_identity(sys32, params):
@@ -68,14 +68,6 @@ def test_outer_and_multi_quantum_rates(sys32, params):
     assert abs(out[0, 3]) / abs(rho[0, 3]) == pytest.approx(np.exp(-1.0), rel=1e-12)
 
 
-def test_multi_quantum_override(sys32):
-    params = RelaxationParams(t2_multi_s=1e-3)
-    rho = coherent_test_state()
-    out = apply_relaxation(rho, 1e-3, params, sys32)
-    assert abs(out[0, 2]) / abs(rho[0, 2]) == pytest.approx(np.exp(-1.0), rel=1e-12)
-    assert abs(out[0, 1]) / abs(rho[0, 1]) == pytest.approx(np.exp(-1e-3 / 4e-3), rel=1e-12)
-
-
 def test_population_decay_toward_equilibrium(sys32, params):
     rho = np.diag([1.5, -0.5, -0.5, -0.5]).astype(complex)
     dt = 16e-3
@@ -104,7 +96,7 @@ def test_semigroup_property(a, b):
 
 
 @pytest.mark.parametrize("bad", [dict(t1_s=0.0), dict(t2_central_s=-1.0),
-                                 dict(t2_outer_s=np.inf), dict(t2_multi_s=0.0)])
+                                 dict(t2_outer_s=np.inf), dict(t2_outer_s=0.0)])
 def test_invalid_params_rejected(bad):
     with pytest.raises(ValueError):
         RelaxationParams(**bad)

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadnmr import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError,
-                     cphase_delay_s, hamiltonian, matrices_close, quad_evolution,
+                     cphase_delay_s, free_evolution, matrices_close, quad_evolution,
                      transition_table)
-from quadnmr import expm_hermitian, free_evolution
+
+from helpers import expm_hermitian, hamiltonian
 
 TWO_PI = 2.0 * np.pi
 
@@ -127,6 +128,24 @@ def test_spin_above_fifteen_halves_rejected():
     assert SpinSystem(spin=7.5).dim == 16
     with pytest.raises(ValueError, match=r"at most 15/2 \(16 levels\), got 8.5"):
         SpinSystem(spin=8.5)
+
+
+@pytest.mark.parametrize("spin, message", [
+    (1e308, "at most 15/2"), (9e307, "at most 15/2"), (float("inf"), "at most 15/2"),
+    (float("nan"), "positive half-integer"), (-float("inf"), "positive half-integer")])
+def test_non_finite_double_spin_rejected(spin, message):
+    # 2 * spin overflows or is nan, which round() cannot take
+    with pytest.raises(ValueError, match=message):
+        SpinSystem(spin=spin)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("offset_hz", 1e308), ("offset_hz", -1e308), ("lambda_hz", 1e308 / 6.0),
+    # a finite diagonal whose line frequencies 6 * 2 pi lambda still overflow
+    ("lambda_hz", 5e307 / 6.0)])
+def test_overflowing_hamiltonian_rejected(field, value):
+    with pytest.raises(ValueError, match="beyond the float range"):
+        SpinSystem(**{field: value})
 
 
 def test_derived_data_is_shared_and_read_only(sys32):
