@@ -3,9 +3,10 @@
 Subcommands: equilibrium, pseudopure, dj, compile-check. Spectra and peak
 tables are written as CSV (headers mandatory, 17-significant-digit floats)
 into --outdir, which defaults to $QUADNMR_OUTDIR or the current directory.
-Exit codes: 0 success, 1 configuration/parse errors (E_UNRESOLVED when dj's
-lines lie too close for their widths to read their signs), 2 ambiguous readout;
-compile-check returns 4 when --strict is set and the fidelity check fails.
+Exit codes: 0 success, 1 configuration/parse errors (E_UNRESOLVED when the
+lines of dj or equilibrium lie too close for their widths to read their
+signs), 2 ambiguous readout; compile-check returns 4 when --strict is set and
+the fidelity check fails.
 """
 
 from __future__ import annotations
@@ -98,8 +99,10 @@ def _relax_from(args) -> RelaxationParams | None:
 def cmd_equilibrium(args) -> int:
     sys = _system_from(args)
     rho = conjugate(equilibrium_state(sys), hard_pulse(sys, "-y", np.pi / 2.0))
-    _, spec = acquire(rho, sys, points=args.points, dwell_s=args.dwell,
-                      lb_hz=args.lb, relax=_relax_from(args))
+    fid, spec = acquire(rho, sys, points=args.points, dwell_s=args.dwell,
+                        lb_hz=args.lb, relax=_relax_from(args))
+    if args.splitting:  # a zero splitting is warned about and read as one line
+        dj_mod.check_resolved(fid, sys)
     out = _outdir(args)
     write_spectrum_csv(out / "equilibrium_spectrum.csv", spec)
     write_peaks_csv(out / "equilibrium_peaks.csv", spec)

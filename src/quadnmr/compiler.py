@@ -1,67 +1,144 @@
 """Execution of parsed sequences: unitary compilation and state trajectories.
 
-One step table (_steps) gives each unitary event's propagators in time order
-with the time each relaxes for; ideal pulses are instantaneous and lossless.
-compile_unitary multiplies event propagators so that the first script line
-acts first on the state (the total is P_n ... P_2 P_1). run_trajectory walks
-a deviation matrix through the same events plus crusher gradients and
+_plan builds the propagators of a whole event tuple in one batch, with numpy
+calls that do not grow with the events: the pulses by one stacked
+expm_from_eigh per generator (shaped pulses times their free evolution by
+stacked matmul), the quadrupolar delays, refocus halves and z-pulses by one
+expm_diagonal, the refocus blocks by stacked matmul, and the T1/T2 decays of
+all relaxed intervals at once. Ideal pulses are instantaneous and lossless.
+compile_unitary multiplies the event propagators so that the first script
+line acts first on the state (the total is P_n ... P_2 P_1); run_trajectory
+walks a deviation matrix through them plus crusher gradients and
 acquisition, step by step when relaxation is requested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .linalg import conjugate
-from .pulses import (gradient_crush, hard_pulse, selective_pulse,
-                     selective_z_closed_form, shaped_pulse)
+from .linalg import expm_diagonal, expm_from_eigh
+from .pulses import gradient_crush, hard_pulse, pulse_factors, z_row
 from .readout import FID, observable_amplitudes, synthesize_fid
-from .relaxation import RelaxationParams, apply_relaxation
-from .seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, Event, Gradient, HardPulse,
-                      QuadDelay, Refocus, SelPulse, SequenceIR, ZPulse)
-from .system import SpinSystem, cphase_delay_s, free_evolution, quad_evolution
+from .relaxation import RelaxationParams, decay_factors, relax_step
+from .seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, Event, GaussianShape, Gradient,
+                      HardPulse, QuadDelay, Refocus, SelPulse, SequenceIR, ZPulse)
+from .system import H_ROW, QUAD_ROW, SpinSystem, cphase_delay_s, evolution_coefficient
 
 
 class NonUnitaryEventError(ValueError):
     """Sequence contains gradient/acquire events; use run_trajectory instead."""
 
 
-def _steps(event: Event, sys: SpinSystem) -> list[tuple[np.ndarray, float | None]]:
-    """Propagators of one event in time order, each with the time it relaxes for
-    (None for a pulse). A refocus block relaxes in its two free-evolution
-    halves, on the transitions its coherences occupy around the inversion."""
-    if isinstance(event, HardPulse):
-        return [(hard_pulse(sys, event.axis, event.angle_rad), None)]
-    if isinstance(event, SelPulse):
-        if event.shape is None:
-            return [(selective_pulse(sys, event.transition, event.axis,
-                                     event.angle_rad), None)]
-        return [(shaped_pulse(sys, event.transition, event.axis, event.angle_rad,
-                              event.shape.duration_s), event.shape.duration_s)]
-    if isinstance(event, ZPulse):
-        return [(selective_z_closed_form(sys, event.transition, event.angle_rad), None)]
-    if isinstance(event, (QuadDelay, Refocus)):
-        tau = (cphase_delay_s(sys) if event.tau_text == SYMBOLIC_CPHASE_DELAY
-               else event.tau_s)
-        if isinstance(event, QuadDelay):
-            return [(quad_evolution(sys, tau), tau)]
-        half = free_evolution(sys, tau / 2.0)
-        return [(half, tau / 2.0), (hard_pulse(sys, "-y", np.pi), None),
-                (half, tau / 2.0)]
-    raise NonUnitaryEventError(
+def _non_unitary(event) -> NonUnitaryEventError:
+    return NonUnitaryEventError(
         f"event {type(event).__name__} at line {event.line} is not unitary; "
         "run the sequence through run_trajectory")
 
 
+@cache
+def _inversion(dim: int) -> np.ndarray:
+    """The hard pi about -y inside every refocus block, read-only."""
+    u = hard_pulse(SpinSystem(spin=(dim - 1) / 2.0), "-y", np.pi)
+    u.flags.writeable = False
+    return u
+
+
+def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
+    """Steps of each event, the decays of the relaxed intervals (or None) and
+    the error of the first bad event (or None), which the walk raises when it
+    reaches that event: the plan stops before it.
+
+    An event's steps are [propagator, interval] pairs in time order; interval
+    indexes the decays when relaxation follows the step. Without relax every
+    unitary event is one step, its whole propagator. A gradient or acquisition
+    has None. A refocus block relaxes in its two free-evolution halves, on the
+    transitions its coherences occupy around the inversion. Each step is made
+    empty and filled once the batch is computed.
+    """
+    plan, groups, diags, dts, blocks, error = [], {}, [], [], [], None
+    for event in events:
+        if isinstance(event, (Gradient, Acquire)):
+            plan.append(None)
+            continue
+        try:
+            pulse = free = diag = dt = None
+            if isinstance(event, HardPulse):
+                pulse = pulse_factors(sys, event.axis, event.angle_rad)
+            elif isinstance(event, SelPulse):
+                shape = event.shape
+                if shape is not None and shape.duration_s <= 0:
+                    raise ValueError("shaped pulse duration must be positive")
+                pulse = pulse_factors(sys, event.axis, event.angle_rad, event.transition)
+                if shape is not None:   # the pulse, then free evolution over it
+                    free, dt = evolution_coefficient(shape.duration_s), shape.duration_s
+            elif isinstance(event, ZPulse):
+                diag = (event.angle_rad, z_row(sys, event.transition, event.angle_rad))
+            elif isinstance(event, (QuadDelay, Refocus)):
+                tau = (cphase_delay_s(sys) if event.tau_text == SYMBOLIC_CPHASE_DELAY
+                       else event.tau_s)
+                if isinstance(event, QuadDelay):
+                    diag, dt = (evolution_coefficient(tau), QUAD_ROW), tau
+                else:   # a half of the block
+                    diag, dt = (evolution_coefficient(tau / 2.0), H_ROW), tau / 2.0
+            else:
+                raise _non_unitary(event)
+        except ValueError as exc:   # a refused event: raised when the walk gets there
+            error = exc
+            break
+        step = [None, None]
+        if relax is not None and dt is not None:
+            step[1] = len(dts)
+            dts.append(dt)
+        plan.append((step,))
+        if pulse is not None:
+            sign, factors = pulse
+            members = groups.setdefault((id(factors), free is None), (factors, []))[1]
+            members.append((sign * event.angle_rad, free, step))
+            continue
+        if isinstance(event, Refocus) and relax is not None:
+            plan[-1] = (step, (_inversion(sys.dim), None), step)
+        elif isinstance(event, Refocus):   # the block is made from its half
+            blocks.append(([None], step))
+            step = blocks[-1][0]
+        diags.append((*diag, step))
+
+    # a lone pulse or diagonal propagator is computed as one matrix, not a stack
+    for (eigvals, eigvecs), members in groups.values():
+        scales, frees, steps = zip(*members)
+        one = len(steps) == 1
+        us = expm_from_eigh(eigvals, eigvecs,
+                            scales[0] if one else np.array(scales).reshape(-1, 1, 1))
+        if frees[0] is not None:   # shaped pulses
+            us = expm_diagonal((frees[0] if one else np.array(frees)[:, None])
+                               * sys._h_diag) @ us
+        for step, u in zip(steps, (us,) if one else us):
+            step[0] = u
+    if diags:
+        coefs, rows, steps = zip(*diags)
+        one = len(steps) == 1
+        us = expm_diagonal(coefs[0] * sys._exponent_rows[rows[0]] if one else
+                           np.array(coefs, dtype=complex)[:, None]
+                           * sys._exponent_rows.take(rows, 0))
+        for step, u in zip(steps, (us,) if one else us):
+            step[0] = u
+    if blocks:
+        halves = np.array([half[0] for half, _ in blocks])
+        for (_, step), u in zip(blocks, halves @ _inversion(sys.dim) @ halves):
+            step[0] = u
+    return plan, decay_factors(dts, relax, sys.dim) if dts else None, error
+
+
 def event_propagator(event: Event, sys: SpinSystem) -> np.ndarray:
     """Unitary propagator of a single (non-gradient, non-acquire) event."""
-    steps = _steps(event, sys)
-    total = steps[-1][0]
-    for u, _ in reversed(steps[:-1]):
-        total = total @ u
-    return total
+    plan, _, error = _plan((event,), sys, None)
+    if error is not None:
+        raise error
+    if plan[0] is None:
+        raise _non_unitary(event)
+    return plan[0][0][0]
 
 
 def refocus_block(sys: SpinSystem, tau_s: float) -> np.ndarray:
@@ -69,17 +146,42 @@ def refocus_block(sys: SpinSystem, tau_s: float) -> np.ndarray:
 
     The echo removes the Zeeman offset, leaving (hard pi) * quad_evolution(tau)
     regardless of offset_hz, because 3 Iz^2 is invariant under the pi flip
-    while Iz changes sign. free_evolution rejects a negative or non-finite tau.
+    while Iz changes sign. A negative or non-finite tau is rejected.
     """
     return event_propagator(Refocus(tau_s=tau_s, tau_text=""), sys)
+
+
+def shaped_pulse(sys: SpinSystem, transition: str, axis: str, nominal_angle_rad: float,
+                 duration_s: float) -> np.ndarray:
+    """Gaussian soft pulse on one transition, in closed form.
+
+    The drive is confined to the target transition's 2x2 block generator and
+    kept resonant with it. In the interaction frame of the diagonal H0, every
+    slice of the envelope is then an exponential of the same block generator,
+    so the slice product telescopes to free_evolution(T) after the ideal
+    selective pulse: the flip angle is exact for any unit-area envelope, and
+    the only idealization error left is the quadrupolar (and offset) phase
+    accrued over the duration. With a zero angle the result is the
+    free-evolution propagator; when the accrued phases are multiples of 2*pi
+    it is the ideal instantaneous selective pulse. A negative angle is the
+    positive angle about the opposite axis.
+    """
+    shape = GaussianShape(duration_s=duration_s, duration_text="")
+    return event_propagator(SelPulse(transition=transition, axis=axis, shape=shape,
+                                     angle_rad=nominal_angle_rad, angle_text=""), sys)
 
 
 def compile_unitary(ir: SequenceIR, sys: SpinSystem | None = None) -> np.ndarray:
     """Net propagator of the sequence (first line applied first to the state)."""
     sys = ir.system() if sys is None else sys
+    plan, _, error = _plan(ir.events, sys, None)
     total = np.eye(sys.dim, dtype=complex)
-    for event in ir.events:
-        total = event_propagator(event, sys) @ total
+    for event, steps in zip(ir.events, plan):
+        if steps is None:
+            raise _non_unitary(event)
+        total = steps[0][0] @ total
+    if error is not None:
+        raise error
     return total
 
 
@@ -93,30 +195,32 @@ def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
                    relax: RelaxationParams | None = None) -> TrajectoryResult:
     """Apply each event in order to the deviation matrix rho0.
 
-    With relax given, relaxation acts after each timed step of the step
-    table (quadrupolar delays, the halves of refocusing blocks, shaped
-    pulses) and during acquisition, which uses the default line broadening.
+    With relax given, relaxation acts after each timed step (quadrupolar
+    delays, the halves of refocusing blocks, shaped pulses) and during
+    acquisition, which uses the default line broadening. Every state is its
+    own array.
     """
     sys = ir.system() if sys is None else sys
-    rho = np.asarray(rho0, dtype=complex).copy()
+    rho = np.array(rho0, dtype=complex)
     if rho.shape != (sys.dim, sys.dim):
         raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
-    states = [rho.copy()]
+    plan, decays, error = _plan(ir.events, sys, relax)
+    states = [rho]
     fid = None
-
-    for event in ir.events:
-        if isinstance(event, Gradient):
+    for event, steps in zip(ir.events, plan):
+        if steps is not None:
+            for u, k in steps:
+                rho = u @ rho @ u.conj().T
+                if k is not None:
+                    rho = relax_step(rho, decays[0][k], decays[1][k], sys._iz_diag)
+        elif isinstance(event, Gradient):
             rho = gradient_crush(rho)
-        elif isinstance(event, Acquire):
+        else:
             amps = observable_amplitudes(rho, sys)
             fid = synthesize_fid(amps, sys, points=event.points,
                                  dwell_s=event.dwell_s, relax=relax)
-        elif relax is None:
-            rho = conjugate(rho, event_propagator(event, sys))
-        else:
-            for u, dt in _steps(event, sys):
-                rho = conjugate(rho, u)
-                if dt is not None:
-                    rho = apply_relaxation(rho, dt, relax, sys)
-        states.append(rho.copy())
+            rho = rho.copy()
+        states.append(rho)
+    if error is not None:
+        raise error
     return TrajectoryResult(states=states, fid=fid)

@@ -60,7 +60,7 @@ class UnresolvedLinesError(ValueError):
     """The readout cannot sign every line apart from its neighbours."""
 
 
-def _check_resolved(fid: FID, sys: SpinSystem) -> None:
+def check_resolved(fid: FID, sys: SpinSystem) -> None:
     """Raise UnresolvedLinesError unless every line of fid can be signed on its own.
 
     A line's width is the FWHM it shows on the grid: fid.lb_hz, plus one bin
@@ -187,6 +187,16 @@ def classify_peaks(peaks) -> str:
     return "constant" if central == outer_a else "balanced"
 
 
+@cache
+def _start_state(dim: int) -> np.ndarray:
+    """pseudopure_00 followed by the hard 90 about -y, read-only: it depends
+    only on the level count, so every run of a system size shares it."""
+    sys = SpinSystem(spin=(dim - 1) / 2.0)
+    rho = conjugate(pseudopure_00(sys), hard_pulse(sys, "-y", np.pi / 2.0))
+    rho.flags.writeable = False
+    return rho
+
+
 def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-evolution",
            relax: RelaxationParams | None = None, shaped_pulses: bool = False,
            points: int = DEFAULT_POINTS, dwell_s: float = DEFAULT_DWELL_S,
@@ -199,16 +209,14 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
     1/(3*lambda), so the background phases wrap by 2*pi. The readout is
     readout.acquire with the given points, dwell, line broadening and relax.
     Raises UnresolvedLinesError when the lines lie too close for their widths
-    to sign (_check_resolved), since they could then read as the wrong class.
+    to sign (check_resolved), since they could then read as the wrong class.
     """
     sys = SpinSystem() if sys is None else sys
     oracle_class(oracle_id)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
-    rho = pseudopure_00(sys)
-    rho = conjugate(rho, hard_pulse(sys, "-y", np.pi / 2.0))
-
+    rho = _start_state(sys.dim)
     if method == "ideal-matrix":
         rho = conjugate(rho, oracle_matrix(oracle_id))
     else:
@@ -223,7 +231,7 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
         rho = run_trajectory(ir, sys, rho, relax=relax).states[-1]
 
     fid, spec = acquire(rho, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz, relax=relax)
-    _check_resolved(fid, sys)
+    check_resolved(fid, sys)
     classification = classify_peaks(spec.peaks)
     signs = tuple(p.real_integral for p in spec.peaks)
     return DJOutcome(oracle_id=oracle_id, method=method, peak_signs=signs,

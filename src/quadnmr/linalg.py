@@ -7,8 +7,10 @@ first. Only pulse generators, which are not diagonal, are exponentiated
 through an eigendecomposition, which keeps their propagators unitary to
 machine precision for the d <= 16 matrices handled here. The pulses module
 decomposes each generator once per spin and forms every propagator from
-those factors with expm_from_eigh; delay propagators are elementwise
-exponentials of the diagonal Hamiltonian.
+those factors with expm_from_eigh; delay and z-pulse propagators are
+elementwise exponentials (expm_diagonal). Both take a stack of exponents as
+readily as one, so the compiler builds a sequence's propagators in one call
+each.
 """
 
 from __future__ import annotations
@@ -100,9 +102,19 @@ def _spin_operators(dim: int) -> SpinOperators:
     return SpinOperators(spin=spin, ix=ix, iy=iy, iz=iz)
 
 
-def expm_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, scale: float) -> np.ndarray:
-    """Return exp(i * scale * H) from the eigh factors of a Hermitian H."""
+def expm_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, scale) -> np.ndarray:
+    """Return exp(i * scale * H) from the eigh factors of a Hermitian H; a
+    scale of shape (n, 1, 1) gives the n propagators stacked."""
     return (eigvecs * np.exp(1j * scale * eigvals)) @ eigvecs.conj().T
+
+
+def expm_diagonal(exponents: np.ndarray) -> np.ndarray:
+    """The diagonal matrix exp(diag(x)) of each row x of exponents, stacked
+    like the rows (one (d, d) matrix for a single row of d)."""
+    d = exponents.shape[-1]
+    out = np.zeros(exponents.shape + (d,), dtype=complex)
+    out.reshape(exponents.shape[:-1] + (d * d,))[..., ::d + 1] = np.exp(exponents)
+    return out
 
 
 def gate_fidelity_global_phase(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,12 +1,16 @@
-"""Pulse propagators: hard, transition-selective, closed-form z and shaped.
+"""Pulse propagators: hard, transition-selective and closed-form z.
 
-The refocus block (tau/2 - hard pi - tau/2) is compiler.refocus_block.
+The refocus block (tau/2 - hard pi - tau/2) and the shaped pulse are
+compiler.refocus_block and compiler.shaped_pulse.
 
 A hard or selective pulse generator depends only on the spin, the x or y
 drive and the transition, so its eigendecomposition is computed (and its
 Hermiticity checked) once per process on first use and kept read-only; each
 pulse then only exponentiates the eigenvalues (linalg.expm_from_eigh).
-Transitions are named by their 'label-label' pair, such as '10-11'.
+pulse_factors and z_row check a pulse and name what it is built from; the
+functions here build one pulse from them, and the compiler builds all the
+pulses of a sequence from them in one batch. Transitions are named by their
+'label-label' pair, such as '10-11'.
 
 Axis and flip-angle conventions:
 
@@ -24,7 +28,8 @@ Axis and flip-angle conventions:
 * a selective z-pulse with angle phi multiplies the block level with the
   smaller binary label by e^{-i phi} and the other by e^{+i phi} (phase
   difference 2 phi). It equals a y / x / -y composite of selective pulses;
-  the closed diagonal form is what the compiler emits.
+  the closed diagonal form, phi times a row of SpinSystem._exponent_rows
+  exponentiated, is what the compiler emits.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import expm_from_eigh, is_hermitian, spin_operators
-from .system import SpinSystem, Transition, free_evolution
+from .linalg import expm_diagonal, expm_from_eigh, is_hermitian, spin_operators
+from .system import Z_ROW, SpinSystem
 
 _AXIS_SIGN = {"x": +1.0, "-x": -1.0, "y": -1.0, "-y": +1.0}
 
@@ -44,7 +49,7 @@ def _drive(axis: str, angle_rad: float) -> tuple[float, bool]:
     """Sign of a pulse about axis with a finite angle, and whether it drives Ix."""
     if axis not in _AXIS_SIGN:
         raise ValueError(f"pulse axis must be one of x, -x, y, -y, got {axis!r}")
-    if not np.isfinite(angle_rad):
+    if not math.isfinite(angle_rad):
         raise ValueError("pulse angle must be finite")
     return _AXIS_SIGN[axis], axis in ("x", "-x")
 
@@ -80,10 +85,22 @@ def _generator_factors(dim: int, x_drive: bool,
     return eigvals, eigvecs
 
 
+def pulse_factors(sys: SpinSystem, axis: str, angle_rad: float, transition: str | None = None
+                  ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Sign and generator eigh factors of a hard pulse (transition None) or a
+    selective pulse on transition: the pulse is expm_from_eigh(*factors,
+    sign * angle_rad)."""
+    sign, x_drive = _drive(axis, angle_rad)
+    block = None
+    if transition is not None:
+        tr = sys.transition(transition)
+        block = (tr.upper_index, tr.lower_index)
+    return sign, _generator_factors(sys.dim, x_drive, block)
+
+
 def hard_pulse(sys: SpinSystem, axis: str, angle_rad: float) -> np.ndarray:
     """Nonselective pulse propagator exp(sign * i * I_axis * angle)."""
-    sign, x_drive = _drive(axis, angle_rad)
-    eigvals, eigvecs = _generator_factors(sys.dim, x_drive, None)
+    sign, (eigvals, eigvecs) = pulse_factors(sys, axis, angle_rad)
     return expm_from_eigh(eigvals, eigvecs, sign * angle_rad)
 
 
@@ -94,27 +111,19 @@ def selective_pulse(sys: SpinSystem, transition: str, axis: str,
     Identity outside the transition's 2x2 block; rejects forbidden
     transitions such as the |delta m| = 3 pair of spin 3/2.
     """
-    sign, x_drive = _drive(axis, angle_rad)
-    tr = sys.transition(transition)
-    eigvals, eigvecs = _generator_factors(sys.dim, x_drive,
-                                          (tr.upper_index, tr.lower_index))
+    sign, (eigvals, eigvecs) = pulse_factors(sys, axis, angle_rad, transition)
     return expm_from_eigh(eigvals, eigvecs, sign * angle_rad)
 
 
-def _z_orientation(tr: Transition) -> int:
-    """+1 when the upper-index level has the smaller binary label, else -1."""
-    return 1 if int(tr.upper_label, 2) < int(tr.lower_label, 2) else -1
+def z_row(sys: SpinSystem, transition: str, phi_rad: float) -> int:
+    """The row of sys._exponent_rows that phi_rad multiplies in a z-pulse."""
+    if not math.isfinite(phi_rad):
+        raise ValueError("pulse angle must be finite")
+    return Z_ROW + sys.transition(transition).upper_index
 
 
 def selective_z_closed_form(sys: SpinSystem, transition: str, phi_rad: float) -> np.ndarray:
-    if not math.isfinite(phi_rad):
-        raise ValueError("pulse angle must be finite")
-    tr = sys.transition(transition)
-    u = np.eye(sys.dim, dtype=complex)
-    s = _z_orientation(tr)
-    u[tr.upper_index, tr.upper_index] = np.exp(-1j * s * phi_rad)
-    u[tr.lower_index, tr.lower_index] = np.exp(+1j * s * phi_rad)
-    return u
+    return expm_diagonal(phi_rad * sys._exponent_rows[z_row(sys, transition, phi_rad)])
 
 
 def gradient_crush(rho: np.ndarray) -> np.ndarray:
@@ -123,24 +132,3 @@ def gradient_crush(rho: np.ndarray) -> np.ndarray:
     if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
         raise ValueError("crusher input must be Hermitian")
     return np.diag(np.diag(rho)).astype(complex)
-
-
-def shaped_pulse(sys: SpinSystem, transition: str, axis: str, nominal_angle_rad: float,
-                 duration_s: float) -> np.ndarray:
-    """Gaussian soft pulse on one transition, in closed form.
-
-    The drive is confined to the target transition's 2x2 block generator and
-    kept resonant with it. In the interaction frame of the diagonal H0, every
-    slice of the envelope is then an exponential of the same block generator,
-    so the slice product telescopes to free_evolution(T) after the ideal
-    selective pulse: the flip angle is exact for any unit-area envelope, and
-    the only idealization error left is the quadrupolar (and offset) phase
-    accrued over the duration. With a zero angle the result is the
-    free-evolution propagator; when the accrued phases are multiples of 2*pi
-    it is the ideal instantaneous selective pulse. A negative angle is the
-    positive angle about the opposite axis.
-    """
-    if duration_s <= 0:
-        raise ValueError("shaped pulse duration must be positive")
-    pulse = selective_pulse(sys, transition, axis, nominal_angle_rad)
-    return free_evolution(sys, duration_s) @ pulse

@@ -119,9 +119,9 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
         raise ValueError(f"expected {len(table)} amplitudes, got {amplitudes.shape}")
     if points < 2:
         raise ValueError("need at least two points")
-    if not (np.isfinite(dwell_s) and dwell_s > 0):
+    if not (math.isfinite(dwell_s) and dwell_s > 0):
         raise ValueError(f"dwell time must be positive and finite, got {dwell_s}")
-    if not np.isfinite(lb_hz) or lb_hz < 0:
+    if not math.isfinite(lb_hz) or lb_hz < 0:
         raise ValueError(f"line broadening must be finite and nonnegative, got {lb_hz}")
     return FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz,
                lines=_lines(amplitudes, sys, dwell_s, relax))

@@ -5,11 +5,15 @@ single T1. Each single-quantum coherence decays with the T2 of its own
 transition; multiple-quantum coherences have no dedicated rate and take
 the outer-transition T2. coherence_t2_table is the one table of those rates,
 built once per parameter set and level count and shared read-only by
-apply_relaxation and the FID's lines.
+decay_factors and the FID's lines. decay_factors gives the decays of many
+intervals at once and relax_step applies one interval's; apply_relaxation is
+the pair for a single interval, and the compiler calls the pair for all the
+relaxed intervals of a sequence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +37,7 @@ class RelaxationParams:
     def __post_init__(self):
         for name in ("t1_s", "t2_central_s", "t2_outer_s"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+            if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -53,6 +57,26 @@ def coherence_t2_table(params: RelaxationParams, dim: int) -> np.ndarray:
     return t2
 
 
+def decay_factors(dts_s, params: RelaxationParams, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-dt/T2) of every coherence, shape (n, dim, dim), and exp(-dt/T1),
+    shape (n,), for each of the n intervals dts_s. A decay whose exponent
+    overflows, as over the ~1e307 s quadrupolar delay of a near-zero
+    splitting, reads exactly 0."""
+    dts = np.asarray(dts_s, dtype=float)
+    with np.errstate(over="ignore"):    # dt / T = inf decays to exactly 0
+        return (np.exp(-dts[:, None, None] / coherence_t2_table(params, dim)),
+                np.exp(-dts / params.t1_s))
+
+
+def relax_step(rho: np.ndarray, t2_decay: np.ndarray, t1_decay: float,
+               eq: np.ndarray) -> np.ndarray:
+    """rho after one interval with the given decays: the coherences shrink and
+    the populations relax toward eq, the diagonal of the equilibrium state."""
+    out = rho * t2_decay
+    np.fill_diagonal(out, eq + (rho.diagonal().real - eq) * t1_decay)
+    return out
+
+
 def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
                      sys: SpinSystem) -> np.ndarray:
     """Relax a deviation matrix for a time dt (exact exponential map).
@@ -61,18 +85,13 @@ def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
     equilibrium_state(sys) (Iz) as its fixed point. It keeps the trace only
     of a traceless deviation matrix: the populations decay toward the
     traceless equilibrium, so a trace t ends as t * exp(-dt / T1). A decay
-    whose exponent overflows, as over the ~1e307 s quadrupolar delay of a
-    near-zero splitting, reads exactly 0.
+    whose exponent overflows reads exactly 0 (decay_factors).
     """
-    if not (np.isfinite(dt_s) and dt_s >= 0):
+    if not (math.isfinite(dt_s) and dt_s >= 0):
         raise ValueError(
             f"relaxation interval must be finite and nonnegative, got {dt_s}")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (sys.dim, sys.dim):
         raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
-    with np.errstate(over="ignore"):    # dt / T2 = inf decays to exactly 0
-        out = rho * np.exp(-dt_s / coherence_t2_table(params, sys.dim))
-    eq = np.diag(sys.operators.iz).real
-    pops = np.diag(rho).real
-    np.fill_diagonal(out, eq + (pops - eq) * np.exp(-dt_s / params.t1_s))
-    return out
+    t2_decay, t1_decay = decay_factors([dt_s], params, sys.dim)
+    return relax_step(rho, t2_decay[0], t1_decay[0], sys._iz_diag)

@@ -24,7 +24,7 @@ an optional leading '-'. Durations carry a unit (s, ms, us) or are the
 symbolic form pi/(12*lambda), resolved against the declared coupling.
 Transitions are bit-string pairs like 10-11; pairs whose levels are not
 adjacent (the unphysical |delta m| > 1 drives) are rejected at parse time.
-A gaussian clause makes a selective pulse soft (see pulses.shaped_pulse);
+A gaussian clause makes a selective pulse soft (see compiler.shaped_pulse);
 its optional slice count (>= 64) is only validated and printed back.
 
 One table (_STATEMENTS) gives each statement's event class and its words in
@@ -351,6 +351,8 @@ def _parse_event(words: list[str], sys: SpinSystem, values: dict) -> Event:
             raise _WordError(wrong.format(words[1]), E_UNKNOWN_KEYWORD, 1)
     cls, fields = entry
     end = _read_fields(words, start, fields, sys, values)
+    if cls is SelPulse:
+        values["shape"] = None
     if end < len(words) and cls is SelPulse:
         if words[end] != "gaussian":
             raise _WordError(f"unknown pulse shape {words[end]!r}", E_UNKNOWN_KEYWORD, end)
@@ -361,7 +363,9 @@ def _parse_event(words: list[str], sys: SpinSystem, values: dict) -> Event:
         values["shape"] = GaussianShape(**shape)
     if end < len(words):
         raise _WordError(f"unexpected trailing token {words[end]!r}", E_SYNTAX, end)
-    return cls(**values)
+    event = object.__new__(cls)     # values holds every field: skip the frozen __init__
+    event.__dict__.update(values)
+    return event
 
 
 def parse_sequence(text: str) -> SequenceIR:

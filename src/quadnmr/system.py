@@ -9,17 +9,23 @@ angular frequencies (rad/s); every public field and return value uses Hz.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import SpinOperators, spin_operators
+from .linalg import SpinOperators, expm_diagonal, spin_operators
 
 # Logical labels of the four levels of a spin-3/2 "two qubit" system, in
 # descending-m order m = 3/2, 1/2, -1/2, -3/2.
 SPIN_32_LABELS = ("00", "01", "11", "10")
 
 DEFAULT_SPLITTING_HZ = 16_000.0
+
+# The rows of SpinSystem._exponent_rows: the quadrupolar term, H, then the
+# z-pulse row of each line (i, i+1) at Z_ROW + i.
+QUAD_ROW, H_ROW, Z_ROW = 0, 1, 2
 
 
 class UnknownTransitionError(ValueError):
@@ -51,17 +57,20 @@ class SpinSystem:
     offset_hz: float = 0.0
     lambda_hz: float = DEFAULT_SPLITTING_HZ / 6.0
     labels: tuple[str, ...] = field(init=False)
-    # derived and built once: the observable lines (i, i+1), and the
-    # read-only diagonals (rad/s) of the quadrupolar term and of H
+    # derived and built once: the observable lines (i, i+1), each line under
+    # both its 'a-b' and 'b-a' labels, and the read-only diagonals of Iz and
+    # (rad/s) of the quadrupolar term and of H
     _transitions: dict[tuple[int, int], Transition] = field(
         init=False, compare=False, repr=False)
+    _by_label: dict[str, Transition] = field(init=False, compare=False, repr=False)
+    _iz_diag: np.ndarray = field(init=False, compare=False, repr=False)
     _quad_diag: np.ndarray = field(init=False, compare=False, repr=False)
     _h_diag: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ops = spin_operators(self.spin)  # validates the spin value
         for name, value in (("offset_hz", self.offset_hz), ("lambda_hz", self.lambda_hz)):
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         labels = _default_labels(ops.dim)
         object.__setattr__(self, "labels", labels)
@@ -74,14 +83,33 @@ class SpinSystem:
             raise ValueError(
                 f"offset_hz={self.offset_hz:g} and lambda_hz={self.lambda_hz:g} put the "
                 "Hamiltonian or a line frequency beyond the float range")
-        for name, diag in (("_quad_diag", quad), ("_h_diag", h_diag)):
+        for name, diag in (("_iz_diag", m), ("_quad_diag", quad), ("_h_diag", h_diag)):
             diag.flags.writeable = False
             object.__setattr__(self, name, diag)
-        object.__setattr__(self, "_transitions", {
-            (i, i + 1): Transition(upper_label=labels[i], lower_label=labels[i + 1],
-                                   upper_index=i, lower_index=i + 1, frequency_hz=f,
-                                   ix_element=float(abs(ops.ix[i, i + 1])))
-            for i, f in enumerate(freq_hz.tolist())})
+        lines = [Transition(upper_label=labels[i], lower_label=labels[i + 1],
+                            upper_index=i, lower_index=i + 1, frequency_hz=f,
+                            ix_element=float(abs(ops.ix[i, i + 1])))
+                 for i, f in enumerate(freq_hz.tolist())]
+        object.__setattr__(self, "_transitions", {(tr.upper_index, tr.lower_index): tr
+                                                  for tr in lines})
+        object.__setattr__(self, "_by_label", {
+            f"{a}-{b}": tr for tr in lines
+            for a, b in ((tr.upper_label, tr.lower_label), (tr.lower_label, tr.upper_label))})
+
+    @cached_property
+    def _exponent_rows(self) -> np.ndarray:
+        """Read-only rows whose multiples are the exponents of every diagonal
+        propagator: -i*tau times the QUAD_ROW or H_ROW for a delay, and phi
+        times a Z_ROW for a z-pulse, which puts -i*s on its line's upper level
+        and +i*s on the lower one.
+        """
+        rows = np.zeros((Z_ROW + self.dim - 1, self.dim), dtype=complex)
+        rows[QUAD_ROW], rows[H_ROW] = self._quad_diag, self._h_diag
+        for i, tr in enumerate(self._transitions.values()):
+            s = _z_orientation(tr)
+            rows[Z_ROW + i, i], rows[Z_ROW + i, i + 1] = -1j * s, +1j * s
+        rows.flags.writeable = False
+        return rows
 
     @classmethod
     def from_splitting(cls, splitting_hz: float = DEFAULT_SPLITTING_HZ,
@@ -91,7 +119,7 @@ class SpinSystem:
 
     @property
     def dim(self) -> int:
-        return int(round(2 * self.spin)) + 1
+        return len(self.labels)
 
     @property
     def splitting_hz(self) -> float:
@@ -113,17 +141,18 @@ class SpinSystem:
         Raises UnknownTransitionError for labels that do not exist and
         ForbiddenTransitionError for |delta m| > 1 pairs (e.g. '00-10').
         """
+        tr = self._by_label.get(pair)
+        if tr is not None:
+            return tr
         parts = pair.split("-")
         if len(parts) != 2:
             raise UnknownTransitionError(f"malformed transition label {pair!r}")
         i, j = self.index_of(parts[0]), self.index_of(parts[1])
         if i == j:
             raise UnknownTransitionError(f"transition needs two distinct levels: {pair!r}")
-        if abs(i - j) > 1:
-            raise ForbiddenTransitionError(
-                f"transition {pair} has |delta m| = {abs(i - j)}; "
-                "only single-quantum transitions can be driven")
-        return self._transitions[min(i, j), max(i, j)]
+        raise ForbiddenTransitionError(
+            f"transition {pair} has |delta m| = {abs(i - j)}; "
+            "only single-quantum transitions can be driven")
 
 
 @dataclass(frozen=True)
@@ -141,6 +170,11 @@ class Transition:
     @property
     def label(self) -> str:
         return f"{self.upper_label}-{self.lower_label}"
+
+
+def _z_orientation(tr: Transition) -> int:
+    """+1 when the upper-index level has the smaller binary label, else -1."""
+    return 1 if int(tr.upper_label, 2) < int(tr.lower_label, 2) else -1
 
 
 def transition_table(sys: SpinSystem) -> list[Transition]:
@@ -161,18 +195,20 @@ def quad_evolution(sys: SpinSystem, tau_s: float) -> np.ndarray:
     offset is deliberately excluded (on-resonance rotating frame; delays that
     must tolerate an offset go through the refocused block instead).
     """
-    return _diagonal_propagator(sys._quad_diag, tau_s)
+    return expm_diagonal(evolution_coefficient(tau_s) * sys._quad_diag)
 
 
 def free_evolution(sys: SpinSystem, tau_s: float) -> np.ndarray:
     """Propagator exp(-i H tau) under the full Hamiltonian, offset included."""
-    return _diagonal_propagator(sys._h_diag, tau_s)
+    return expm_diagonal(evolution_coefficient(tau_s) * sys._h_diag)
 
 
-def _diagonal_propagator(diag: np.ndarray, tau_s: float) -> np.ndarray:
-    if not (np.isfinite(tau_s) and tau_s >= 0):
+def evolution_coefficient(tau_s: float) -> complex:
+    """-i*tau, which times a diagonal Hamiltonian is the exponent of its
+    propagator over tau; refuses a negative or non-finite tau."""
+    if not (math.isfinite(tau_s) and tau_s >= 0):
         raise ValueError(f"evolution time must be finite and nonnegative, got {tau_s}")
-    return np.diag(np.exp(1j * -tau_s * diag))
+    return 1j * -tau_s
 
 
 def cphase_delay_s(sys: SpinSystem) -> float:

@@ -10,8 +10,8 @@ import numpy as np
 
 from quadnmr import SpinSystem, ideal_state_after_oracle, selective_pulse
 from quadnmr.linalg import ATOL, expm_from_eigh, is_hermitian
-from quadnmr.pulses import _unit_element, _z_orientation
-from quadnmr.system import Transition
+from quadnmr.pulses import _unit_element
+from quadnmr.system import Transition, _z_orientation
 
 
 def expm_hermitian(hermitian: np.ndarray, scale: float, atol: float = ATOL) -> np.ndarray:

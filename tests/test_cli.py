@@ -139,6 +139,15 @@ class TestEquilibriumAndPseudopure:
         assert "W_DEGENERATE" in err
         assert (tmp_path / "equilibrium_spectrum.csv").exists()
 
+    # both printed a peak table of merged lines with exit 0
+    @pytest.mark.parametrize("flag,value", [("--splitting", "100"), ("--lb", "1e308")])
+    def test_unresolved_equilibrium_is_refused(self, tmp_path, capsys, flag, value):
+        code, out, err = run_cli(capsys, "--outdir", str(tmp_path / "out"), "equilibrium",
+                                 flag, value)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error[E_UNRESOLVED]")
+        assert not (tmp_path / "out").exists()
+
     def test_outdir_environment_variable(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QUADNMR_OUTDIR", str(tmp_path / "env"))
         code, _, _ = run_cli(capsys, "pseudopure")

@@ -1,11 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadnmr import (NonUnitaryEventError, RelaxationParams, SpinSystem,
-                     apply_relaxation, compile_unitary, conjugate, equilibrium_state,
-                     free_evolution, hard_pulse, matrices_close, oracle_matrix,
-                     parse_sequence, pseudopure_00, run_trajectory, spectrum)
+                     apply_relaxation, compile_unitary, conjugate, cphase_delay_s,
+                     equilibrium_state, free_evolution, gradient_crush, hard_pulse,
+                     matrices_close, observable_amplitudes, oracle_matrix,
+                     parse_sequence, pseudopure_00, run_trajectory, spectrum,
+                     synthesize_fid, transition_table)
 from quadnmr.compiler import event_propagator
+from quadnmr.seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, GaussianShape, Gradient,
+                             HardPulse, QuadDelay, Refocus, SelPulse, SequenceIR,
+                             SystemDecl, ZPulse)
 
 from conftest import SEQUENCES_DIR
 
@@ -62,6 +71,21 @@ class TestCompileUnitary:
         ir = load("dj-f1.qseq")
         with pytest.raises(NonUnitaryEventError):
             compile_unitary(ir)
+
+    def test_first_bad_event_raises(self, sys32):
+        decl = SystemDecl(spin=1.5, splitting_hz=16_000.0)
+        ok = HardPulse(axis="x", angle_rad=1.0, angle_text="1")
+        bad = HardPulse(axis="z", angle_rad=1.0, angle_text="1")
+        acquire = Acquire(points=256, dwell_s=1e-6, dwell_text="1us")
+        with pytest.raises(NonUnitaryEventError, match="Acquire"):
+            compile_unitary(SequenceIR(decl, (ok, acquire, bad)), sys32)
+        with pytest.raises(ValueError, match="pulse axis"):
+            compile_unitary(SequenceIR(decl, (ok, bad, acquire)), sys32)
+        ir = SequenceIR(decl, (ok, Gradient(), bad))
+        with pytest.raises(ValueError, match="crusher input must be Hermitian"):
+            run_trajectory(ir, sys32, np.triu(np.ones((4, 4))))
+        with pytest.raises(ValueError, match="pulse axis"):
+            run_trajectory(ir, sys32, equilibrium_state(sys32))
 
 
 class TestRunTrajectory:
@@ -142,3 +166,103 @@ class TestRunTrajectory:
 def test_bundled_gate_scripts_compile_exactly(name, oracle, phase):
     compiled = compile_unitary(load(name))
     assert matrices_close(compiled, phase * oracle_matrix(oracle), atol=1e-10)
+
+
+SPINS = st.integers(1, 7).map(lambda two_i: two_i / 2.0)
+AXES = st.sampled_from(["x", "-x", "y", "-y"])
+# a whole turn, the symbolic angles and anything else
+ANGLES = st.one_of(st.sampled_from([2 * np.pi, np.pi, np.pi / 2, -np.pi / 4, 0.0]),
+                   st.floats(-10.0, 10.0))
+TAUS = st.one_of(st.just(0.0), st.just(SYMBOLIC_CPHASE_DELAY), st.floats(0.0, 1e-3))
+
+
+@st.composite
+def mixed_sequences(draw):
+    """A system and up to 40 events of every kind, several per generator,
+    with zero-length and symbolic delays and perhaps a final acquisition."""
+    sys = SpinSystem(spin=draw(SPINS), offset_hz=draw(st.floats(-5e3, 5e3)),
+                     lambda_hz=draw(st.floats(1.0, 5e3)))
+    labels = [tr.label for tr in transition_table(sys)]
+    events = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["hard", "sel", "shaped", "zpulse", "quad", "refocus", "gradient"]),
+            max_size=40)):
+        angle = draw(ANGLES)
+        if kind == "hard":
+            events.append(HardPulse(axis=draw(AXES), angle_rad=angle, angle_text="a"))
+        elif kind in ("sel", "shaped"):
+            shape = GaussianShape(duration_s=draw(st.floats(1e-7, 1e-3)),
+                                  duration_text="d") if kind == "shaped" else None
+            events.append(SelPulse(transition=draw(st.sampled_from(labels)),
+                                   axis=draw(AXES), angle_rad=angle, angle_text="a",
+                                   shape=shape))
+        elif kind == "zpulse":
+            events.append(ZPulse(transition=draw(st.sampled_from(labels)),
+                                 angle_rad=angle, angle_text="a"))
+        elif kind == "gradient":
+            events.append(Gradient())
+        else:
+            tau = draw(TAUS)
+            symbolic = tau == SYMBOLIC_CPHASE_DELAY
+            events.append((QuadDelay if kind == "quad" else Refocus)(
+                tau_s=cphase_delay_s(sys) if symbolic else tau,
+                tau_text=SYMBOLIC_CPHASE_DELAY if symbolic else "d"))
+    if draw(st.booleans()):
+        events.append(Acquire(points=256, dwell_s=1e-6, dwell_text="1us"))
+    decl = SystemDecl(spin=sys.spin, splitting_hz=sys.splitting_hz,
+                      offset_hz=sys.offset_hz)
+    return sys, SequenceIR(system_decl=decl, events=tuple(events))
+
+
+def _one_event_at_a_time(ir, sys, rho, relax):
+    """The states and FID of run_trajectory, built event by event."""
+    states, fid = [rho], None
+    for event in ir.events:
+        if isinstance(event, Gradient):
+            rho = gradient_crush(rho)
+        elif isinstance(event, Acquire):
+            fid = synthesize_fid(observable_amplitudes(rho, sys), sys, points=event.points,
+                                 dwell_s=event.dwell_s, relax=relax)
+        elif relax is not None and isinstance(event, Refocus):
+            half = free_evolution(sys, event.tau_s / 2)
+            for u, dt in ((half, event.tau_s / 2), (hard_pulse(sys, "-y", np.pi), None),
+                          (half, event.tau_s / 2)):
+                rho = conjugate(rho, u)
+                if dt is not None:
+                    rho = apply_relaxation(rho, dt, relax, sys)
+        else:
+            rho = conjugate(rho, event_propagator(event, sys))
+            dt = event.tau_s if isinstance(event, QuadDelay) else \
+                getattr(getattr(event, "shape", None), "duration_s", None)
+            if relax is not None and dt is not None:
+                rho = apply_relaxation(rho, dt, relax, sys)
+        states.append(rho)
+    return states, fid
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=mixed_sequences(), relax=st.sampled_from([None, RelaxationParams()]))
+def test_batch_equals_one_event_at_a_time(seq, relax):
+    """The batched propagators and decays give the bits of the batch of one."""
+    sys, ir = seq
+    rho0 = conjugate(equilibrium_state(sys), hard_pulse(sys, "-y", np.pi / 3))
+    result = run_trajectory(ir, sys, rho0, relax=relax)
+    states, fid = _one_event_at_a_time(ir, sys, rho0, relax)
+    assert len(result.states) == len(states)
+    for got, expected in zip(result.states, states):
+        assert np.array_equal(got, expected)
+    assert (result.fid is None) == (fid is None)
+    if fid is not None:
+        assert np.array_equal(result.fid.samples, fid.samples)
+    for a, b in itertools.combinations(result.states, 2):
+        assert not np.shares_memory(a, b)
+    unitary = []
+    for event in ir.events:
+        if isinstance(event, (Gradient, Acquire)):
+            break
+        unitary.append(event)
+    total = np.eye(sys.dim, dtype=complex)
+    for event in unitary:
+        total = event_propagator(event, sys) @ total
+    assert np.array_equal(compile_unitary(SequenceIR(ir.system_decl, tuple(unitary)), sys),
+                          total)

@@ -59,6 +59,69 @@ pulse sel 10-11 -y pi/sqrt(3) gaussian 50us 128
 refocus pi/(12*lambda)
 delay quad 0us
 """,
+    "inline-long-mixed": """\
+system I=3/2 splitting=20kHz offset=-300Hz
+pulse hard -y pi/2
+pulse hard x pi/4
+pulse hard y -pi/2
+pulse hard -x 6.283185307179586
+pulse hard y 0.3
+pulse sel 00-01 y pi/sqrt(3)
+pulse sel 01-11 x pi/2
+pulse sel 11-10 -y -pi/sqrt(3)
+pulse sel 10-11 -x 1.25
+pulse sel 01-00 x pi
+zpulse 01-11 pi/2
+zpulse 10-11 pi/4
+zpulse 00-01 -pi/4
+zpulse 11-01 2.5
+delay quad pi/(12*lambda)
+delay quad 25us
+delay quad 0us
+delay quad 3.5us
+refocus 40us
+refocus pi/(12*lambda)
+refocus 0us
+refocus 7us
+pulse sel 01-11 x pi/2 gaussian 20us
+pulse sel 00-01 -y pi/sqrt(3) gaussian 33us 128
+pulse sel 11-10 y pi/4 gaussian 12.5us
+pulse hard -y pi
+delay quad pi/(12*lambda)
+pulse sel 01-11 y -pi/2
+zpulse 10-11 -pi/2
+refocus 15us
+pulse hard x pi/2
+pulse sel 00-01 x pi/4
+delay quad 10us
+zpulse 01-11 pi
+pulse sel 10-11 y pi/sqrt(3) gaussian 50us
+refocus pi/(12*lambda)
+pulse hard -x pi/4
+pulse sel 01-11 -x 0.7
+zpulse 00-01 pi/2
+delay quad pi/(12*lambda)
+refocus 22us
+pulse hard y pi/2
+pulse sel 11-10 x -pi/4
+zpulse 11-10 0.1
+pulse sel 01-11 x pi gaussian 8us
+delay quad 1us
+refocus 0us
+pulse hard -y -pi/2
+pulse sel 00-01 y 2.0
+zpulse 01-11 -1.5
+delay quad pi/(12*lambda)
+refocus 3us
+pulse hard x 1e-3
+pulse sel 01-11 -y pi/2
+zpulse 10-11 pi
+delay quad 60us
+refocus pi/(12*lambda)
+gradient
+pulse hard -y pi/2
+acquire 512 4us
+""",
 }
 
 RELAX = {"none": None, "relax": RelaxationParams()}
@@ -111,7 +174,7 @@ def golden() -> dict[str, str]:
 
 
 def test_golden_covers_every_case(golden):
-    assert len(TEXTS) == 9
+    assert len(TEXTS) == 10
     assert len(golden) == 3 * len(TEXTS)
 
 

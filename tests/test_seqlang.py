@@ -73,6 +73,37 @@ class TestParsing:
         ir = parse_sequence("system I=3/2 splitting=16kHz\n")
         assert ir.events == ()
 
+    def test_parsed_events_equal_constructed_ones(self):
+        ir = parse_sequence(
+            "system I=3/2 splitting=16kHz\n"
+            "pulse hard -y pi/2\n"
+            "  pulse sel 10-11 x 0.5\n"
+            "pulse sel 01-11 y pi gaussian 20us 128\n"
+            "zpulse 01-11 -pi/4\n"
+            "delay quad pi/(12*lambda)\n"
+            "\trefocus 40us\n"
+            "gradient\n"
+            "acquire 1024 5us\n")
+        built = (
+            HardPulse(axis="-y", angle_rad=np.pi / 2, angle_text="pi/2", line=2, column=1),
+            SelPulse(transition="10-11", axis="x", angle_rad=0.5, angle_text="0.5",
+                     line=3, column=3),
+            SelPulse(transition="01-11", axis="y", angle_rad=np.pi, angle_text="pi",
+                     shape=GaussianShape(duration_s=20 * 1e-6, duration_text="20us",
+                                         n_slices=128), line=4, column=1),
+            ZPulse(transition="01-11", angle_rad=-np.pi / 4, angle_text="-pi/4",
+                   line=5, column=1),
+            QuadDelay(tau_s=1.0 / (24.0 * 16_000.0 / 6.0), tau_text="pi/(12*lambda)",
+                      line=6, column=1),
+            Refocus(tau_s=40 * 1e-6, tau_text="40us", line=7, column=2),
+            Gradient(line=8, column=1),
+            Acquire(points=1024, dwell_s=5 * 1e-6, dwell_text="5us", line=9, column=1))
+        assert ir.events == built
+        for parsed, expected in zip(ir.events, built):
+            assert hash(parsed) == hash(expected)
+            assert repr(parsed) == repr(expected)   # line and column included
+            assert parsed.__dict__ == expected.__dict__
+
     def test_offset_and_lambda_parameters(self):
         ir = parse_sequence("system I=3/2 lambda=2kHz offset=100Hz\n")
         assert ir.system_decl.splitting_hz == pytest.approx(12_000.0)
