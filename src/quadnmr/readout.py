@@ -84,6 +84,10 @@ class FID:
             samples += a * np.exp(2j * np.pi * f * t) * decay
         return samples
 
+    @cached_property
+    def _terms(self) -> list[tuple[complex, complex, int, int, complex]]:
+        return _line_terms(self)
+
 
 def _lines(amplitudes: np.ndarray, sys: SpinSystem, dwell_s: float,
            relax: RelaxationParams | None) -> tuple[tuple[complex, float, float], ...]:
@@ -135,12 +139,35 @@ class Peak:
     sign: int
 
 
-@dataclass(frozen=True)
 class Spectrum:
-    freq_hz: np.ndarray
-    amplitude: np.ndarray
-    peaks: list[Peak] = field(default_factory=list)
-    phase_rad: float = 0.0
+    """A transform on the zero-centred axis, with its peak table and phase.
+
+    Spectrum(freq_hz, amplitude) holds the arrays it is given. The one
+    spectrum(fid, sys) returns computes them when first read: the axis, and
+    the whole transform of fid times exp(1j * phase_rad).
+    """
+
+    def __init__(self, freq_hz: np.ndarray, amplitude: np.ndarray,
+                 peaks: list[Peak] | None = None, phase_rad: float = 0.0):
+        self.freq_hz, self.amplitude = freq_hz, amplitude
+        self.peaks = [] if peaks is None else peaks
+        self.phase_rad = phase_rad
+
+    @classmethod
+    def _phased(cls, fid: FID, peaks: list[Peak], phase_rad: float) -> Spectrum:
+        spec = cls.__new__(cls)
+        spec._fid, spec.peaks, spec.phase_rad = fid, peaks, phase_rad
+        return spec
+
+    @cached_property
+    def freq_hz(self) -> np.ndarray:
+        return _axis(self._fid)
+
+    @cached_property
+    def amplitude(self) -> np.ndarray:
+        amp = _line_spectrum(self._fid)
+        amp *= np.exp(1j * self.phase_rad)
+        return amp
 
 
 def _best_phase(integrals: np.ndarray) -> float:
@@ -176,11 +203,11 @@ def _best_phase(integrals: np.ndarray) -> float:
     return 0.0 if phase == 2.0 * math.pi else phase    # -1e-48 % 2pi rounds to 2pi
 
 
-def _window(freq: np.ndarray, span_s: float, line: float, lines: list[float],
+def _window(points: int, span_s: float, line: float, lines: list[float],
             half_width: float) -> slice | np.ndarray:
     """The bins of line's readout window, as a slice or an index array.
 
-    A bin at x = freq[i] belongs to the window when |x - line| <= half_width
+    A bin at x = (i - points//2) / span_s belongs to the window when |x - line| <= half_width
     and no other line is strictly nearer to x. Along the axis the first test
     holds on one run of bins and each other line fails the second on one
     end of it, so each edge is settled by testing the bins next to a first
@@ -188,13 +215,13 @@ def _window(freq: np.ndarray, span_s: float, line: float, lines: list[float],
     half_width, rounding can tie the two distances at scattered bins, so
     such a window is tested bin by bin.
     """
-    points, centre, step = len(freq), len(freq) // 2, 1.0 / span_s
+    centre, step = points // 2, 1.0 / span_s
 
     def first(test, near_hz, lo, hi):
         """First i in [lo, hi) whose bin passes a test that fails then passes, else hi."""
         guess = near_hz * span_s + centre
         i = lo if guess <= lo else hi if not guess < hi else int(guess)   # nan: hi
-        # (i - centre) * step rounds exactly like freq[i]
+        # (i - centre) * step rounds exactly like bin i of _axis
         while i > lo and test((i - 1 - centre) * step):
             i -= 1
         while i < hi and not test((i - centre) * step):
@@ -205,10 +232,11 @@ def _window(freq: np.ndarray, span_s: float, line: float, lines: list[float],
     hi = first(lambda x: x - line > half_width, line + half_width, lo, points)
     rivals = [f for f in lines if f != line]
     if any(abs(f - line) <= 16 * math.ulp(half_width) for f in rivals):
-        dist = np.abs(freq[lo:hi] - line)
+        x = (np.arange(lo, hi) - centre) * step
+        dist = np.abs(x - line)
         nearer = np.zeros(hi - lo, dtype=bool)
         for f in rivals:
-            nearer |= np.abs(freq[lo:hi] - f) < dist
+            nearer |= np.abs(x - f) < dist
         return lo + np.flatnonzero(~nearer)
     for f in rivals:
         if f > line:
@@ -262,36 +290,75 @@ def _bin_offset(frequency_hz: float, points: int, dwell_s: float) -> tuple[int, 
     return m, exact / scale - m * _TAU_LO
 
 
-def _line_spectrum(fid: FID) -> np.ndarray:
-    """The transform of fid's lines on the shifted axis, first sample at half weight.
+def _line_terms(fid: FID) -> list[tuple[complex, complex, int, int, complex]]:
+    """The constants of each line's term in the transform of fid.
 
-    Line a q^k contributes a (1 - q^N) / (1 - q w^j) - a/2. Each line is
-    taken from its nearest bin m (_bin_offset): with y its phase per sample
-    off that bin and d = (pi lb + 1/T2) dwell its decay per sample,
-    q w^j = exp(i y - d) w^(j-m), 1 - q^N = -expm1(N (i y - d)), and the
-    denominator at bin m is -expm1(i y - d). Undamped lines have |q| = 1,
-    where 1 - q^N and 1 - q w^m computed directly would lose their digits;
-    where both vanish (a line exactly on a bin, undamped) bin m holds N a.
+    Line a q^k contributes a (1 - q^N) / (1 - q w^j) - a/2 at bin j of the
+    shifted axis. Each line is taken from its nearest bin m (_bin_offset):
+    with y its phase per sample off that bin and d = (pi lb + 1/T2) dwell
+    its decay per sample, q w^j = exp(i y - d) w^(j-m), 1 - q^N = -expm1(N (i
+    y - d)), and the denominator at bin m is -expm1(i y - d). Undamped lines
+    have |q| = 1, where 1 - q^N and 1 - q w^m computed directly would lose
+    their digits; where both vanish (a line exactly on a bin, undamped) bin
+    m holds N a. So with table = _twiddles(N), a line's term at bin j is
+    num / (1 + factor * table[start + j]), except at its own bin m, which
+    holds own; each line gives (num, factor, start, m's bin index, own).
     """
     n, dwell_s = fid.points, fid.dwell_s
-    table = _twiddles(n)
-    amp = np.full(n, -0.5 * sum(a for a, _, _ in fid.lines), dtype=complex)
-    terms = np.empty(n, dtype=complex)
-    # in place: a fresh array per step would cost more than the arithmetic
+    terms = []
     for a, f, t2 in fid.lines:
         d = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s
         m, ny = _bin_offset(f, n, dwell_s)
         numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
-        j = (m + n // 2) % n
-        start = (n - n // 2 - m) % n
-        np.multiply(-cmath.exp(complex(-d, ny / n)), table[start:start + n], out=terms)
+        terms.append((a * numerator, -cmath.exp(complex(-d, ny / n)), (n - n // 2 - m) % n,
+                      (m + n // 2) % n,
+                      # the ratio first, so that a tiny amplitude does not take it subnormal
+                      a * (numerator / den) if den else n * a))
+    return terms
+
+
+def _line_spectrum(fid: FID, spans=None) -> np.ndarray:
+    """The transform of fid's lines on the shifted axis, or at chosen bins of
+    it, first sample at half weight: -a/2 summed over the lines plus each
+    line's term (_line_terms).
+
+    Each span (bins, lo, hi) puts the values at its bins, a slice or an
+    index array, at [lo, hi) of the result; without spans, every bin is
+    computed in order. Every value takes the same operations in the
+    same order whatever the spans, each step a number with a contiguous run
+    (numpy's complex loops may round otherwise for other strides), so the
+    values at some bins have the bits of the whole transform there.
+    """
+    n = fid.points
+    spans = spans or ((slice(0, n), 0, n),)
+    table = _twiddles(n)
+    amp = np.full(spans[-1][2], -0.5 * sum(a for a, _, _ in fid.lines), dtype=complex)
+    terms = np.empty_like(amp)
+    # in place: a fresh array per step would cost more than the arithmetic
+    for num, factor, start, j, own in fid._terms:
+        at = []     # where bin j's values go
+        for bins, lo, hi in spans:
+            if isinstance(bins, slice):
+                np.multiply(factor, table[start + bins.start:start + bins.stop], out=terms[lo:hi])
+                if bins.start <= j < bins.stop:
+                    at.append(lo + j - bins.start)
+            else:
+                np.multiply(factor, table[start + bins], out=terms[lo:hi])
+                at.extend((lo + np.flatnonzero(bins == j)).tolist())
         terms += 1.0
-        terms[j] = 1.0     # set below
-        np.divide(a * numerator, terms, out=terms)
-        # the ratio first, so that a tiny amplitude does not take it subnormal
-        terms[j] = a * (numerator / den) if den else n * a
+        for i in at:
+            terms[i] = 1.0     # set below
+        np.divide(num, terms, out=terms)
+        for i in at:
+            terms[i] = own
         amp += terms
     return amp
+
+
+def _axis(fid: FID) -> np.ndarray:
+    """(k - points//2) / (points * dwell) for k < points: fftshift(fftfreq(points, dwell))."""
+    n = fid.points
+    return np.arange(-(n // 2), n - n // 2, dtype=float) * (1.0 / (n * fid.dwell_s))
 
 
 def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
@@ -303,39 +370,50 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     (k - points//2) / (points * dwell) for k < points, the same values as
     fftshift(fftfreq(points, dwell)). Without a system, the unphased
     transform is returned. With one, the per-transition windows are
-    integrated, the exact zero-order phase is chosen, and the stored
-    amplitude is the phased spectrum. Each window spans +-3 lb around its
-    line and keeps only the bins no farther from it than from any other
-    line, so overlapping windows share no signal except at exact ties. A
-    window that holds no frequency bin is a ValueError naming the line.
+    integrated, the exact zero-order phase is chosen, and the amplitude is
+    the phased spectrum. Each window spans +-3 lb around its line and keeps
+    only the bins no farther from it than from any other line, so
+    overlapping windows share no signal except at exact ties. A window that
+    holds no frequency bin is a ValueError naming the line.
+
+    With a system, only the window bins are transformed: apart from those,
+    the work grows with the lines, not the points. The axis and the phased
+    amplitude are computed when first read, with the same bits.
     """
     n, span_s = fid.points, fid.points * fid.dwell_s
-    freq = np.arange(-(n // 2), n - n // 2, dtype=float) * (1.0 / span_s)
-    amp = _line_spectrum(fid)
     if sys is None:
-        return Spectrum(freq_hz=freq, amplitude=amp)
+        return Spectrum(freq_hz=_axis(fid), amplitude=_line_spectrum(fid))
 
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     table = transition_table(sys)
     lines = [tr.frequency_hz for tr in table]
-    windows = [_window(freq, span_s, line, lines, half_width) for line in lines]
+    windows = [_window(n, span_s, line, lines, half_width) for line in lines]
+    spans, at = [], 0
     for tr, window in zip(table, windows):
-        if freq[window].size == 0:
+        size = window.stop - window.start if isinstance(window, slice) else len(window)
+        if not size:
             raise ValueError(
                 f"readout window of line {tr.label} ({tr.frequency_hz:g} Hz "
                 f"+- {half_width:g} Hz) holds no frequency bin; raise the line "
                 "broadening or the acquisition time points * dwell")
-    df = freq[1] - freq[0]
-    raw = np.array([complex(amp[window].sum() * df) for window in windows])
+        spans.append((window, at, at + size))
+        at += size
+    values = _line_spectrum(fid, spans)
+    step, centre = 1.0 / span_s, n // 2
+    df = (1 - centre) * step - (-centre) * step     # bin 1 less bin 0 of _axis
+    raw = np.array([complex(values[lo:hi].sum() * df) for _, lo, hi in spans])
     phase = _best_phase(raw)
-    amp = amp * np.exp(1j * phase)
+    rot = np.exp(1j * phase)
+    magnitude = np.abs(values * rot)
+    integrals = (raw * rot).real
     peaks = []
-    for tr, window, integral in zip(table, windows, raw * np.exp(1j * phase)):
-        peak_hz = freq[window][int(np.argmax(np.abs(amp[window])))]
-        peaks.append(Peak(transition=tr.label, frequency_hz=float(peak_hz),
-                          real_integral=float(integral.real),
-                          sign=int(np.sign(integral.real)) or 1))
-    return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
+    for tr, (window, lo, hi), integral, sign in zip(table, spans, integrals.tolist(),
+                                                     np.sign(integrals).tolist()):
+        k = int(magnitude[lo:hi].argmax())
+        i = window.start + k if isinstance(window, slice) else int(window[k])
+        peaks.append(Peak(transition=tr.label, frequency_hz=(i - centre) * step,
+                          real_integral=integral, sign=int(sign) or 1))
+    return Spectrum._phased(fid, peaks, phase)
 
 
 def acquire(rho: np.ndarray, sys: SpinSystem, points: int = DEFAULT_POINTS,
