@@ -22,11 +22,14 @@ The spectrum is then phased by the global zero-order phase that maximizes
 the summed |real peak integrals| (largest peak forced positive), and
 summarized as one signed integral per transition over +-3 nominal linewidths.
 
-Apart from the transform, the readout's work grows with the number of lines,
-not with the points: each window is found as a run of bins by testing the
-bins at its edges (bin by bin only where two lines nearly coincide), giving
-the same bits as testing every bin, and the exact phase is found among at
-most one sign pattern of the integrals per line.
+The readout transforms only the bins of its windows, so its work grows with
+the lines and those bins, not with the points: each window is found as a run
+of bins by testing the bins at its edges (bin by bin only where two lines
+nearly coincide), giving the same bits as testing every bin; the integrals,
+the exact phase (found among at most one sign pattern of the integrals per
+line) and the peaks come from the window bins' values, which have the bits
+of the whole transform there. The whole transform, phased, and its axis are
+computed only when the spectrum's amplitude or axis is read.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -45,6 +48,10 @@ from .system import SpinSystem, transition_table
 DEFAULT_POINTS = 4096
 DEFAULT_DWELL_S = 5e-6
 DEFAULT_LB_HZ = 200.0
+# The most points an acquisition may have. A spectrum CSV takes up to about
+# 70 bytes a row, so 2^20 points write about 70 MB; transforming them holds
+# 2^21 complex twiddles and two 2^20-point arrays, 64 MB in all.
+MAX_POINTS = 2 ** 20
 
 # Number of nominal linewidths (each side) integrated around a line.
 PEAK_WINDOW_LINEWIDTHS = 3.0
@@ -113,9 +120,10 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
 
     Every line decays with the Lorentzian broadening factor lb_hz; when relax
     is given, each line additionally decays with its own transition T2.
-    Rejects lines at or beyond the Nyquist frequency 1/(2*dwell). The FID
-    keeps its lines: its samples are computed only when read, by the
-    formula of the module docstring, and spectrum() needs none of them.
+    Rejects lines at or beyond the Nyquist frequency 1/(2*dwell), and more
+    than MAX_POINTS points. The FID keeps its lines: its samples are
+    computed only when read, by the formula of the module docstring, and
+    spectrum() needs none of them.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
     table = transition_table(sys)
@@ -123,6 +131,8 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
         raise ValueError(f"expected {len(table)} amplitudes, got {amplitudes.shape}")
     if points < 2:
         raise ValueError("need at least two points")
+    if points > MAX_POINTS:
+        raise ValueError(f"at most {MAX_POINTS} points can be acquired, got {points}")
     if not (math.isfinite(dwell_s) and dwell_s > 0):
         raise ValueError(f"dwell time must be positive and finite, got {dwell_s}")
     if not math.isfinite(lb_hz) or lb_hz < 0:
@@ -376,9 +386,10 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     overlapping windows share no signal except at exact ties. A window that
     holds no frequency bin is a ValueError naming the line.
 
-    With a system, only the window bins are transformed: apart from those,
-    the work grows with the lines, not the points. The axis and the phased
-    amplitude are computed when first read, with the same bits.
+    With a system, only the window bins are transformed, so the work grows
+    with the lines and the window bins, not the points. The axis and the
+    whole phased transform are computed when first read; they have the same
+    bits as when they were computed here.
     """
     n, span_s = fid.points, fid.points * fid.dwell_s
     if sys is None:

@@ -42,7 +42,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
+from .readout import MAX_POINTS
 from .system import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError,
                      cphase_delay_s)
 
@@ -157,7 +159,10 @@ class SystemDecl:
     splitting_hz: float | None
     offset_hz: float = 0.0
 
-    def to_system(self) -> SpinSystem:
+    # built on first read and then shared; not a field, so equality and
+    # hashing still read the declared values only
+    @cached_property
+    def system(self) -> SpinSystem:
         splitting = self.splitting_hz if self.splitting_hz is not None else 0.0
         return SpinSystem.from_splitting(splitting_hz=splitting,
                                          offset_hz=self.offset_hz, spin=self.spin)
@@ -169,7 +174,7 @@ class SequenceIR:
     events: tuple[Event, ...]
 
     def system(self) -> SpinSystem:
-        return self.system_decl.to_system()
+        return self.system_decl.system
 
 
 # --- word readers -----------------------------------------------------------
@@ -225,6 +230,14 @@ def _read_int(text: str, i: int, sys: SpinSystem) -> int:
         raise _WordError(f"bad integer {text!r}", E_BAD_NUMBER, i) from None
 
 
+def _read_points(text: str, i: int, sys: SpinSystem) -> int:
+    points = _read_int(text, i, sys)
+    if points > MAX_POINTS:
+        raise _WordError(f"acquire points must be at most {MAX_POINTS}, got {points}",
+                         E_BAD_VALUE, i)
+    return points
+
+
 def _read_transition(text: str, i: int, sys: SpinSystem) -> str:
     try:
         sys.transition(text)
@@ -268,7 +281,7 @@ _STATEMENTS = {
     "refocus": (Refocus, (_TAU,)),
     "gradient": (Gradient, ()),
     "acquire": (Acquire, (
-        ("point count", _read_int, "points", None,
+        ("point count", _read_points, "points", None,
          (lambda n: n >= 2 and not n & (n - 1),
           "acquire points must be a power of two, got {}", E_POINTS_NOT_POWER2)),
         ("dwell time", _read_duration, "dwell_s", "dwell_text",
@@ -331,7 +344,7 @@ def _parse_system(words: list[str]) -> tuple[SystemDecl, SpinSystem]:
         raise _WordError("system declaration needs I=<spin>", E_SYNTAX, 0)
     decl = SystemDecl(spin=spin, splitting_hz=splitting, offset_hz=offset)
     try:
-        return decl, decl.to_system()
+        return decl, decl.system
     except ValueError as exc:
         raise _WordError(str(exc), E_BAD_VALUE, 0) from None
 

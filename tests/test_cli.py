@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +17,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_limited(address_space_bytes, *argv):
+    """The CLI in its own process, which cannot map more than address_space_bytes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space_bytes, address_space_bytes))
+
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from quadnmr.cli import main; sys.exit(main())",
+         *argv], capture_output=True, text=True, timeout=120, preexec_fn=limit,
+        env=dict(os.environ, PYTHONPATH=path))
 
 
 class TestDJCommand:
@@ -97,6 +117,20 @@ class TestDJCommand:
         assert code == 1
         assert "error[E_CONFIG]" in err
         assert not list(tmp_path.iterdir())
+
+
+class TestAcquisitionSize:
+    # both ended in numpy's _ArrayMemoryError traceback, allocating an 8 GB
+    # axis; under the 512 MB limit such an allocation fails at once instead
+    # of taking the machine's memory
+    @pytest.mark.parametrize("command", [["dj", "--oracle", "f3"], ["equilibrium"]])
+    def test_too_many_points_is_config_error(self, tmp_path, command):
+        result = run_cli_limited(512 << 20, "--outdir", str(tmp_path / "out"), *command,
+                                 "--points", "1000000000")
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == \
+            "error[E_CONFIG]: at most 1048576 points can be acquired, got 1000000000\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestEquilibriumAndPseudopure:

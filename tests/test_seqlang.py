@@ -1,11 +1,12 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnmr import ParseError, format_sequence, parse_sequence
+from quadnmr import ParseError, SpinSystem, compile_unitary, format_sequence, parse_sequence
 from quadnmr.seqlang import (Acquire, GaussianShape, Gradient, HardPulse, QuadDelay,
                              Refocus, SelPulse, SequenceIR, SystemDecl, ZPulse)
 
@@ -103,6 +104,22 @@ class TestParsing:
             assert hash(parsed) == hash(expected)
             assert repr(parsed) == repr(expected)   # line and column included
             assert parsed.__dict__ == expected.__dict__
+
+    def test_one_system_per_declaration(self, monkeypatch):
+        built = []
+        post_init = SpinSystem.__post_init__
+        monkeypatch.setattr(SpinSystem, "__post_init__",
+                            lambda self: built.append(post_init(self)))
+        ir = parse_sequence("system I=3/2 splitting=16kHz\npulse hard x pi/2\ngradient\n")
+        prefix = SequenceIR(system_decl=ir.system_decl, events=ir.events[:1])
+        compile_unitary(prefix)
+        # the parser's system serves the prefix's compile and the trajectory
+        assert ir.system() is prefix.system() is ir.system_decl.system
+        assert len(built) == 1
+        # it is no field: equality and hashing read the declared values only
+        assert [f.name for f in fields(SystemDecl)] == ["spin", "splitting_hz", "offset_hz"]
+        assert ir.system_decl == SystemDecl(spin=1.5, splitting_hz=16_000.0)
+        assert hash(ir.system_decl) == hash(SystemDecl(spin=1.5, splitting_hz=16_000.0))
 
     def test_offset_and_lambda_parameters(self):
         ir = parse_sequence("system I=3/2 lambda=2kHz offset=100Hz\n")
