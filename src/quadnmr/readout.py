@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -93,7 +93,31 @@ class FID:
 
     @cached_property
     def _terms(self) -> list[tuple[complex, complex, int, int, complex]]:
-        return _line_terms(self)
+        """The constants of each line's term in the transform (_line_spectrum).
+
+        Line a q^k contributes a (1 - q^N) / (1 - q w^j) - a/2 at bin j of
+        the shifted axis. Each line is taken from its nearest bin m
+        (_bin_offset): with y its phase per sample off that bin and d = (pi lb
+        + 1/T2) dwell its decay per sample, q w^j = exp(i y - d) w^(j-m),
+        1 - q^N = -expm1(N (i y - d)), and the denominator at bin m is
+        -expm1(i y - d). Undamped lines have |q| = 1, where 1 - q^N and
+        1 - q w^m computed directly would lose their digits; where both
+        vanish (a line exactly on a bin, undamped) bin m holds N a. So a
+        line's term at bin j is num / (1 + factor * _twiddles(N)[start + j]),
+        except at m's bin, which holds own: each line gives (num, factor,
+        start, m's bin, own).
+        """
+        n, dwell_s = self.points, self.dwell_s
+        terms = []
+        for a, f, t2 in self.lines:
+            d = (math.pi * self.lb_hz + 1.0 / t2) * dwell_s
+            m, ny = _bin_offset(f, n, dwell_s)
+            numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
+            terms.append((a * numerator, -cmath.exp(complex(-d, ny / n)), (n - n // 2 - m) % n,
+                          (m + n // 2) % n,
+                          # the ratio first, so that a tiny amplitude does not take it subnormal
+                          a * (numerator / den) if den else n * a))
+        return terms
 
 
 def _lines(amplitudes: np.ndarray, sys: SpinSystem, dwell_s: float,
@@ -149,25 +173,21 @@ class Peak:
     sign: int
 
 
+@dataclass(frozen=True)
 class Spectrum:
-    """A transform on the zero-centred axis, with its peak table and phase.
+    freq_hz: np.ndarray
+    amplitude: np.ndarray
+    peaks: list[Peak] = field(default_factory=list)
+    phase_rad: float = 0.0
 
-    Spectrum(freq_hz, amplitude) holds the arrays it is given. The one
-    spectrum(fid, sys) returns computes them when first read: the axis, and
-    the whole transform of fid times exp(1j * phase_rad).
-    """
 
-    def __init__(self, freq_hz: np.ndarray, amplitude: np.ndarray,
-                 peaks: list[Peak] | None = None, phase_rad: float = 0.0):
-        self.freq_hz, self.amplitude = freq_hz, amplitude
-        self.peaks = [] if peaks is None else peaks
-        self.phase_rad = phase_rad
+class _PhasedSpectrum(Spectrum):
+    """The Spectrum spectrum(fid, sys) returns: its axis and its amplitude,
+    the whole transform of fid times exp(1j * phase_rad), are computed when
+    first read."""
 
-    @classmethod
-    def _phased(cls, fid: FID, peaks: list[Peak], phase_rad: float) -> Spectrum:
-        spec = cls.__new__(cls)
-        spec._fid, spec.peaks, spec.phase_rad = fid, peaks, phase_rad
-        return spec
+    def __init__(self, fid: FID, peaks: list[Peak], phase_rad: float):
+        self.__dict__.update(_fid=fid, peaks=peaks, phase_rad=phase_rad)
 
     @cached_property
     def freq_hz(self) -> np.ndarray:
@@ -300,44 +320,15 @@ def _bin_offset(frequency_hz: float, points: int, dwell_s: float) -> tuple[int, 
     return m, exact / scale - m * _TAU_LO
 
 
-def _line_terms(fid: FID) -> list[tuple[complex, complex, int, int, complex]]:
-    """The constants of each line's term in the transform of fid.
-
-    Line a q^k contributes a (1 - q^N) / (1 - q w^j) - a/2 at bin j of the
-    shifted axis. Each line is taken from its nearest bin m (_bin_offset):
-    with y its phase per sample off that bin and d = (pi lb + 1/T2) dwell
-    its decay per sample, q w^j = exp(i y - d) w^(j-m), 1 - q^N = -expm1(N (i
-    y - d)), and the denominator at bin m is -expm1(i y - d). Undamped lines
-    have |q| = 1, where 1 - q^N and 1 - q w^m computed directly would lose
-    their digits; where both vanish (a line exactly on a bin, undamped) bin
-    m holds N a. So with table = _twiddles(N), a line's term at bin j is
-    num / (1 + factor * table[start + j]), except at its own bin m, which
-    holds own; each line gives (num, factor, start, m's bin index, own).
-    """
-    n, dwell_s = fid.points, fid.dwell_s
-    terms = []
-    for a, f, t2 in fid.lines:
-        d = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s
-        m, ny = _bin_offset(f, n, dwell_s)
-        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
-        terms.append((a * numerator, -cmath.exp(complex(-d, ny / n)), (n - n // 2 - m) % n,
-                      (m + n // 2) % n,
-                      # the ratio first, so that a tiny amplitude does not take it subnormal
-                      a * (numerator / den) if den else n * a))
-    return terms
-
-
 def _line_spectrum(fid: FID, spans=None) -> np.ndarray:
-    """The transform of fid's lines on the shifted axis, or at chosen bins of
-    it, first sample at half weight: -a/2 summed over the lines plus each
-    line's term (_line_terms).
+    """The transform of fid's lines on the shifted axis, first sample at half
+    weight: -a/2 summed over the lines, plus each line's term (FID._terms).
 
-    Each span (bins, lo, hi) puts the values at its bins, a slice or an
-    index array, at [lo, hi) of the result; without spans, every bin is
-    computed in order. Every value takes the same operations in the
-    same order whatever the spans, each step a number with a contiguous run
-    (numpy's complex loops may round otherwise for other strides), so the
-    values at some bins have the bits of the whole transform there.
+    Each span (bins, lo, hi) asks for the bins of a slice or an index array,
+    put at [lo, hi) of the result; without spans, every bin in order. Each
+    step takes one number with a contiguous run whatever the spans (numpy's
+    complex loops may round otherwise for other strides), so a bin has the
+    same bits however it is asked for.
     """
     n = fid.points
     spans = spans or ((slice(0, n), 0, n),)
@@ -424,7 +415,7 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
         i = window.start + k if isinstance(window, slice) else int(window[k])
         peaks.append(Peak(transition=tr.label, frequency_hz=(i - centre) * step,
                           real_integral=integral, sign=int(sign) or 1))
-    return Spectrum._phased(fid, peaks, phase)
+    return _PhasedSpectrum(fid, peaks, phase)
 
 
 def acquire(rho: np.ndarray, sys: SpinSystem, points: int = DEFAULT_POINTS,
