@@ -113,10 +113,9 @@ class FID:
             d = (math.pi * self.lb_hz + 1.0 / t2) * dwell_s
             m, ny = _bin_offset(f, n, dwell_s)
             numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
+            # own: the ratio first, so that a tiny amplitude does not take it subnormal
             terms.append((a * numerator, -cmath.exp(complex(-d, ny / n)), (n - n // 2 - m) % n,
-                          (m + n // 2) % n,
-                          # the ratio first, so that a tiny amplitude does not take it subnormal
-                          a * (numerator / den) if den else n * a))
+                          (m + n // 2) % n, a * (numerator / den) if den else n * a))
         return terms
 
 
@@ -237,13 +236,13 @@ def _window(points: int, span_s: float, line: float, lines: list[float],
             half_width: float) -> slice | np.ndarray:
     """The bins of line's readout window, as a slice or an index array.
 
-    A bin at x = (i - points//2) / span_s belongs to the window when |x - line| <= half_width
-    and no other line is strictly nearer to x. Along the axis the first test
-    holds on one run of bins and each other line fails the second on one
-    end of it, so each edge is settled by testing the bins next to a first
-    guess. Where another line lies within a few units in the last place of
-    half_width, rounding can tie the two distances at scattered bins, so
-    such a window is tested bin by bin.
+    A bin at x = (i - points//2) / span_s belongs to the window when
+    |x - line| <= half_width and no other line is strictly nearer to x.
+    Along the axis the first test holds on one run of bins and each other
+    line fails the second on one end of it, so each edge is settled by
+    testing the bins next to a first guess. Where another line lies within
+    a few units in the last place of half_width, rounding can tie the two
+    distances at scattered bins, so such a window is tested bin by bin.
     """
     centre, step = points // 2, 1.0 / span_s
 
@@ -340,7 +339,8 @@ def _line_spectrum(fid: FID, spans=None) -> np.ndarray:
         at = []     # where bin j's values go
         for bins, lo, hi in spans:
             if isinstance(bins, slice):
-                np.multiply(factor, table[start + bins.start:start + bins.stop], out=terms[lo:hi])
+                np.multiply(factor, table[start + bins.start:start + bins.stop],
+                            out=terms[lo:hi])
                 if bins.start <= j < bins.stop:
                     at.append(lo + j - bins.start)
             else:
