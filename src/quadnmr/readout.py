@@ -22,14 +22,11 @@ The spectrum is then phased by the global zero-order phase that maximizes
 the summed |real peak integrals| (largest peak forced positive), and
 summarized as one signed integral per transition over +-3 nominal linewidths.
 
-The readout transforms only the bins of its windows, so its work grows with
-the lines and those bins, not with the points: each window is found as a run
-of bins by testing the bins at its edges (bin by bin only where two lines
-nearly coincide), giving the same bits as testing every bin; the integrals,
-the exact phase (found among at most one sign pattern of the integrals per
-line) and the peaks come from the window bins' values, which have the bits
-of the whole transform there. The whole transform, phased, and its axis are
-computed only when the spectrum's amplitude or axis is read.
+Apart from the transform, the readout's work grows with the number of lines,
+not with the points: each window is found as a run of bins by testing the
+bins at its edges (bin by bin only where two lines nearly coincide), giving
+the same bits as testing every bin, and the exact phase is found among at
+most one sign pattern of the integrals per line.
 """
 
 from __future__ import annotations
@@ -90,33 +87,6 @@ class FID:
             decay = broadening if t2 == math.inf else broadening * np.exp(-t / t2)
             samples += a * np.exp(2j * np.pi * f * t) * decay
         return samples
-
-    @cached_property
-    def _terms(self) -> list[tuple[complex, complex, int, int, complex]]:
-        """The constants of each line's term in the transform (_line_spectrum).
-
-        Line a q^k contributes a (1 - q^N) / (1 - q w^j) - a/2 at bin j of
-        the shifted axis. Each line is taken from its nearest bin m
-        (_bin_offset): with y its phase per sample off that bin and d = (pi lb
-        + 1/T2) dwell its decay per sample, q w^j = exp(i y - d) w^(j-m),
-        1 - q^N = -expm1(N (i y - d)), and the denominator at bin m is
-        -expm1(i y - d). Undamped lines have |q| = 1, where 1 - q^N and
-        1 - q w^m computed directly would lose their digits; where both
-        vanish (a line exactly on a bin, undamped) bin m holds N a. So a
-        line's term at bin j is num / (1 + factor * _twiddles(N)[start + j]),
-        except at m's bin, which holds own: each line gives (num, factor,
-        start, m's bin, own).
-        """
-        n, dwell_s = self.points, self.dwell_s
-        terms = []
-        for a, f, t2 in self.lines:
-            d = (math.pi * self.lb_hz + 1.0 / t2) * dwell_s
-            m, ny = _bin_offset(f, n, dwell_s)
-            numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
-            # own: the ratio first, so that a tiny amplitude does not take it subnormal
-            terms.append((a * numerator, -cmath.exp(complex(-d, ny / n)), (n - n // 2 - m) % n,
-                          (m + n // 2) % n, a * (numerator / den) if den else n * a))
-        return terms
 
 
 def _lines(amplitudes: np.ndarray, sys: SpinSystem, dwell_s: float,
@@ -180,25 +150,6 @@ class Spectrum:
     phase_rad: float = 0.0
 
 
-class _PhasedSpectrum(Spectrum):
-    """The Spectrum spectrum(fid, sys) returns: its axis and its amplitude,
-    the whole transform of fid times exp(1j * phase_rad), are computed when
-    first read."""
-
-    def __init__(self, fid: FID, peaks: list[Peak], phase_rad: float):
-        self.__dict__.update(_fid=fid, peaks=peaks, phase_rad=phase_rad)
-
-    @cached_property
-    def freq_hz(self) -> np.ndarray:
-        return _axis(self._fid)
-
-    @cached_property
-    def amplitude(self) -> np.ndarray:
-        amp = _line_spectrum(self._fid)
-        amp *= np.exp(1j * self.phase_rad)
-        return amp
-
-
 def _best_phase(integrals: np.ndarray) -> float:
     """Zero-order phase maximizing sum of |real parts|, largest peak positive.
 
@@ -232,25 +183,25 @@ def _best_phase(integrals: np.ndarray) -> float:
     return 0.0 if phase == 2.0 * math.pi else phase    # -1e-48 % 2pi rounds to 2pi
 
 
-def _window(points: int, span_s: float, line: float, lines: list[float],
+def _window(freq: np.ndarray, span_s: float, line: float, lines: list[float],
             half_width: float) -> slice | np.ndarray:
     """The bins of line's readout window, as a slice or an index array.
 
-    A bin at x = (i - points//2) / span_s belongs to the window when
-    |x - line| <= half_width and no other line is strictly nearer to x.
-    Along the axis the first test holds on one run of bins and each other
-    line fails the second on one end of it, so each edge is settled by
-    testing the bins next to a first guess. Where another line lies within
-    a few units in the last place of half_width, rounding can tie the two
-    distances at scattered bins, so such a window is tested bin by bin.
+    A bin at x = freq[i] belongs to the window when |x - line| <= half_width
+    and no other line is strictly nearer to x. Along the axis the first test
+    holds on one run of bins and each other line fails the second on one
+    end of it, so each edge is settled by testing the bins next to a first
+    guess. Where another line lies within a few units in the last place of
+    half_width, rounding can tie the two distances at scattered bins, so
+    such a window is tested bin by bin.
     """
-    centre, step = points // 2, 1.0 / span_s
+    points, centre, step = len(freq), len(freq) // 2, 1.0 / span_s
 
     def first(test, near_hz, lo, hi):
         """First i in [lo, hi) whose bin passes a test that fails then passes, else hi."""
         guess = near_hz * span_s + centre
         i = lo if guess <= lo else hi if not guess < hi else int(guess)   # nan: hi
-        # (i - centre) * step rounds exactly like bin i of _axis
+        # (i - centre) * step rounds exactly like freq[i]
         while i > lo and test((i - 1 - centre) * step):
             i -= 1
         while i < hi and not test((i - centre) * step):
@@ -261,11 +212,10 @@ def _window(points: int, span_s: float, line: float, lines: list[float],
     hi = first(lambda x: x - line > half_width, line + half_width, lo, points)
     rivals = [f for f in lines if f != line]
     if any(abs(f - line) <= 16 * math.ulp(half_width) for f in rivals):
-        x = (np.arange(lo, hi) - centre) * step
-        dist = np.abs(x - line)
+        dist = np.abs(freq[lo:hi] - line)
         nearer = np.zeros(hi - lo, dtype=bool)
         for f in rivals:
-            nearer |= np.abs(x - f) < dist
+            nearer |= np.abs(freq[lo:hi] - f) < dist
         return lo + np.flatnonzero(~nearer)
     for f in rivals:
         if f > line:
@@ -277,6 +227,8 @@ def _window(points: int, span_s: float, line: float, lines: list[float],
 
 # 2 pi - math.tau, the part of 2 pi that math.tau rounds off
 _TAU_LO = 2.4492935982947064e-16
+_TAU_RATIO = math.tau.as_integer_ratio()
+_NORMAL_MIN = float(np.finfo(float).tiny)     # the least normal double
 
 
 @lru_cache(maxsize=3)
@@ -313,53 +265,61 @@ def _bin_offset(frequency_hz: float, points: int, dwell_s: float) -> tuple[int, 
     omega = math.tau * frequency_hz
     m = round(points * omega * dwell_s / math.tau)
     (wn, wd), (dn, dd) = omega.as_integer_ratio(), float(dwell_s).as_integer_ratio()
-    tn, td = math.tau.as_integer_ratio()
+    tn, td = _TAU_RATIO
     scale = max(wd * dd, td)      # powers of two
     exact = int(points) * wn * dn * (scale // (wd * dd)) - m * tn * (scale // td)
     return m, exact / scale - m * _TAU_LO
 
 
-def _line_spectrum(fid: FID, spans=None) -> np.ndarray:
-    """The transform of fid's lines on the shifted axis, first sample at half
-    weight: -a/2 summed over the lines, plus each line's term (FID._terms).
+def _line_spectrum(fid: FID) -> np.ndarray:
+    """The transform of fid's lines on the shifted axis, first sample at half weight.
 
-    Each span (bins, lo, hi) asks for the bins of a slice or an index array,
-    put at [lo, hi) of the result; without spans, every bin in order. Each
-    step takes one number with a contiguous run whatever the spans (numpy's
-    complex loops may round otherwise for other strides), so a bin has the
-    same bits however it is asked for.
+    Line a q^k contributes a (1 - q^N) / (1 - q w^j) - a/2. Each line is
+    taken from its nearest bin m (_bin_offset): with y its phase per sample
+    off that bin and d = (pi lb + 1/T2) dwell its decay per sample,
+    q w^j = exp(i y - d) w^(j-m), 1 - q^N = -expm1(N (i y - d)), and the
+    denominator at bin m is -expm1(i y - d). Undamped lines have |q| = 1,
+    where 1 - q^N and 1 - q w^m computed directly would lose their digits;
+    where both vanish (a line exactly on a bin, undamped) bin m holds N a,
+    and so it does where the denominator falls below the normal range: there
+    it keeps too few digits for the ratio, which is N a to double precision
+    (N |i y - d| < 1e-300).
     """
-    n = fid.points
-    spans = spans or ((slice(0, n), 0, n),)
+    n, dwell_s = fid.points, fid.dwell_s
     table = _twiddles(n)
-    amp = np.full(spans[-1][2], -0.5 * sum(a for a, _, _ in fid.lines), dtype=complex)
-    terms = np.empty_like(amp)
+    constant = -0.5 * sum(a for a, _, _ in fid.lines)
+    amp, terms = None, np.empty(n, dtype=complex)
     # in place: a fresh array per step would cost more than the arithmetic
-    for num, factor, start, j, own in fid._terms:
-        at = []     # where bin j's values go
-        for bins, lo, hi in spans:
-            if isinstance(bins, slice):
-                np.multiply(factor, table[start + bins.start:start + bins.stop],
-                            out=terms[lo:hi])
-                if bins.start <= j < bins.stop:
-                    at.append(lo + j - bins.start)
-            else:
-                np.multiply(factor, table[start + bins], out=terms[lo:hi])
-                at.extend((lo + np.flatnonzero(bins == j)).tolist())
+    for a, f, t2 in fid.lines:
+        d = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s
+        m, ny = _bin_offset(f, n, dwell_s)
+        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
+        j = (m + n // 2) % n
+        start = (n - n // 2 - m) % n
+        np.multiply(-cmath.exp(complex(-d, ny / n)), table[start:start + n], out=terms)
         terms += 1.0
-        for i in at:
-            terms[i] = 1.0     # set below
-        np.divide(num, terms, out=terms)
-        for i in at:
-            terms[i] = own
-        amp += terms
-    return amp
+        terms[j] = 1.0     # set below
+        np.divide(a * numerator, terms, out=terms)
+        # the ratio first, so that a tiny amplitude does not take it subnormal
+        terms[j] = a * (numerator / den) if abs(den) >= _NORMAL_MIN else n * a
+        if amp is None:
+            # the first line's array becomes the sum: term + constant has
+            # the bits of constant + term, and no array is filled first
+            amp, terms = terms, np.empty(n, dtype=complex)
+            amp += constant
+        else:
+            amp += terms
+    return np.full(n, constant, dtype=complex) if amp is None else amp
 
 
-def _axis(fid: FID) -> np.ndarray:
-    """(k - points//2) / (points * dwell) for k < points: fftshift(fftfreq(points, dwell))."""
-    n = fid.points
-    return np.arange(-(n // 2), n - n // 2, dtype=float) * (1.0 / (n * fid.dwell_s))
+@lru_cache(maxsize=3)
+def _axis(points: int, dwell_s: float) -> np.ndarray:
+    """Read-only (k - points//2) / (points * dwell) for k < points, which
+    the spectra of one grid share."""
+    freq = np.arange(-(points // 2), points - points // 2, dtype=float)
+    freq *= 1.0 / (points * dwell_s)
+    freq.flags.writeable = False
+    return freq
 
 
 def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
@@ -369,53 +329,43 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     half of it from every bin. The FID is transformed in closed form from
     its lines (_line_spectrum), with no samples and no FFT. The axis is
     (k - points//2) / (points * dwell) for k < points, the same values as
-    fftshift(fftfreq(points, dwell)). Without a system, the unphased
-    transform is returned. With one, the per-transition windows are
-    integrated, the exact zero-order phase is chosen, and the amplitude is
-    the phased spectrum. Each window spans +-3 lb around its line and keeps
-    only the bins no farther from it than from any other line, so
-    overlapping windows share no signal except at exact ties. A window that
-    holds no frequency bin is a ValueError naming the line.
-
-    With a system, only the window bins are transformed, so the work grows
-    with the lines and the window bins, not the points. The axis and the
-    whole phased transform are computed when first read; they have the same
-    bits as when they were computed here.
+    fftshift(fftfreq(points, dwell)); it is read-only, and the spectra of
+    one grid share it. Without a system, the unphased transform is
+    returned. With one, the per-transition windows are integrated, the
+    exact zero-order phase is chosen, and the transform is phased in place.
+    Each window spans +-3 lb around its line and keeps only the bins no
+    farther from it than from any other line, so overlapping windows share
+    no signal except at exact ties. A window that holds no frequency bin is
+    a ValueError naming the line.
     """
-    n, span_s = fid.points, fid.points * fid.dwell_s
+    freq, amp = _axis(fid.points, fid.dwell_s), _line_spectrum(fid)
     if sys is None:
-        return Spectrum(freq_hz=_axis(fid), amplitude=_line_spectrum(fid))
+        return Spectrum(freq_hz=freq, amplitude=amp)
 
+    span_s = fid.points * fid.dwell_s
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     table = transition_table(sys)
     lines = [tr.frequency_hz for tr in table]
-    windows = [_window(n, span_s, line, lines, half_width) for line in lines]
-    spans, at = [], 0
+    windows = [_window(freq, span_s, line, lines, half_width) for line in lines]
     for tr, window in zip(table, windows):
-        size = window.stop - window.start if isinstance(window, slice) else len(window)
-        if not size:
+        if freq[window].size == 0:
             raise ValueError(
                 f"readout window of line {tr.label} ({tr.frequency_hz:g} Hz "
                 f"+- {half_width:g} Hz) holds no frequency bin; raise the line "
                 "broadening or the acquisition time points * dwell")
-        spans.append((window, at, at + size))
-        at += size
-    values = _line_spectrum(fid, spans)
-    step, centre = 1.0 / span_s, n // 2
-    df = (1 - centre) * step - (-centre) * step     # bin 1 less bin 0 of _axis
-    raw = np.array([complex(values[lo:hi].sum() * df) for _, lo, hi in spans])
+    df = freq[1] - freq[0]
+    raw = np.array([complex(amp[window].sum() * df) for window in windows])
     phase = _best_phase(raw)
     rot = np.exp(1j * phase)
-    magnitude = np.abs(values * rot)
+    amp *= rot      # the bits of amp * rot, without a second array
     integrals = (raw * rot).real
     peaks = []
-    for tr, (window, lo, hi), integral, sign in zip(table, spans, integrals.tolist(),
-                                                     np.sign(integrals).tolist()):
-        k = int(magnitude[lo:hi].argmax())
-        i = window.start + k if isinstance(window, slice) else int(window[k])
-        peaks.append(Peak(transition=tr.label, frequency_hz=(i - centre) * step,
+    for tr, window, integral, sign in zip(table, windows, integrals.tolist(),
+                                          np.sign(integrals).tolist()):
+        peak_hz = freq[window][np.abs(amp[window]).argmax()]
+        peaks.append(Peak(transition=tr.label, frequency_hz=float(peak_hz),
                           real_integral=integral, sign=int(sign) or 1))
-    return _PhasedSpectrum(fid, peaks, phase)
+    return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
 
 
 def acquire(rho: np.ndarray, sys: SpinSystem, points: int = DEFAULT_POINTS,

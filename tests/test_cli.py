@@ -1,5 +1,4 @@
 import os
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -19,18 +18,27 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_limited(address_space_bytes, *argv):
-    """The CLI in its own process, which cannot map more than address_space_bytes."""
+# The CLI's main, run once the imports are done under an address-space limit
+# of what the process maps by then plus the given headroom, so that the
+# limit does not depend on what the imports map (thread stacks and arenas
+# grow with the machine's cores).
+_LIMITED_MAIN = """
+import resource, sys
+from quadnmr.cli import main
+limit = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize() + {headroom}
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main())
+"""
+
+
+def run_cli_limited(headroom_bytes, *argv):
+    """The CLI in its own process, which cannot map more than headroom_bytes
+    beyond what its imports mapped."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (address_space_bytes, address_space_bytes))
-
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from quadnmr.cli import main; sys.exit(main())",
-         *argv], capture_output=True, text=True, timeout=120, preexec_fn=limit,
-        env=dict(os.environ, PYTHONPATH=path))
+        [sys.executable, "-c", _LIMITED_MAIN.format(headroom=headroom_bytes), *argv],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
 
 
 class TestDJCommand:
@@ -121,7 +129,7 @@ class TestDJCommand:
 
 class TestAcquisitionSize:
     # both ended in numpy's _ArrayMemoryError traceback, allocating an 8 GB
-    # axis; under the 512 MB limit such an allocation fails at once instead
+    # axis; with 512 MB of headroom such an allocation fails at once instead
     # of taking the machine's memory
     @pytest.mark.parametrize("command", [["dj", "--oracle", "f3"], ["equilibrium"]])
     def test_too_many_points_is_config_error(self, tmp_path, command):

@@ -8,10 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadnmr import (FID, Peak, RelaxationParams, SpinSystem, Spectrum, acquire, conjugate,
-                     equilibrium_state, hard_pulse, observable_amplitudes, run_dj, spectrum,
+                     equilibrium_state, hard_pulse, observable_amplitudes, spectrum,
                      synthesize_fid, write_peaks_csv, write_spectrum_csv)
-from quadnmr.readout import (_CSV_CHUNK_ROWS, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _best_phase,
-                             _line_spectrum, _window)
+from quadnmr.readout import _CSV_CHUNK_ROWS, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _best_phase
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.system import transition_table
 
@@ -189,12 +188,6 @@ class TestLazySamples:
         fid, _ = acquire(rho, sys32, relax=RelaxationParams() if relaxed else None)
         assert "samples" not in vars(fid)
 
-    @pytest.mark.parametrize("relaxed", [False, True])
-    def test_run_dj_transforms_no_whole_spectrum(self, sys32, relaxed):
-        outcome = run_dj("f3", sys32, relax=RelaxationParams() if relaxed else None)
-        assert "amplitude" not in vars(outcome.spectrum)
-        assert "freq_hz" not in vars(outcome.spectrum)
-
 
 class TestBestPhase:
     @settings(max_examples=400, deadline=None)
@@ -257,41 +250,6 @@ def reference_spectrum(fid, sys, choose_phase):
     for tr, mask, integral in zip(table, masks, raw * np.exp(1j * phase)):
         idx = np.flatnonzero(mask)[int(np.argmax(np.abs(amp[mask])))]
         peaks.append(Peak(transition=tr.label, frequency_hz=float(freq[idx]),
-                          real_integral=float(integral.real),
-                          sign=int(np.sign(integral.real)) or 1))
-    return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
-
-
-def readout_windows(fid, sys):
-    """The windows spectrum(fid, sys) integrates, in transition-table order."""
-    lines = [tr.frequency_hz for tr in transition_table(sys)]
-    return [_window(fid.points, fid.points * fid.dwell_s, line, lines,
-                    PEAK_WINDOW_LINEWIDTHS * fid.lb_hz) for line in lines]
-
-
-def eager_spectrum(fid, sys):
-    """spectrum(fid, sys) computed as it was before only the window bins were
-    transformed: the whole phased transform first, then its windows, the
-    phase and the peaks read from it."""
-    spec = spectrum(fid)
-    freq, amp = spec.freq_hz, spec.amplitude
-    half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
-    table = transition_table(sys)
-    windows = readout_windows(fid, sys)
-    for tr, window in zip(table, windows):
-        if freq[window].size == 0:
-            raise ValueError(
-                f"readout window of line {tr.label} ({tr.frequency_hz:g} Hz "
-                f"+- {half_width:g} Hz) holds no frequency bin; raise the line "
-                "broadening or the acquisition time points * dwell")
-    df = freq[1] - freq[0]
-    raw = np.array([complex(amp[window].sum() * df) for window in windows])
-    phase = _best_phase(raw)
-    amp = amp * np.exp(1j * phase)
-    peaks = []
-    for tr, window, integral in zip(table, windows, raw * np.exp(1j * phase)):
-        peak_hz = freq[window][int(np.argmax(np.abs(amp[window])))]
-        peaks.append(Peak(transition=tr.label, frequency_hz=float(peak_hz),
                           real_integral=float(integral.real),
                           sign=int(np.sign(integral.real)) or 1))
     return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
@@ -374,47 +332,7 @@ def synthesized_cases(draw):
     return sys, amplitudes, points, dwell_s, lb_hz, draw(st.booleans())
 
 
-# three lines 1e-300 Hz apart: rounding ties their distances at scattered
-# bins, so every window comes back as an index array
-NEAR_TIE = (FID(points=4096, dwell_s=5e-6, lb_hz=200.0,
-                lines=((1.0 + 1.0j, 1e-300, math.inf), (0.5, 0.0, 1e-3),
-                       (-0.7j, -1e-300, math.inf))),
-            SpinSystem.from_splitting(splitting_hz=1e-300))
-
-
 class TestSpectrum:
-    def test_near_tie_windows_are_index_arrays(self):
-        assert all(isinstance(w, np.ndarray) and w.size for w in readout_windows(*NEAR_TIE))
-
-    @settings(max_examples=300, deadline=None)
-    @given(readout_cases())
-    @example(NEAR_TIE)
-    # the bins at +-12 kHz lie exactly halfway between two lines and are shared
-    @example((FID(points=16, dwell_s=1.0 / (16 * 12000.0), lb_hz=4000.0,
-                  lines=((1.0 + 1.0j, 24000.0, math.inf), (0.5, 0.0, 1e-3),
-                         (-0.7j, -24000.0, math.inf))),
-              SpinSystem.from_splitting(splitting_hz=24000.0)))
-    def test_window_readout_equals_the_eager_one(self, case):
-        fid, sys = case
-        # the window bins' values have the bits of the whole transform there
-        windows = readout_windows(fid, sys)
-        bins = [np.arange(fid.points)[window] for window in windows]
-        ends = np.cumsum([0] + [len(b) for b in bins])
-        values = _line_spectrum(fid, list(zip(windows, ends[:-1], ends[1:])))
-        assert values.tobytes() == spectrum(fid).amplitude[np.concatenate(bins)].tobytes()
-        try:
-            spec = spectrum(fid, sys)
-        except ValueError as err:
-            with pytest.raises(ValueError) as eager_err:
-                eager_spectrum(fid, sys)
-            assert str(err) == str(eager_err.value)
-            return
-        # the axis and the amplitude are computed when first read, then kept
-        assert "freq_hz" not in vars(spec) and "amplitude" not in vars(spec)
-        assert readout_outcome(fid, sys, lambda f, s: spec) == \
-            readout_outcome(fid, sys, eager_spectrum)
-        assert spec.freq_hz is spec.freq_hz and spec.amplitude is spec.amplitude
-
     @settings(max_examples=300, deadline=None)
     @given(readout_cases())
     # lines 1e-300 Hz apart tie at scattered bins, so a window need not be one run
@@ -448,6 +366,13 @@ class TestSpectrum:
         assert spectrum(fid).freq_hz.tobytes() == \
             np.fft.fftshift(np.fft.fftfreq(points, dwell_s)).tobytes()
 
+    def test_spectra_of_one_grid_share_a_read_only_axis(self, sys32):
+        first = spectrum(synthesize_fid([1, 1, 1], sys32, points=64))
+        second = spectrum(synthesize_fid([1, 2, 3], sys32, points=64), sys32)
+        assert first.freq_hz is second.freq_hz
+        with pytest.raises(ValueError, match="read-only"):
+            first.freq_hz[0] = 1.0
+
     @settings(max_examples=300, deadline=None)
     @given(synthesized_cases())
     # undamped on a bin: 1 - q^N and 1 - q w^m are both 0
@@ -455,6 +380,9 @@ class TestSpectrum:
     # undamped 1e-12 of a bin off bin 1: both differences lose their digits
     @example((SpinSystem(spin=0.5, offset_hz=-3125.0 * (1 + 1e-12), lambda_hz=0.0), [1.0],
               64, 5e-6, 0.0, False))
+    # undamped a subnormal frequency off bin 0: the denominator keeps too few digits
+    @example((SpinSystem(spin=0.5, offset_hz=-2.225073858507e-311, lambda_hz=0.0), [1j],
+              3, 1e-4, 0.0, False))
     def test_closed_form_equals_the_fft_of_the_samples(self, case):
         sys, amplitudes, points, dwell_s, lb_hz, relaxed = case
 
