@@ -9,7 +9,9 @@ all relaxed intervals at once. Ideal pulses are instantaneous and lossless.
 compile_unitary multiplies the event propagators so that the first script
 line acts first on the state (the total is P_n ... P_2 P_1); run_trajectory
 walks a deviation matrix through them plus crusher gradients and
-acquisition, step by step when relaxation is requested.
+acquisition, step by step when relaxation is requested. A refocus block
+(tau/2 - hard pi about -y - tau/2 under the full H) is the hard pi times the
+quadrupolar evolution over tau at any offset.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .linalg import expm_diagonal, expm_from_eigh
 from .pulses import gradient_crush, hard_pulse, pulse_factors, z_row
 from .readout import FID, observable_amplitudes, synthesize_fid
 from .relaxation import RelaxationParams, decay_factors, relax_step
-from .seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, Event, GaussianShape, Gradient,
-                      HardPulse, QuadDelay, Refocus, SelPulse, SequenceIR, ZPulse)
+from .seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, Gradient, HardPulse, QuadDelay,
+                      Refocus, SelPulse, SequenceIR, ZPulse)
 from .system import H_ROW, QUAD_ROW, SpinSystem, cphase_delay_s, evolution_coefficient
 
 
@@ -129,46 +131,6 @@ def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
         for (_, step), u in zip(blocks, halves @ _inversion(sys.dim) @ halves):
             step[0] = u
     return plan, decay_factors(dts, relax, sys.dim) if dts else None, error
-
-
-def event_propagator(event: Event, sys: SpinSystem) -> np.ndarray:
-    """Unitary propagator of a single (non-gradient, non-acquire) event."""
-    plan, _, error = _plan((event,), sys, None)
-    if error is not None:
-        raise error
-    if plan[0] is None:
-        raise _non_unitary(event)
-    return plan[0][0][0]
-
-
-def refocus_block(sys: SpinSystem, tau_s: float) -> np.ndarray:
-    """tau/2 - hard pi about -y - tau/2 under the full Hamiltonian.
-
-    The echo removes the Zeeman offset, leaving (hard pi) * quad_evolution(tau)
-    regardless of offset_hz, because 3 Iz^2 is invariant under the pi flip
-    while Iz changes sign. A negative or non-finite tau is rejected.
-    """
-    return event_propagator(Refocus(tau_s=tau_s, tau_text=""), sys)
-
-
-def shaped_pulse(sys: SpinSystem, transition: str, axis: str, nominal_angle_rad: float,
-                 duration_s: float) -> np.ndarray:
-    """Gaussian soft pulse on one transition, in closed form.
-
-    The drive is confined to the target transition's 2x2 block generator and
-    kept resonant with it. In the interaction frame of the diagonal H0, every
-    slice of the envelope is then an exponential of the same block generator,
-    so the slice product telescopes to free_evolution(T) after the ideal
-    selective pulse: the flip angle is exact for any unit-area envelope, and
-    the only idealization error left is the quadrupolar (and offset) phase
-    accrued over the duration. With a zero angle the result is the
-    free-evolution propagator; when the accrued phases are multiples of 2*pi
-    it is the ideal instantaneous selective pulse. A negative angle is the
-    positive angle about the opposite axis.
-    """
-    shape = GaussianShape(duration_s=duration_s, duration_text="")
-    return event_propagator(SelPulse(transition=transition, axis=axis, shape=shape,
-                                     angle_rad=nominal_angle_rad, angle_text=""), sys)
 
 
 def compile_unitary(ir: SequenceIR, sys: SpinSystem | None = None) -> np.ndarray:

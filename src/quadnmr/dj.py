@@ -118,43 +118,26 @@ def _bundled_events(name: str) -> tuple[Event, ...]:
     return parse_sequence((files("quadnmr") / "sequences" / name).read_text()).events
 
 
-def oracle_events(oracle_id: str, method: str, sys: SpinSystem) -> tuple[Event, ...]:
-    """Pulse/delay events realizing the oracle, in execution order.
+def oracle_sequence(oracle_id: str, method: str,
+                    sys: SpinSystem | None = None) -> SequenceIR:
+    """SequenceIR whose compiled propagator is ORACLE_PHASES[id] * oracle_matrix(id).
 
-    Read from the bundled u2/u3-*/u4-* sequence files. f1 needs no pulse at
-    all and f2 is the same two selective x-pulses under either method. For
-    f3 the controlled phase precedes the selective inversion on 10-11; f4
-    mirrors it through the spectrum (inversion on 00-01, central z-pulse
-    angle negated). The quadrupolar delay is resolved against sys.
+    Its events are read from the bundled u2/u3-*/u4-* sequence files. f1
+    needs no pulse at all and f2 is the same two selective x-pulses under
+    either method. For f3 the controlled phase precedes the selective
+    inversion on 10-11; f4 mirrors it through the spectrum (inversion on
+    00-01, central z-pulse angle negated). The quadrupolar delay is resolved
+    against sys.
     """
     oracle_class(oracle_id)
     if method not in SEQUENCE_METHODS:
         raise ValueError(f"method must be one of {SEQUENCE_METHODS}, got {method!r}")
-    if oracle_id == "f1":
-        return ()
-    return tuple(replace(e, tau_s=cphase_delay_s(sys)) if isinstance(e, QuadDelay) else e
-                 for e in _bundled_events(_ORACLE_FILES[oracle_id, method]))
-
-
-def oracle_sequence(oracle_id: str, method: str,
-                    sys: SpinSystem | None = None) -> SequenceIR:
-    """SequenceIR whose compiled propagator is ORACLE_PHASES[id] * oracle_matrix(id)."""
     sys = SpinSystem() if sys is None else sys
-    decl = SystemDecl(spin=sys.spin, splitting_hz=sys.splitting_hz,
-                      offset_hz=sys.offset_hz)
-    return SequenceIR(system_decl=decl,
-                      events=oracle_events(oracle_id, method, sys))
-
-
-def superposition_state() -> np.ndarray:
-    """State after the hard 90 about -y on the top level: (1, -r3, r3, -1)/(2 r2)."""
-    r3 = np.sqrt(3.0)
-    return np.array([1.0, -r3, r3, -1.0], dtype=complex) / (2.0 * np.sqrt(2.0))
-
-
-def ideal_state_after_oracle(oracle_id: str) -> np.ndarray:
-    """Unit-norm wavefunction the oracle produces from the superposition state."""
-    return oracle_matrix(oracle_id) @ superposition_state()
+    events = () if oracle_id == "f1" else tuple(
+        replace(e, tau_s=cphase_delay_s(sys)) if isinstance(e, QuadDelay) else e
+        for e in _bundled_events(_ORACLE_FILES[oracle_id, method]))
+    return SequenceIR(system_decl=SystemDecl(spin=sys.spin, splitting_hz=sys.splitting_hz,
+                                             offset_hz=sys.offset_hz), events=events)
 
 
 @dataclass(frozen=True)
@@ -176,15 +159,15 @@ def classify_peaks(peaks) -> str:
     line opposes the outer two; anything weaker is ambiguous."""
     if len(peaks) != 3:
         raise AmbiguousReadoutError(f"expected three peaks, got {len(peaks)}")
-    integrals = np.array([p.real_integral for p in peaks])
-    floor = 1e-6 * np.max(np.abs(integrals))
-    if floor == 0 or np.any(np.abs(integrals) < floor):
+    outer_a, central, outer_b = (p.real_integral for p in peaks)
+    sizes = (abs(outer_a), abs(central), abs(outer_b))
+    floor = 1e-6 * max(sizes)
+    if floor == 0 or min(sizes) < floor:
         raise AmbiguousReadoutError(
             "degenerate readout: a peak integral is below the noise floor")
-    outer_a, central, outer_b = np.sign(integrals)
-    if outer_a != outer_b:
+    if (outer_a > 0) != (outer_b > 0):
         raise AmbiguousReadoutError("outer peaks disagree in sign")
-    return "constant" if central == outer_a else "balanced"
+    return "constant" if (central > 0) == (outer_a > 0) else "balanced"
 
 
 @cache

@@ -39,12 +39,6 @@ def is_unitary(matrix: np.ndarray, atol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(dev)) <= atol)
 
 
-def matrices_close(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -> bool:
-    """Entrywise comparison with an absolute tolerance."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= atol)
-
-
 @dataclass(frozen=True)
 class SpinOperators:
     """Angular-momentum matrices Ix, Iy, Iz for a single spin (hbar = 1)."""

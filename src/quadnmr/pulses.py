@@ -1,7 +1,4 @@
-"""Pulse propagators: hard, transition-selective and closed-form z.
-
-The refocus block (tau/2 - hard pi - tau/2) and the shaped pulse are
-compiler.refocus_block and compiler.shaped_pulse.
+"""Pulse propagators: hard and transition-selective, and the z-pulse row.
 
 A hard or selective pulse generator depends only on the spin, the x or y
 drive and the transition, so its eigendecomposition is computed (and its
@@ -39,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import expm_diagonal, expm_from_eigh, is_hermitian, spin_operators
+from .linalg import expm_from_eigh, is_hermitian, spin_operators
 from .system import Z_ROW, SpinSystem
 
 _AXIS_SIGN = {"x": +1.0, "-x": -1.0, "y": -1.0, "-y": +1.0}
@@ -120,10 +117,6 @@ def z_row(sys: SpinSystem, transition: str, phi_rad: float) -> int:
     if not math.isfinite(phi_rad):
         raise ValueError("pulse angle must be finite")
     return Z_ROW + sys.transition(transition).upper_index
-
-
-def selective_z_closed_form(sys: SpinSystem, transition: str, phi_rad: float) -> np.ndarray:
-    return expm_diagonal(phi_rad * sys._exponent_rows[z_row(sys, transition, phi_rad)])
 
 
 def gradient_crush(rho: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ transition; multiple-quantum coherences have no dedicated rate and take
 the outer-transition T2. coherence_t2_table is the one table of those rates,
 built once per parameter set and level count and shared read-only by
 decay_factors and the FID's lines. decay_factors gives the decays of many
-intervals at once and relax_step applies one interval's; apply_relaxation is
-the pair for a single interval, and the compiler calls the pair for all the
-relaxed intervals of a sequence.
+intervals at once and relax_step applies one interval's; the compiler calls
+the pair for all the relaxed intervals of a sequence. The map is a semigroup
+in the interval, preserves Hermiticity and has the equilibrium state (Iz) as
+its fixed point; it keeps the trace only of a traceless deviation matrix.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .system import SpinSystem
 
 # Defaults: one T1 for all lines; the outer lines relax much faster than the
 # central one because order-parameter fluctuations hit them to first order.
@@ -75,23 +74,3 @@ def relax_step(rho: np.ndarray, t2_decay: np.ndarray, t1_decay: float,
     out = rho * t2_decay
     np.fill_diagonal(out, eq + (rho.diagonal().real - eq) * t1_decay)
     return out
-
-
-def apply_relaxation(rho: np.ndarray, dt_s: float, params: RelaxationParams,
-                     sys: SpinSystem) -> np.ndarray:
-    """Relax a deviation matrix for a time dt (exact exponential map).
-
-    The map is a semigroup in dt, preserves Hermiticity and has
-    equilibrium_state(sys) (Iz) as its fixed point. It keeps the trace only
-    of a traceless deviation matrix: the populations decay toward the
-    traceless equilibrium, so a trace t ends as t * exp(-dt / T1). A decay
-    whose exponent overflows reads exactly 0 (decay_factors).
-    """
-    if not (math.isfinite(dt_s) and dt_s >= 0):
-        raise ValueError(
-            f"relaxation interval must be finite and nonnegative, got {dt_s}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (sys.dim, sys.dim):
-        raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
-    t2_decay, t1_decay = decay_factors([dt_s], params, sys.dim)
-    return relax_step(rho, t2_decay[0], t1_decay[0], sys._iz_diag)

@@ -24,8 +24,8 @@ an optional leading '-'. Durations carry a unit (s, ms, us) or are the
 symbolic form pi/(12*lambda), resolved against the declared coupling.
 Transitions are bit-string pairs like 10-11; pairs whose levels are not
 adjacent (the unphysical |delta m| > 1 drives) are rejected at parse time.
-A gaussian clause makes a selective pulse soft (see compiler.shaped_pulse);
-its optional slice count (>= 64) is only validated and printed back.
+A gaussian clause makes a selective pulse soft (built in closed form by the
+compiler); its optional slice count (>= 64) is only checked and printed back.
 
 One table (_STATEMENTS) gives each statement's event class and its words in
 the order the parser reads them and the printer writes them. The words of a

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SpinOperators, expm_diagonal, spin_operators
+from .linalg import SpinOperators, spin_operators
 
 # Logical labels of the four levels of a spin-3/2 "two qubit" system, in
 # descending-m order m = 3/2, 1/2, -1/2, -3/2.
@@ -184,23 +184,6 @@ def transition_table(sys: SpinSystem) -> list[Transition]:
     11-10 at -6*lambda, with Ix elements sqrt(3)/2, 1, sqrt(3)/2.
     """
     return list(sys._transitions.values())
-
-
-def quad_evolution(sys: SpinSystem, tau_s: float) -> np.ndarray:
-    """Free-evolution propagator under the quadrupolar term alone.
-
-    Returns exp(-i * 2*pi*lambda * (3 Iz^2 - I(I+1)) * tau). For spin 3/2 this
-    is diag(e^{-i3Lt}, e^{+i3Lt}, e^{+i3Lt}, e^{-i3Lt}) with L = 2*pi*lambda,
-    so tau = pi/(12 L) yields phases -45/+45/+45/-45 degrees. The Zeeman
-    offset is deliberately excluded (on-resonance rotating frame; delays that
-    must tolerate an offset go through the refocused block instead).
-    """
-    return expm_diagonal(evolution_coefficient(tau_s) * sys._quad_diag)
-
-
-def free_evolution(sys: SpinSystem, tau_s: float) -> np.ndarray:
-    """Propagator exp(-i H tau) under the full Hamiltonian, offset included."""
-    return expm_diagonal(evolution_coefficient(tau_s) * sys._h_diag)
 
 
 def evolution_coefficient(tau_s: float) -> complex:

@@ -1,17 +1,28 @@
-"""Reference operations that only the tests use.
-
-A dense eigendecomposition exponential, the global phase between two gates,
-the composite selective z-pulse, the dense rotating-frame Hamiltonian and the
-post-oracle pure-state density matrix. The package computes none of these on
-its own paths; the tests hold its closed forms against them.
+"""Reference operations that only the tests use: a dense eigendecomposition
+exponential, the global phase between two gates, the composite selective
+z-pulse, the dense Hamiltonian and free evolution under it, the post-oracle
+states and an entrywise comparison. propagator compiles one event the one way
+the package builds propagators, through compile_unitary.
 """
 
 import numpy as np
 
-from quadnmr import SpinSystem, ideal_state_after_oracle, selective_pulse
-from quadnmr.linalg import ATOL, expm_from_eigh, is_hermitian
+from quadnmr import SequenceIR, SpinSystem, compile_unitary, oracle_matrix, selective_pulse
+from quadnmr.linalg import ATOL, expm_diagonal, expm_from_eigh, is_hermitian
 from quadnmr.pulses import _unit_element
+from quadnmr.seqlang import SystemDecl
 from quadnmr.system import Transition, _z_orientation
+
+
+def propagator(event, sys: SpinSystem) -> np.ndarray:
+    """The compiled propagator of one unitary event on sys."""
+    return compile_unitary(SequenceIR(SystemDecl(sys.spin, sys.splitting_hz), (event,)), sys)
+
+
+def matrices_close(a, b, atol: float = ATOL) -> bool:
+    """Entrywise comparison with an absolute tolerance."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= atol)
 
 
 def expm_hermitian(hermitian: np.ndarray, scale: float, atol: float = ATOL) -> np.ndarray:
@@ -43,9 +54,9 @@ def selective_z_pulse(sys: SpinSystem, transition: str, phi_rad: float) -> np.nd
     """Composite z-rotation on one transition: y / x / -y selective pulses.
 
     Applies e^{-i phi} to the block level with the smaller binary label and
-    e^{+i phi} to the other (identity elsewhere), matching
-    selective_z_closed_form to roundoff. The x pulse carries a Bloch angle of
-    2*phi and the two y pulses Bloch angles of pi/2.
+    e^{+i phi} to the other (identity elsewhere), matching the compiled
+    z-pulse to roundoff. The x pulse carries a Bloch angle of 2*phi and the
+    two y pulses Bloch angles of pi/2.
     """
     tr = sys.transition(transition)
     quarter = _angle_for_bloch(tr, np.pi / 2.0)
@@ -62,6 +73,17 @@ def hamiltonian(sys: SpinSystem) -> np.ndarray:
     traceless.
     """
     return np.diag(sys._h_diag).astype(complex)
+
+
+def free_evolution(sys: SpinSystem, tau_s: float) -> np.ndarray:
+    """Propagator exp(-i H tau) under the full Hamiltonian, offset included."""
+    return expm_diagonal(-1j * tau_s * sys._h_diag)
+
+
+def ideal_state_after_oracle(oracle_id: str) -> np.ndarray:
+    """The oracle applied to (1, -r3, r3, -1)/(2 r2), the hard 90 about -y of |00>."""
+    r3 = np.sqrt(3.0)
+    return oracle_matrix(oracle_id) @ (np.array([1.0, -r3, r3, -1.0]) / (2.0 * np.sqrt(2.0)))
 
 
 def ideal_density_after_oracle(oracle_id: str) -> np.ndarray:

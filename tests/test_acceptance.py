@@ -12,20 +12,18 @@ import pytest
 
 from quadnmr import (RelaxationParams, SpinSystem, compile_unitary, conjugate,
                      cphase_delay_s, equilibrium_state, format_sequence,
-                     gate_fidelity_global_phase, hard_pulse,
-                     ideal_state_after_oracle, is_unitary, matrices_close,
-                     oracle_class, oracle_matrix, oracle_sequence, parse_sequence,
-                     pseudopure_00, quad_evolution, refocus_block, run_dj,
-                     selective_pulse, selective_z_closed_form,
-                     shaped_pulse, spin_operators)
+                     gate_fidelity_global_phase, hard_pulse, is_unitary, oracle_class,
+                     oracle_matrix, oracle_sequence, parse_sequence, pseudopure_00,
+                     run_dj, selective_pulse, spin_operators)
 from quadnmr.dj import ORACLE_IDS, ORACLE_PHASES, SEQUENCE_METHODS
-from quadnmr.relaxation import apply_relaxation
 from quadnmr.seqlang import ParseError
 
 from conftest import HARD_90_MINUS_Y, INVALID_DIR, SEQUENCES_DIR
-from helpers import expm_hermitian, global_phase, selective_z_pulse
+from helpers import (expm_hermitian, global_phase, ideal_state_after_oracle, matrices_close,
+                     propagator, selective_z_pulse)
 from test_linalg import expm_series, random_hermitian
-from test_pulses import _slice_product
+from test_pulses import _slice_product, gaussian, quad_delay, refocus, zpulse
+from test_relaxation import relaxed
 
 SQRT3 = np.sqrt(3.0)
 
@@ -77,11 +75,11 @@ def test_criterion_03_controlled_phase():
     rng = np.random.default_rng(3)
     for phi in rng.uniform(-2 * np.pi, 2 * np.pi, size=100):
         composite = selective_z_pulse(sys, "01-11", phi)
-        closed = selective_z_closed_form(sys, "01-11", phi)
+        closed = propagator(zpulse("01-11", phi), sys)
         assert matrices_close(composite, closed, atol=1e-10)
     tau = cphase_delay_s(sys)
     expected = np.diag(np.exp(1j * np.pi / 4 * np.array([-1, 1, 1, -1])))
-    assert matrices_close(quad_evolution(sys, tau), expected, atol=1e-12)
+    assert matrices_close(propagator(quad_delay(tau), sys), expected, atol=1e-12)
 
 
 @criterion(4, "pseudopure preparation reaches the single-level pattern")
@@ -168,8 +166,7 @@ def test_criterion_07_post_oracle_signs():
 @criterion(8, "refocusing block is offset-independent")
 def test_criterion_08_refocusing():
     tau = 80e-6
-    propagators = [refocus_block(SpinSystem.from_splitting(16_000.0, offset_hz=off),
-                                 tau)
+    propagators = [propagator(refocus(tau), SpinSystem.from_splitting(16_000.0, offset_hz=off))
                    for off in (0.0, 100.0, 5000.0)]
     assert matrices_close(propagators[0], propagators[1], atol=1e-9)
     assert matrices_close(propagators[0], propagators[2], atol=1e-9)
@@ -181,7 +178,7 @@ def test_criterion_09_shaped_pulse():
     # couple the system so 123 us spans one full background-phase period
     sys = SpinSystem.from_splitting(6.0 / (3.0 * duration))
     ideal = selective_pulse(sys, "10-11", "-y", np.pi / SQRT3)
-    u = shaped_pulse(sys, "10-11", "-y", np.pi / SQRT3, duration)
+    u = propagator(gaussian("10-11", "-y", np.pi / SQRT3, duration), sys)
     assert gate_fidelity_global_phase(ideal, u) >= 0.99
     # the closed form equals the slice integrator at 64 and 512 slices
     for n_slices in (64, 512):
@@ -255,15 +252,14 @@ def test_criterion_11_algebra_suite():
     base[3, 0] = 0.1
     for _ in range(200):
         a, b = rng.uniform(0, 0.02, size=2)
-        once = apply_relaxation(base, a + b, params, sys)
-        twice = apply_relaxation(apply_relaxation(base, a, params, sys), b,
-                                 params, sys)
+        once = relaxed(base, a + b, params, sys)
+        twice = relaxed(relaxed(base, a, params, sys), b, params, sys)
         assert matrices_close(once, twice, atol=1e-12)
 
     for _ in range(100):
         phi = rng.uniform(-2 * np.pi, 2 * np.pi)
         trans = transitions[rng.integers(3)]
         assert matrices_close(selective_z_pulse(sys, trans, phi),
-                              selective_z_closed_form(sys, trans, phi), atol=1e-10)
+                              propagator(zpulse(trans, phi), sys), atol=1e-10)
 
     assert time.monotonic() - start < 30.0

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnmr import (NonUnitaryEventError, RelaxationParams, SpinSystem,
-                     apply_relaxation, compile_unitary, conjugate, cphase_delay_s,
-                     equilibrium_state, free_evolution, gradient_crush, hard_pulse,
-                     matrices_close, observable_amplitudes, oracle_matrix,
-                     parse_sequence, pseudopure_00, run_trajectory, spectrum,
-                     synthesize_fid, transition_table)
-from quadnmr.compiler import event_propagator
+from quadnmr import (NonUnitaryEventError, RelaxationParams, SpinSystem, compile_unitary,
+                     conjugate, cphase_delay_s, equilibrium_state, gradient_crush,
+                     hard_pulse, observable_amplitudes, oracle_matrix, parse_sequence,
+                     pseudopure_00, run_trajectory, spectrum, synthesize_fid,
+                     transition_table)
 from quadnmr.seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, GaussianShape, Gradient,
                              HardPulse, QuadDelay, Refocus, SelPulse, SequenceIR,
                              SystemDecl, ZPulse)
 
 from conftest import SEQUENCES_DIR
+from helpers import free_evolution, matrices_close, propagator
+from test_relaxation import relaxed
 
 
 def load(name):
@@ -38,12 +38,10 @@ class TestCompileUnitary:
         assert matrices_close(compiled, 1j * oracle_matrix("f2"), atol=1e-10)
 
     def test_compositionality(self):
-        from quadnmr.seqlang import SequenceIR
         ir = load("u3-zcascade.qseq")
         total = np.eye(4, dtype=complex)
         for event in ir.events:
-            single = SequenceIR(system_decl=ir.system_decl, events=(event,))
-            total = compile_unitary(single) @ total
+            total = propagator(event, ir.system()) @ total
         assert matrices_close(compile_unitary(ir), total, atol=1e-12)
 
     def test_first_line_acts_first(self):
@@ -58,8 +56,8 @@ class TestCompileUnitary:
         psi0 = np.array([1, 0, 0, 0], dtype=complex)
         ir_a = parse_sequence(text_a)
         sys = ir_a.system()
-        step1 = event_propagator(ir_a.events[0], sys) @ psi0
-        step2 = event_propagator(ir_a.events[1], sys) @ step1
+        step1 = propagator(ir_a.events[0], sys) @ psi0
+        step2 = propagator(ir_a.events[1], sys) @ step1
         assert matrices_close(u_a @ psi0, step2, atol=1e-12)
 
     def test_gradient_rejected_in_unitary_path(self):
@@ -144,9 +142,9 @@ class TestRunTrajectory:
         params = RelaxationParams()
         rho0 = conjugate(pseudopure_00(sys), hard_pulse(sys, "-y", np.pi / 2))
         half = free_evolution(sys, tau_s / 2)
-        expected = apply_relaxation(conjugate(rho0, half), tau_s / 2, params, sys)
+        expected = relaxed(conjugate(rho0, half), tau_s / 2, params, sys)
         expected = conjugate(expected, hard_pulse(sys, "-y", np.pi))
-        expected = apply_relaxation(conjugate(expected, half), tau_s / 2, params, sys)
+        expected = relaxed(conjugate(expected, half), tau_s / 2, params, sys)
         out = run_trajectory(ir, sys, rho0, relax=params).states[-1]
         assert np.array_equal(out, expected)
 
@@ -229,13 +227,13 @@ def _one_event_at_a_time(ir, sys, rho, relax):
                           (half, event.tau_s / 2)):
                 rho = conjugate(rho, u)
                 if dt is not None:
-                    rho = apply_relaxation(rho, dt, relax, sys)
+                    rho = relaxed(rho, dt, relax, sys)
         else:
-            rho = conjugate(rho, event_propagator(event, sys))
+            rho = conjugate(rho, propagator(event, sys))
             dt = event.tau_s if isinstance(event, QuadDelay) else \
                 getattr(getattr(event, "shape", None), "duration_s", None)
             if relax is not None and dt is not None:
-                rho = apply_relaxation(rho, dt, relax, sys)
+                rho = relaxed(rho, dt, relax, sys)
         states.append(rho)
     return states, fid
 
@@ -263,6 +261,6 @@ def test_batch_equals_one_event_at_a_time(seq, relax):
         unitary.append(event)
     total = np.eye(sys.dim, dtype=complex)
     for event in unitary:
-        total = event_propagator(event, sys) @ total
+        total = propagator(event, sys) @ total
     assert np.array_equal(compile_unitary(SequenceIR(ir.system_decl, tuple(unitary)), sys),
                           total)

@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 
 from quadnmr import (AmbiguousReadoutError, RelaxationParams, acquire,
                      classify_peaks, compile_unitary, conjugate,
-                     gate_fidelity_global_phase, hard_pulse,
-                     ideal_state_after_oracle, matrices_close, oracle_class,
-                     oracle_matrix, oracle_sequence, pseudopure_00, run_dj,
-                     superposition_state)
+                     gate_fidelity_global_phase, hard_pulse, oracle_class,
+                     oracle_matrix, oracle_sequence, pseudopure_00, run_dj)
 from quadnmr import SpinSystem, cphase_delay_s
 from quadnmr.dj import (METHODS, ORACLE_IDS, ORACLE_PHASES, SEQUENCE_METHODS,
                         UnresolvedLinesError)
-from quadnmr.dj import _ORACLE_FILES, oracle_events
+from quadnmr.dj import _ORACLE_FILES
 from quadnmr.readout import Peak
 from quadnmr.seqlang import QuadDelay
 
-from helpers import global_phase
+from helpers import global_phase, ideal_state_after_oracle, matrices_close
 
 SQRT3 = np.sqrt(3.0)
 INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
@@ -97,7 +95,7 @@ class TestOracleSequences:
     @pytest.mark.parametrize("oracle_id", ["f3", "f4"])
     def test_quad_delay_resolved_for_caller_system(self, oracle_id):
         sys = SpinSystem.from_splitting(12_000.0, offset_hz=300.0)
-        delays = [e for e in oracle_events(oracle_id, "quad-evolution", sys)
+        delays = [e for e in oracle_sequence(oracle_id, "quad-evolution", sys).events
                   if isinstance(e, QuadDelay)]
         assert [e.tau_s for e in delays] == [cphase_delay_s(sys)]
 
@@ -113,8 +111,9 @@ class TestOracleSequences:
 
 
 class TestIdealStates:
-    def test_superposition_state(self):
-        assert matrices_close(superposition_state(), IDEAL_STATES["f1"], atol=1e-12)
+    def test_superposition_state(self, sys32):
+        psi = hard_pulse(sys32, "-y", np.pi / 2)[:, 0]   # the hard 90 about -y of |00>
+        assert matrices_close(psi, IDEAL_STATES["f1"], atol=1e-12)
 
     @pytest.mark.parametrize("oracle_id", ORACLE_IDS)
     def test_wavefunctions(self, oracle_id):
@@ -178,6 +177,28 @@ class TestClassifier:
     def test_disagreeing_outer_peaks_raise(self):
         with pytest.raises(AmbiguousReadoutError):
             classify_peaks(self._peaks(-1.0, 1.0, 1.0))
+
+    @settings(max_examples=500, deadline=None)
+    @given(integrals=st.tuples(*3 * [st.floats(allow_nan=False, allow_infinity=False)]))
+    @example(integrals=(5e-324, -5e-324, 5e-324))   # the floor underflows to 0
+    @example(integrals=(-1.0, 1e-6, -1.0))          # a line exactly at the floor
+    @example(integrals=(-1.0, 9.999999999999999e-7, -1.0))
+    def test_equals_the_numpy_reference_on_every_finite_triple(self, integrals):
+        try:
+            got = classify_peaks(self._peaks(*integrals))
+        except AmbiguousReadoutError as exc:
+            got = str(exc)
+        # the reference: the numpy body classify_peaks had, its errors as messages
+        integrals = np.array(integrals)
+        floor = 1e-6 * np.max(np.abs(integrals))
+        outer_a, central, outer_b = np.sign(integrals)
+        if floor == 0 or np.any(np.abs(integrals) < floor):
+            expected = "degenerate readout: a peak integral is below the noise floor"
+        elif outer_a != outer_b:
+            expected = "outer peaks disagree in sign"
+        else:
+            expected = "constant" if central == outer_a else "balanced"
+        assert got == expected
 
 
 class TestRunDJ:

@@ -13,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadnmr import (ForbiddenTransitionError, RelaxationParams, SpinSystem,
-                     apply_relaxation, equilibrium_state, is_hermitian, is_unitary,
-                     run_trajectory, transition_table)
-from quadnmr.compiler import event_propagator
+                     equilibrium_state, is_hermitian, is_unitary, run_trajectory,
+                     transition_table)
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.seqlang import (Acquire, GaussianShape, Gradient, HardPulse, QuadDelay,
                              Refocus, SelPulse, SequenceIR, SystemDecl, ZPulse)
+
+from helpers import propagator
+from test_relaxation import relaxed
 
 SPINS = st.integers(1, 7).map(lambda two_i: two_i / 2.0)
 AXES = st.sampled_from(["x", "-x", "y", "-y"])
@@ -78,7 +80,7 @@ def random_deviation_matrix(dim, seed):
 def test_every_event_propagator_is_unitary(data):
     sys = data.draw(systems())
     for event in data.draw(st.lists(unitary_events(sys), min_size=1, max_size=6)):
-        assert is_unitary(event_propagator(event, sys), atol=1e-9), event
+        assert is_unitary(propagator(event, sys), atol=1e-9), event
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,7 +103,7 @@ def test_equilibrium_is_the_relaxation_fixed_point(spin, dt, t1, t2):
     sys = SpinSystem(spin=spin)
     params = RelaxationParams(t1_s=t1, t2_central_s=t2, t2_outer_s=t2 / 2.0)
     eq = equilibrium_state(sys)
-    assert np.array_equal(apply_relaxation(eq, dt, params, sys), eq)
+    assert np.array_equal(relaxed(eq, dt, params, sys), eq)
 
 
 @settings(max_examples=40, deadline=None)

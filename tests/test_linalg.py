@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnmr import (conjugate, gate_fidelity_global_phase, is_unitary,
-                     matrices_close, spin_operators)
+from quadnmr import conjugate, gate_fidelity_global_phase, is_unitary, spin_operators
 
-from helpers import expm_hermitian
+from helpers import expm_hermitian, matrices_close
 
 SQRT3 = np.sqrt(3.0)
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from quadnmr import equilibrium_state, matrices_close, pseudopure_00
+from quadnmr import equilibrium_state, pseudopure_00
+
+from helpers import matrices_close
 
 
 def hand_prepared_pseudopure():

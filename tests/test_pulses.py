@@ -1,23 +1,33 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnmr import (ForbiddenTransitionError, SpinSystem, compile_unitary, free_evolution,
+from quadnmr import (ForbiddenTransitionError, SpinSystem, compile_unitary,
                      gate_fidelity_global_phase, gradient_crush, hard_pulse, is_unitary,
-                     matrices_close, parse_sequence, quad_evolution, refocus_block,
-                     run_trajectory, selective_pulse, selective_z_closed_form, shaped_pulse,
-                     transition_table)
+                     parse_sequence, run_trajectory, selective_pulse, transition_table)
 from quadnmr import pulses
 from quadnmr.seqlang import (GaussianShape, HardPulse, QuadDelay, Refocus, SelPulse,
                              SequenceIR, SystemDecl, ZPulse)
 from quadnmr.system import cphase_delay_s
 
 from conftest import HARD_90_MINUS_Y
-from helpers import expm_hermitian, hamiltonian, selective_z_pulse
+from helpers import (expm_hermitian, free_evolution, hamiltonian, matrices_close, propagator,
+                     selective_z_pulse)
 
 SQRT3 = np.sqrt(3.0)
 PI = np.pi
+# events as the parser makes them, without their source text
+quad_delay = partial(QuadDelay, tau_text="")
+zpulse = partial(ZPulse, angle_text="")
+refocus = partial(Refocus, tau_text="")
+
+
+def gaussian(transition, axis, angle, duration):
+    return SelPulse(transition=transition, axis=axis, angle_rad=angle, angle_text="",
+                    shape=GaussianShape(duration_s=duration, duration_text=""))
 
 
 class TestHardPulse:
@@ -110,8 +120,7 @@ class TestSelectiveZPulse:
         for trans in ("00-01", "01-11", "10-11"):
             for phi in rng.uniform(-2 * PI, 2 * PI, size=100):
                 assert matrices_close(selective_z_pulse(sys32, trans, phi),
-                                      selective_z_closed_form(sys32, trans, phi),
-                                      atol=1e-10)
+                                      propagator(zpulse(trans, phi), sys32), atol=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(phi=st.floats(-10, 10),
@@ -119,13 +128,15 @@ class TestSelectiveZPulse:
     def test_composite_matches_closed_form_property(self, phi, trans):
         sys = SpinSystem()
         assert matrices_close(selective_z_pulse(sys, trans, phi),
-                              selective_z_closed_form(sys, trans, phi), atol=1e-10)
+                              propagator(zpulse(trans, phi), sys), atol=1e-10)
 
     def test_forbidden_rejected(self, sys32):
         with pytest.raises(ForbiddenTransitionError):
             selective_z_pulse(sys32, "00-10", PI)
 
-    @pytest.mark.parametrize("z_pulse", [selective_z_pulse, selective_z_closed_form])
+    @pytest.mark.parametrize("z_pulse", [
+        selective_z_pulse, lambda sys, transition, phi: propagator(zpulse(transition, phi), sys)],
+        ids=["selective_z_pulse", "selective_z_closed_form"])
     @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_angle_rejected(self, sys32, z_pulse, phi):
         with pytest.raises(ValueError, match="pulse angle must be finite"):
@@ -135,43 +146,43 @@ class TestSelectiveZPulse:
 class TestShapedPulse:
     def test_short_duration_approaches_ideal(self, sys32):
         ideal = selective_pulse(sys32, "10-11", "-y", PI / SQRT3)
-        u = shaped_pulse(sys32, "10-11", "-y", PI / SQRT3, 1e-7)
+        u = propagator(gaussian("10-11", "-y", PI / SQRT3, 1e-7), sys32)
         assert gate_fidelity_global_phase(ideal, u) >= 0.999
 
     def test_zero_amplitude_is_free_evolution(self, sys32):
         duration = 37e-6
-        u = shaped_pulse(sys32, "10-11", "x", 0.0, duration)
-        assert matrices_close(u, quad_evolution(sys32, duration), atol=1e-10)
+        u = propagator(gaussian("10-11", "x", 0.0, duration), sys32)
+        assert matrices_close(u, propagator(quad_delay(duration), sys32), atol=1e-10)
 
     def test_full_phase_period_matches_ideal(self, sys32):
         duration = 1.0 / (3.0 * sys32.lambda_hz)
         ideal = selective_pulse(sys32, "10-11", "-y", PI / SQRT3)
-        u = shaped_pulse(sys32, "10-11", "-y", PI / SQRT3, duration)
+        u = propagator(gaussian("10-11", "-y", PI / SQRT3, duration), sys32)
         assert gate_fidelity_global_phase(ideal, u) >= 0.99
 
     def test_quarter_period_ruins_fidelity(self, sys32):
         duration = 1.25 / (3.0 * sys32.lambda_hz)
         ideal = selective_pulse(sys32, "10-11", "-y", PI / SQRT3)
-        u = shaped_pulse(sys32, "10-11", "-y", PI / SQRT3, duration)
+        u = propagator(gaussian("10-11", "-y", PI / SQRT3, duration), sys32)
         assert gate_fidelity_global_phase(ideal, u) < 0.5
 
     def test_slice_doubling_converged(self, sys32):
         # the slice integrator reaches the closed form by 64 slices and stays there
         duration = 1.0 / (3.0 * sys32.lambda_hz)
-        u = shaped_pulse(sys32, "00-01", "x", PI / SQRT3, duration)
+        u = propagator(gaussian("00-01", "x", PI / SQRT3, duration), sys32)
         for n_slices in (64, 512):
             reference = _slice_product(sys32, "00-01", "x", PI / SQRT3, duration, n_slices)
             assert np.max(np.abs(u - reference)) < 1e-12
 
     def test_negative_angle_flips_axis(self, sys32):
         duration = 1.0 / (3.0 * sys32.lambda_hz)
-        a = shaped_pulse(sys32, "01-11", "x", -PI / 2, duration)
-        b = shaped_pulse(sys32, "01-11", "-x", PI / 2, duration)
+        a = propagator(gaussian("01-11", "x", -PI / 2, duration), sys32)
+        b = propagator(gaussian("01-11", "-x", PI / 2, duration), sys32)
         assert matrices_close(a, b, atol=1e-12)
 
     def test_bad_arguments(self, sys32):
         with pytest.raises(ValueError):
-            shaped_pulse(sys32, "01-11", "x", PI, 0.0)
+            propagator(gaussian("01-11", "x", PI, 0.0), sys32)
         # the slice count is checked where it is written, in the parser
         with pytest.raises(ValueError, match="at least 64 slices"):
             parse_sequence("system I=3/2 splitting=16kHz\n"
@@ -229,7 +240,7 @@ class TestShapedPulseClosedForm:
         duration = 1.1 / (3.0 * sys.lambda_hz)
         for axis in ("x", "-y"):
             reference = _slice_product(sys, transition, axis, angle, duration, 128)
-            u = shaped_pulse(sys, transition, axis, angle, duration)
+            u = propagator(gaussian(transition, axis, angle, duration), sys)
             assert np.max(np.abs(u - reference)) < 1e-12
 
     @pytest.mark.parametrize("transition, angle", [("00-01", PI),
@@ -239,22 +250,22 @@ class TestShapedPulseClosedForm:
         duration = 1.0 / (3.0 * sys32.lambda_hz)
         expected = (free_evolution(sys32, duration)
                     @ selective_pulse(sys32, transition, "x", angle))
-        u = shaped_pulse(sys32, transition, "x", angle, duration)
+        u = propagator(gaussian(transition, "x", angle, duration), sys32)
         assert matrices_close(u, expected, atol=1e-15)
         assert is_unitary(u, atol=1e-12)
 
     def test_bad_axis_and_angle(self, sys32):
         with pytest.raises(ValueError):
-            shaped_pulse(sys32, "01-11", "z", PI, 1e-4)
+            propagator(gaussian("01-11", "z", PI, 1e-4), sys32)
         with pytest.raises(ValueError):
-            shaped_pulse(sys32, "01-11", "x", float("nan"), 1e-4)
+            propagator(gaussian("01-11", "x", float("nan"), 1e-4), sys32)
         with pytest.raises(ForbiddenTransitionError):
-            shaped_pulse(sys32, "00-10", "x", PI, 1e-4)
+            propagator(gaussian("00-10", "x", PI, 1e-4), sys32)
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
     def test_non_finite_duration_rejected(self, sys32, duration):
         with pytest.raises(ValueError, match="finite"):
-            shaped_pulse(sys32, "01-11", "x", PI, duration)
+            propagator(gaussian("01-11", "x", PI, duration), sys32)
 
 
 class TestRefocusBlock:
@@ -263,7 +274,7 @@ class TestRefocusBlock:
         references = []
         for offset in (0.0, 100.0, 5000.0):
             sys = SpinSystem.from_splitting(16_000.0, offset_hz=offset)
-            references.append(refocus_block(sys, tau))
+            references.append(propagator(refocus(tau), sys))
         assert matrices_close(references[0], references[1], atol=1e-9)
         assert matrices_close(references[0], references[2], atol=1e-9)
 
@@ -272,22 +283,22 @@ class TestRefocusBlock:
         sys = SpinSystem.from_splitting(16_000.0, offset_hz=offset_hz)
         tau = 43e-6
         half = free_evolution(sys, tau / 2)
-        assert np.array_equal(refocus_block(sys, tau),
+        assert np.array_equal(propagator(refocus(tau), sys),
                               half @ hard_pulse(sys, "-y", PI) @ half)
 
     def test_zero_delay_is_hard_pi(self, sys32):
-        assert matrices_close(refocus_block(sys32, 0.0),
+        assert matrices_close(propagator(refocus(0.0), sys32),
                               hard_pulse(sys32, "-y", PI), atol=1e-12)
 
     def test_equals_pi_times_quad_evolution(self, sys32):
         tau = cphase_delay_s(sys32)
-        expected = hard_pulse(sys32, "-y", PI) @ quad_evolution(sys32, tau)
-        assert matrices_close(refocus_block(sys32, tau), expected, atol=1e-10)
+        expected = hard_pulse(sys32, "-y", PI) @ propagator(quad_delay(tau), sys32)
+        assert matrices_close(propagator(refocus(tau), sys32), expected, atol=1e-10)
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1e-6])
     def test_non_finite_or_negative_delay_rejected(self, sys32, tau):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            refocus_block(sys32, tau)
+            propagator(refocus(tau), sys32)
 
 
 class TestGradientCrush:

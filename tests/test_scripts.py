@@ -1,6 +1,8 @@
 """Smoke test of the experiment scripts under scripts/: each runs as its own
-process, exits 0, prints its table and writes the CSV files it names."""
+process, exits 0, prints its table and writes the CSV files it names. The
+package exports every name the scripts and the benchmark import from it."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import quadnmr
 from quadnmr import METHODS, ORACLE_IDS, oracle_class
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,3 +47,14 @@ def test_equilibrium_spectrum(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"spectrum_{label}_lb{lb}.csv"
         for label in ("ideal", "relaxed") for lb in (50, 200, 500))
+
+
+def test_exports_hold_every_imported_name_and_no_module():
+    assert not [name for name in quadnmr.__all__
+                if isinstance(getattr(quadnmr, name), type(quadnmr))]
+    # read with ast, so that no benchmark file is imported
+    callers = [ROOT / "perfbench" / "workloads.py", *sorted((ROOT / "scripts").glob("*.py"))]
+    imported = {alias.name for path in callers for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "quadnmr"
+                for alias in node.names}
+    assert {"classify_peaks", "is_unitary", "hard_pulse"} <= imported <= set(quadnmr.__all__)

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadnmr import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError,
-                     cphase_delay_s, free_evolution, matrices_close, quad_evolution,
-                     transition_table)
+                     cphase_delay_s, transition_table)
+from quadnmr.seqlang import QuadDelay, Refocus
 
-from helpers import expm_hermitian, hamiltonian
+from helpers import expm_hermitian, free_evolution, hamiltonian, matrices_close, propagator
+from test_pulses import quad_delay
 
 TWO_PI = 2.0 * np.pi
 
@@ -85,28 +86,29 @@ class TestTransitionTable:
 class TestQuadEvolution:
     def test_controlled_phase_delay(self, sys32):
         tau = cphase_delay_s(sys32)
-        u = quad_evolution(sys32, tau)
+        u = propagator(quad_delay(tau), sys32)
         expected = np.diag(np.exp(1j * np.pi / 4 * np.array([-1, 1, 1, -1])))
         assert matrices_close(u, expected, atol=1e-12)
 
     def test_zero_time_identity(self, sys32):
-        assert matrices_close(quad_evolution(sys32, 0.0), np.eye(4))
+        assert matrices_close(propagator(quad_delay(0.0), sys32), np.eye(4))
 
     def test_double_delay_is_square(self, sys32):
         tau = cphase_delay_s(sys32)
-        single = quad_evolution(sys32, tau)
-        assert matrices_close(quad_evolution(sys32, 2 * tau), single @ single, atol=1e-12)
+        single = propagator(quad_delay(tau), sys32)
+        assert matrices_close(propagator(quad_delay(2 * tau), sys32), single @ single,
+                              atol=1e-12)
 
     def test_negative_time_rejected(self, sys32):
         with pytest.raises(ValueError):
-            quad_evolution(sys32, -1e-6)
+            propagator(quad_delay(-1e-6), sys32)
 
     @settings(max_examples=50, deadline=None)
     @given(a=st.floats(0, 1e-3), b=st.floats(0, 1e-3))
     def test_semigroup(self, a, b):
         sys = SpinSystem()
-        combined = quad_evolution(sys, a + b)
-        split = quad_evolution(sys, a) @ quad_evolution(sys, b)
+        combined = propagator(quad_delay(a + b), sys)
+        split = propagator(quad_delay(a), sys) @ propagator(quad_delay(b), sys)
         assert matrices_close(combined, split, atol=1e-10)
 
 
@@ -180,7 +182,7 @@ def test_diagonal_propagators_equal_eigh_reference(two_i, offset, coupling, tau)
     assert np.array_equal(hamiltonian(sys), reference_hamiltonian(sys))
     assert np.array_equal(free_evolution(sys, tau),
                           expm_hermitian(reference_hamiltonian(sys), -tau))
-    assert np.array_equal(quad_evolution(sys, tau),
+    assert np.array_equal(propagator(quad_delay(tau), sys),
                           expm_hermitian(reference_hamiltonian(sys, zeeman=False), -tau))
 
 
@@ -194,8 +196,10 @@ def test_labels_are_derived_from_the_spin():
         SpinSystem(labels=("a", "b", "c", "d"))
 
 
-@pytest.mark.parametrize("propagator", [free_evolution, quad_evolution])
+# the halves of a refocus block are free evolution under the full Hamiltonian
+@pytest.mark.parametrize("event_type", [Refocus, QuadDelay],
+                         ids=["free_evolution", "quad_evolution"])
 @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf"), -1e-9])
-def test_non_finite_or_negative_time_rejected(propagator, tau):
+def test_non_finite_or_negative_time_rejected(event_type, tau):
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        propagator(SpinSystem(), tau)
+        propagator(event_type(tau_s=tau, tau_text=""), SpinSystem())
