@@ -21,6 +21,7 @@ from whether the central line's sign agrees with the outer lines' sign
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cache
 from importlib.resources import files
@@ -50,6 +51,8 @@ ORACLE_PHASES = {
     "f3": np.exp(-1j * np.pi / 4.0),
     "f4": np.exp(-1j * np.pi / 4.0),
 }
+# The rows of the identity that make up each oracle's permutation matrix.
+_ORACLE_ROWS = {"f1": [0, 1, 2, 3], "f2": [1, 0, 3, 2], "f3": [0, 1, 3, 2], "f4": [1, 0, 2, 3]}
 
 
 class AmbiguousReadoutError(RuntimeError):
@@ -74,14 +77,13 @@ def check_resolved(fid: FID, sys: SpinSystem) -> None:
     """
     pairs = sorted(zip(transition_table(sys), fid.lines), key=lambda p: p[0].frequency_hz)
     table = [tr for tr, _ in pairs]
-    widths = [fid.lb_hz + 1.0 / (fid.points * fid.dwell_s) + 1.0 / (np.pi * t2)
-              for _, (_, _, t2) in pairs]
-    spectral_width = 1.0 / fid.dwell_s
+    bin_hz, spectral_width = 1.0 / (fid.points * fid.dwell_s), 1.0 / fid.dwell_s
+    widths = [fid.lb_hz + bin_hz + 1.0 / (math.pi * t2) for _, (_, _, t2) in pairs]
     # the spectrum is periodic in 1/dwell, so the highest line neighbours the lowest
     for k, tr in enumerate(table):
         nxt = (k + 1) % len(table)
         gap = table[nxt].frequency_hz - tr.frequency_hz + (spectral_width if nxt == 0 else 0.0)
-        limit = max(widths[k], widths[nxt]) / np.sqrt(3.0)
+        limit = max(widths[k], widths[nxt]) / math.sqrt(3.0)
         if not gap > limit:
             raise UnresolvedLinesError(
                 f"lines {tr.label} and {table[nxt].label} lie {gap:g} Hz apart, "
@@ -96,13 +98,10 @@ def oracle_class(oracle_id: str) -> str:
 
 
 def oracle_matrix(oracle_id: str) -> np.ndarray:
-    """Ideal propagator of the oracle: a 4x4 0/1 permutation matrix."""
+    """Ideal propagator of the oracle: a 4x4 0/1 permutation matrix, the
+    identity with rows 0 and 1 (f4), 2 and 3 (f3) or both pairs (f2) swapped."""
     oracle_class(oracle_id)
-    eye = np.eye(4, dtype=complex)
-    swap_01 = eye[[1, 0, 2, 3]]
-    swap_23 = eye[[0, 1, 3, 2]]
-    return {"f1": eye, "f2": swap_01 @ swap_23,
-            "f3": swap_23, "f4": swap_01}[oracle_id].copy()
+    return np.eye(4, dtype=complex)[_ORACLE_ROWS[oracle_id]]
 
 
 # Bundled sequence file realizing each oracle under each method; f1 needs none.

@@ -122,6 +122,8 @@ def z_row(sys: SpinSystem, transition: str, phi_rad: float) -> int:
 def gradient_crush(rho: np.ndarray) -> np.ndarray:
     """Perfect crusher gradient: zeroes every coherence, keeps populations."""
     rho = np.asarray(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
+    if np.abs(rho - rho.conj().T).max() > 1e-9:
         raise ValueError("crusher input must be Hermitian")
-    return np.diag(np.diag(rho)).astype(complex)
+    out = np.zeros(rho.shape, dtype=complex)
+    out.reshape(-1)[::len(rho) + 1] = rho.diagonal()
+    return out

@@ -61,9 +61,8 @@ def observable_amplitudes(rho: np.ndarray, sys: SpinSystem) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape != (sys.dim, sys.dim):
         raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
-    table = transition_table(sys)
-    return np.array([tr.ix_element * rho[tr.upper_index, tr.lower_index]
-                     for tr in table], dtype=complex)
+    return np.array([tr.ix_element * rho[pair] for pair, tr in sys._transitions.items()],
+                    dtype=complex)
 
 
 class FID:
@@ -89,20 +88,29 @@ class FID:
         return samples
 
 
-def _lines(amplitudes: np.ndarray, sys: SpinSystem, dwell_s: float,
+def _lines(amplitudes: np.ndarray, sys: SpinSystem, points: int, dwell_s: float,
            relax: RelaxationParams | None) -> tuple[tuple[complex, float, float], ...]:
     """(amplitude, frequency_hz, t2_s) of each line in table order, t2_s = inf
-    without relax; rejects lines at or beyond the Nyquist frequency 1/(2*dwell)."""
+    without relax; rejects lines at or beyond the Nyquist frequency 1/(2*dwell),
+    then amplitudes that are not finite or whose summed magnitude times the
+    points overflows: that sum bounds every bin of the transform."""
     nyquist = 1.0 / (2.0 * dwell_s)
     t2 = None if relax is None else coherence_t2_table(relax, sys.dim)
-    lines = []
-    for a, tr in zip(amplitudes.tolist(), transition_table(sys)):
+    table, lines, size = transition_table(sys), [], 0.0
+    for a, tr in zip(amplitudes.tolist(), table):
         if abs(tr.frequency_hz) >= nyquist:
             raise ValueError(
                 f"transition {tr.label} at {tr.frequency_hz:g} Hz violates the "
                 f"Nyquist limit {nyquist:g} Hz; decrease the dwell time")
+        size += math.hypot(a.real, a.imag)
         lines.append((a, tr.frequency_hz,
                       math.inf if t2 is None else float(t2[tr.upper_index, tr.lower_index])))
+    if not math.isfinite(points * size):
+        for (a, _, _), tr in zip(lines, table):
+            if not cmath.isfinite(a):
+                raise ValueError(f"amplitude {a} of line {tr.label} is not finite")
+        raise ValueError(f"{points} points times the summed amplitude magnitude "
+                         "overflow the float range")
     return tuple(lines)
 
 
@@ -113,15 +121,15 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
 
     Every line decays with the Lorentzian broadening factor lb_hz; when relax
     is given, each line additionally decays with its own transition T2.
-    Rejects lines at or beyond the Nyquist frequency 1/(2*dwell), and more
-    than MAX_POINTS points. The FID keeps its lines: its samples are
+    Rejects lines at or beyond the Nyquist frequency 1/(2*dwell), more than
+    MAX_POINTS points, and amplitudes that are not finite or too large for
+    the transform (_lines). The FID keeps its lines: its samples are
     computed only when read, by the formula of the module docstring, and
     spectrum() needs none of them.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
-    table = transition_table(sys)
-    if amplitudes.shape != (len(table),):
-        raise ValueError(f"expected {len(table)} amplitudes, got {amplitudes.shape}")
+    if amplitudes.shape != (sys.dim - 1,):
+        raise ValueError(f"expected {sys.dim - 1} amplitudes, got {amplitudes.shape}")
     if points < 2:
         raise ValueError("need at least two points")
     if points > MAX_POINTS:
@@ -131,7 +139,7 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
     if not math.isfinite(lb_hz) or lb_hz < 0:
         raise ValueError(f"line broadening must be finite and nonnegative, got {lb_hz}")
     return FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz,
-               lines=_lines(amplitudes, sys, dwell_s, relax))
+               lines=_lines(amplitudes, sys, points, dwell_s, relax))
 
 
 @dataclass(frozen=True)
@@ -162,67 +170,81 @@ def _best_phase(integrals: np.ndarray) -> float:
     overflow keep their bits through the rotations and sums.
     """
     values = integrals.tolist()
-    top = max((abs(p) for v in values for p in (v.real, v.imag)), default=0.0)
+    # the largest part, over the real and imaginary parts in turn
+    top = max(map(abs, integrals.view(float).tolist()), default=0.0)
     if not top:
         return 0.0
     e = math.frexp(top)[1]
     z = [complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e)) for v in values]
     # math.atan2, unlike cmath.phase, does not raise when the angle underflows
-    crossings = sorted((math.pi / 2 - math.atan2(v.imag, v.real)) % math.pi for v in z if v)
+    crossings = sorted([(math.pi / 2 - math.atan2(v.imag, v.real)) % math.pi for v in z if v])
     best = 0j
     for a, b in zip(crossings, crossings[1:] + [crossings[0] + math.pi]):
-        # the sign pattern in the middle of the stretch between two crossings
-        turn = cmath.exp(0.5j * (a + b))
-        total = sum(v if (turn * v).real > 0 else -v for v in z)
+        # the sign pattern in the middle t of the stretch between two crossings:
+        # Re(e^{it} v) = cos t Re v - sin t Im v, as the complex product rounds it
+        c, s = math.cos(0.5 * (a + b)), math.sin(0.5 * (a + b))
+        total = sum([v if c * v.real - s * v.imag > 0 else -v for v in z])
         if abs(total) > abs(best):
             best = total
     phase = -math.atan2(best.imag, best.real)
-    if (cmath.exp(1j * phase) * z[int(np.argmax(np.abs(integrals)))]).real < 0:
+    largest = z[np.abs(integrals).argmax()]
+    if math.cos(phase) * largest.real - math.sin(phase) * largest.imag < 0:
         phase += math.pi
     phase %= 2.0 * math.pi
     return 0.0 if phase == 2.0 * math.pi else phase    # -1e-48 % 2pi rounds to 2pi
 
 
-def _window(freq: np.ndarray, span_s: float, line: float, lines: list[float],
-            half_width: float) -> slice | np.ndarray:
-    """The bins of line's readout window, as a slice or an index array.
+def _windows(freq: np.ndarray, span_s: float, lines: list[float],
+             half_width: float) -> list[slice | np.ndarray]:
+    """The bins of each line's readout window, as a slice or an index array.
 
-    A bin at x = freq[i] belongs to the window when |x - line| <= half_width
+    A bin at x = freq[i] is in a line's window when |x - line| <= half_width
     and no other line is strictly nearer to x. Along the axis the first test
-    holds on one run of bins and each other line fails the second on one
-    end of it, so each edge is settled by testing the bins next to a first
-    guess. Where another line lies within a few units in the last place of
-    half_width, rounding can tie the two distances at scattered bins, so
-    such a window is tested bin by bin.
+    holds on one run of bins and each other line fails the second on one end
+    of it, so each edge is the first bin of a run that passes a test, found
+    by testing the bins next to a first guess. A line farther than two
+    half-widths is nearer to no bin of the run. Where another line lies
+    within a few units in the last place of half_width, rounding can tie the
+    two distances at scattered bins, so such a window is tested bin by bin.
     """
     points, centre, step = len(freq), len(freq) // 2, 1.0 / span_s
-
-    def first(test, near_hz, lo, hi):
-        """First i in [lo, hi) whose bin passes a test that fails then passes, else hi."""
-        guess = near_hz * span_s + centre
-        i = lo if guess <= lo else hi if not guess < hi else int(guess)   # nan: hi
-        # (i - centre) * step rounds exactly like freq[i]
-        while i > lo and test((i - 1 - centre) * step):
-            i -= 1
-        while i < hi and not test((i - centre) * step):
-            i += 1
-        return i
-
-    lo = first(lambda x: x - line >= -half_width, line - half_width, 0, points)
-    hi = first(lambda x: x - line > half_width, line + half_width, lo, points)
-    rivals = [f for f in lines if f != line]
-    if any(abs(f - line) <= 16 * math.ulp(half_width) for f in rivals):
-        dist = np.abs(freq[lo:hi] - line)
-        nearer = np.zeros(hi - lo, dtype=bool)
+    windows = []
+    for line in lines:
+        # (i - centre) * step rounds exactly like freq[i]; each edge search
+        # starts at the bin at its frequency, clipped to its range (its end for nan)
+        guess = (line - half_width) * span_s + centre
+        lo = 0 if guess <= 0 else points if not guess < points else int(guess)
+        while lo > 0 and (lo - 1 - centre) * step - line >= -half_width:
+            lo -= 1
+        while lo < points and not (lo - centre) * step - line >= -half_width:
+            lo += 1
+        guess = (line + half_width) * span_s + centre
+        hi = lo if guess <= lo else points if not guess < points else int(guess)
+        while hi > lo and (hi - 1 - centre) * step - line > half_width:
+            hi -= 1
+        while hi < points and not (hi - centre) * step - line > half_width:
+            hi += 1
+        rivals = [f for f in lines if f != line and not abs(f - line) > 2.001 * half_width]
+        if rivals and any([abs(f - line) <= 16 * math.ulp(half_width) for f in rivals]):
+            dist = np.abs(freq[lo:hi] - line)
+            nearer = np.zeros(hi - lo, dtype=bool)
+            for f in rivals:
+                nearer |= np.abs(freq[lo:hi] - f) < dist
+            windows.append(lo + np.flatnonzero(~nearer))
+            continue
         for f in rivals:
-            nearer |= np.abs(freq[lo:hi] - f) < dist
-        return lo + np.flatnonzero(~nearer)
-    for f in rivals:
-        if f > line:
-            hi = first(lambda x: abs(x - f) < abs(x - line), line / 2 + f / 2, lo, hi)
-        else:
-            lo = first(lambda x: not abs(x - f) < abs(x - line), line / 2 + f / 2, lo, hi)
-    return slice(lo, hi)
+            # the first bin f is strictly nearer to, when above the line; else not
+            above, guess = f > line, (line / 2 + f / 2) * span_s + centre
+            i = lo if guess <= lo else hi if not guess < hi else int(guess)
+            while i > lo and (abs((i - 1 - centre) * step - f)
+                              < abs((i - 1 - centre) * step - line)) == above:
+                i -= 1
+            while i < hi and (abs((i - centre) * step - f)
+                              < abs((i - centre) * step - line)) != above:
+                i += 1
+            lo, hi = (lo, i) if above else (i, hi)
+        windows.append(slice(lo, hi))
+    return windows
 
 
 # 2 pi - math.tau, the part of 2 pi that math.tau rounds off
@@ -346,25 +368,23 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     table = transition_table(sys)
     lines = [tr.frequency_hz for tr in table]
-    windows = [_window(freq, span_s, line, lines, half_width) for line in lines]
-    for tr, window in zip(table, windows):
-        if freq[window].size == 0:
+    windows = _windows(freq, span_s, lines, half_width)
+    bins = [freq[window] for window in windows]
+    for tr, hz in zip(table, bins):
+        if not hz.size:
             raise ValueError(
                 f"readout window of line {tr.label} ({tr.frequency_hz:g} Hz "
                 f"+- {half_width:g} Hz) holds no frequency bin; raise the line "
                 "broadening or the acquisition time points * dwell")
     df = freq[1] - freq[0]
-    raw = np.array([complex(amp[window].sum() * df) for window in windows])
+    raw = np.array([amp[window].sum() * df for window in windows])
     phase = _best_phase(raw)
     rot = np.exp(1j * phase)
     amp *= rot      # the bits of amp * rot, without a second array
     integrals = (raw * rot).real
-    peaks = []
-    for tr, window, integral, sign in zip(table, windows, integrals.tolist(),
-                                          np.sign(integrals).tolist()):
-        peak_hz = freq[window][np.abs(amp[window]).argmax()]
-        peaks.append(Peak(transition=tr.label, frequency_hz=float(peak_hz),
-                          real_integral=integral, sign=int(sign) or 1))
+    peaks = [Peak(tr.label, hz.item(np.abs(amp[window]).argmax()), integral, int(sign) or 1)
+             for tr, window, hz, integral, sign in zip(table, windows, bins, integrals.tolist(),
+                                                       np.sign(integrals).tolist())]
     return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,11 +36,23 @@ class ForbiddenTransitionError(ValueError):
     """Transition with |delta m| > 1 cannot be driven by a single r.f. field."""
 
 
-def _default_labels(dim: int) -> tuple[str, ...]:
-    if dim == 4:
-        return SPIN_32_LABELS
+@cache
+def _level_constants(dim: int) -> tuple[tuple[str, ...], np.ndarray, tuple[float, ...],
+                                        tuple[float, ...], np.ndarray]:
+    """What the systems of a dim-level spin share: the labels, the read-only
+    Iz diagonal, its m values as floats, the |<i|Ix|i+1>| of each line, and
+    the read-only SpinSystem._exponent_rows with QUAD_ROW and H_ROW left zero."""
     width = max(1, int(np.ceil(np.log2(dim))))
-    return tuple(format(k, f"0{width}b") for k in range(dim))
+    labels = SPIN_32_LABELS if dim == 4 else tuple(format(k, f"0{width}b") for k in range(dim))
+    rows = np.zeros((Z_ROW + dim - 1, dim), dtype=complex)
+    for i in range(dim - 1):
+        s = _z_orientation(labels[i], labels[i + 1])
+        rows[Z_ROW + i, i], rows[Z_ROW + i, i + 1] = -1j * s, +1j * s
+    rows.flags.writeable = False
+    ops = spin_operators((dim - 1) / 2.0)
+    m = np.diag(ops.iz).real
+    ix = tuple(float(abs(ops.ix[i, i + 1])) for i in range(dim - 1))
+    return labels, m, tuple(m.tolist()), ix, rows
 
 
 @dataclass(frozen=True)
@@ -72,24 +84,25 @@ class SpinSystem:
         for name, value in (("offset_hz", self.offset_hz), ("lambda_hz", self.lambda_hz)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        labels = _default_labels(ops.dim)
+        labels, iz_diag, m, ix, _ = _level_constants(ops.dim)
         object.__setattr__(self, "labels", labels)
-        m = np.diag(ops.iz).real
-        with np.errstate(over="ignore", invalid="ignore"):    # refused below
-            quad = 2.0 * np.pi * self.lambda_hz * (3.0 * m * m - self.spin * (self.spin + 1.0))
-            h_diag = -2.0 * np.pi * self.offset_hz * m + quad
-            freq_hz = (h_diag[:-1] - h_diag[1:]) / (2.0 * np.pi)
-        if not (np.isfinite(h_diag).all() and np.isfinite(freq_hz).all()):
+        # the numpy formulas 2 pi lambda (3 m^2 - I(I+1)) and -2 pi offset m +
+        # quad, level by level on floats: the same IEEE operations in the same order
+        c, s = math.tau * float(self.lambda_hz), float(self.spin) * (float(self.spin) + 1.0)
+        o = -math.tau * float(self.offset_hz)
+        quad = [c * (3.0 * x * x - s) for x in m]
+        h = [o * x + q for x, q in zip(m, quad)]
+        freq_hz = [(a - b) / math.tau for a, b in zip(h, h[1:])]
+        if not all(map(math.isfinite, h + freq_hz)):
             raise ValueError(
                 f"offset_hz={self.offset_hz:g} and lambda_hz={self.lambda_hz:g} put the "
                 "Hamiltonian or a line frequency beyond the float range")
-        for name, diag in (("_iz_diag", m), ("_quad_diag", quad), ("_h_diag", h_diag)):
-            diag.flags.writeable = False
+        diags = np.array([quad, h])
+        diags.flags.writeable = False
+        for name, diag in zip(("_iz_diag", "_quad_diag", "_h_diag"), (iz_diag, *diags)):
             object.__setattr__(self, name, diag)
-        lines = [Transition(upper_label=labels[i], lower_label=labels[i + 1],
-                            upper_index=i, lower_index=i + 1, frequency_hz=f,
-                            ix_element=float(abs(ops.ix[i, i + 1])))
-                 for i, f in enumerate(freq_hz.tolist())]
+        lines = [Transition(labels[i], labels[i + 1], i, i + 1, f, e)
+                 for i, (f, e) in enumerate(zip(freq_hz, ix))]
         object.__setattr__(self, "_transitions", {(tr.upper_index, tr.lower_index): tr
                                                   for tr in lines})
         object.__setattr__(self, "_by_label", {
@@ -103,11 +116,8 @@ class SpinSystem:
         times a Z_ROW for a z-pulse, which puts -i*s on its line's upper level
         and +i*s on the lower one.
         """
-        rows = np.zeros((Z_ROW + self.dim - 1, self.dim), dtype=complex)
+        rows = _level_constants(self.dim)[4].copy()
         rows[QUAD_ROW], rows[H_ROW] = self._quad_diag, self._h_diag
-        for i, tr in enumerate(self._transitions.values()):
-            s = _z_orientation(tr)
-            rows[Z_ROW + i, i], rows[Z_ROW + i, i + 1] = -1j * s, +1j * s
         rows.flags.writeable = False
         return rows
 
@@ -172,9 +182,9 @@ class Transition:
         return f"{self.upper_label}-{self.lower_label}"
 
 
-def _z_orientation(tr: Transition) -> int:
+def _z_orientation(upper_label: str, lower_label: str) -> int:
     """+1 when the upper-index level has the smaller binary label, else -1."""
-    return 1 if int(tr.upper_label, 2) < int(tr.lower_label, 2) else -1
+    return 1 if int(upper_label, 2) < int(lower_label, 2) else -1
 
 
 def transition_table(sys: SpinSystem) -> list[Transition]:

@@ -18,7 +18,7 @@ from quadnmr.dj import _ORACLE_FILES
 from quadnmr.readout import Peak
 from quadnmr.seqlang import QuadDelay
 
-from helpers import global_phase, ideal_state_after_oracle, matrices_close
+from helpers import global_phase, ideal_state_after_oracle, matrices_close, oracle_matrix_reference
 
 SQRT3 = np.sqrt(3.0)
 INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
@@ -46,6 +46,13 @@ class TestOracleMatrices:
         u = oracle_matrix(oracle_id)
         assert np.array_equal(np.abs(u) ** 2, np.abs(u))     # 0/1 entries
         assert matrices_close(u @ u.conj().T, np.eye(4))
+
+    @pytest.mark.parametrize("oracle_id", ORACLE_IDS)
+    def test_bytes_equal_the_swap_product_and_are_fresh(self, oracle_id):
+        u, again = oracle_matrix(oracle_id), oracle_matrix(oracle_id)
+        assert u.tobytes() == oracle_matrix_reference(oracle_id).tobytes()
+        assert u.dtype == complex and u.shape == (4, 4) and u.flags.writeable
+        assert not np.shares_memory(u, again)
 
     def test_classes(self):
         assert oracle_class("f1") == oracle_class("f2") == "constant"

@@ -14,8 +14,8 @@ from quadnmr.seqlang import (GaussianShape, HardPulse, QuadDelay, Refocus, SelPu
 from quadnmr.system import cphase_delay_s
 
 from conftest import HARD_90_MINUS_Y
-from helpers import (expm_hermitian, free_evolution, hamiltonian, matrices_close, propagator,
-                     selective_z_pulse)
+from helpers import (expm_hermitian, free_evolution, gradient_crush_reference, hamiltonian,
+                     matrices_close, propagator, selective_z_pulse)
 
 SQRT3 = np.sqrt(3.0)
 PI = np.pi
@@ -312,6 +312,23 @@ class TestGradientCrush:
     def test_diagonal_unchanged(self):
         rho = np.diag([1.5, -0.5, -0.5, -0.5]).astype(complex)
         assert matrices_close(gradient_crush(rho), rho)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 6), parts=st.lists(
+        st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324])),
+        min_size=72, max_size=72), kind=st.sampled_from(["hermitian", "real", "int", "raw"]))
+    def test_bytes_and_errors_equal_the_diag_reference(self, dim, parts, kind):
+        a = (np.array(parts[:dim * dim]) + 1j * np.array(parts[36:36 + dim * dim])).reshape(
+            dim, dim)
+        rho = {"hermitian": a + a.conj().T, "real": a.real + a.real.T,
+               "int": np.round(a.real + a.real.T).astype(int), "raw": a}[kind]
+
+        def outcome(crush):
+            try:
+                return crush(rho).tobytes()
+            except ValueError as exc:
+                return str(exc)
+        assert outcome(gradient_crush) == outcome(gradient_crush_reference)
 
     def test_trace_preserved_and_idempotent(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

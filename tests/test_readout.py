@@ -14,7 +14,7 @@ from quadnmr.readout import _CSV_CHUNK_ROWS, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS,
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.system import transition_table
 
-from helpers import ideal_density_after_oracle
+from helpers import best_phase_reference, ideal_density_after_oracle
 
 
 def analytic_window_integral(amplitude, lb_hz, dwell_s,
@@ -80,6 +80,16 @@ class TestSynthesizeFid:
     def test_bad_dwell_rejected(self, sys32, dwell_s):
         with pytest.raises(ValueError, match="dwell time"):
             synthesize_fid([1, 1, 1], sys32, points=64, dwell_s=dwell_s)
+
+    # each once went on to a NaN peak sign; 1e308 overflows the transform
+    @pytest.mark.parametrize("amplitudes, message", [
+        ([math.nan, 1.0, 1.0], "amplitude (nan+0j) of line 00-01 is not finite"),
+        ([1.0, complex(1.0, math.inf), 1.0], "amplitude (1+infj) of line 01-11 is not finite"),
+        ([1e308] * 3, "64 points times the summed amplitude magnitude overflow the float range")])
+    def test_non_finite_readout_refused(self, sys32, amplitudes, message):
+        with pytest.raises(ValueError) as caught:
+            synthesize_fid(amplitudes, sys32, points=64)
+        assert str(caught.value) == message
 
     def test_more_than_max_points_rejected(self, sys32):
         # the FID computes nothing on its own, so the largest one costs nothing here
@@ -217,6 +227,33 @@ class TestBestPhase:
         if np.any(z):
             # the largest peak comes out positive
             assert np.real(np.exp(1j * phase) * z[np.argmax(np.abs(integrals))]) >= 0.0
+
+
+# complex parts from zero through subnormal to near overflow
+PARTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e3, 1e3),
+                  st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1.0, -1.0,
+                                   1e308, -1.7e308]))
+
+
+@st.composite
+def phase_triples(draw):
+    """Three integrals; the second and third may be the first with its parts
+    negated or swapped, which ties their magnitudes exactly."""
+    first = complex(draw(PARTS), draw(PARTS))
+    ties = [first, -first, first.conjugate(), complex(first.imag, first.real)]
+    return [first] + [draw(st.one_of(st.sampled_from(ties), st.builds(complex, PARTS, PARTS)))
+                      for _ in range(2)]
+
+
+class TestBestPhaseBits:
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(phase_triples(), phase_integrals()))
+    @example([1 + 1j, -1 - 1j, 1 - 1j])
+    @example([5e-324 + 0j, -5e-324j, 0j])
+    @example([1.7e308 - 1.7e308j, 1.7e308 + 1.7e308j, -0.0 + 0j])
+    def test_equals_the_complex_arithmetic_reference(self, integrals):
+        integrals = np.array(integrals, dtype=complex)
+        assert _best_phase(integrals).hex() == best_phase_reference(integrals).hex()
 
 
 def reference_spectrum(fid, sys, choose_phase):

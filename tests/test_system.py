@@ -3,14 +3,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadnmr import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError,
                      cphase_delay_s, transition_table)
 from quadnmr.seqlang import QuadDelay, Refocus
 
-from helpers import expm_hermitian, free_evolution, hamiltonian, matrices_close, propagator
+from helpers import (expm_hermitian, free_evolution, hamiltonian, matrices_close, propagator,
+                     spin_system_reference)
 from test_pulses import quad_delay
 
 TWO_PI = 2.0 * np.pi
@@ -81,6 +82,41 @@ class TestTransitionTable:
         assert len(set(sys32.labels)) == sys32.dim
         for idx, label in enumerate(sys32.labels):
             assert sys32.index_of(label) == idx
+
+
+# finite values from subnormal to the largest double, and the kHz range
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e5, 1e5),
+                   st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, 2.9e307, -2.9e307]))
+
+
+class TestBuildEqualsNumpyFormulas:
+    # 1.5 + 4e-13 is a spin within the half-integer tolerance, which the
+    # formulas take as given
+    @settings(max_examples=400, deadline=None)
+    @given(spin=st.sampled_from([0.5, 1.0, 1.5, 1.5 + 4e-13, 2.5, 7.5]),
+           offset_hz=FINITE, lambda_hz=FINITE)
+    @example(spin=1.5, offset_hz=0.0, lambda_hz=1e308)        # quad overflows
+    @example(spin=0.5, offset_hz=1.0, lambda_hz=1e308)        # inf * 0
+    @example(spin=1.5, offset_hz=-1.7e308, lambda_hz=1e307)   # a frequency overflows
+    @example(spin=2.0, offset_hz=-0.0, lambda_hz=-0.0)        # signed zeros, m = 0
+    def test_arrays_and_lines_equal_the_numpy_formulas(self, spin, offset_hz, lambda_hz):
+        try:
+            labels, iz, quad, h, freqs, ix, rows = spin_system_reference(
+                spin, offset_hz, lambda_hz)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                SpinSystem(spin=spin, offset_hz=offset_hz, lambda_hz=lambda_hz)
+            assert str(caught.value) == str(exc)
+            return
+        sys = SpinSystem(spin=spin, offset_hz=offset_hz, lambda_hz=lambda_hz)
+        assert sys.labels == labels
+        for got, want in ((sys._iz_diag, iz), (sys._quad_diag, quad), (sys._h_diag, h),
+                          (sys._exponent_rows, rows)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        table = transition_table(sys)
+        assert [tr.frequency_hz.hex() for tr in table] == [f.hex() for f in freqs]
+        assert [tr.ix_element.hex() for tr in table] == [e.hex() for e in ix]
 
 
 class TestQuadEvolution:
