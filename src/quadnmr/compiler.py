@@ -27,7 +27,8 @@ from .readout import FID, observable_amplitudes, synthesize_fid
 from .relaxation import RelaxationParams, decay_factors, relax_step
 from .seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, Gradient, HardPulse, QuadDelay,
                       Refocus, SelPulse, SequenceIR, ZPulse)
-from .system import H_ROW, QUAD_ROW, SpinSystem, cphase_delay_s, evolution_coefficient
+from .system import (H_ROW, QUAD_ROW, SpinSystem, _frozen, cphase_delay_s,
+                     evolution_coefficient)
 
 
 class NonUnitaryEventError(ValueError):
@@ -48,51 +49,73 @@ def _inversion(dim: int) -> np.ndarray:
     return u
 
 
+def _selective(event, sys):
+    shape = event.shape
+    if shape is not None and shape.duration_s <= 0:
+        raise ValueError("shaped pulse duration must be positive")
+    pulse = pulse_factors(sys, event.axis, event.angle_rad, event.transition)
+    if shape is None:
+        return pulse, None, None, None
+    return pulse, evolution_coefficient(shape.duration_s), None, shape.duration_s  # then free
+
+
+def _delay(row: int, parts: int):
+    """The builder of a delay whose tau / parts evolves under the row."""
+    def build(event, sys):
+        tau = cphase_delay_s(sys) if event.tau_text == SYMBOLIC_CPHASE_DELAY else event.tau_s
+        return None, None, (evolution_coefficient(tau / parts), row), tau / parts
+    return build
+
+
+# What _plan builds each event type from, each None where it has none: the
+# pulse's sign and factors, the coefficient of the free evolution after it,
+# the diagonal exponent (a coefficient and an _exponent_rows row) and the
+# relaxed interval. A refocus block is built from its half; gradients and
+# acquisitions have no step, and an event of another type is refused.
+_STEP_BUILDERS = {
+    HardPulse: lambda e, sys: (pulse_factors(sys, e.axis, e.angle_rad), None, None, None),
+    SelPulse: _selective,
+    ZPulse: lambda e, sys: (None, None, (e.angle_rad, z_row(sys, e.transition, e.angle_rad)),
+                            None),
+    QuadDelay: _delay(QUAD_ROW, 1), Refocus: _delay(H_ROW, 2), Gradient: None, Acquire: None}
+
+
+def _fill(steps, us: np.ndarray) -> None:
+    """Put each propagator of the batch us (one or a stack) and its adjoint in its step."""
+    uhs = us.conj().swapaxes(-1, -2)
+    for step, u, uh in zip(steps, us, uhs) if us.ndim == 3 else ((steps[0], us, uhs),):
+        step[:2] = u, uh
+
+
 def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
     """Steps of each event, the decays of the relaxed intervals (or None) and
     the error of the first bad event (or None), which the walk raises when it
     reaches that event: the plan stops before it.
 
-    An event's steps are [propagator, interval] pairs in time order; interval
-    indexes the decays when relaxation follows the step. Without relax every
-    unitary event is one step, its whole propagator. A gradient or acquisition
-    has None. A refocus block relaxes in its two free-evolution halves, on the
-    transitions its coherences occupy around the inversion. Each step is made
-    empty and filled once the batch is computed.
+    An event's steps are [propagator, its conjugate transpose, interval]
+    triples in time order; interval indexes the decays when relaxation
+    follows the step. Without relax every unitary event is one step, its
+    whole propagator. A gradient or acquisition has None. A refocus block
+    relaxes in its two free-evolution halves, on the transitions its
+    coherences occupy around the inversion. Each step is made empty and
+    filled once the batch is computed.
     """
     plan, groups, diags, dts, blocks, error = [], {}, [], [], [], None
     for event in events:
-        if isinstance(event, (Gradient, Acquire)):
+        build = _STEP_BUILDERS.get(type(event), _non_unitary)
+        if build is None:
             plan.append(None)
             continue
         try:
-            pulse = free = diag = dt = None
-            if isinstance(event, HardPulse):
-                pulse = pulse_factors(sys, event.axis, event.angle_rad)
-            elif isinstance(event, SelPulse):
-                shape = event.shape
-                if shape is not None and shape.duration_s <= 0:
-                    raise ValueError("shaped pulse duration must be positive")
-                pulse = pulse_factors(sys, event.axis, event.angle_rad, event.transition)
-                if shape is not None:   # the pulse, then free evolution over it
-                    free, dt = evolution_coefficient(shape.duration_s), shape.duration_s
-            elif isinstance(event, ZPulse):
-                diag = (event.angle_rad, z_row(sys, event.transition, event.angle_rad))
-            elif isinstance(event, (QuadDelay, Refocus)):
-                tau = (cphase_delay_s(sys) if event.tau_text == SYMBOLIC_CPHASE_DELAY
-                       else event.tau_s)
-                if isinstance(event, QuadDelay):
-                    diag, dt = (evolution_coefficient(tau), QUAD_ROW), tau
-                else:   # a half of the block
-                    diag, dt = (evolution_coefficient(tau / 2.0), H_ROW), tau / 2.0
-            else:
+            if build is _non_unitary:
                 raise _non_unitary(event)
+            pulse, free, diag, dt = build(event, sys)
         except ValueError as exc:   # a refused event: raised when the walk gets there
             error = exc
             break
-        step = [None, None]
+        step = [None, None, None]
         if relax is not None and dt is not None:
-            step[1] = len(dts)
+            step[2] = len(dts)
             dts.append(dt)
         plan.append((step,))
         if pulse is not None:
@@ -100,36 +123,32 @@ def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
             members = groups.setdefault((id(factors), free is None), (factors, []))[1]
             members.append((sign * event.angle_rad, free, step))
             continue
-        if isinstance(event, Refocus) and relax is not None:
-            plan[-1] = (step, (_inversion(sys.dim), None), step)
-        elif isinstance(event, Refocus):   # the block is made from its half
-            blocks.append(([None], step))
+        if type(event) is Refocus and relax is not None:
+            inversion = _inversion(sys.dim)
+            plan[-1] = (step, (inversion, inversion.conj().T, None), step)
+        elif type(event) is Refocus:   # the block is made from its half
+            blocks.append(([None, None], step))
             step = blocks[-1][0]
         diags.append((*diag, step))
 
     # a lone pulse or diagonal propagator is computed as one matrix, not a stack
-    for (eigvals, eigvecs), members in groups.values():
+    for factors, members in groups.values():
         scales, frees, steps = zip(*members)
         one = len(steps) == 1
-        us = expm_from_eigh(eigvals, eigvecs,
-                            scales[0] if one else np.array(scales).reshape(-1, 1, 1))
+        us = expm_from_eigh(*factors, scales[0] if one else np.array(scales).reshape(-1, 1, 1))
         if frees[0] is not None:   # shaped pulses
             us = expm_diagonal((frees[0] if one else np.array(frees)[:, None])
                                * sys._h_diag) @ us
-        for step, u in zip(steps, (us,) if one else us):
-            step[0] = u
+        _fill(steps, us)
     if diags:
         coefs, rows, steps = zip(*diags)
         one = len(steps) == 1
-        us = expm_diagonal(coefs[0] * sys._exponent_rows[rows[0]] if one else
-                           np.array(coefs, dtype=complex)[:, None]
-                           * sys._exponent_rows.take(rows, 0))
-        for step, u in zip(steps, (us,) if one else us):
-            step[0] = u
+        _fill(steps, expm_diagonal(coefs[0] * sys._exponent_rows[rows[0]] if one else
+                                   np.array(coefs, dtype=complex)[:, None]
+                                   * sys._exponent_rows.take(rows, 0)))
     if blocks:
         halves = np.array([half[0] for half, _ in blocks])
-        for (_, step), u in zip(blocks, halves @ _inversion(sys.dim) @ halves):
-            step[0] = u
+        _fill([step for _, step in blocks], halves @ _inversion(sys.dim) @ halves)
     return plan, decay_factors(dts, relax, sys.dim) if dts else None, error
 
 
@@ -171,8 +190,8 @@ def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
     fid = None
     for event, steps in zip(ir.events, plan):
         if steps is not None:
-            for u, k in steps:
-                rho = u @ rho @ u.conj().T
+            for u, uh, k in steps:
+                rho = u.dot(rho).dot(uh)     # u rho u^H, the BLAS calls of the @ operator
                 if k is not None:
                     rho = relax_step(rho, decays[0][k], decays[1][k], sys._iz_diag)
         elif isinstance(event, Gradient):
@@ -185,4 +204,4 @@ def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
         states.append(rho)
     if error is not None:
         raise error
-    return TrajectoryResult(states=states, fid=fid)
+    return _frozen(TrajectoryResult, states=states, fid=fid)

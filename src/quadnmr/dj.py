@@ -22,7 +22,7 @@ from whether the central line's sign agrees with the outer lines' sign
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from importlib.resources import files
 
@@ -36,7 +36,7 @@ from .readout import DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, FID, Spectr
 from .relaxation import RelaxationParams
 from .seqlang import (Event, GaussianShape, QuadDelay, SelPulse, SequenceIR,
                       SystemDecl, parse_sequence)
-from .system import SpinSystem, cphase_delay_s, transition_table
+from .system import SpinSystem, _frozen, cphase_delay_s
 
 ORACLE_IDS = ("f1", "f2", "f3", "f4")
 ORACLE_CLASSES = {"f1": "constant", "f2": "constant",
@@ -75,18 +75,17 @@ def check_resolved(fid: FID, sys: SpinSystem) -> None:
     first FID sample at half weight (readout.spectrum), broad lines carry no
     flat offset that could flip their sign.
     """
-    pairs = sorted(zip(transition_table(sys), fid.lines), key=lambda p: p[0].frequency_hz)
-    table = [tr for tr, _ in pairs]
+    freqs, labels = sys._freqs, sys._levels.line_labels
+    order = sorted(range(len(freqs)), key=freqs.__getitem__)    # ties in table order
     bin_hz, spectral_width = 1.0 / (fid.points * fid.dwell_s), 1.0 / fid.dwell_s
-    widths = [fid.lb_hz + bin_hz + 1.0 / (math.pi * t2) for _, (_, _, t2) in pairs]
+    widths = [fid.lb_hz + bin_hz + 1.0 / (math.pi * fid.lines[k][2]) for k in order]
     # the spectrum is periodic in 1/dwell, so the highest line neighbours the lowest
-    for k, tr in enumerate(table):
-        nxt = (k + 1) % len(table)
-        gap = table[nxt].frequency_hz - tr.frequency_hz + (spectral_width if nxt == 0 else 0.0)
-        limit = max(widths[k], widths[nxt]) / math.sqrt(3.0)
+    for k, (a, b) in enumerate(zip(order, order[1:] + order[:1])):
+        gap = freqs[b] - freqs[a] + (spectral_width if b == order[0] else 0.0)
+        limit = max(widths[k], widths[(k + 1) % len(order)]) / math.sqrt(3.0)
         if not gap > limit:
             raise UnresolvedLinesError(
-                f"lines {tr.label} and {table[nxt].label} lie {gap:g} Hz apart, "
+                f"lines {labels[a]} and {labels[b]} lie {gap:g} Hz apart, "
                 f"within the Sparrow limit {limit:g} Hz of their widths; raise the "
                 "splitting, or lower the line broadening or relaxation rates")
 
@@ -133,10 +132,11 @@ def oracle_sequence(oracle_id: str, method: str,
         raise ValueError(f"method must be one of {SEQUENCE_METHODS}, got {method!r}")
     sys = SpinSystem() if sys is None else sys
     events = () if oracle_id == "f1" else tuple(
-        replace(e, tau_s=cphase_delay_s(sys)) if isinstance(e, QuadDelay) else e
-        for e in _bundled_events(_ORACLE_FILES[oracle_id, method]))
-    return SequenceIR(system_decl=SystemDecl(spin=sys.spin, splitting_hz=sys.splitting_hz,
-                                             offset_hz=sys.offset_hz), events=events)
+        _frozen(QuadDelay, **{**e.__dict__, "tau_s": cphase_delay_s(sys)})
+        if type(e) is QuadDelay else e for e in _bundled_events(_ORACLE_FILES[oracle_id, method]))
+    decl = _frozen(SystemDecl, spin=sys.spin, splitting_hz=sys.splitting_hz,
+                   offset_hz=sys.offset_hz)
+    return _frozen(SequenceIR, system_decl=decl, events=events)
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def classify_peaks(peaks) -> str:
     line opposes the outer two; anything weaker is ambiguous."""
     if len(peaks) != 3:
         raise AmbiguousReadoutError(f"expected three peaks, got {len(peaks)}")
-    outer_a, central, outer_b = (p.real_integral for p in peaks)
+    outer_a, central, outer_b = [p.real_integral for p in peaks]
     sizes = (abs(outer_a), abs(central), abs(outer_b))
     floor = 1e-6 * max(sizes)
     if floor == 0 or min(sizes) < floor:
@@ -207,14 +207,13 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
             duration = 1.0 / (3.0 * sys.lambda_hz)
             shape = GaussianShape(duration_s=duration,
                                   duration_text=f"{duration * 1e6:.6g}us")
-            ir = replace(ir, events=tuple(
-                replace(e, shape=shape) if isinstance(e, SelPulse) and e.shape is None
-                else e for e in ir.events))
+            ir = _frozen(SequenceIR, system_decl=ir.system_decl, events=tuple(
+                _frozen(SelPulse, **{**e.__dict__, "shape": shape})
+                if type(e) is SelPulse and e.shape is None else e for e in ir.events))
         rho = run_trajectory(ir, sys, rho, relax=relax).states[-1]
 
     fid, spec = acquire(rho, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz, relax=relax)
     check_resolved(fid, sys)
-    classification = classify_peaks(spec.peaks)
-    signs = tuple(p.real_integral for p in spec.peaks)
-    return DJOutcome(oracle_id=oracle_id, method=method, peak_signs=signs,
-                     classification=classification, spectrum=spec, rho_final=rho)
+    return _frozen(DJOutcome, oracle_id=oracle_id, method=method,
+                   peak_signs=tuple([p.real_integral for p in spec.peaks]),
+                   classification=classify_peaks(spec.peaks), spectrum=spec, rho_final=rho)

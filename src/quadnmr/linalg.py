@@ -61,12 +61,13 @@ def _check_spin(spin: float) -> int:
     two_i = 2.0 * spin
     if two_i == math.inf:            # a spin that doubles past the float range
         two_i = MAX_TWO_SPIN + 1.0   # is refused as too large
-    if not math.isfinite(two_i) or abs(two_i - round(two_i)) > 1e-12 or round(two_i) < 1:
+    rounded = round(two_i) if math.isfinite(two_i) else 0
+    if abs(two_i - rounded) > 1e-12 or rounded < 1:
         raise ValueError(f"spin must be a positive half-integer, got {spin}")
-    if round(two_i) > MAX_TWO_SPIN:
+    if rounded > MAX_TWO_SPIN:
         raise ValueError(f"spin must be at most {MAX_TWO_SPIN}/2 "
                          f"({MAX_TWO_SPIN + 1} levels), got {spin}")
-    return int(round(two_i)) + 1
+    return rounded + 1
 
 
 def spin_operators(spin: float) -> SpinOperators:
@@ -96,10 +97,14 @@ def _spin_operators(dim: int) -> SpinOperators:
     return SpinOperators(spin=spin, ix=ix, iy=iy, iz=iz)
 
 
-def expm_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, scale) -> np.ndarray:
-    """Return exp(i * scale * H) from the eigh factors of a Hermitian H; a
-    scale of shape (n, 1, 1) gives the n propagators stacked."""
-    return (eigvecs * np.exp(1j * scale * eigvals)) @ eigvecs.conj().T
+def expm_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, eigvecs_h: np.ndarray,
+                   scale) -> np.ndarray:
+    """Return exp(i * scale * H) from the eigh factors of a Hermitian H,
+    H = V diag(w) V^H, given w, V and V^H = eigvecs.conj().T; a scale of
+    shape (n, 1, 1) gives the n propagators stacked."""
+    scaled = eigvecs * np.exp(1j * scale * eigvals)
+    # ndarray.dot makes the BLAS call of @ with less dispatch, for one matrix
+    return scaled.dot(eigvecs_h) if scaled.ndim == 2 else scaled @ eigvecs_h
 
 
 def expm_diagonal(exponents: np.ndarray) -> np.ndarray:
@@ -121,8 +126,9 @@ def gate_fidelity_global_phase(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def conjugate(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Sandwich product U rho U^dag (propagates a density matrix through U)."""
+    """Sandwich product U rho U^dag of two (d, d) matrices (propagates a
+    density matrix through U)."""
     rho, u = np.asarray(rho), np.asarray(u)
-    if rho.shape != u.shape:
+    if rho.shape != u.shape or rho.ndim != 2:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {u.shape}")
-    return u @ rho @ u.conj().T
+    return u.dot(rho).dot(u.conj().T)     # the BLAS calls of u @ rho @ u.conj().T

@@ -57,9 +57,10 @@ def _unit_element(ix_element: float) -> bool:
 
 
 @cache
-def _generator_factors(dim: int, x_drive: bool,
-                       block: tuple[int, int] | None) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigh factors (w, v) of a pulse generator, built once per key.
+def _generator_factors(dim: int, x_drive: bool, block: tuple[int, int] | None
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only eigh factors (w, v) of a pulse generator and v^H, the
+    transposed view of v.conj(), built once per key.
 
     The generator is the full Ix (x_drive) or Iy for block None; for a block
     (i, j) it holds only the two off-diagonal elements of that pair, halved
@@ -77,28 +78,29 @@ def _generator_factors(dim: int, x_drive: bool,
     if not is_hermitian(gen):
         raise ValueError("generator is not Hermitian within tolerance")
     eigvals, eigvecs = np.linalg.eigh(gen)
-    for factor in (eigvals, eigvecs):
+    conj = eigvecs.conj()
+    for factor in (eigvals, eigvecs, conj):
         factor.flags.writeable = False
-    return eigvals, eigvecs
+    return eigvals, eigvecs, conj.T
 
 
 def pulse_factors(sys: SpinSystem, axis: str, angle_rad: float, transition: str | None = None
-                  ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Sign and generator eigh factors of a hard pulse (transition None) or a
-    selective pulse on transition: the pulse is expm_from_eigh(*factors,
-    sign * angle_rad)."""
+                  ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Sign and generator factors (_generator_factors) of a hard pulse
+    (transition None) or a selective pulse on transition: the pulse is
+    expm_from_eigh(*factors, sign * angle_rad)."""
     sign, x_drive = _drive(axis, angle_rad)
     block = None
     if transition is not None:
-        tr = sys.transition(transition)
-        block = (tr.upper_index, tr.lower_index)
+        i = sys._line(transition)
+        block = (i, i + 1)
     return sign, _generator_factors(sys.dim, x_drive, block)
 
 
 def hard_pulse(sys: SpinSystem, axis: str, angle_rad: float) -> np.ndarray:
     """Nonselective pulse propagator exp(sign * i * I_axis * angle)."""
-    sign, (eigvals, eigvecs) = pulse_factors(sys, axis, angle_rad)
-    return expm_from_eigh(eigvals, eigvecs, sign * angle_rad)
+    sign, factors = pulse_factors(sys, axis, angle_rad)
+    return expm_from_eigh(*factors, sign * angle_rad)
 
 
 def selective_pulse(sys: SpinSystem, transition: str, axis: str,
@@ -108,15 +110,15 @@ def selective_pulse(sys: SpinSystem, transition: str, axis: str,
     Identity outside the transition's 2x2 block; rejects forbidden
     transitions such as the |delta m| = 3 pair of spin 3/2.
     """
-    sign, (eigvals, eigvecs) = pulse_factors(sys, axis, angle_rad, transition)
-    return expm_from_eigh(eigvals, eigvecs, sign * angle_rad)
+    sign, factors = pulse_factors(sys, axis, angle_rad, transition)
+    return expm_from_eigh(*factors, sign * angle_rad)
 
 
 def z_row(sys: SpinSystem, transition: str, phi_rad: float) -> int:
     """The row of sys._exponent_rows that phi_rad multiplies in a z-pulse."""
     if not math.isfinite(phi_rad):
         raise ValueError("pulse angle must be finite")
-    return Z_ROW + sys.transition(transition).upper_index
+    return Z_ROW + sys._line(transition)
 
 
 def gradient_crush(rho: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .relaxation import RelaxationParams, coherence_t2_table
-from .system import SpinSystem, transition_table
+from .system import SpinSystem, _frozen
 
 DEFAULT_POINTS = 4096
 DEFAULT_DWELL_S = 5e-6
@@ -61,7 +61,8 @@ def observable_amplitudes(rho: np.ndarray, sys: SpinSystem) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape != (sys.dim, sys.dim):
         raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
-    return np.array([tr.ix_element * rho[pair] for pair, tr in sys._transitions.items()],
+    # line (i, i+1) reads rho[i, i+1], the superdiagonal
+    return np.array([e * v for e, v in zip(sys._levels.ix, rho.diagonal(1).tolist())],
                     dtype=complex)
 
 
@@ -88,32 +89,6 @@ class FID:
         return samples
 
 
-def _lines(amplitudes: np.ndarray, sys: SpinSystem, points: int, dwell_s: float,
-           relax: RelaxationParams | None) -> tuple[tuple[complex, float, float], ...]:
-    """(amplitude, frequency_hz, t2_s) of each line in table order, t2_s = inf
-    without relax; rejects lines at or beyond the Nyquist frequency 1/(2*dwell),
-    then amplitudes that are not finite or whose summed magnitude times the
-    points overflows: that sum bounds every bin of the transform."""
-    nyquist = 1.0 / (2.0 * dwell_s)
-    t2 = None if relax is None else coherence_t2_table(relax, sys.dim)
-    table, lines, size = transition_table(sys), [], 0.0
-    for a, tr in zip(amplitudes.tolist(), table):
-        if abs(tr.frequency_hz) >= nyquist:
-            raise ValueError(
-                f"transition {tr.label} at {tr.frequency_hz:g} Hz violates the "
-                f"Nyquist limit {nyquist:g} Hz; decrease the dwell time")
-        size += math.hypot(a.real, a.imag)
-        lines.append((a, tr.frequency_hz,
-                      math.inf if t2 is None else float(t2[tr.upper_index, tr.lower_index])))
-    if not math.isfinite(points * size):
-        for (a, _, _), tr in zip(lines, table):
-            if not cmath.isfinite(a):
-                raise ValueError(f"amplitude {a} of line {tr.label} is not finite")
-        raise ValueError(f"{points} points times the summed amplitude magnitude "
-                         "overflow the float range")
-    return tuple(lines)
-
-
 def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAULT_POINTS,
                    dwell_s: float = DEFAULT_DWELL_S, lb_hz: float = DEFAULT_LB_HZ,
                    relax: RelaxationParams | None = None) -> FID:
@@ -122,10 +97,10 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
     Every line decays with the Lorentzian broadening factor lb_hz; when relax
     is given, each line additionally decays with its own transition T2.
     Rejects lines at or beyond the Nyquist frequency 1/(2*dwell), more than
-    MAX_POINTS points, and amplitudes that are not finite or too large for
-    the transform (_lines). The FID keeps its lines: its samples are
-    computed only when read, by the formula of the module docstring, and
-    spectrum() needs none of them.
+    MAX_POINTS points, a dwell so short that the frequency axis overflows,
+    and amplitudes that are not finite or too large for the transform. The
+    FID keeps its lines: its samples are computed only when read, by the
+    formula of the module docstring, and spectrum() needs none of them.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if amplitudes.shape != (sys.dim - 1,):
@@ -138,8 +113,26 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
         raise ValueError(f"dwell time must be positive and finite, got {dwell_s}")
     if not math.isfinite(lb_hz) or lb_hz < 0:
         raise ValueError(f"line broadening must be finite and nonnegative, got {lb_hz}")
-    return FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz,
-               lines=_lines(amplitudes, sys, points, dwell_s, relax))
+    if not math.isfinite(points // 2 * (1.0 / (points * dwell_s))):   # _axis's largest value
+        raise ValueError(f"the frequency axis of {points} points at a {dwell_s:g} s dwell "
+                         "overflows the float range; raise the dwell time")
+    nyquist = 1.0 / (2.0 * dwell_s)
+    t2 = None if relax is None else coherence_t2_table(relax, sys.dim)
+    labels, lines, size = sys._levels.line_labels, [], 0.0
+    for i, (a, f) in enumerate(zip(amplitudes.tolist(), sys._freqs)):
+        if abs(f) >= nyquist:
+            raise ValueError(
+                f"transition {labels[i]} at {f:g} Hz violates the "
+                f"Nyquist limit {nyquist:g} Hz; decrease the dwell time")
+        size += math.hypot(a.real, a.imag)
+        lines.append((a, f, math.inf if t2 is None else t2.item(i, i + 1)))
+    if not math.isfinite(points * size):   # that sum bounds every bin of the transform
+        for (a, _, _), label in zip(lines, labels):
+            if not cmath.isfinite(a):
+                raise ValueError(f"amplitude {a} of line {label} is not finite")
+        raise ValueError(f"{points} points times the summed amplitude magnitude "
+                         "overflow the float range")
+    return FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz, lines=tuple(lines))
 
 
 @dataclass(frozen=True)
@@ -169,23 +162,25 @@ def _best_phase(integrals: np.ndarray) -> float:
     by a power of two, which is exact, so that parts from subnormal to near
     overflow keep their bits through the rotations and sums.
     """
-    values = integrals.tolist()
     # the largest part, over the real and imaginary parts in turn
-    top = max(map(abs, integrals.view(float).tolist()), default=0.0)
+    parts = integrals.view(float).tolist()
+    top = max(max(parts), -min(parts)) if parts else 0.0
     if not top:
         return 0.0
     e = math.frexp(top)[1]
-    z = [complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e)) for v in values]
+    z = [complex(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in zip(parts[::2], parts[1::2])]
     # math.atan2, unlike cmath.phase, does not raise when the angle underflows
     crossings = sorted([(math.pi / 2 - math.atan2(v.imag, v.real)) % math.pi for v in z if v])
-    best = 0j
+    terms = [(v.real, v.imag, v, -v) for v in z]
+    best, size = 0j, 0.0
     for a, b in zip(crossings, crossings[1:] + [crossings[0] + math.pi]):
         # the sign pattern in the middle t of the stretch between two crossings:
         # Re(e^{it} v) = cos t Re v - sin t Im v, as the complex product rounds it
-        c, s = math.cos(0.5 * (a + b)), math.sin(0.5 * (a + b))
-        total = sum([v if c * v.real - s * v.imag > 0 else -v for v in z])
-        if abs(total) > abs(best):
-            best = total
+        t = 0.5 * (a + b)
+        c, s = math.cos(t), math.sin(t)
+        total = sum([v if c * x - s * y > 0 else w for x, y, v, w in terms])
+        if abs(total) > size:
+            best, size = total, abs(total)
     phase = -math.atan2(best.imag, best.real)
     largest = z[np.abs(integrals).argmax()]
     if math.cos(phase) * largest.real - math.sin(phase) * largest.imag < 0:
@@ -307,19 +302,19 @@ def _line_spectrum(fid: FID) -> np.ndarray:
     it keeps too few digits for the ratio, which is N a to double precision
     (N |i y - d| < 1e-300).
     """
-    n, dwell_s = fid.points, fid.dwell_s
+    n, dwell_s, half = fid.points, fid.dwell_s, fid.points // 2
     table = _twiddles(n)
-    constant = -0.5 * sum(a for a, _, _ in fid.lines)
+    constant = -0.5 * sum([a for a, _, _ in fid.lines])
     amp, terms = None, np.empty(n, dtype=complex)
     # in place: a fresh array per step would cost more than the arithmetic
     for a, f, t2 in fid.lines:
-        d = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s
-        m, ny = _bin_offset(f, n, dwell_s)
-        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
-        j = (m + n // 2) % n
-        start = (n - n // 2 - m) % n
-        np.multiply(-cmath.exp(complex(-d, ny / n)), table[start:start + n], out=terms)
+        d, (m, ny) = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s, _bin_offset(f, n, dwell_s)
+        y = ny / n
+        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, y)
+        start = (n - half - m) % n
+        np.multiply(-cmath.exp(complex(-d, y)), table[start:start + n], out=terms)
         terms += 1.0
+        j = (m + half) % n
         terms[j] = 1.0     # set below
         np.divide(a * numerator, terms, out=terms)
         # the ratio first, so that a tiny amplitude does not take it subnormal
@@ -362,39 +357,47 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     """
     freq, amp = _axis(fid.points, fid.dwell_s), _line_spectrum(fid)
     if sys is None:
-        return Spectrum(freq_hz=freq, amplitude=amp)
+        return _frozen(Spectrum, freq_hz=freq, amplitude=amp, peaks=[], phase_rad=0.0)
 
-    span_s = fid.points * fid.dwell_s
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
-    table = transition_table(sys)
-    lines = [tr.frequency_hz for tr in table]
-    windows = _windows(freq, span_s, lines, half_width)
-    bins = [freq[window] for window in windows]
-    for tr, hz in zip(table, bins):
-        if not hz.size:
+    labels, lines = sys._levels.line_labels, sys._freqs
+    windows = _windows(freq, fid.points * fid.dwell_s, lines, half_width)
+    df = freq.item(1) - freq.item(0)
+    raw, parts = [], []
+    for label, line, window in zip(labels, lines, windows):
+        part = amp[window]
+        parts.append(part)
+        if not part.size:
             raise ValueError(
-                f"readout window of line {tr.label} ({tr.frequency_hz:g} Hz "
+                f"readout window of line {label} ({line:g} Hz "
                 f"+- {half_width:g} Hz) holds no frequency bin; raise the line "
                 "broadening or the acquisition time points * dwell")
-    df = freq[1] - freq[0]
-    raw = np.array([amp[window].sum() * df for window in windows])
+        raw.append(complex(np.add.reduce(part)) * df)     # part.sum() without its wrapper
+    for label, value in zip(labels, raw):
+        if not cmath.isfinite(value):
+            raise ValueError(
+                f"readout window integral {value} of line {label} is not finite; "
+                "lower the amplitudes or raise the dwell time")
+    raw = np.array(raw)
     phase = _best_phase(raw)
     rot = np.exp(1j * phase)
     amp *= rot      # the bits of amp * rot, without a second array
-    integrals = (raw * rot).real
-    peaks = [Peak(tr.label, hz.item(np.abs(amp[window]).argmax()), integral, int(sign) or 1)
-             for tr, window, hz, integral, sign in zip(table, windows, bins, integrals.tolist(),
-                                                       np.sign(integrals).tolist())]
-    return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
+    peaks = []
+    for label, window, part, integral in zip(labels, windows, parts, (raw * rot).real.tolist()):
+        if type(window) is slice:   # part is a view of amp, so it is phased too
+            top = window.start + np.abs(part).argmax()
+        else:
+            top = window[np.abs(amp[window]).argmax()]
+        peaks.append(_frozen(Peak, transition=label, frequency_hz=freq.item(top),
+                             real_integral=integral, sign=-1 if integral < 0 else 1))
+    return _frozen(Spectrum, freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
 
 
 def acquire(rho: np.ndarray, sys: SpinSystem, points: int = DEFAULT_POINTS,
             dwell_s: float = DEFAULT_DWELL_S, lb_hz: float = DEFAULT_LB_HZ,
             relax: RelaxationParams | None = None) -> tuple[FID, Spectrum]:
     """Convenience pipeline: amplitudes -> FID -> phased spectrum."""
-    amps = observable_amplitudes(rho, sys)
-    fid = synthesize_fid(amps, sys, points=points, dwell_s=dwell_s,
-                         lb_hz=lb_hz, relax=relax)
+    fid = synthesize_fid(observable_amplitudes(rho, sys), sys, points, dwell_s, lb_hz, relax)
     return fid, spectrum(fid, sys)
 
 

@@ -72,5 +72,5 @@ def relax_step(rho: np.ndarray, t2_decay: np.ndarray, t1_decay: float,
     """rho after one interval with the given decays: the coherences shrink and
     the populations relax toward eq, the diagonal of the equilibrium state."""
     out = rho * t2_decay
-    np.fill_diagonal(out, eq + (rho.diagonal().real - eq) * t1_decay)
+    out.reshape(-1)[::len(rho) + 1] = eq + (rho.diagonal().real - eq) * t1_decay
     return out

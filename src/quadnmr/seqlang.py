@@ -240,7 +240,7 @@ def _read_points(text: str, i: int, sys: SpinSystem) -> int:
 
 def _read_transition(text: str, i: int, sys: SpinSystem) -> str:
     try:
-        sys.transition(text)
+        sys._line(text)
     except ForbiddenTransitionError as exc:
         raise _WordError(str(exc), E_FORBIDDEN_TRANSITION, i) from None
     except UnknownTransitionError as exc:

@@ -10,12 +10,13 @@ angular frequencies (rad/s); every public field and return value uses Hz.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
 
-from .linalg import SpinOperators, spin_operators
+from .linalg import SpinOperators, _check_spin, spin_operators
 
 # Logical labels of the four levels of a spin-3/2 "two qubit" system, in
 # descending-m order m = 3/2, 1/2, -1/2, -3/2.
@@ -36,23 +37,36 @@ class ForbiddenTransitionError(ValueError):
     """Transition with |delta m| > 1 cannot be driven by a single r.f. field."""
 
 
+# What the systems of one level count share: the labels, the read-only Iz diagonal
+# and its m values as floats, |<i|Ix|i+1>| and 'upper-lower' of each line (i, i+1),
+# i by 'a-b' and 'b-a', and the read-only _exponent_rows with QUAD_ROW, H_ROW zero.
+_Levels = namedtuple("_Levels", "labels iz_diag m ix line_labels line_index rows")
+
+
 @cache
-def _level_constants(dim: int) -> tuple[tuple[str, ...], np.ndarray, tuple[float, ...],
-                                        tuple[float, ...], np.ndarray]:
-    """What the systems of a dim-level spin share: the labels, the read-only
-    Iz diagonal, its m values as floats, the |<i|Ix|i+1>| of each line, and
-    the read-only SpinSystem._exponent_rows with QUAD_ROW and H_ROW left zero."""
+def _levels(dim: int) -> _Levels:
     width = max(1, int(np.ceil(np.log2(dim))))
     labels = SPIN_32_LABELS if dim == 4 else tuple(format(k, f"0{width}b") for k in range(dim))
     rows = np.zeros((Z_ROW + dim - 1, dim), dtype=complex)
+    line_index = {}
     for i in range(dim - 1):
         s = _z_orientation(labels[i], labels[i + 1])
         rows[Z_ROW + i, i], rows[Z_ROW + i, i + 1] = -1j * s, +1j * s
+        line_index[f"{labels[i]}-{labels[i + 1]}"] = line_index[f"{labels[i + 1]}-{labels[i]}"] = i
     rows.flags.writeable = False
     ops = spin_operators((dim - 1) / 2.0)
     m = np.diag(ops.iz).real
-    ix = tuple(float(abs(ops.ix[i, i + 1])) for i in range(dim - 1))
-    return labels, m, tuple(m.tolist()), ix, rows
+    return _Levels(labels, m, tuple(m.tolist()),
+                   tuple(float(abs(ops.ix[i, i + 1])) for i in range(dim - 1)),
+                   tuple(f"{labels[i]}-{labels[i + 1]}" for i in range(dim - 1)),
+                   line_index, rows)
+
+
+def _frozen(cls, **fields):
+    """The frozen dataclass cls holding fields (all of them), without __init__'s setattrs."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 @dataclass(frozen=True)
@@ -69,45 +83,37 @@ class SpinSystem:
     offset_hz: float = 0.0
     lambda_hz: float = DEFAULT_SPLITTING_HZ / 6.0
     labels: tuple[str, ...] = field(init=False)
-    # derived and built once: the observable lines (i, i+1), each line under
-    # both its 'a-b' and 'b-a' labels, and the read-only diagonals of Iz and
-    # (rad/s) of the quadrupolar term and of H
-    _transitions: dict[tuple[int, int], Transition] = field(
-        init=False, compare=False, repr=False)
-    _by_label: dict[str, Transition] = field(init=False, compare=False, repr=False)
-    _iz_diag: np.ndarray = field(init=False, compare=False, repr=False)
-    _quad_diag: np.ndarray = field(init=False, compare=False, repr=False)
-    _h_diag: np.ndarray = field(init=False, compare=False, repr=False)
+    # derived and built once, not fields: _levels (shared by the level count),
+    # _freqs (Hz) of the lines (i, i+1), the read-only diagonals _iz_diag and, in
+    # rad/s, _quad_diag and _h_diag of H; the Transitions are built when first read
 
     def __post_init__(self):
-        ops = spin_operators(self.spin)  # validates the spin value
+        levels = _levels(_check_spin(self.spin))   # validates the spin value
         for name, value in (("offset_hz", self.offset_hz), ("lambda_hz", self.lambda_hz)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        labels, iz_diag, m, ix, _ = _level_constants(ops.dim)
-        object.__setattr__(self, "labels", labels)
         # the numpy formulas 2 pi lambda (3 m^2 - I(I+1)) and -2 pi offset m +
         # quad, level by level on floats: the same IEEE operations in the same order
         c, s = math.tau * float(self.lambda_hz), float(self.spin) * (float(self.spin) + 1.0)
         o = -math.tau * float(self.offset_hz)
-        quad = [c * (3.0 * x * x - s) for x in m]
-        h = [o * x + q for x, q in zip(m, quad)]
-        freq_hz = [(a - b) / math.tau for a, b in zip(h, h[1:])]
-        if not all(map(math.isfinite, h + freq_hz)):
+        quad = [c * (3.0 * x * x - s) for x in levels.m]
+        h = [o * x + q for x, q in zip(levels.m, quad)]
+        freqs = [(a - b) / math.tau for a, b in zip(h, h[1:])]
+        if not all(map(math.isfinite, h + freqs)):
             raise ValueError(
                 f"offset_hz={self.offset_hz:g} and lambda_hz={self.lambda_hz:g} put the "
                 "Hamiltonian or a line frequency beyond the float range")
         diags = np.array([quad, h])
         diags.flags.writeable = False
-        for name, diag in zip(("_iz_diag", "_quad_diag", "_h_diag"), (iz_diag, *diags)):
-            object.__setattr__(self, name, diag)
-        lines = [Transition(labels[i], labels[i + 1], i, i + 1, f, e)
-                 for i, (f, e) in enumerate(zip(freq_hz, ix))]
-        object.__setattr__(self, "_transitions", {(tr.upper_index, tr.lower_index): tr
-                                                  for tr in lines})
-        object.__setattr__(self, "_by_label", {
-            f"{a}-{b}": tr for tr in lines
-            for a, b in ((tr.upper_label, tr.lower_label), (tr.lower_label, tr.upper_label))})
+        self.__dict__.update(labels=levels.labels, _levels=levels, _freqs=freqs,
+                             _iz_diag=levels.iz_diag, _quad_diag=diags[0], _h_diag=diags[1])
+
+    @cached_property
+    def _lines(self) -> tuple[Transition, ...]:
+        """The observable lines (i, i+1) in index order."""
+        labels, ix = self.labels, self._levels.ix
+        return tuple(Transition(labels[i], labels[i + 1], i, i + 1, f, ix[i])
+                     for i, f in enumerate(self._freqs))
 
     @cached_property
     def _exponent_rows(self) -> np.ndarray:
@@ -116,7 +122,7 @@ class SpinSystem:
         times a Z_ROW for a z-pulse, which puts -i*s on its line's upper level
         and +i*s on the lower one.
         """
-        rows = _level_constants(self.dim)[4].copy()
+        rows = self._levels.rows.copy()
         rows[QUAD_ROW], rows[H_ROW] = self._quad_diag, self._h_diag
         rows.flags.writeable = False
         return rows
@@ -151,9 +157,13 @@ class SpinSystem:
         Raises UnknownTransitionError for labels that do not exist and
         ForbiddenTransitionError for |delta m| > 1 pairs (e.g. '00-10').
         """
-        tr = self._by_label.get(pair)
-        if tr is not None:
-            return tr
+        return self._lines[self._line(pair)]
+
+    def _line(self, pair: str) -> int:
+        """The index i of the line (i, i+1) that pair names; raises as transition()."""
+        i = self._levels.line_index.get(pair)
+        if i is not None:
+            return i
         parts = pair.split("-")
         if len(parts) != 2:
             raise UnknownTransitionError(f"malformed transition label {pair!r}")
@@ -193,7 +203,7 @@ def transition_table(sys: SpinSystem) -> list[Transition]:
     For spin 3/2 on resonance this is 00-01 at +6*lambda, 01-11 at 0 and
     11-10 at -6*lambda, with Ix elements sqrt(3)/2, 1, sqrt(3)/2.
     """
-    return list(sys._transitions.values())
+    return list(sys._lines)
 
 
 def evolution_coefficient(tau_s: float) -> complex:

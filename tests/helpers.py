@@ -5,20 +5,32 @@ states and an entrywise comparison. propagator compiles one event the one way
 the package builds propagators, through compile_unitary. The *_reference
 functions are earlier bodies of package code that now computes the same bits
 another way: the numpy build of a SpinSystem, the zero-order phase, the
-oracle matrices and the crusher.
+oracle matrices and the crusher; and the bodies that the cut of run_dj's
+fixed per-call cost replaced: the pulse exponential and the sandwich product
+by the @ operator, the spin check, the relaxation step, the observable
+amplitudes, the FID's lines, the transform, the readout's bookkeeping, the
+Sparrow check and the oracle sequence.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 
-from quadnmr import (SequenceIR, SpinSystem, compile_unitary, oracle_class, oracle_matrix,
-                     selective_pulse)
-from quadnmr.linalg import ATOL, expm_diagonal, expm_from_eigh, is_hermitian, spin_operators
+from quadnmr import (FID, Peak, SequenceIR, Spectrum, SpinSystem, UnresolvedLinesError,
+                     compile_unitary, oracle_class, oracle_matrix, selective_pulse,
+                     transition_table)
+from quadnmr.dj import _ORACLE_FILES, SEQUENCE_METHODS, _bundled_events
+from quadnmr.linalg import (ATOL, MAX_TWO_SPIN, expm_diagonal, expm_from_eigh, is_hermitian,
+                            spin_operators)
 from quadnmr.pulses import _unit_element
-from quadnmr.seqlang import SystemDecl
-from quadnmr.system import H_ROW, QUAD_ROW, SPIN_32_LABELS, Z_ROW, Transition, _z_orientation
+from quadnmr.readout import (_NORMAL_MIN, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _axis,
+                             _best_phase, _bin_offset, _expm1, _twiddles, _windows)
+from quadnmr.relaxation import coherence_t2_table
+from quadnmr.seqlang import QuadDelay, SystemDecl
+from quadnmr.system import (H_ROW, QUAD_ROW, SPIN_32_LABELS, Z_ROW, Transition, _z_orientation,
+                            cphase_delay_s)
 
 
 def propagator(event, sys: SpinSystem) -> np.ndarray:
@@ -41,7 +53,7 @@ def expm_hermitian(hermitian: np.ndarray, scale: float, atol: float = ATOL) -> n
     if not is_hermitian(hermitian, atol=atol):
         raise ValueError("generator is not Hermitian within tolerance")
     eigvals, eigvecs = np.linalg.eigh(hermitian)
-    return expm_from_eigh(eigvals, eigvecs, scale)
+    return expm_from_eigh(eigvals, eigvecs, eigvecs.conj().T, scale)
 
 
 def global_phase(u_target: np.ndarray, v: np.ndarray) -> complex:
@@ -163,3 +175,162 @@ def gradient_crush_reference(rho: np.ndarray) -> np.ndarray:
     if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
         raise ValueError("crusher input must be Hermitian")
     return np.diag(np.diag(rho)).astype(complex)
+
+
+def expm_from_eigh_reference(eigvals: np.ndarray, eigvecs: np.ndarray, scale) -> np.ndarray:
+    """linalg.expm_from_eigh as it conjugated V on every call and multiplied by @."""
+    return (eigvecs * np.exp(1j * scale * eigvals)) @ eigvecs.conj().T
+
+
+def conjugate_reference(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """linalg.conjugate by the @ operator."""
+    rho, u = np.asarray(rho), np.asarray(u)
+    if rho.shape != u.shape:
+        raise ValueError(f"dimension mismatch: {rho.shape} vs {u.shape}")
+    return u @ rho @ u.conj().T
+
+
+def check_spin_reference(spin: float) -> int:
+    """linalg._check_spin with a round() per test."""
+    two_i = 2.0 * spin
+    if two_i == math.inf:
+        two_i = MAX_TWO_SPIN + 1.0
+    if not math.isfinite(two_i) or abs(two_i - round(two_i)) > 1e-12 or round(two_i) < 1:
+        raise ValueError(f"spin must be a positive half-integer, got {spin}")
+    if round(two_i) > MAX_TWO_SPIN:
+        raise ValueError(f"spin must be at most {MAX_TWO_SPIN}/2 "
+                         f"({MAX_TWO_SPIN + 1} levels), got {spin}")
+    return int(round(two_i)) + 1
+
+
+def relax_step_reference(rho, t2_decay, t1_decay, eq):
+    """relaxation.relax_step through np.fill_diagonal."""
+    out = rho * t2_decay
+    np.fill_diagonal(out, eq + (rho.diagonal().real - eq) * t1_decay)
+    return out
+
+
+def observable_amplitudes_reference(rho, sys: SpinSystem) -> np.ndarray:
+    """readout.observable_amplitudes indexing rho once per Transition."""
+    rho = np.asarray(rho)
+    if rho.shape != (sys.dim, sys.dim):
+        raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
+    return np.array([tr.ix_element * rho[tr.upper_index, tr.lower_index]
+                     for tr in transition_table(sys)], dtype=complex)
+
+
+def synthesize_fid_reference(amplitudes, sys: SpinSystem, points: int, dwell_s: float,
+                             lb_hz: float, relax) -> FID:
+    """readout.synthesize_fid with its lines read from the Transitions, before
+    it refused an axis beyond the float range."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    if amplitudes.shape != (sys.dim - 1,):
+        raise ValueError(f"expected {sys.dim - 1} amplitudes, got {amplitudes.shape}")
+    if points < 2:
+        raise ValueError("need at least two points")
+    if points > MAX_POINTS:
+        raise ValueError(f"at most {MAX_POINTS} points can be acquired, got {points}")
+    if not (math.isfinite(dwell_s) and dwell_s > 0):
+        raise ValueError(f"dwell time must be positive and finite, got {dwell_s}")
+    if not math.isfinite(lb_hz) or lb_hz < 0:
+        raise ValueError(f"line broadening must be finite and nonnegative, got {lb_hz}")
+    nyquist = 1.0 / (2.0 * dwell_s)
+    t2 = None if relax is None else coherence_t2_table(relax, sys.dim)
+    table, lines, size = transition_table(sys), [], 0.0
+    for a, tr in zip(amplitudes.tolist(), table):
+        if abs(tr.frequency_hz) >= nyquist:
+            raise ValueError(
+                f"transition {tr.label} at {tr.frequency_hz:g} Hz violates the "
+                f"Nyquist limit {nyquist:g} Hz; decrease the dwell time")
+        size += math.hypot(a.real, a.imag)
+        lines.append((a, tr.frequency_hz,
+                      math.inf if t2 is None else float(t2[tr.upper_index, tr.lower_index])))
+    if not math.isfinite(points * size):
+        for (a, _, _), tr in zip(lines, table):
+            if not cmath.isfinite(a):
+                raise ValueError(f"amplitude {a} of line {tr.label} is not finite")
+        raise ValueError(f"{points} points times the summed amplitude magnitude "
+                         "overflow the float range")
+    return FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz, lines=tuple(lines))
+
+
+def line_spectrum_reference(fid: FID) -> np.ndarray:
+    """readout._line_spectrum with its per-line scalars formed in place."""
+    n, dwell_s = fid.points, fid.dwell_s
+    table = _twiddles(n)
+    constant = -0.5 * sum(a for a, _, _ in fid.lines)
+    amp, terms = None, np.empty(n, dtype=complex)
+    for a, f, t2 in fid.lines:
+        d = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s
+        m, ny = _bin_offset(f, n, dwell_s)
+        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
+        j = (m + n // 2) % n
+        start = (n - n // 2 - m) % n
+        np.multiply(-cmath.exp(complex(-d, ny / n)), table[start:start + n], out=terms)
+        terms += 1.0
+        terms[j] = 1.0
+        np.divide(a * numerator, terms, out=terms)
+        terms[j] = a * (numerator / den) if abs(den) >= _NORMAL_MIN else n * a
+        if amp is None:
+            amp, terms = terms, np.empty(n, dtype=complex)
+            amp += constant
+        else:
+            amp += terms
+    return np.full(n, constant, dtype=complex) if amp is None else amp
+
+
+def spectrum_reference(fid: FID, sys: SpinSystem) -> Spectrum:
+    """readout.spectrum with its bookkeeping on numpy scalars and Peak's
+    __init__, before it refused a window integral that is not finite."""
+    freq, amp = _axis(fid.points, fid.dwell_s), line_spectrum_reference(fid)
+    span_s = fid.points * fid.dwell_s
+    half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
+    table = transition_table(sys)
+    lines = [tr.frequency_hz for tr in table]
+    windows = _windows(freq, span_s, lines, half_width)
+    bins = [freq[window] for window in windows]
+    for tr, hz in zip(table, bins):
+        if not hz.size:
+            raise ValueError(
+                f"readout window of line {tr.label} ({tr.frequency_hz:g} Hz "
+                f"+- {half_width:g} Hz) holds no frequency bin; raise the line "
+                "broadening or the acquisition time points * dwell")
+    df = freq[1] - freq[0]
+    raw = np.array([amp[window].sum() * df for window in windows])
+    phase = _best_phase(raw)
+    rot = np.exp(1j * phase)
+    amp *= rot
+    integrals = (raw * rot).real
+    peaks = [Peak(tr.label, hz.item(np.abs(amp[window]).argmax()), integral, int(sign) or 1)
+             for tr, window, hz, integral, sign in zip(table, windows, bins, integrals.tolist(),
+                                                       np.sign(integrals).tolist())]
+    return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
+
+
+def check_resolved_reference(fid: FID, sys: SpinSystem) -> None:
+    """dj.check_resolved sorting the Transitions themselves."""
+    pairs = sorted(zip(transition_table(sys), fid.lines), key=lambda p: p[0].frequency_hz)
+    table = [tr for tr, _ in pairs]
+    bin_hz, spectral_width = 1.0 / (fid.points * fid.dwell_s), 1.0 / fid.dwell_s
+    widths = [fid.lb_hz + bin_hz + 1.0 / (math.pi * t2) for _, (_, _, t2) in pairs]
+    for k, tr in enumerate(table):
+        nxt = (k + 1) % len(table)
+        gap = table[nxt].frequency_hz - tr.frequency_hz + (spectral_width if nxt == 0 else 0.0)
+        limit = max(widths[k], widths[nxt]) / math.sqrt(3.0)
+        if not gap > limit:
+            raise UnresolvedLinesError(
+                f"lines {tr.label} and {table[nxt].label} lie {gap:g} Hz apart, "
+                f"within the Sparrow limit {limit:g} Hz of their widths; raise the "
+                "splitting, or lower the line broadening or relaxation rates")
+
+
+def oracle_sequence_reference(oracle_id: str, method: str, sys: SpinSystem) -> SequenceIR:
+    """dj.oracle_sequence through dataclasses.replace and the frozen __init__s."""
+    oracle_class(oracle_id)
+    if method not in SEQUENCE_METHODS:
+        raise ValueError(f"method must be one of {SEQUENCE_METHODS}, got {method!r}")
+    events = () if oracle_id == "f1" else tuple(
+        dataclasses.replace(e, tau_s=cphase_delay_s(sys)) if isinstance(e, QuadDelay) else e
+        for e in _bundled_events(_ORACLE_FILES[oracle_id, method]))
+    return SequenceIR(system_decl=SystemDecl(spin=sys.spin, splitting_hz=sys.splitting_hz,
+                                             offset_hz=sys.offset_hz), events=events)

@@ -141,6 +141,34 @@ class TestAcquisitionSize:
         assert not (tmp_path / "out").exists()
 
 
+class TestTinyDwell:
+    # a dwell near the float minimum overflowed the frequency axis: numpy
+    # RuntimeWarnings, then "cannot convert float NaN to integer" for dj
+    @pytest.mark.parametrize("command, warning", [
+        (["dj", "--oracle", "f3", "--method", "ideal-matrix", "--splitting", "0"],
+         "warning[W_DEGENERATE]: zero splitting collapses all transitions onto a single line\n"),
+        (["equilibrium"], "")])
+    def test_axis_overflow_is_config_error(self, tmp_path, command, warning):
+        result = run_cli_limited(512 << 20, "--outdir", str(tmp_path / "out"), *command,
+                                 "--dwell", "1e-310")
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == warning + (
+            "error[E_CONFIG]: the frequency axis of 4096 points at a 1e-310 s dwell "
+            "overflows the float range; raise the dwell time\n")
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_imports_neither_scipy_nor_logging():
+    """The package depends on numpy alone, and nothing logs unless asked to."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, quadnmr.cli; print(sorted(name for name in sys.modules "
+            "if name.split('.')[0] in ('scipy', 'logging')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 class TestEquilibriumAndPseudopure:
     def test_equilibrium_artifacts(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "--outdir", str(tmp_path), "equilibrium")

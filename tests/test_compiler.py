@@ -10,12 +10,13 @@ from quadnmr import (NonUnitaryEventError, RelaxationParams, SpinSystem, compile
                      hard_pulse, observable_amplitudes, oracle_matrix, parse_sequence,
                      pseudopure_00, run_trajectory, spectrum, synthesize_fid,
                      transition_table)
+from quadnmr.compiler import _plan
 from quadnmr.seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, GaussianShape, Gradient,
                              HardPulse, QuadDelay, Refocus, SelPulse, SequenceIR,
                              SystemDecl, ZPulse)
 
 from conftest import SEQUENCES_DIR
-from helpers import free_evolution, matrices_close, propagator
+from helpers import conjugate_reference, free_evolution, matrices_close, propagator
 from test_relaxation import relaxed
 
 
@@ -264,3 +265,21 @@ def test_batch_equals_one_event_at_a_time(seq, relax):
         total = propagator(event, sys) @ total
     assert np.array_equal(compile_unitary(SequenceIR(ir.system_decl, tuple(unitary)), sys),
                           total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=mixed_sequences())
+def test_walk_has_the_bits_of_the_matmul_walk(seq):
+    """run_trajectory's u.dot(rho).dot(u^H), with u^H from the batch, has the
+    bits of u @ rho @ u.conj().T on the same propagators u, the walk before
+    the fixed-cost cut."""
+    sys, ir = seq
+    rho = conjugate_reference(equilibrium_state(sys), hard_pulse(sys, "-y", np.pi / 3))
+    result = run_trajectory(ir, sys, rho)
+    plan, _, _ = _plan(ir.events, sys, None)
+    for event, steps, got in zip(ir.events, plan, result.states[1:]):
+        if isinstance(event, Gradient):
+            rho = gradient_crush(rho)
+        elif not isinstance(event, Acquire):
+            rho = conjugate_reference(rho, steps[0][0])
+        assert got.tobytes() == rho.tobytes()

@@ -4,21 +4,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadnmr import (AmbiguousReadoutError, RelaxationParams, acquire,
                      classify_peaks, compile_unitary, conjugate,
                      gate_fidelity_global_phase, hard_pulse, oracle_class,
                      oracle_matrix, oracle_sequence, pseudopure_00, run_dj)
-from quadnmr import SpinSystem, cphase_delay_s
+from quadnmr import SpinSystem, cphase_delay_s, format_sequence, synthesize_fid
 from quadnmr.dj import (METHODS, ORACLE_IDS, ORACLE_PHASES, SEQUENCE_METHODS,
                         UnresolvedLinesError)
-from quadnmr.dj import _ORACLE_FILES
+from quadnmr.dj import _ORACLE_FILES, check_resolved
 from quadnmr.readout import Peak
 from quadnmr.seqlang import QuadDelay
 
-from helpers import global_phase, ideal_state_after_oracle, matrices_close, oracle_matrix_reference
+from helpers import (check_resolved_reference, global_phase, ideal_state_after_oracle,
+                     matrices_close, oracle_matrix_reference, oracle_sequence_reference)
 
 SQRT3 = np.sqrt(3.0)
 INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
@@ -296,3 +297,50 @@ def test_run_dj_is_right_or_refuses(ratio, offset, lb, width_dwell, points, orac
     except (ValueError, AmbiguousReadoutError):
         return
     assert outcome.classification == oracle_class(oracle_id)
+
+
+@st.composite
+def resolution_cases(draw):
+    """A system, from coincident lines to well apart, and an FID of its
+    lines with or without relaxation, lb from 0, points from 2."""
+    sys = SpinSystem(spin=draw(st.sampled_from([0.5, 1.5, 2.5, 7.5])),
+                     offset_hz=draw(st.one_of(st.just(0.0), st.floats(-2e4, 2e4))),
+                     lambda_hz=draw(st.one_of(st.sampled_from([0.0, 1e-300, 25.0, 50.0]),
+                                              st.floats(0.0, 3e3))))
+    relax = draw(st.sampled_from([None, RelaxationParams(),
+                                  RelaxationParams(t2_central_s=1e-4, t2_outer_s=1e-4)]))
+    assume(all(abs(f) < 1e5 for f in sys._freqs))
+    return sys, synthesize_fid(np.ones(sys.dim - 1), sys, points=draw(st.integers(2, 4096)),
+                               dwell_s=5e-6, lb_hz=draw(st.floats(0.0, 2e3)), relax=relax)
+
+
+class TestRewritesKeepTheirBits:
+    """dj functions against their bodies before the fixed-cost cut."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(resolution_cases())
+    @example((SpinSystem(lambda_hz=0.0), synthesize_fid([1, 1, 1], SpinSystem(lambda_hz=0.0))))
+    def test_check_resolved_equals_the_reference(self, case):
+        sys, fid = case
+
+        def outcome(check):
+            try:
+                return check(fid, sys)
+            except UnresolvedLinesError as err:
+                return str(err)
+        assert outcome(check_resolved) == outcome(check_resolved_reference)
+
+    @pytest.mark.parametrize("sys", [SpinSystem(), SpinSystem.from_splitting(8000.0, -1500.0),
+                                     SpinSystem(lambda_hz=0.0), SpinSystem(lambda_hz=-1.0),
+                                     SpinSystem(spin=2.5, lambda_hz=1e-300)])
+    @pytest.mark.parametrize("oracle_id", ORACLE_IDS)
+    @pytest.mark.parametrize("method", SEQUENCE_METHODS)
+    def test_oracle_sequence_equals_the_reference(self, sys, oracle_id, method):
+        def outcome(build):
+            try:
+                ir = build(oracle_id, method, sys)
+            except ValueError as err:
+                return str(err)
+            return ir, [(type(e), vars(e)) for e in ir.events], vars(ir.system_decl), \
+                format_sequence(ir)
+        assert outcome(oracle_sequence) == outcome(oracle_sequence_reference)

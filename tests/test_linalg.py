@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnmr import conjugate, gate_fidelity_global_phase, is_unitary, spin_operators
+from quadnmr import (SpinSystem, conjugate, gate_fidelity_global_phase, is_unitary,
+                     selective_pulse, spin_operators)
+from quadnmr.linalg import _check_spin, expm_from_eigh
+from quadnmr.pulses import _generator_factors
 
-from helpers import expm_hermitian, matrices_close
+from helpers import (check_spin_reference, conjugate_reference, expm_from_eigh_reference,
+                     expm_hermitian, matrices_close)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -138,3 +142,88 @@ class TestConjugate:
 def test_expm_series_agreement_property(seed, scale):
     h = random_hermitian(np.random.default_rng(seed))
     assert matrices_close(expm_hermitian(h, scale), expm_series(h, scale), atol=1e-9)
+
+
+# complex parts from signed zero through subnormal to 1e100, whose sums of
+# triple products stay finite
+PARTS = st.one_of(st.floats(-1e3, 1e3),
+                  st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1e100, -1e100]))
+
+
+@st.composite
+def complex_matrices(draw, dim):
+    """Random entries of magnitudes 1e-3 to 1e3, up to eight of them drawn from PARTS."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) \
+        * 10.0 ** rng.integers(-3, 4, size=(dim, dim))
+    for _ in range(draw(st.integers(0, 8))):
+        row, col = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        matrix[row, col] = complex(draw(PARTS), draw(PARTS))
+    return matrix
+
+
+@st.composite
+def sparse_matrices(draw, dim):
+    """Mostly signed zeros, where the sums of products keep or lose their signs."""
+    matrix = np.full((dim, dim), complex(draw(st.sampled_from([0.0, -0.0])), -0.0))
+    for _ in range(draw(st.integers(0, dim))):
+        matrix[draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))] = complex(
+            draw(PARTS), draw(PARTS))
+    return matrix
+
+
+@st.composite
+def matrix_pairs(draw):
+    """A state and a propagator: random, sparse with signed zeros, or a
+    pulse of the package, whose blocks hold exact zeros."""
+    dim = draw(st.integers(2, 16))
+    rho = draw(st.one_of(complex_matrices(dim), sparse_matrices(dim)))
+    kind = draw(st.sampled_from(["random", "sparse", "pulse"]))
+    if kind == "pulse":
+        sys = SpinSystem(spin=(dim - 1) / 2.0)
+        u = selective_pulse(sys, f"{sys.labels[0]}-{sys.labels[1]}", "x", draw(PARTS) % 7.0)
+    else:
+        u = draw(complex_matrices(dim) if kind == "random" else sparse_matrices(dim))
+    # a transposed view as well as a fresh array
+    return (rho.T if draw(st.booleans()) else rho), u
+
+
+class TestRewritesKeepTheirBits:
+    """linalg functions against their bodies before the fixed-cost cut."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_pairs())
+    def test_conjugate_equals_the_matmul_reference(self, pair):
+        rho, u = pair
+        assert conjugate(rho, u).tobytes() == conjugate_reference(rho, u).tobytes()
+
+    @pytest.mark.parametrize("shapes", [((3, 4, 4), (3, 4, 4)), ((4,), (4,)), ((4, 4), (3, 3))])
+    def test_conjugate_refuses_all_but_two_square_matrices(self, shapes):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            conjugate(np.ones(shapes[0]), np.ones(shapes[1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16),
+           scale=st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 5e-324, 1e-300])),
+           stack=st.integers(0, 4))
+    def test_expm_from_eigh_equals_the_matmul_reference(self, seed, dim, scale, stack):
+        if seed % 2:
+            eigvals, eigvecs = np.linalg.eigh(random_hermitian(np.random.default_rng(seed), dim))
+        else:   # a pulse generator of the package, with exact zeros
+            eigvals, eigvecs, _ = _generator_factors(dim, seed % 4 == 0, (0, 1) if seed % 3 else None)
+        if stack:   # a stack of scales, as the compiler passes for several pulses
+            scale = np.array([scale * k for k in range(1, stack + 1)]).reshape(-1, 1, 1)
+        got = expm_from_eigh(eigvals, eigvecs, eigvecs.conj().T, scale)
+        assert got.tobytes() == expm_from_eigh_reference(eigvals, eigvecs, scale).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(), st.integers(-3, 40).map(lambda k: k / 2.0),
+                     st.integers(-3, 40).map(lambda k: k / 2.0 + 4e-13),
+                     st.sampled_from([1e308, 9e307, -1e308, 5e-324, 7.5, 8.0, 0.5 - 1e-13])))
+    def test_check_spin_equals_the_reference(self, spin):
+        def outcome(check):
+            try:
+                return check(spin)
+            except ValueError as err:
+                return str(err)
+        assert outcome(_check_spin) == outcome(check_spin_reference)

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from quadnmr import (FID, Peak, RelaxationParams, SpinSystem, Spectrum, acquire, conjugate,
                      equilibrium_state, hard_pulse, observable_amplitudes, spectrum,
                      synthesize_fid, write_peaks_csv, write_spectrum_csv)
-from quadnmr.readout import _CSV_CHUNK_ROWS, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _best_phase
+from quadnmr.readout import (_CSV_CHUNK_ROWS, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _best_phase,
+                             _line_spectrum)
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.system import transition_table
 
-from helpers import best_phase_reference, ideal_density_after_oracle
+from helpers import (best_phase_reference, ideal_density_after_oracle, line_spectrum_reference,
+                     observable_amplitudes_reference, spectrum_reference,
+                     synthesize_fid_reference)
 
 
 def analytic_window_integral(amplitude, lb_hz, dwell_s,
@@ -585,3 +588,152 @@ class TestCsvOutput:
         path = tmp_path / "spec.csv"
         write_spectrum_csv(path, spec)
         assert path.read_bytes() == reference.read_bytes()
+
+
+# complex parts from signed zero through subnormal to 1e100: the transform and
+# the window sums of such lines stay finite
+BIG_PARTS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e100, -1e100]))
+# amplitude parts of every kind, the ones synthesize_fid refuses included
+ANY_PARTS = st.one_of(BIG_PARTS, st.floats(), st.sampled_from([1e308, -1.7e308]))
+
+
+@st.composite
+def states_and_systems(draw):
+    """A system of spin 1/2 to 15/2 and a state of its size (now and then
+    not) as complex, float or integer entries, up to six of them special."""
+    sys = SpinSystem(spin=draw(st.integers(1, 15)) / 2.0)
+    dim = sys.dim + (draw(st.sampled_from([-1, 1])) if draw(st.integers(0, 9)) == 0 else 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for _ in range(draw(st.integers(0, 6))):
+        rho[draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))] = complex(
+            draw(st.one_of(BIG_PARTS, st.sampled_from([1.7e308, -1.7e308]))), draw(BIG_PARTS))
+    kind = draw(st.sampled_from(["complex", "float", "int"]))
+    if kind == "float":
+        rho = rho.real.copy()
+    elif kind == "int":
+        rho = rng.integers(-5, 6, size=(dim, dim))
+    return sys, rho
+
+
+@st.composite
+def fid_arguments(draw):
+    """synthesize_fid's arguments, each now and then one it refuses: point
+    counts from 1 to past MAX_POINTS, dwells from 5e-324 s to inf, and
+    amplitudes with NaN, inf and near-overflow parts."""
+    sys = SpinSystem(spin=draw(st.sampled_from([0.5, 1.5, 2.5])),
+                     offset_hz=draw(st.one_of(st.just(0.0), st.floats(-5e3, 5e3))),
+                     lambda_hz=draw(st.one_of(st.just(0.0), st.floats(0.0, 5e3))))
+    count = sys.dim - 1 + (draw(st.sampled_from([-1, 1])) if draw(st.integers(0, 19)) == 0 else 0)
+    amplitudes = [complex(draw(ANY_PARTS), draw(ANY_PARTS)) for _ in range(count)]
+    points = draw(st.one_of(st.integers(1, 17), st.sampled_from([1024, 4096, MAX_POINTS,
+                                                                 MAX_POINTS + 1])))
+    dwell_s = draw(st.one_of(st.floats(1e-7, 1e-3), st.sampled_from(
+        [5e-6, 1e-310, 5e-324, 1e-300, 0.0, -1e-6, math.inf, math.nan])))
+    lb_hz = draw(st.sampled_from([0.0, 200.0, 1e-300, -1.0, math.nan, math.inf]))
+    return amplitudes, sys, points, dwell_s, lb_hz, draw(st.sampled_from([None, RelaxationParams()]))
+
+
+@st.composite
+def edge_cases(draw):
+    """An FID and a system whose lines sit on bins with windows of a whole
+    number of bins each side, so that window edges fall on bins (to the
+    rounding of 3 lb), with amplitudes from signed zero to 1e100."""
+    points = draw(st.sampled_from([16, 17, 1024, 4096]))
+    dwell_s = draw(st.sampled_from([5e-6, 1e-5 / 3.0]))
+    step = 1.0 / (points * dwell_s)
+    bins = st.integers(-(points // 4), points // 4)
+    sys = SpinSystem(spin=draw(st.sampled_from([0.5, 1.5, 2.5])),
+                     offset_hz=draw(bins) * step, lambda_hz=draw(st.integers(0, 6)) * step / 6.0)
+    lb_hz = draw(st.integers(0, 6)) * step / 3.0
+    lines = tuple((complex(draw(BIG_PARTS), draw(BIG_PARTS)), draw(bins) * step,
+                   draw(st.sampled_from([math.inf, 1e-3])))
+                  for _ in range(draw(st.integers(0, 4))))
+    return FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz, lines=lines), sys
+
+
+@st.composite
+def big_readout_cases(draw):
+    """readout_cases with amplitude parts from signed zero to 1e100."""
+    fid, sys = draw(readout_cases())
+    lines = tuple((complex(draw(BIG_PARTS), draw(BIG_PARTS)), f, t2) for _, f, t2 in fid.lines)
+    return FID(points=fid.points, dwell_s=fid.dwell_s, lb_hz=fid.lb_hz, lines=lines), sys
+
+
+def outcome(call, *args):
+    """What call returns, or the text of its ValueError."""
+    try:
+        return call(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+class TestRewritesKeepTheirBits:
+    """readout functions against their bodies before the fixed-cost cut."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(states_and_systems())
+    @example((SpinSystem(), np.full((4, 4), complex(-0.0, -0.0))))
+    @example((SpinSystem(), np.full((4, 4), -0.0)))
+    def test_observable_amplitudes_equal_the_reference(self, case):
+        sys, rho = case
+        got = outcome(lambda: observable_amplitudes(rho, sys).tobytes())
+        with np.errstate(over="ignore"):     # numpy scalars warned of an overflow to inf
+            expected = outcome(lambda: observable_amplitudes_reference(rho, sys).tobytes())
+        assert got == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(fid_arguments())
+    def test_synthesize_fid_equals_the_reference(self, args):
+        def lines(call):
+            fid = call(*args)
+            return fid.points, fid.dwell_s, fid.lb_hz, repr(fid.lines)
+
+        got = outcome(lines, synthesize_fid)
+        amplitudes, sys, points, dwell_s, lb_hz, relax = args
+        if got[0] == "ValueError" and got[1].startswith("the frequency axis"):
+            # refused since the fixed-cost cut: the axis overflows
+            assert not math.isfinite(points // 2 * (1.0 / (points * dwell_s)))
+            return
+        assert got == outcome(lines, synthesize_fid_reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(big_readout_cases(), edge_cases()))
+    def test_line_spectrum_equals_the_reference(self, case):
+        fid, _ = case
+        assert _line_spectrum(fid).tobytes() == line_spectrum_reference(fid).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(big_readout_cases(), edge_cases()))
+    @example((FID(points=4096, dwell_s=5e-6, lb_hz=200.0,
+                  lines=((-0.0 + 5e-324j, 0.0, math.inf), (1e100 - 0.0j, 16000.0, 1e-3))),
+              SpinSystem()))
+    def test_spectrum_equals_the_reference(self, case):
+        fid, sys = case
+        assert readout_outcome(fid, sys, spectrum) == readout_outcome(fid, sys,
+                                                                      spectrum_reference)
+
+
+class TestOverflowingReadoutRefused:
+    # a dwell near the float minimum overflowed the axis k / (points * dwell),
+    # whose bin width may still be finite (64 points, 1e-310 s)
+    @pytest.mark.parametrize("points, dwell_s", [(4096, 1e-310), (2, 5e-324), (64, 1e-310)])
+    def test_axis_beyond_the_float_range(self, points, dwell_s):
+        with pytest.raises(ValueError) as caught:
+            synthesize_fid([1.0], SpinSystem(spin=0.5), points=points, dwell_s=dwell_s)
+        assert str(caught.value) == (f"the frequency axis of {points} points at a {dwell_s:g} s "
+                                     "dwell overflows the float range; raise the dwell time")
+
+    def test_largest_finite_axis_accepted(self):
+        fid = synthesize_fid([1.0], SpinSystem(spin=0.5), points=2, dwell_s=1e-308)
+        assert np.isfinite(spectrum(fid).freq_hz).all()
+
+    def test_window_integral_beyond_the_float_range(self):
+        # points * sum(|a|) is finite, but the window sums times the bin width are not
+        sys = SpinSystem.from_splitting(0.0)
+        fid = synthesize_fid([1e10, 1, 1], sys, points=64, dwell_s=1e-300)
+        with pytest.raises(ValueError, match=r"^readout window integral \(inf.*\) of line "
+                                             r"00-01 is not finite; lower the amplitudes "
+                                             r"or raise the dwell time$"):
+            spectrum(fid, sys)

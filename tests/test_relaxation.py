@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadnmr import RelaxationParams, SpinSystem, equilibrium_state
 from quadnmr.relaxation import coherence_t2_table, decay_factors, relax_step
 
-from helpers import matrices_close
+from helpers import matrices_close, relax_step_reference
 
 
 @pytest.fixture
@@ -107,3 +107,23 @@ def test_semigroup_property(a, b):
 def test_invalid_params_rejected(bad):
     with pytest.raises(ValueError):
         RelaxationParams(**bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16),
+       t1_decay=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 1.0])),
+       specials=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300]),
+                         max_size=6))
+@example(seed=0, dim=2, t1_decay=5e-324, specials=[-0.0, -5e-324])
+def test_relax_step_equals_the_fill_diagonal_reference(seed, dim, t1_decay, specials):
+    """relax_step writes the populations through a flat view with the bits of
+    np.fill_diagonal, signed zeros and subnormals included."""
+    rng = np.random.default_rng(seed)
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for k, value in enumerate(specials):
+        rho.flat[rng.integers(dim * dim)] = complex(value, specials[-1 - k])
+    t2_decay = rng.uniform(size=(dim, dim))
+    eq = rng.normal(size=dim)
+    eq[rng.integers(dim, size=len(specials))] = [min(v, 1e-300) for v in specials]
+    args = (rho, t2_decay, t1_decay, eq)
+    assert relax_step(*args).tobytes() == relax_step_reference(*args).tobytes()
