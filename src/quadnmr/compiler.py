@@ -56,7 +56,8 @@ def _selective(event, sys):
     pulse = pulse_factors(sys, event.axis, event.angle_rad, event.transition)
     if shape is None:
         return pulse, None, None, None
-    return pulse, evolution_coefficient(shape.duration_s), None, shape.duration_s  # then free
+    # the pulse, then free evolution over its duration
+    return pulse, evolution_coefficient(shape.duration_s), None, shape.duration_s
 
 
 def _delay(row: int, parts: int):

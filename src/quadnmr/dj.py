@@ -131,9 +131,9 @@ def oracle_sequence(oracle_id: str, method: str,
     if method not in SEQUENCE_METHODS:
         raise ValueError(f"method must be one of {SEQUENCE_METHODS}, got {method!r}")
     sys = SpinSystem() if sys is None else sys
-    events = () if oracle_id == "f1" else tuple(
-        _frozen(QuadDelay, **{**e.__dict__, "tau_s": cphase_delay_s(sys)})
-        if type(e) is QuadDelay else e for e in _bundled_events(_ORACLE_FILES[oracle_id, method]))
+    events = () if oracle_id == "f1" else _bundled_events(_ORACLE_FILES[oracle_id, method])
+    events = tuple(_frozen(QuadDelay, **{**vars(e), "tau_s": cphase_delay_s(sys)})
+                   if type(e) is QuadDelay else e for e in events)
     decl = _frozen(SystemDecl, spin=sys.spin, splitting_hz=sys.splitting_hz,
                    offset_hz=sys.offset_hz)
     return _frozen(SequenceIR, system_decl=decl, events=events)
@@ -208,7 +208,7 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
             shape = GaussianShape(duration_s=duration,
                                   duration_text=f"{duration * 1e6:.6g}us")
             ir = _frozen(SequenceIR, system_decl=ir.system_decl, events=tuple(
-                _frozen(SelPulse, **{**e.__dict__, "shape": shape})
+                _frozen(SelPulse, **{**vars(e), "shape": shape})
                 if type(e) is SelPulse and e.shape is None else e for e in ir.events))
         rho = run_trajectory(ir, sys, rho, relax=relax).states[-1]
 

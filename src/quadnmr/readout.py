@@ -162,25 +162,23 @@ def _best_phase(integrals: np.ndarray) -> float:
     by a power of two, which is exact, so that parts from subnormal to near
     overflow keep their bits through the rotations and sums.
     """
+    values = integrals.tolist()
     # the largest part, over the real and imaginary parts in turn
-    parts = integrals.view(float).tolist()
-    top = max(max(parts), -min(parts)) if parts else 0.0
+    top = max(map(abs, integrals.view(float).tolist()), default=0.0)
     if not top:
         return 0.0
     e = math.frexp(top)[1]
-    z = [complex(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in zip(parts[::2], parts[1::2])]
+    z = [complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e)) for v in values]
     # math.atan2, unlike cmath.phase, does not raise when the angle underflows
     crossings = sorted([(math.pi / 2 - math.atan2(v.imag, v.real)) % math.pi for v in z if v])
-    terms = [(v.real, v.imag, v, -v) for v in z]
-    best, size = 0j, 0.0
+    best = 0j
     for a, b in zip(crossings, crossings[1:] + [crossings[0] + math.pi]):
         # the sign pattern in the middle t of the stretch between two crossings:
         # Re(e^{it} v) = cos t Re v - sin t Im v, as the complex product rounds it
-        t = 0.5 * (a + b)
-        c, s = math.cos(t), math.sin(t)
-        total = sum([v if c * x - s * y > 0 else w for x, y, v, w in terms])
-        if abs(total) > size:
-            best, size = total, abs(total)
+        c, s = math.cos(0.5 * (a + b)), math.sin(0.5 * (a + b))
+        total = sum([v if c * v.real - s * v.imag > 0 else -v for v in z])
+        if abs(total) > abs(best):
+            best = total
     phase = -math.atan2(best.imag, best.real)
     largest = z[np.abs(integrals).argmax()]
     if math.cos(phase) * largest.real - math.sin(phase) * largest.imag < 0:
@@ -302,19 +300,19 @@ def _line_spectrum(fid: FID) -> np.ndarray:
     it keeps too few digits for the ratio, which is N a to double precision
     (N |i y - d| < 1e-300).
     """
-    n, dwell_s, half = fid.points, fid.dwell_s, fid.points // 2
+    n, dwell_s = fid.points, fid.dwell_s
     table = _twiddles(n)
-    constant = -0.5 * sum([a for a, _, _ in fid.lines])
+    constant = -0.5 * sum(a for a, _, _ in fid.lines)
     amp, terms = None, np.empty(n, dtype=complex)
     # in place: a fresh array per step would cost more than the arithmetic
     for a, f, t2 in fid.lines:
-        d, (m, ny) = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s, _bin_offset(f, n, dwell_s)
-        y = ny / n
-        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, y)
-        start = (n - half - m) % n
-        np.multiply(-cmath.exp(complex(-d, y)), table[start:start + n], out=terms)
+        d = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s
+        m, ny = _bin_offset(f, n, dwell_s)
+        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
+        j = (m + n // 2) % n
+        start = (n - n // 2 - m) % n
+        np.multiply(-cmath.exp(complex(-d, ny / n)), table[start:start + n], out=terms)
         terms += 1.0
-        j = (m + half) % n
         terms[j] = 1.0     # set below
         np.divide(a * numerator, terms, out=terms)
         # the ratio first, so that a tiny amplitude does not take it subnormal

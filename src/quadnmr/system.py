@@ -49,10 +49,10 @@ def _levels(dim: int) -> _Levels:
     labels = SPIN_32_LABELS if dim == 4 else tuple(format(k, f"0{width}b") for k in range(dim))
     rows = np.zeros((Z_ROW + dim - 1, dim), dtype=complex)
     line_index = {}
-    for i in range(dim - 1):
-        s = _z_orientation(labels[i], labels[i + 1])
+    for i, (a, b) in enumerate(zip(labels, labels[1:])):
+        s = _z_orientation(a, b)
         rows[Z_ROW + i, i], rows[Z_ROW + i, i + 1] = -1j * s, +1j * s
-        line_index[f"{labels[i]}-{labels[i + 1]}"] = line_index[f"{labels[i + 1]}-{labels[i]}"] = i
+        line_index[f"{a}-{b}"] = line_index[f"{b}-{a}"] = i
     rows.flags.writeable = False
     ops = spin_operators((dim - 1) / 2.0)
     m = np.diag(ops.iz).real

@@ -8,8 +8,8 @@ another way: the numpy build of a SpinSystem, the zero-order phase, the
 oracle matrices and the crusher; and the bodies that the cut of run_dj's
 fixed per-call cost replaced: the pulse exponential and the sandwich product
 by the @ operator, the spin check, the relaxation step, the observable
-amplitudes, the FID's lines, the transform, the readout's bookkeeping, the
-Sparrow check and the oracle sequence.
+amplitudes, the FID's lines, the readout's bookkeeping, the Sparrow check
+and the oracle sequence.
 """
 
 import cmath
@@ -25,8 +25,8 @@ from quadnmr.dj import _ORACLE_FILES, SEQUENCE_METHODS, _bundled_events
 from quadnmr.linalg import (ATOL, MAX_TWO_SPIN, expm_diagonal, expm_from_eigh, is_hermitian,
                             spin_operators)
 from quadnmr.pulses import _unit_element
-from quadnmr.readout import (_NORMAL_MIN, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _axis,
-                             _best_phase, _bin_offset, _expm1, _twiddles, _windows)
+from quadnmr.readout import (MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _axis, _best_phase,
+                             _line_spectrum, _windows)
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.seqlang import QuadDelay, SystemDecl
 from quadnmr.system import (H_ROW, QUAD_ROW, SPIN_32_LABELS, Z_ROW, Transition, _z_orientation,
@@ -254,35 +254,10 @@ def synthesize_fid_reference(amplitudes, sys: SpinSystem, points: int, dwell_s: 
     return FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz, lines=tuple(lines))
 
 
-def line_spectrum_reference(fid: FID) -> np.ndarray:
-    """readout._line_spectrum with its per-line scalars formed in place."""
-    n, dwell_s = fid.points, fid.dwell_s
-    table = _twiddles(n)
-    constant = -0.5 * sum(a for a, _, _ in fid.lines)
-    amp, terms = None, np.empty(n, dtype=complex)
-    for a, f, t2 in fid.lines:
-        d = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s
-        m, ny = _bin_offset(f, n, dwell_s)
-        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
-        j = (m + n // 2) % n
-        start = (n - n // 2 - m) % n
-        np.multiply(-cmath.exp(complex(-d, ny / n)), table[start:start + n], out=terms)
-        terms += 1.0
-        terms[j] = 1.0
-        np.divide(a * numerator, terms, out=terms)
-        terms[j] = a * (numerator / den) if abs(den) >= _NORMAL_MIN else n * a
-        if amp is None:
-            amp, terms = terms, np.empty(n, dtype=complex)
-            amp += constant
-        else:
-            amp += terms
-    return np.full(n, constant, dtype=complex) if amp is None else amp
-
-
 def spectrum_reference(fid: FID, sys: SpinSystem) -> Spectrum:
     """readout.spectrum with its bookkeeping on numpy scalars and Peak's
     __init__, before it refused a window integral that is not finite."""
-    freq, amp = _axis(fid.points, fid.dwell_s), line_spectrum_reference(fid)
+    freq, amp = _axis(fid.points, fid.dwell_s), _line_spectrum(fid)
     span_s = fid.points * fid.dwell_s
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     table = transition_table(sys)

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from quadnmr import (FID, Peak, RelaxationParams, SpinSystem, Spectrum, acquire, conjugate,
                      equilibrium_state, hard_pulse, observable_amplitudes, spectrum,
                      synthesize_fid, write_peaks_csv, write_spectrum_csv)
-from quadnmr.readout import (_CSV_CHUNK_ROWS, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _best_phase,
-                             _line_spectrum)
+from quadnmr.readout import _CSV_CHUNK_ROWS, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _best_phase
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.system import transition_table
 
-from helpers import (best_phase_reference, ideal_density_after_oracle, line_spectrum_reference,
+from helpers import (best_phase_reference, ideal_density_after_oracle,
                      observable_amplitudes_reference, spectrum_reference,
                      synthesize_fid_reference)
 
@@ -697,12 +696,6 @@ class TestRewritesKeepTheirBits:
             assert not math.isfinite(points // 2 * (1.0 / (points * dwell_s)))
             return
         assert got == outcome(lines, synthesize_fid_reference)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(big_readout_cases(), edge_cases()))
-    def test_line_spectrum_equals_the_reference(self, case):
-        fid, _ = case
-        assert _line_spectrum(fid).tobytes() == line_spectrum_reference(fid).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(big_readout_cases(), edge_cases()))
