@@ -83,9 +83,9 @@ class SpinSystem:
     offset_hz: float = 0.0
     lambda_hz: float = DEFAULT_SPLITTING_HZ / 6.0
     labels: tuple[str, ...] = field(init=False)
-    # derived and built once, not fields: _levels (shared by the level count),
-    # _freqs (Hz) of the lines (i, i+1), the read-only diagonals _iz_diag and, in
-    # rad/s, _quad_diag and _h_diag of H; the Transitions are built when first read
+    # derived once, not fields: _levels (shared by the level count), _freqs (Hz)
+    # of the lines (i, i+1), the read-only _iz_diag, and _diags, the quadrupolar and
+    # H diagonals (rad/s) as floats; Transitions and arrays are built when first read
 
     def __post_init__(self):
         levels = _levels(_check_spin(self.spin))   # validates the spin value
@@ -103,10 +103,8 @@ class SpinSystem:
             raise ValueError(
                 f"offset_hz={self.offset_hz:g} and lambda_hz={self.lambda_hz:g} put the "
                 "Hamiltonian or a line frequency beyond the float range")
-        diags = np.array([quad, h])
-        diags.flags.writeable = False
         self.__dict__.update(labels=levels.labels, _levels=levels, _freqs=freqs,
-                             _iz_diag=levels.iz_diag, _quad_diag=diags[0], _h_diag=diags[1])
+                             _iz_diag=levels.iz_diag, _diags=(quad, h))
 
     @cached_property
     def _lines(self) -> tuple[Transition, ...]:
@@ -123,9 +121,12 @@ class SpinSystem:
         and +i*s on the lower one.
         """
         rows = self._levels.rows.copy()
-        rows[QUAD_ROW], rows[H_ROW] = self._quad_diag, self._h_diag
+        rows[QUAD_ROW], rows[H_ROW] = self._diags
         rows.flags.writeable = False
         return rows
+
+    _quad_diag = cached_property(lambda self: self._exponent_rows[QUAD_ROW].real)
+    _h_diag = cached_property(lambda self: self._exponent_rows[H_ROW].real)
 
     @classmethod
     def from_splitting(cls, splitting_hz: float = DEFAULT_SPLITTING_HZ,
