@@ -61,11 +61,11 @@ def _selective(event, sys):
 
 
 def _delay(row: int, parts: int):
-    """The builder of a delay whose tau / parts evolves under the row."""
-    def build(event, sys):
+    """The step parts of a delay whose tau / parts evolves under the row."""
+    def parts_of(event, sys):
         tau = cphase_delay_s(sys) if event.tau_text == SYMBOLIC_CPHASE_DELAY else event.tau_s
         return None, None, (evolution_coefficient(tau / parts), row), tau / parts
-    return build
+    return parts_of
 
 
 # What _plan builds each event type from, each None where it has none: the
@@ -73,7 +73,7 @@ def _delay(row: int, parts: int):
 # the diagonal exponent (a coefficient and an _exponent_rows row) and the
 # relaxed interval. A refocus block is built from its half; gradients and
 # acquisitions have no step, and an event of another type is refused.
-_STEP_BUILDERS = {
+_STEP_PARTS = {
     HardPulse: lambda e, sys: (pulse_factors(sys, e.axis, e.angle_rad), None, None, None),
     SelPulse: _selective,
     ZPulse: lambda e, sys: (None, None, (e.angle_rad, z_row(sys, e.transition, e.angle_rad)),
@@ -103,14 +103,14 @@ def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
     """
     plan, groups, diags, dts, blocks, error = [], {}, [], [], [], None
     for event in events:
-        build = _STEP_BUILDERS.get(type(event), _non_unitary)
-        if build is None:
+        parts_of = _STEP_PARTS.get(type(event), _non_unitary)
+        if parts_of is None:
             plan.append(None)
             continue
         try:
-            if build is _non_unitary:
+            if parts_of is _non_unitary:
                 raise _non_unitary(event)
-            pulse, free, diag, dt = build(event, sys)
+            pulse, free, diag, dt = parts_of(event, sys)
         except ValueError as exc:   # a refused event: raised when the walk gets there
             error = exc
             break
