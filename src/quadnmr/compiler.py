@@ -157,14 +157,16 @@ def compile_unitary(ir: SequenceIR, sys: SpinSystem | None = None) -> np.ndarray
     """Net propagator of the sequence (first line applied first to the state)."""
     sys = ir.system() if sys is None else sys
     plan, _, error = _plan(ir.events, sys, None)
-    total = np.eye(sys.dim, dtype=complex)
+    total = None
     for event, steps in zip(ir.events, plan):
         if steps is None:
             raise _non_unitary(event)
-        total = steps[0][0] @ total
+        # the first propagator itself, not times the identity, which turns
+        # some -0.0 entries into +0.0
+        total = steps[0][0].copy() if total is None else steps[0][0].dot(total)
     if error is not None:
         raise error
-    return total
+    return np.eye(sys.dim, dtype=complex) if total is None else total
 
 
 @dataclass(frozen=True)

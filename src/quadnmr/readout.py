@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -46,8 +47,11 @@ DEFAULT_POINTS = 4096
 DEFAULT_DWELL_S = 5e-6
 DEFAULT_LB_HZ = 200.0
 # The most points an acquisition may have. A spectrum CSV takes up to about
-# 70 bytes a row, so 2^20 points write about 70 MB; transforming them holds
-# 2^21 complex twiddles and two 2^20-point arrays, 64 MB in all.
+# 70 bytes a row, so 2^20 points write about 70 MB; transforming them takes
+# 2^21 complex twiddles, the 2^20-point result and a 2^20-point working
+# buffer, 64 MB in all. Between transforms the process keeps the twiddle
+# table (32 MB, shared by all threads) and each thread that transformed keeps
+# its working buffer (16 MB): both are cached for the last three point counts.
 MAX_POINTS = 2 ** 20
 
 # Number of nominal linewidths (each side) integrated around a line.
@@ -261,6 +265,18 @@ def _twiddles(points: int) -> np.ndarray:
     return table
 
 
+class _Buffers(threading.local):
+    """Each thread's working arrays of the transform, one per point count for
+    the last three counts, like _twiddles. They outlive the call, so that a
+    transform allocates no full-length array besides its result."""
+
+    def __init__(self):
+        self.terms = lru_cache(maxsize=3)(lambda points: np.empty(points, dtype=complex))
+
+
+_buffers = _Buffers()
+
+
 def _expm1(x: float, y: float) -> complex:
     """exp(x + iy) - 1, keeping its digits where it is near zero."""
     return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
@@ -319,8 +335,9 @@ def _line_spectrum(fid: FID) -> np.ndarray:
         terms[j] = a * (numerator / den) if abs(den) >= _NORMAL_MIN else n * a
         if amp is None:
             # the first line's array becomes the sum: term + constant has
-            # the bits of constant + term, and no array is filled first
-            amp, terms = terms, np.empty(n, dtype=complex)
+            # the bits of constant + term, and no array is filled first; the
+            # later lines' terms go to this thread's kept buffer
+            amp, terms = terms, _buffers.terms(n)
             amp += constant
         else:
             amp += terms

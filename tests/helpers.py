@@ -9,7 +9,8 @@ oracle matrices and the crusher; and the bodies that the cut of run_dj's
 fixed per-call cost replaced: the pulse exponential and the sandwich product
 by the @ operator, the spin check, the relaxation step, the observable
 amplitudes, the FID's lines, the readout's bookkeeping, the Sparrow check
-and the oracle sequence.
+and the oracle sequence; and the transform as it was before it kept a working
+buffer per thread.
 """
 
 import cmath
@@ -25,8 +26,9 @@ from quadnmr.dj import _ORACLE_FILES, SEQUENCE_METHODS, _bundled_events
 from quadnmr.linalg import (ATOL, MAX_TWO_SPIN, expm_diagonal, expm_from_eigh, is_hermitian,
                             spin_operators)
 from quadnmr.pulses import _unit_element
-from quadnmr.readout import (MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _axis, _best_phase,
-                             _line_spectrum, _windows)
+from quadnmr.readout import (_NORMAL_MIN, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _axis,
+                             _best_phase, _bin_offset, _expm1, _line_spectrum, _twiddles,
+                             _windows)
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.seqlang import QuadDelay, SystemDecl
 from quadnmr.system import (H_ROW, QUAD_ROW, SPIN_32_LABELS, Z_ROW, Transition, _z_orientation,
@@ -280,6 +282,32 @@ def spectrum_reference(fid: FID, sys: SpinSystem) -> Spectrum:
              for tr, window, hz, integral, sign in zip(table, windows, bins, integrals.tolist(),
                                                        np.sign(integrals).tolist())]
     return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
+
+
+def line_spectrum_reference(fid: FID) -> np.ndarray:
+    """readout._line_spectrum allocating a second full-length array for the
+    later lines' terms on every call."""
+    n, dwell_s = fid.points, fid.dwell_s
+    table = _twiddles(n)
+    constant = -0.5 * sum(a for a, _, _ in fid.lines)
+    amp, terms = None, np.empty(n, dtype=complex)
+    for a, f, t2 in fid.lines:
+        d = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s
+        m, ny = _bin_offset(f, n, dwell_s)
+        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
+        j = (m + n // 2) % n
+        start = (n - n // 2 - m) % n
+        np.multiply(-cmath.exp(complex(-d, ny / n)), table[start:start + n], out=terms)
+        terms += 1.0
+        terms[j] = 1.0
+        np.divide(a * numerator, terms, out=terms)
+        terms[j] = a * (numerator / den) if abs(den) >= _NORMAL_MIN else n * a
+        if amp is None:
+            amp, terms = terms, np.empty(n, dtype=complex)
+            amp += constant
+        else:
+            amp += terms
+    return np.full(n, constant, dtype=complex) if amp is None else amp
 
 
 def check_resolved_reference(fid: FID, sys: SpinSystem) -> None:

@@ -29,6 +29,21 @@ class TestCompileUnitary:
         ir = parse_sequence("system I=3/2 splitting=16kHz\n")
         assert matrices_close(compile_unitary(ir), np.eye(4))
 
+    @pytest.mark.parametrize("axis", ["x", "y", "-x", "-y"])
+    def test_one_event_returns_the_bytes_of_its_propagator(self, axis):
+        # a 2 pi selective pulse on a spin-3 system holds -0.0 entries, which a
+        # product with the identity would turn into +0.0 on some lines
+        sys = SpinSystem(spin=3.0)
+        for label in sys._levels.line_labels:
+            event = SelPulse(transition=label, axis=axis, angle_rad=2 * np.pi,
+                             angle_text="2*pi")
+            ir = SequenceIR(SystemDecl(sys.spin, sys.splitting_hz), (event,))
+            u = compile_unitary(ir, sys)
+            own = _plan(ir.events, sys, None)[0][0][0][0]
+            assert u.tobytes() == own.tobytes()
+            u[0, 0] = 7.0     # a fresh array, not the plan's
+            assert compile_unitary(ir, sys).tobytes() == own.tobytes()
+
     def test_quad_evolution_script_hits_target_phase(self):
         compiled = compile_unitary(load("u3-quad.qseq"))
         target = np.exp(-1j * np.pi / 4) * oracle_matrix("f3")

@@ -1,6 +1,9 @@
 import cmath
 import csv
 import math
+import threading
+import tracemalloc
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -15,8 +18,8 @@ from quadnmr.relaxation import coherence_t2_table
 from quadnmr.system import transition_table
 
 from helpers import (best_phase_reference, ideal_density_after_oracle,
-                     observable_amplitudes_reference, spectrum_reference,
-                     synthesize_fid_reference)
+                     line_spectrum_reference, observable_amplitudes_reference,
+                     spectrum_reference, synthesize_fid_reference)
 
 
 def analytic_window_integral(amplitude, lb_hz, dwell_s,
@@ -730,3 +733,87 @@ class TestOverflowingReadoutRefused:
                                              r"00-01 is not finite; lower the amplitudes "
                                              r"or raise the dwell time$"):
             spectrum(fid, sys)
+
+
+# the T2s of the relaxed lines, single- to triple-quantum
+RELAXED_T2_S = sorted({float(t) for t in coherence_t2_table(RelaxationParams(), 4).flat
+                       if t < math.inf})
+
+
+@st.composite
+def transform_grids(draw):
+    """FIDs on two to six grids, their point counts drawn with repeats, so
+    that a kept buffer of another count is reused and, past three counts,
+    dropped: counts that are not powers of two, lines undamped and exactly on
+    bins or anywhere, zero and subnormal amplitudes, and relaxed T2s."""
+    fids = []
+    counts = st.one_of(st.integers(2, 17), st.sampled_from([1000, 1024, 4097, 16384]))
+    for points in draw(st.lists(counts, min_size=2, max_size=6)):
+        dwell_s = draw(st.one_of(st.sampled_from([5e-6, 1e-4]), st.floats(1e-7, 1e-4)))
+        step, nyquist = 1.0 / (points * dwell_s), 0.5 / dwell_s
+        bins = st.integers(-(points // 2), points - points // 2 - 1)
+        positions = st.one_of(bins.map(lambda k: k * step), st.floats(-nyquist, nyquist))
+        t2s = st.one_of(st.just(math.inf), st.sampled_from(RELAXED_T2_S), st.floats(1e-6, 1.0))
+        lines = tuple((complex(draw(BIG_PARTS), draw(BIG_PARTS)), draw(positions), draw(t2s))
+                      for _ in range(draw(st.integers(0, 4))))
+        lb_hz = draw(st.one_of(st.just(0.0), st.floats(0.0, 500.0)))
+        fids.append(FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz, lines=lines))
+    return fids
+
+
+class TestKeptTransformBuffer:
+    """The transform keeps one working buffer per thread and point count."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(transform_grids())
+    @example([FID(points=64, dwell_s=5e-6, lb_hz=0.0,
+                  lines=((0.3, 0.0, math.inf), (-0.0 + 5e-324j, 3125.0, math.inf),
+                         (1.0 - 0.5j, -6250.0, math.inf))),
+              FID(points=17, dwell_s=1e-4, lb_hz=0.0, lines=((0j, 0.0, math.inf),)),
+              FID(points=64, dwell_s=5e-6, lb_hz=200.0,
+                  lines=((1j, 1234.5, RELAXED_T2_S[0]), (2.0, 0.0, RELAXED_T2_S[-1])))])
+    def test_transform_has_the_bits_of_the_parent_body(self, fids):
+        # every result is read after the last transform: none may share a kept buffer
+        results = [spectrum(fid).amplitude for fid in fids]
+        for fid, amp in zip(fids, results):
+            assert amp.tobytes() == line_spectrum_reference(fid).tobytes()
+
+    def test_warm_spectrum_allocates_only_its_result(self, sys32):
+        points = 16384
+        fid = synthesize_fid([1.0, 2.0 - 1j, 3.0], sys32, points=points,
+                             relax=RelaxationParams())
+        spectrum(fid, sys32)     # builds the twiddles, the axis and the kept buffer
+        tracemalloc.start()
+        try:
+            spectrum(fid, sys32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result, 16 bytes a point, and the small arrays of the windows
+        assert peak <= 1.25 * 16 * points
+
+    def test_threads_get_the_bits_of_the_serial_transform(self, sys32):
+        fids = [synthesize_fid(amps, sys32, points=16384, relax=RelaxationParams())
+                for amps in ([1.0, 2.0 - 1j, 3.0], [-0.5j, 4.0, 1e-3 + 2j])]
+        serial = [spectrum(fid).amplitude.tobytes() for fid in fids]
+        start = threading.Barrier(len(fids), timeout=60)
+        results = [[] for _ in fids]
+
+        def transform(k):
+            start.wait()
+            for _ in range(40):
+                results[k].append(spectrum(fids[k]).amplitude.tobytes())
+
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=transform, args=(k,)) for k in range(len(fids))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, expected in zip(results, serial):
+            assert got == [expected] * 40
