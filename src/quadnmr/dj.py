@@ -188,7 +188,11 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
     shaped_pulses replaces the oracle's ideal selective pulses by gaussian
     soft pulses (the ideal pulse followed by free evolution over the pulse
     duration) lasting one full period of the quadrupolar phase accrual,
-    1/(3*lambda), so the background phases wrap by 2*pi. The readout is
+    1/(3*lambda), so the background phases wrap by 2*pi. The offset phase
+    accrued over that time does not wrap, and it would turn the axis of
+    the next pulse; so off resonance the shaped oracle runs in the frame
+    that tracks the offset, on the system's on-resonance copy (the "virtual
+    Z" of McKay et al., PRA 96, 022330, 2017). The readout is
     readout.acquire with the given points, dwell, line broadening and relax.
     Raises UnresolvedLinesError when the lines lie too close for their widths
     to sign (check_resolved), since they could then read as the wrong class.
@@ -202,7 +206,7 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
     if method == "ideal-matrix":
         rho = conjugate(rho, oracle_matrix(oracle_id))
     else:
-        ir = oracle_sequence(oracle_id, method, sys)
+        ir, frame = oracle_sequence(oracle_id, method, sys), sys
         if shaped_pulses:
             duration = 1.0 / (3.0 * sys.lambda_hz)
             shape = GaussianShape(duration_s=duration,
@@ -210,7 +214,11 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
             ir = _frozen(SequenceIR, system_decl=ir.system_decl, events=tuple(
                 _frozen(SelPulse, **{**vars(e), "shape": shape})
                 if type(e) is SelPulse and e.shape is None else e for e in ir.events))
-        rho = run_trajectory(ir, sys, rho, relax=relax).states[-1]
+            if sys.offset_hz:
+                # frame tracking: no other oracle event depends on the offset,
+                # so the Zeeman rotation left out only sets the global phase
+                frame = SpinSystem(sys.spin, 0.0, sys.lambda_hz)
+        rho = run_trajectory(ir, frame, rho, relax=relax).states[-1]
 
     fid, spec = acquire(rho, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz, relax=relax)
     check_resolved(fid, sys)

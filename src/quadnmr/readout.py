@@ -26,7 +26,11 @@ Apart from the transform, the readout's work grows with the number of lines,
 not with the points: each window is found as a run of bins by testing the
 bins at its edges (bin by bin only where two lines nearly coincide), giving
 the same bits as testing every bin, and the exact phase is found among at
-most one sign pattern of the integrals per line.
+most one sign pattern of the integrals per line. What no amplitude touches,
+the windows and each line's transform constants, is kept per grid and line
+set in bounded caches (_windows, _line_constants) of a few Python scalars or
+a slice per line, so the runs of every oracle on one system and grid
+compute it once.
 """
 
 from __future__ import annotations
@@ -191,44 +195,68 @@ def _best_phase(integrals: np.ndarray) -> float:
     return 0.0 if phase == 2.0 * math.pi else phase    # -1e-48 % 2pi rounds to 2pi
 
 
-def _windows(freq: np.ndarray, span_s: float, lines: list[float],
-             half_width: float) -> list[slice | np.ndarray]:
-    """The bins of each line's readout window, as a slice or an index array.
+# Bound of each readout-geometry cache (_windows, _line_constants). An entry
+# is its key and a few Python scalars or a slice per line, about 1 KB for
+# three lines, so a full cache holds well under 1 MB.
+_GEOMETRY_ENTRIES = 256
 
-    A bin at x = freq[i] is in a line's window when |x - line| <= half_width
-    and no other line is strictly nearer to x. Along the axis the first test
-    holds on one run of bins and each other line fails the second on one end
-    of it, so each edge is the first bin of a run that passes a test, found
-    by testing the bins next to a first guess. A line farther than two
+
+def _rivals(lines, line: float, half_width: float) -> list[float]:
+    """The other lines within two half-widths of line: only these can be
+    nearer than line to a bin of its window."""
+    return [f for f in lines if f != line and not abs(f - line) > 2.001 * half_width]
+
+
+def _run(points: int, span_s: float, line: float, half_width: float) -> tuple[int, int]:
+    """The bins lo <= i < hi whose x = (i - points//2) / span_s lies within
+    half_width of line.
+
+    Along the axis the test holds on one run of bins, so each edge is the
+    first bin of a run that passes a test, found by testing the bins next to
+    a first guess.
+    """
+    centre, step = points // 2, 1.0 / span_s
+    # (i - centre) * step rounds exactly like the axis; each edge search
+    # starts at the bin at its frequency, clipped to its range (its end for nan)
+    guess = (line - half_width) * span_s + centre
+    lo = 0 if guess <= 0 else points if not guess < points else int(guess)
+    while lo > 0 and (lo - 1 - centre) * step - line >= -half_width:
+        lo -= 1
+    while lo < points and not (lo - centre) * step - line >= -half_width:
+        lo += 1
+    guess = (line + half_width) * span_s + centre
+    hi = lo if guess <= lo else points if not guess < points else int(guess)
+    while hi > lo and (hi - 1 - centre) * step - line > half_width:
+        hi -= 1
+    while hi < points and not (hi - centre) * step - line > half_width:
+        hi += 1
+    return lo, hi
+
+
+@lru_cache(maxsize=_GEOMETRY_ENTRIES)
+def _windows(points: int, dwell_s: float, lines: tuple[float, ...],
+             half_width: float) -> tuple[slice | None, ...]:
+    """The bins of each line's readout window on the axis of points and
+    dwell_s, as a slice; None for a window that _tie_window finds.
+
+    A bin at x is in a line's window when |x - line| <= half_width and no
+    other line is strictly nearer to x. The first test holds on one run of
+    bins (_run), and each other line fails the second on one end of it,
+    found by testing the bins next to a first guess. A line farther than two
     half-widths is nearer to no bin of the run. Where another line lies
     within a few units in the last place of half_width, rounding can tie the
-    two distances at scattered bins, so such a window is tested bin by bin.
+    two distances at scattered bins: that window is an index array up to
+    points long, so it is not kept here but found bin by bin on each call.
     """
-    points, centre, step = len(freq), len(freq) // 2, 1.0 / span_s
+    span_s = points * dwell_s
+    centre, step = points // 2, 1.0 / span_s
     windows = []
     for line in lines:
-        # (i - centre) * step rounds exactly like freq[i]; each edge search
-        # starts at the bin at its frequency, clipped to its range (its end for nan)
-        guess = (line - half_width) * span_s + centre
-        lo = 0 if guess <= 0 else points if not guess < points else int(guess)
-        while lo > 0 and (lo - 1 - centre) * step - line >= -half_width:
-            lo -= 1
-        while lo < points and not (lo - centre) * step - line >= -half_width:
-            lo += 1
-        guess = (line + half_width) * span_s + centre
-        hi = lo if guess <= lo else points if not guess < points else int(guess)
-        while hi > lo and (hi - 1 - centre) * step - line > half_width:
-            hi -= 1
-        while hi < points and not (hi - centre) * step - line > half_width:
-            hi += 1
-        rivals = [f for f in lines if f != line and not abs(f - line) > 2.001 * half_width]
+        rivals = _rivals(lines, line, half_width)
         if rivals and any([abs(f - line) <= 16 * math.ulp(half_width) for f in rivals]):
-            dist = np.abs(freq[lo:hi] - line)
-            nearer = np.zeros(hi - lo, dtype=bool)
-            for f in rivals:
-                nearer |= np.abs(freq[lo:hi] - f) < dist
-            windows.append(lo + np.flatnonzero(~nearer))
+            windows.append(None)
             continue
+        lo, hi = _run(points, span_s, line, half_width)
         for f in rivals:
             # the first bin f is strictly nearer to, when above the line; else not
             above, guess = f > line, (line / 2 + f / 2) * span_s + centre
@@ -241,7 +269,18 @@ def _windows(freq: np.ndarray, span_s: float, lines: list[float],
                 i += 1
             lo, hi = (lo, i) if above else (i, hi)
         windows.append(slice(lo, hi))
-    return windows
+    return tuple(windows)
+
+
+def _tie_window(freq: np.ndarray, span_s: float, lines, line: float,
+                half_width: float) -> np.ndarray:
+    """The bins of line's window (_windows) on the axis freq, tested bin by bin."""
+    lo, hi = _run(len(freq), span_s, line, half_width)
+    dist = np.abs(freq[lo:hi] - line)
+    nearer = np.zeros(hi - lo, dtype=bool)
+    for f in _rivals(lines, line, half_width):
+        nearer |= np.abs(freq[lo:hi] - f) < dist
+    return lo + np.flatnonzero(~nearer)
 
 
 # 2 pi - math.tau, the part of 2 pi that math.tau rounds off
@@ -302,6 +341,29 @@ def _bin_offset(frequency_hz: float, points: int, dwell_s: float) -> tuple[int, 
     return m, exact / scale - m * _TAU_LO
 
 
+@lru_cache(maxsize=_GEOMETRY_ENTRIES)
+def _line_constants(points: int, dwell_s: float, lb_hz: float,
+                    lines: tuple[tuple[float, float], ...]) -> tuple[tuple, ...]:
+    """What the transform (_line_spectrum) takes from each (frequency_hz, t2_s)
+    line besides its amplitude: -q w^m, 1 - q^N, (1 - q^N) / (1 - q w^m)
+    (None where that denominator is below the normal range), the result bin
+    j of bin m and the start of its twiddles.
+
+    Keys compare as the numbers do, like _axis's: the constants of Python
+    numbers depend on their values, save for the sign of a zero lb_hz with
+    a growing line (T2 = -inf).
+    """
+    n, constants = points, []
+    for f, t2 in lines:
+        d = (math.pi * lb_hz + 1.0 / t2) * dwell_s
+        m, ny = _bin_offset(f, n, dwell_s)
+        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
+        constants.append((-cmath.exp(complex(-d, ny / n)), numerator,
+                          numerator / den if abs(den) >= _NORMAL_MIN else None,
+                          (m + n // 2) % n, (n - n // 2 - m) % n))
+    return tuple(constants)
+
+
 def _line_spectrum(fid: FID) -> np.ndarray:
     """The transform of fid's lines on the shifted axis, first sample at half weight.
 
@@ -314,25 +376,22 @@ def _line_spectrum(fid: FID) -> np.ndarray:
     where both vanish (a line exactly on a bin, undamped) bin m holds N a,
     and so it does where the denominator falls below the normal range: there
     it keeps too few digits for the ratio, which is N a to double precision
-    (N |i y - d| < 1e-300).
+    (N |i y - d| < 1e-300). Those constants are computed once per grid and
+    line set (_line_constants); only the amplitudes multiply them per call.
     """
-    n, dwell_s = fid.points, fid.dwell_s
+    n = fid.points
     table = _twiddles(n)
     constant = -0.5 * sum(a for a, _, _ in fid.lines)
     amp, terms = None, np.empty(n, dtype=complex)
+    kept = _line_constants(n, fid.dwell_s, fid.lb_hz, tuple([(f, t2) for _, f, t2 in fid.lines]))
     # in place: a fresh array per step would cost more than the arithmetic
-    for a, f, t2 in fid.lines:
-        d = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s
-        m, ny = _bin_offset(f, n, dwell_s)
-        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
-        j = (m + n // 2) % n
-        start = (n - n // 2 - m) % n
-        np.multiply(-cmath.exp(complex(-d, ny / n)), table[start:start + n], out=terms)
+    for (a, _, _), (factor, numerator, ratio, j, start) in zip(fid.lines, kept):
+        np.multiply(factor, table[start:start + n], out=terms)
         terms += 1.0
         terms[j] = 1.0     # set below
         np.divide(a * numerator, terms, out=terms)
         # the ratio first, so that a tiny amplitude does not take it subnormal
-        terms[j] = a * (numerator / den) if abs(den) >= _NORMAL_MIN else n * a
+        terms[j] = n * a if ratio is None else a * ratio
         if amp is None:
             # the first line's array becomes the sum: term + constant has
             # the bits of constant + term, and no array is filled first; the
@@ -376,7 +435,10 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
 
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     labels, lines = sys._levels.line_labels, sys._freqs
-    windows = _windows(freq, fid.points * fid.dwell_s, lines, half_width)
+    windows = _windows(fid.points, fid.dwell_s, lines, half_width)
+    if None in windows:
+        windows = [_tie_window(freq, fid.points * fid.dwell_s, lines, line, half_width)
+                   if window is None else window for line, window in zip(lines, windows)]
     df = freq.item(1) - freq.item(0)
     raw, parts = [], []
     for label, line, window in zip(labels, lines, windows):

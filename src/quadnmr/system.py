@@ -103,7 +103,7 @@ class SpinSystem:
             raise ValueError(
                 f"offset_hz={self.offset_hz:g} and lambda_hz={self.lambda_hz:g} put the "
                 "Hamiltonian or a line frequency beyond the float range")
-        self.__dict__.update(labels=levels.labels, _levels=levels, _freqs=freqs,
+        self.__dict__.update(labels=levels.labels, _levels=levels, _freqs=tuple(freqs),
                              _iz_diag=levels.iz_diag, _diags=(quad, h))
 
     @cached_property

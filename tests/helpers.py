@@ -9,8 +9,10 @@ oracle matrices and the crusher; and the bodies that the cut of run_dj's
 fixed per-call cost replaced: the pulse exponential and the sandwich product
 by the @ operator, the spin check, the relaxation step, the observable
 amplitudes, the FID's lines, the readout's bookkeeping, the Sparrow check
-and the oracle sequence; and the transform as it was before it kept a working
-buffer per thread.
+and the oracle sequence; the transform as it was before it kept a working
+buffer per thread; and the readout windows and transform constants as they
+were computed on every call, before the readout kept them per grid and line
+set.
 """
 
 import cmath
@@ -27,8 +29,7 @@ from quadnmr.linalg import (ATOL, MAX_TWO_SPIN, expm_diagonal, expm_from_eigh, i
                             spin_operators)
 from quadnmr.pulses import _unit_element
 from quadnmr.readout import (_NORMAL_MIN, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _axis,
-                             _best_phase, _bin_offset, _expm1, _line_spectrum, _twiddles,
-                             _windows)
+                             _best_phase, _bin_offset, _expm1, _twiddles)
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.seqlang import QuadDelay, SystemDecl
 from quadnmr.system import (H_ROW, QUAD_ROW, SPIN_32_LABELS, Z_ROW, Transition, _z_orientation,
@@ -256,15 +257,57 @@ def synthesize_fid_reference(amplitudes, sys: SpinSystem, points: int, dwell_s: 
     return FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz, lines=tuple(lines))
 
 
+def windows_reference(freq: np.ndarray, span_s: float, lines: list[float],
+                      half_width: float) -> list[slice | np.ndarray]:
+    """readout._windows as it searched the windows on every call, given the
+    axis, as a slice or, where two lines nearly coincide, an index array."""
+    points, centre, step = len(freq), len(freq) // 2, 1.0 / span_s
+    windows = []
+    for line in lines:
+        guess = (line - half_width) * span_s + centre
+        lo = 0 if guess <= 0 else points if not guess < points else int(guess)
+        while lo > 0 and (lo - 1 - centre) * step - line >= -half_width:
+            lo -= 1
+        while lo < points and not (lo - centre) * step - line >= -half_width:
+            lo += 1
+        guess = (line + half_width) * span_s + centre
+        hi = lo if guess <= lo else points if not guess < points else int(guess)
+        while hi > lo and (hi - 1 - centre) * step - line > half_width:
+            hi -= 1
+        while hi < points and not (hi - centre) * step - line > half_width:
+            hi += 1
+        rivals = [f for f in lines if f != line and not abs(f - line) > 2.001 * half_width]
+        if rivals and any([abs(f - line) <= 16 * math.ulp(half_width) for f in rivals]):
+            dist = np.abs(freq[lo:hi] - line)
+            nearer = np.zeros(hi - lo, dtype=bool)
+            for f in rivals:
+                nearer |= np.abs(freq[lo:hi] - f) < dist
+            windows.append(lo + np.flatnonzero(~nearer))
+            continue
+        for f in rivals:
+            above, guess = f > line, (line / 2 + f / 2) * span_s + centre
+            i = lo if guess <= lo else hi if not guess < hi else int(guess)
+            while i > lo and (abs((i - 1 - centre) * step - f)
+                              < abs((i - 1 - centre) * step - line)) == above:
+                i -= 1
+            while i < hi and (abs((i - centre) * step - f)
+                              < abs((i - centre) * step - line)) != above:
+                i += 1
+            lo, hi = (lo, i) if above else (i, hi)
+        windows.append(slice(lo, hi))
+    return windows
+
+
 def spectrum_reference(fid: FID, sys: SpinSystem) -> Spectrum:
     """readout.spectrum with its bookkeeping on numpy scalars and Peak's
-    __init__, before it refused a window integral that is not finite."""
-    freq, amp = _axis(fid.points, fid.dwell_s), _line_spectrum(fid)
+    __init__, before it refused a window integral that is not finite, and
+    with the transform and the windows computed on every call."""
+    freq, amp = _axis(fid.points, fid.dwell_s), line_spectrum_reference(fid)
     span_s = fid.points * fid.dwell_s
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     table = transition_table(sys)
     lines = [tr.frequency_hz for tr in table]
-    windows = _windows(freq, span_s, lines, half_width)
+    windows = windows_reference(freq, span_s, lines, half_width)
     bins = [freq[window] for window in windows]
     for tr, hz in zip(table, bins):
         if not hz.size:

@@ -92,6 +92,19 @@ class TestDJCommand:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error[E_CONFIG]")
 
+    # the offset phase accrued between the two soft pulses turned the second
+    # pulse's axis: f2, which is constant, read "balanced" with exit 0
+    @pytest.mark.parametrize("options", [
+        ("--offset", "3500"),
+        ("--method", "selective-z", "--splitting", "4782.197605310563", "--offset",
+         "-1137.3933019733709", "--lb", "132.16716671045978", "--dwell",
+         "2.9031829179874174e-06", "--points", "16384")])
+    def test_shaped_pulses_off_resonance_keep_constant_oracle_constant(
+            self, tmp_path, capsys, options):
+        code, out, _ = run_cli(capsys, "--outdir", str(tmp_path), "dj", "--oracle", "f2",
+                               "--shaped-pulses", *options)
+        assert (code, out.strip()) == (0, "constant")
+
     def test_unknown_oracle_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "--outdir", str(tmp_path), "dj",
                                "--oracle", "f9")

@@ -299,6 +299,40 @@ def test_run_dj_is_right_or_refuses(ratio, offset, lb, width_dwell, points, orac
     assert outcome.classification == oracle_class(oracle_id)
 
 
+@settings(max_examples=150, deadline=None)
+@given(splitting=st.floats(3.0, 4.6).map(lambda e: 10.0 ** e), offset=st.floats(-5e3, 5e3),
+       lb=st.floats(1.0, 3.0).map(lambda e: 10.0 ** e), nyquist_share=st.floats(0.2, 0.95),
+       points=st.integers(6, 14).map(lambda k: 2 ** k),
+       oracle_id=st.sampled_from(ORACLE_IDS), method=st.sampled_from(SEQUENCE_METHODS))
+# quadnmr dj --oracle f2 --shaped-pulses --offset 3500
+@example(splitting=16_000.0, offset=3500.0, lb=200.0, nyquist_share=0.195, points=4096,
+         oracle_id="f2", method="quad-evolution")
+def test_shaped_run_dj_is_right_or_refuses(splitting, offset, lb, nyquist_share, points,
+                                           oracle_id, method):
+    # the dwell puts the highest line at nyquist_share of the Nyquist frequency;
+    # before frame tracking, the offset phase between the soft pulses turned the
+    # second pulse's axis, and f2 read balanced with exit 0
+    dwell_s = nyquist_share / (2.0 * (abs(offset) + splitting))
+    try:
+        outcome = run_dj(oracle_id, SpinSystem.from_splitting(splitting, offset), method=method,
+                         shaped_pulses=True, points=points, dwell_s=dwell_s, lb_hz=lb)
+    except (ValueError, AmbiguousReadoutError):
+        return
+    assert outcome.classification == oracle_class(oracle_id)
+
+
+@pytest.mark.parametrize("oracle_id", ORACLE_IDS)
+@pytest.mark.parametrize("method", SEQUENCE_METHODS)
+@pytest.mark.parametrize("relax", [None, RelaxationParams()])
+def test_shaped_oracle_runs_in_the_frame_of_the_offset(oracle_id, method, relax):
+    # off resonance the shaped oracle acts on the state as on resonance: the
+    # pulses' frame follows the offset, and only the readout sees it
+    on, off = (run_dj(oracle_id, SpinSystem.from_splitting(16_000.0, offset), method=method,
+                      relax=relax, shaped_pulses=True) for offset in (0.0, -1500.0))
+    assert off.rho_final.tobytes() == on.rho_final.tobytes()
+    assert off.classification == on.classification == oracle_class(oracle_id)
+
+
 @st.composite
 def resolution_cases(draw):
     """A system, from coincident lines to well apart, and an FID of its

@@ -3,23 +3,25 @@ import csv
 import math
 import threading
 import tracemalloc
-from sys import getswitchinterval, setswitchinterval
+from sys import getsizeof, getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadnmr import (FID, Peak, RelaxationParams, SpinSystem, Spectrum, acquire, conjugate,
-                     equilibrium_state, hard_pulse, observable_amplitudes, spectrum,
-                     synthesize_fid, write_peaks_csv, write_spectrum_csv)
-from quadnmr.readout import _CSV_CHUNK_ROWS, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _best_phase
+from quadnmr import (FID, METHODS, ORACLE_IDS, Peak, RelaxationParams, SpinSystem, Spectrum,
+                     acquire, conjugate, equilibrium_state, hard_pulse, observable_amplitudes,
+                     run_dj, spectrum, synthesize_fid, write_peaks_csv, write_spectrum_csv)
+from quadnmr.readout import (_CSV_CHUNK_ROWS, _GEOMETRY_ENTRIES, MAX_POINTS,
+                             PEAK_WINDOW_LINEWIDTHS, _axis, _best_phase, _line_constants,
+                             _tie_window, _twiddles, _windows)
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.system import transition_table
 
 from helpers import (best_phase_reference, ideal_density_after_oracle,
                      line_spectrum_reference, observable_amplitudes_reference,
-                     spectrum_reference, synthesize_fid_reference)
+                     spectrum_reference, synthesize_fid_reference, windows_reference)
 
 
 def analytic_window_integral(amplitude, lb_hz, dwell_s,
@@ -817,3 +819,198 @@ class TestKeptTransformBuffer:
         assert not any(thread.is_alive() for thread in threads)
         for got, expected in zip(results, serial):
             assert got == [expected] * 40
+
+
+def clear_readout_caches():
+    for cache in (_line_constants, _windows, _twiddles, _axis):
+        cache.cache_clear()
+
+
+def fill_geometry_caches():
+    """Read _GEOMETRY_ENTRIES + 1 geometries that no test draws (dwells
+    above 1 ms, below 1 s), which evicts every earlier entry."""
+    sys = SpinSystem(spin=0.5)
+    for k in range(_GEOMETRY_ENTRIES + 1):
+        spectrum(FID(points=8, dwell_s=1e-3 * (1.0 + k / 1000.0), lb_hz=1000.0,
+                     lines=((1.0, 0.0, math.inf),)), sys)
+    assert _line_constants.cache_info().currsize == _windows.cache_info().currsize \
+        == _GEOMETRY_ENTRIES
+
+
+def resolved_windows(fid, sys):
+    """The windows spectrum(fid, sys) integrates, as slices and index lists."""
+    half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
+    return [window if window is not None else _tie_window(
+        _axis(fid.points, fid.dwell_s), fid.points * fid.dwell_s, sys._freqs, line,
+        half_width).tolist()
+        for line, window in zip(sys._freqs, _windows(fid.points, fid.dwell_s, sys._freqs,
+                                                     half_width))]
+
+
+def reference_windows(fid, sys):
+    return [window if type(window) is slice else window.tolist() for window in windows_reference(
+        _axis(fid.points, fid.dwell_s), fid.points * fid.dwell_s, list(sys._freqs),
+        PEAK_WINDOW_LINEWIDTHS * fid.lb_hz)]
+
+
+@st.composite
+def geometry_reads(draw):
+    """Readouts of one to three geometries, each after the first the one
+    before with one of its numbers drawn again, so that the keys differ in
+    one part. Each geometry is read two to four times, in a drawn order,
+    with new amplitudes and its numbers written other ways: a zero offset or
+    lb as 0, 0.0 or -0.0, and a whole dwell or lb as an int or a float.
+    Point counts from 2 to 16384, dwells of whole seconds or fractions of
+    one, lines undamped or at relaxed T2s, and systems whose lines coincide,
+    nearly coincide (ties at scattered bins) or lie apart."""
+    points = st.one_of(st.integers(2, 17), st.sampled_from([1024, 4096, 16384]))
+    dwells = st.one_of(st.integers(1, 3), st.sampled_from([5e-6, 1e-4]), st.floats(1e-7, 1e-4))
+    spins = st.sampled_from([0.5, 1.5, 2.5])
+    t2s = st.lists(st.one_of(st.just(math.inf), st.sampled_from(RELAXED_T2_S),
+                             st.floats(1e-6, 1.0)), min_size=5, max_size=5)
+
+    def offsets(g):
+        step, nyquist = 1.0 / (g["points"] * g["dwell_s"]), 0.5 / g["dwell_s"]
+        bins = st.integers(-(g["points"] // 2), g["points"] - g["points"] // 2 - 1)
+        return st.one_of(st.just(0.0), bins.map(lambda k: k * step),
+                         st.floats(-nyquist, nyquist))
+
+    def splittings(g):
+        step, nyquist = 1.0 / (g["points"] * g["dwell_s"]), 0.5 / g["dwell_s"]
+        return st.one_of(st.just(0.0), st.just(1e-300), st.floats(1e-320, 1e-9),
+                         st.integers(1, 5).map(lambda k: k * step), st.floats(0.0, nyquist))
+
+    def lbs(g):
+        step, nyquist = 1.0 / (g["points"] * g["dwell_s"]), 0.5 / g["dwell_s"]
+        return st.one_of(st.integers(0, 3), st.just(0.0),
+                         st.floats(0.0, 1.0).map(lambda u: u * step),
+                         st.floats(0.0, 2.0 * nyquist))
+
+    parts = {"points": lambda g: points, "dwell_s": lambda g: dwells, "spin": lambda g: spins,
+             "t2s": lambda g: t2s, "offset_hz": offsets, "splitting_hz": splittings,
+             "lb_hz": lbs}
+    geometry, reads = {}, []
+    for name in parts:
+        geometry[name] = draw(parts[name](geometry))
+    for k in range(draw(st.integers(1, 3))):
+        if k:
+            geometry = dict(geometry)
+            name = draw(st.sampled_from(sorted(parts)))
+            geometry[name] = draw(parts[name](geometry))
+
+        def written(x):
+            if x == 0:
+                return draw(st.sampled_from([0, 0.0, -0.0]))
+            return draw(st.sampled_from([x, float(x)])) if type(x) is int else x
+
+        for _ in range(draw(st.integers(2, 4))):
+            sys = SpinSystem(spin=geometry["spin"], lambda_hz=geometry["splitting_hz"] / 6.0,
+                             offset_hz=geometry["offset_hz"] or draw(st.sampled_from([0.0, -0.0])))
+            lines = tuple((complex(draw(BIG_PARTS), draw(BIG_PARTS)), f, t2)
+                          for f, t2 in zip(sys._freqs, geometry["t2s"]))
+            reads.append((FID(points=geometry["points"], dwell_s=written(geometry["dwell_s"]),
+                              lb_hz=written(geometry["lb_hz"]), lines=lines), sys))
+    return draw(st.permutations(reads))
+
+
+class TestReadoutGeometryCache:
+    """The readout keeps each grid and line set's transform constants and
+    windows in bounded caches."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(geometry_reads())
+    @example([(FID(points=4096, dwell_s=5e-6, lb_hz=200.0, lines=((1.0, 0.0, math.inf),)),
+               SpinSystem.from_splitting(splitting_hz=1e-300))] * 2)
+    # one geometry written as an int and a float, and with zeros of both signs
+    @example([(FID(points=16, dwell_s=1, lb_hz=-0.0, lines=((1j, -0.0, math.inf),)),
+               SpinSystem(spin=0.5, offset_hz=0.0)),
+              (FID(points=16, dwell_s=1.0, lb_hz=0, lines=((0j, 0.0, math.inf),)),
+               SpinSystem(spin=0.5, offset_hz=-0.0))])
+    def test_cleared_warm_and_evicted_reads_equal_the_references(self, reads):
+        def read_all():
+            return [(spectrum(fid).amplitude.tobytes(), readout_outcome(fid, sys, spectrum),
+                     resolved_windows(fid, sys)) for fid, sys in reads]
+
+        expected = [(line_spectrum_reference(fid).tobytes(),
+                     readout_outcome(fid, sys, spectrum_reference),
+                     reference_windows(fid, sys)) for fid, sys in reads]
+        clear_readout_caches()
+        cold = read_all()
+        warm = read_all()
+        fill_geometry_caches()
+        assert cold == warm == read_all() == expected
+
+    def test_a_nan_line_raises_the_same_error_on_every_call(self, sys32):
+        fid = FID(points=64, dwell_s=5e-6, lb_hz=200.0,
+                  lines=((1.0, 16000.0, math.inf), (1.0, math.nan, math.inf)))
+        clear_readout_caches()
+        errors = []
+        for read in [lambda: spectrum(fid), lambda: spectrum(fid, sys32)] * 3:
+            with pytest.raises(ValueError) as caught:
+                read()
+            errors.append(str(caught.value))
+        assert errors == ["cannot convert float NaN to integer"] * 6
+        assert _line_constants.cache_info().currsize == 0
+
+    def test_a_float_point_count_raises_the_same_error_cold_and_warm(self):
+        # 64.0 == 64, so the keys of the two grids are equal
+        def read(points):
+            try:
+                return spectrum(FID(points=points, dwell_s=5e-6, lb_hz=200.0,
+                                    lines=((1.0, 0.0, math.inf),))).amplitude.tobytes()
+            except TypeError as err:
+                return str(err)
+
+        clear_readout_caches()
+        cold, expected, warm = read(64.0), read(64), read(64.0)
+        assert cold == warm == "slice indices must be integers or None or have an " \
+            "__index__ method"
+        assert expected == line_spectrum_reference(
+            FID(points=64, dwell_s=5e-6, lb_hz=200.0, lines=((1.0, 0.0, math.inf),))).tobytes()
+
+    # lines 1e-300 Hz apart tie at scattered bins: their windows are index arrays
+    @pytest.mark.parametrize("splitting_hz", [16_000.0, 1e-300])
+    def test_entries_hold_python_scalars_and_slices(self, splitting_hz):
+        sys = SpinSystem.from_splitting(splitting_hz)
+        fid = synthesize_fid([1.0, 2.0 - 1j, 3.0], sys, points=2 ** 16,
+                             relax=RelaxationParams())
+        clear_readout_caches()
+        spectrum(fid, sys)
+        keys = ((fid.points, fid.dwell_s, sys._freqs, PEAK_WINDOW_LINEWIDTHS * fid.lb_hz),
+                (fid.points, fid.dwell_s, fid.lb_hz, tuple((f, t2) for _, f, t2 in fid.lines)))
+        # called again with the keys spectrum used, they return the kept entries
+        windows, constants = _windows(*keys[0]), _line_constants(*keys[1])
+        assert _windows.cache_info().hits == _line_constants.cache_info().hits == 1
+        assert (None in windows) == (splitting_hz < 1.0)
+
+        def leaves(x):
+            if type(x) is tuple:
+                return [leaf for item in x for leaf in leaves(item)]
+            return leaves((x.start, x.stop, x.step)) if type(x) is slice else [x]
+
+        assert {type(x) for x in leaves((keys, windows, constants))} <= {
+            int, float, complex, type(None)}
+
+        def footprint(x):
+            parts = x if type(x) is tuple else (x.start, x.stop, x.step) \
+                if type(x) is slice else ()
+            return getsizeof(x) + sum(footprint(part) for part in parts)
+
+        # about 1 KB an entry with its key, so the two full caches hold under 1 MB
+        entries = [footprint(keys[0]) + footprint(windows),
+                   footprint(keys[1]) + footprint(constants)]
+        assert 2 * _GEOMETRY_ENTRIES * max(entries) < 2 ** 20
+
+    # the loop of scripts/run_dj_all.py, without and with --shaped-pulses --relaxation:
+    # every oracle and method on one system and grid
+    @pytest.mark.parametrize("relax, shaped", [(None, False), (RelaxationParams(), True)])
+    def test_runs_on_one_grid_compute_the_geometry_once(self, relax, shaped):
+        sys = SpinSystem.from_splitting(16_000.0)
+        clear_readout_caches()
+        for oracle_id in ORACLE_IDS:
+            for method in METHODS:
+                run_dj(oracle_id, sys, method=method, relax=relax,
+                       shaped_pulses=shaped and method != "ideal-matrix")
+        for cache in (_line_constants, _windows):
+            info = cache.cache_info()
+            assert (info.misses, info.hits) == (1, 11)
