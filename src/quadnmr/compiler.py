@@ -8,8 +8,10 @@ expm_diagonal, the refocus blocks by stacked matmul, and the T1/T2 decays of
 all relaxed intervals at once. Ideal pulses are instantaneous and lossless.
 compile_unitary multiplies the event propagators so that the first script
 line acts first on the state (the total is P_n ... P_2 P_1); run_trajectory
-walks a deviation matrix through them plus crusher gradients and
-acquisition, step by step when relaxation is requested. A refocus block
+plans, then walks (_walk) a deviation matrix through them plus crusher
+gradients and acquisition, step by step when relaxation is requested. A
+caller may keep a plan, made read-only (_read_only), and walk it again, as
+dj does for each oracle. A refocus block
 (tau/2 - hard pi about -y - tau/2 under the full H) is the hard pi times the
 quadrupolar evolution over tau at any offset.
 """
@@ -153,6 +155,18 @@ def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
     return plan, decay_factors(dts, relax, sys.dim) if dts else None, error
 
 
+def _read_only(planned):
+    """planned, a _plan result, with its propagators and decays made
+    read-only, for a caller that keeps it."""
+    plan, decays = planned[:2]
+    for steps in plan:
+        for u, uh, _ in steps or ():
+            u.flags.writeable = uh.flags.writeable = False
+    for decay in decays or ():
+        decay.flags.writeable = False
+    return planned
+
+
 def compile_unitary(ir: SequenceIR, sys: SpinSystem | None = None) -> np.ndarray:
     """Net propagator of the sequence (first line applied first to the state)."""
     sys = ir.system() if sys is None else sys
@@ -188,10 +202,19 @@ def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
     rho = np.array(rho0, dtype=complex)
     if rho.shape != (sys.dim, sys.dim):
         raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
-    plan, decays, error = _plan(ir.events, sys, relax)
+    states, fid = _walk(ir.events, _plan(ir.events, sys, relax), sys, rho, relax)
+    return _frozen(TrajectoryResult, states=states, fid=fid)
+
+
+def _walk(events, planned, sys: SpinSystem, rho: np.ndarray,
+          relax: RelaxationParams | None) -> tuple[list[np.ndarray], FID | None]:
+    """The states from rho (kept as the first) through each event of the
+    _plan planned of events on sys, and the FID of the last acquisition; the
+    plan's error is raised once its steps are walked."""
+    plan, decays, error = planned
     states = [rho]
     fid = None
-    for event, steps in zip(ir.events, plan):
+    for event, steps in zip(events, plan):
         if steps is not None:
             for u, uh, k in steps:
                 rho = u.dot(rho).dot(uh)     # u rho u^H, the BLAS calls of the @ operator
@@ -207,4 +230,4 @@ def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
         states.append(rho)
     if error is not None:
         raise error
-    return _frozen(TrajectoryResult, states=states, fid=fid)
+    return states, fid

@@ -28,7 +28,7 @@ from importlib.resources import files
 
 import numpy as np
 
-from .compiler import run_trajectory
+from .compiler import _plan, _read_only, _walk
 from .linalg import conjugate
 from .prep import pseudopure_00
 from .pulses import hard_pulse
@@ -36,7 +36,7 @@ from .readout import DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, FID, Spectr
 from .relaxation import RelaxationParams
 from .seqlang import (Event, GaussianShape, QuadDelay, SelPulse, SequenceIR,
                       SystemDecl, parse_sequence)
-from .system import SpinSystem, _frozen, cphase_delay_s
+from .system import SpinSystem, _exact_cache, _frozen, cphase_delay_s
 
 ORACLE_IDS = ("f1", "f2", "f3", "f4")
 ORACLE_CLASSES = {"f1": "constant", "f2": "constant",
@@ -116,6 +116,12 @@ def _bundled_events(name: str) -> tuple[Event, ...]:
     return parse_sequence((files("quadnmr") / "sequences" / name).read_text()).events
 
 
+def _oracle_events(name: str, sys: SpinSystem) -> tuple[Event, ...]:
+    """The events of the bundled file name, its quadrupolar delays resolved against sys."""
+    return tuple(_frozen(QuadDelay, **{**vars(e), "tau_s": cphase_delay_s(sys)})
+                 if type(e) is QuadDelay else e for e in _bundled_events(name))
+
+
 def oracle_sequence(oracle_id: str, method: str,
                     sys: SpinSystem | None = None) -> SequenceIR:
     """SequenceIR whose compiled propagator is ORACLE_PHASES[id] * oracle_matrix(id).
@@ -131,9 +137,7 @@ def oracle_sequence(oracle_id: str, method: str,
     if method not in SEQUENCE_METHODS:
         raise ValueError(f"method must be one of {SEQUENCE_METHODS}, got {method!r}")
     sys = SpinSystem() if sys is None else sys
-    events = () if oracle_id == "f1" else _bundled_events(_ORACLE_FILES[oracle_id, method])
-    events = tuple(_frozen(QuadDelay, **{**vars(e), "tau_s": cphase_delay_s(sys)})
-                   if type(e) is QuadDelay else e for e in events)
+    events = () if oracle_id == "f1" else _oracle_events(_ORACLE_FILES[oracle_id, method], sys)
     decl = _frozen(SystemDecl, spin=sys.spin, splitting_hz=sys.splitting_hz,
                    offset_hz=sys.offset_hz)
     return _frozen(SequenceIR, system_decl=decl, events=events)
@@ -179,6 +183,38 @@ def _start_state(dim: int) -> np.ndarray:
     return rho
 
 
+# Bound of the kept oracle plans (_oracle_plan). An entry, with its key, is
+# 3 to 7 KB for a spin 3/2 (most for a shaped, relaxed z-pulse cascade), so
+# a full cache holds under 1.75 MB.
+_KEPT_PLANS = 256
+
+
+@_exact_cache(_KEPT_PLANS)
+def _oracle_plan(name: str, shaped: bool, spin, offset_hz, lambda_hz, relax):
+    """The system, the events and the plan (compiler._plan) of the bundled
+    oracle sequence name on SpinSystem(spin, offset_hz, lambda_hz), its
+    selective pulses made gaussian when shaped; relax holds the
+    RelaxationParams numbers, or is None.
+
+    The propagators depend on nothing else, the acquisition included, so
+    each is kept until evicted and run_dj only walks it; keys compare
+    exactly (_exact_cache). The plan's arrays are read-only. A refused plan
+    raises its error and is not kept.
+    """
+    frame = SpinSystem(spin, offset_hz, lambda_hz)
+    events = _oracle_events(name, frame)
+    if shaped:
+        duration = 1.0 / (3.0 * lambda_hz)
+        shape = GaussianShape(duration_s=duration, duration_text=f"{duration * 1e6:.6g}us")
+        events = tuple(_frozen(SelPulse, **{**vars(e), "shape": shape})
+                       if type(e) is SelPulse and e.shape is None else e for e in events)
+    planned = _read_only(_plan(events, frame,
+                               None if relax is None else RelaxationParams(*relax)))
+    if planned[2] is not None:
+        raise planned[2]
+    return frame, events, planned
+
+
 def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-evolution",
            relax: RelaxationParams | None = None, shaped_pulses: bool = False,
            points: int = DEFAULT_POINTS, dwell_s: float = DEFAULT_DWELL_S,
@@ -188,14 +224,16 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
     shaped_pulses replaces the oracle's ideal selective pulses by gaussian
     soft pulses (the ideal pulse followed by free evolution over the pulse
     duration) lasting one full period of the quadrupolar phase accrual,
-    1/(3*lambda), so the background phases wrap by 2*pi. The offset phase
-    accrued over that time does not wrap, and it would turn the axis of
-    the next pulse; so off resonance the shaped oracle runs in the frame
-    that tracks the offset, on the system's on-resonance copy (the "virtual
-    Z" of McKay et al., PRA 96, 022330, 2017). The readout is
-    readout.acquire with the given points, dwell, line broadening and relax.
-    Raises UnresolvedLinesError when the lines lie too close for their widths
-    to sign (check_resolved), since they could then read as the wrong class.
+    1/(3*lambda), so the background phases wrap by 2*pi; a zero coupling is
+    a ValueError. The offset phase accrued over that time does not wrap, and
+    it would turn the axis of the next pulse; so off resonance the shaped
+    oracle runs in the frame that tracks the offset, on the system's
+    on-resonance copy (the "virtual Z" of McKay et al., PRA 96, 022330,
+    2017). The oracle's plan is kept per sequence file, system and relax
+    (_oracle_plan). The readout is readout.acquire with the given points,
+    dwell, line broadening and relax. Raises UnresolvedLinesError when the
+    lines lie too close for their widths to sign (check_resolved), since
+    they could then read as the wrong class.
     """
     sys = SpinSystem() if sys is None else sys
     oracle_class(oracle_id)
@@ -206,19 +244,19 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
     if method == "ideal-matrix":
         rho = conjugate(rho, oracle_matrix(oracle_id))
     else:
-        ir, frame = oracle_sequence(oracle_id, method, sys), sys
-        if shaped_pulses:
-            duration = 1.0 / (3.0 * sys.lambda_hz)
-            shape = GaussianShape(duration_s=duration,
-                                  duration_text=f"{duration * 1e6:.6g}us")
-            ir = _frozen(SequenceIR, system_decl=ir.system_decl, events=tuple(
-                _frozen(SelPulse, **{**vars(e), "shape": shape})
-                if type(e) is SelPulse and e.shape is None else e for e in ir.events))
-            if sys.offset_hz:
-                # frame tracking: no other oracle event depends on the offset,
-                # so the Zeeman rotation left out only sets the global phase
-                frame = SpinSystem(sys.spin, 0.0, sys.lambda_hz)
-        rho = run_trajectory(ir, frame, rho, relax=relax).states[-1]
+        if shaped_pulses and sys.lambda_hz == 0:
+            raise ValueError("coupling must be nonzero to derive the shaped pulse "
+                             "duration 1/(3*lambda)")
+        rho = np.array(rho, dtype=complex)
+        name = _ORACLE_FILES.get((oracle_id, method))    # f1 needs no pulse
+        if name is not None:
+            # frame tracking: no other oracle event depends on the offset,
+            # so the Zeeman rotation left out only sets the global phase
+            offset = 0.0 if shaped_pulses and sys.offset_hz else sys.offset_hz
+            frame, events, planned = _oracle_plan(
+                name, bool(shaped_pulses), sys.spin, offset, sys.lambda_hz,
+                None if relax is None else (relax.t1_s, relax.t2_central_s, relax.t2_outer_s))
+            rho = _walk(events, planned, frame, rho, relax)[0][-1]
 
     fid, spec = acquire(rho, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz, relax=relax)
     check_resolved(fid, sys)

@@ -30,7 +30,9 @@ most one sign pattern of the integrals per line. What no amplitude touches,
 the windows and each line's transform constants, is kept per grid and line
 set in bounded caches (_windows, _line_constants) of a few Python scalars or
 a slice per line, so the runs of every oracle on one system and grid
-compute it once.
+compute it once. Their keys, like the axis's, compare exactly
+(system._exact_cache): numbers equal in value but not in bits never share
+an entry.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .relaxation import RelaxationParams, coherence_t2_table
-from .system import SpinSystem, _frozen
+from .system import SpinSystem, _exact_cache, _frozen
 
 DEFAULT_POINTS = 4096
 DEFAULT_DWELL_S = 5e-6
@@ -196,8 +198,9 @@ def _best_phase(integrals: np.ndarray) -> float:
 
 
 # Bound of each readout-geometry cache (_windows, _line_constants). An entry
-# is its key and a few Python scalars or a slice per line, about 1 KB for
-# three lines, so a full cache holds well under 1 MB.
+# is its key (the pickle of its arguments) and a few Python scalars or a
+# slice per line, about 1 KB for three lines, so a full cache holds well
+# under 1 MB.
 _GEOMETRY_ENTRIES = 256
 
 
@@ -233,7 +236,7 @@ def _run(points: int, span_s: float, line: float, half_width: float) -> tuple[in
     return lo, hi
 
 
-@lru_cache(maxsize=_GEOMETRY_ENTRIES)
+@_exact_cache(_GEOMETRY_ENTRIES)
 def _windows(points: int, dwell_s: float, lines: tuple[float, ...],
              half_width: float) -> tuple[slice | None, ...]:
     """The bins of each line's readout window on the axis of points and
@@ -341,7 +344,7 @@ def _bin_offset(frequency_hz: float, points: int, dwell_s: float) -> tuple[int, 
     return m, exact / scale - m * _TAU_LO
 
 
-@lru_cache(maxsize=_GEOMETRY_ENTRIES)
+@_exact_cache(_GEOMETRY_ENTRIES)
 def _line_constants(points: int, dwell_s: float, lb_hz: float,
                     lines: tuple[tuple[float, float], ...]) -> tuple[tuple, ...]:
     """What the transform (_line_spectrum) takes from each (frequency_hz, t2_s)
@@ -349,9 +352,9 @@ def _line_constants(points: int, dwell_s: float, lb_hz: float,
     (None where that denominator is below the normal range), the result bin
     j of bin m and the start of its twiddles.
 
-    Keys compare as the numbers do, like _axis's: the constants of Python
-    numbers depend on their values, save for the sign of a zero lb_hz with
-    a growing line (T2 = -inf).
+    Keys compare exactly, like _axis's and _windows's (_exact_cache): the
+    sign of a zero lb_hz under a growing line (T2 = -inf), or a numpy
+    scalar in place of a float, changes the bits of the constants.
     """
     n, constants = points, []
     for f, t2 in lines:
@@ -403,7 +406,7 @@ def _line_spectrum(fid: FID) -> np.ndarray:
     return np.full(n, constant, dtype=complex) if amp is None else amp
 
 
-@lru_cache(maxsize=3)
+@_exact_cache(3)
 def _axis(points: int, dwell_s: float) -> np.ndarray:
     """Read-only (k - points//2) / (points * dwell) for k < points, which
     the spectra of one grid share."""

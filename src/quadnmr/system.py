@@ -10,9 +10,10 @@ angular frequencies (rad/s); every public field and return value uses Hz.
 from __future__ import annotations
 
 import math
+import pickle
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache, update_wrapper
 
 import numpy as np
 
@@ -67,6 +68,24 @@ def _frozen(cls, **fields):
     record = object.__new__(cls)
     record.__dict__.update(fields)
     return record
+
+
+def _exact_cache(maxsize: int):
+    """functools.lru_cache(maxsize) keyed by the pickle of the arguments,
+    which is equal only for arguments of equal types and bits: 0.0 and
+    -0.0, or a float and a numpy scalar of its value, never share an entry,
+    so a kept result holds the bits its own arguments would compute. A miss
+    calls the function on the arguments read back from the key. The
+    decorated function keeps cache_info, cache_clear and cache_parameters."""
+    def decorate(fn):
+        kept = lru_cache(maxsize)(lambda key: fn(*pickle.loads(key)))
+
+        def call(*args):
+            return kept(pickle.dumps(args, pickle.HIGHEST_PROTOCOL))
+        call.cache_info, call.cache_clear = kept.cache_info, kept.cache_clear
+        call.cache_parameters = kept.cache_parameters
+        return update_wrapper(call, fn)
+    return decorate
 
 
 @dataclass(frozen=True)

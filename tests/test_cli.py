@@ -105,6 +105,17 @@ class TestDJCommand:
                                "--shaped-pulses", *options)
         assert (code, out.strip()) == (0, "constant")
 
+    # the soft-pulse duration 1/(3*lambda) divided by zero: a ZeroDivisionError traceback
+    @pytest.mark.parametrize("oracle", ["f1", "f2"])
+    def test_shaped_pulses_at_zero_splitting_are_config_error(self, tmp_path, capsys, oracle):
+        code, out, err = run_cli(capsys, "--outdir", str(tmp_path), "dj", "--oracle", oracle,
+                                 "--shaped-pulses", "--splitting", "0")
+        assert (code, out) == (1, "")
+        # after the zero-splitting warning
+        assert err.splitlines()[1:] == ["error[E_CONFIG]: coupling must be nonzero to "
+                                        "derive the shaped pulse duration 1/(3*lambda)"]
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_oracle_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "--outdir", str(tmp_path), "dj",
                                "--oracle", "f9")

@@ -14,7 +14,7 @@ from quadnmr import (AmbiguousReadoutError, RelaxationParams, acquire,
 from quadnmr import SpinSystem, cphase_delay_s, format_sequence, synthesize_fid
 from quadnmr.dj import (METHODS, ORACLE_IDS, ORACLE_PHASES, SEQUENCE_METHODS,
                         UnresolvedLinesError)
-from quadnmr.dj import _ORACLE_FILES, check_resolved
+from quadnmr.dj import _KEPT_PLANS, _ORACLE_FILES, _oracle_plan, check_resolved
 from quadnmr.readout import Peak
 from quadnmr.seqlang import QuadDelay
 
@@ -378,3 +378,109 @@ class TestRewritesKeepTheirBits:
             return ir, [(type(e), vars(e)) for e in ir.events], vars(ir.system_decl), \
                 format_sequence(ir)
         assert outcome(oracle_sequence) == outcome(oracle_sequence_reference)
+
+
+# couplings of 12 and 16 kHz splittings written as floats, ints and numpy scalars
+COUPLINGS = [2000.0, 2000, np.int64(2000), np.float32(2000.0), 16_000.0 / 6.0,
+             np.float64(16_000.0 / 6.0)]
+
+
+@st.composite
+def dj_calls(draw):
+    """One to six run_dj calls over every oracle, method, shaped flag and
+    relaxation setting, each after the first the one before with one part
+    drawn again, so that calls share an oracle plan or differ in one part of
+    its key. The offset may be a zero of either sign, an int or a float, and
+    the coupling a float, an int or a numpy scalar."""
+    parts = {"oracle_id": st.sampled_from(ORACLE_IDS), "method": st.sampled_from(METHODS),
+             "relax": st.sampled_from([None, RelaxationParams(),
+                                       RelaxationParams(t1_s=np.float64(0.016))]),
+             "shaped_pulses": st.booleans(), "points": st.sampled_from([256, 1024]),
+             "offset_hz": st.sampled_from([0.0, -0.0, 0, 500.0, -1500.0]),
+             "lambda_hz": st.sampled_from(COUPLINGS)}
+    calls = [{name: draw(part) for name, part in parts.items()}]
+    for _ in range(draw(st.integers(0, 5))):
+        name = draw(st.sampled_from(sorted(parts)))
+        calls.append({**calls[-1], name: draw(parts[name])})
+    return calls
+
+
+def dj_outcome(call):
+    """The bits of everything run_dj returns for call, its system given by
+    offset_hz and lambda_hz, or its error."""
+    call = dict(call)
+    sys = SpinSystem(offset_hz=call.pop("offset_hz"), lambda_hz=call.pop("lambda_hz"))
+    try:
+        out = run_dj(sys=sys, **call)
+    except (ValueError, AmbiguousReadoutError) as err:
+        return type(err), str(err)
+    return (out.spectrum.freq_hz.tobytes(), out.spectrum.amplitude.tobytes(),
+            out.rho_final.tobytes(), np.array(out.peak_signs).tobytes(), out.classification)
+
+
+class TestKeptOraclePlan:
+    """run_dj keeps each oracle's plan per sequence file, system and relaxation."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(dj_calls())
+    # shaped runs off resonance after on-resonance ones share the frame's plan
+    @example([dict(oracle_id=oracle_id, offset_hz=offset, lambda_hz=16_000.0 / 6.0,
+                   method=method, relax=None, shaped_pulses=True, points=1024)
+              for offset in (0.0, -0.0, 0, -1500.0)
+              for oracle_id, method in (("f2", "selective-z"), ("f3", "quad-evolution"))])
+    # a float32 coupling equals the float but gives other delays and durations
+    @example([dict(oracle_id=oracle_id, offset_hz=0.0, lambda_hz=coupling, method=method,
+                   relax=None, shaped_pulses=shaped, points=256)
+              for oracle_id, method, shaped in (("f3", "quad-evolution", False),
+                                                ("f2", "selective-z", True))
+              for coupling in (2000.0, np.float32(2000.0))])
+    def test_warm_runs_equal_runs_after_cache_clear(self, calls):
+        _oracle_plan.cache_clear()
+        for call in calls:
+            dj_outcome(call)
+        warm = [dj_outcome(call) for call in calls]
+        cleared = []
+        for call in calls:
+            _oracle_plan.cache_clear()
+            cleared.append(dj_outcome(call))
+        assert warm == cleared
+
+    # a negative coupling gives a negative soft-pulse duration and one below
+    # 1e-308 Hz an infinite one: _plan refuses either
+    @pytest.mark.parametrize("lambda_hz, message", [(-1000.0, "duration must be positive"),
+                                                    (1e-311, "must be finite")])
+    def test_a_refused_plan_is_not_kept(self, lambda_hz, message):
+        _oracle_plan.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                run_dj("f2", SpinSystem(lambda_hz=lambda_hz), method="selective-z",
+                       shaped_pulses=True)
+        info = _oracle_plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    @pytest.mark.parametrize("name", sorted(set(_ORACLE_FILES.values())))
+    @pytest.mark.parametrize("relax", [None, RelaxationParams()])
+    def test_kept_arrays_are_read_only(self, name, relax):
+        params = None if relax is None else (relax.t1_s, relax.t2_central_s, relax.t2_outer_s)
+        frame, events, (plan, decays, error) = _oracle_plan(name, True, 1.5, 0.0, 2000.0,
+                                                            params)
+        arrays = [array for steps in plan for step in steps for array in step[:2]]
+        assert error is None and len(arrays) >= 2 * len(events)
+        assert (decays is None) == (relax is None)
+        for array in arrays + list(decays or ()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_the_cache_holds_at_most_its_bound(self):
+        _oracle_plan.cache_clear()
+        for k in range(_KEPT_PLANS + 8):
+            _oracle_plan("u2.qseq", False, 1.5, 0.0, 2000.0 + k, None)
+        assert _oracle_plan.cache_parameters()["maxsize"] == _KEPT_PLANS == 256
+        assert _oracle_plan.cache_info().currsize == _KEPT_PLANS
+
+    # 1/(3*lambda) divided by zero: the CLI printed a ZeroDivisionError traceback
+    @pytest.mark.parametrize("oracle_id", ORACLE_IDS)
+    @pytest.mark.parametrize("method", SEQUENCE_METHODS)
+    def test_shaped_pulses_refuse_a_zero_coupling(self, oracle_id, method):
+        with pytest.raises(ValueError, match="coupling must be nonzero"):
+            run_dj(oracle_id, SpinSystem(lambda_hz=0.0), method=method, shaped_pulses=True)

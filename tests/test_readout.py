@@ -940,6 +940,24 @@ class TestReadoutGeometryCache:
         fill_geometry_caches()
         assert cold == warm == read_all() == expected
 
+    # equal numbers of other bits, read in both orders: the two signs of a
+    # zero lb under a growing line (T2 = -inf), whose transforms differ in
+    # the sign of zero bins, and a float and a numpy float32 lb or dwell;
+    # keys that compared as the numbers do returned the first one's bits
+    @pytest.mark.parametrize("points, line, twins", [
+        (16, (1j, 0.0, -math.inf), [(1.0, 0.0), (1.0, -0.0)]),
+        (64, (1.0, 1234.5, 0.004), [(2.0 ** -17, 200.0), (2.0 ** -17, np.float32(200.0))]),
+        (64, (1.0, 1234.5, 0.004), [(2.0 ** -17, 200.0), (np.float32(2.0 ** -17), 200.0)])])
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_equal_numbers_of_other_bits_share_no_entry(self, points, line, twins, order):
+        clear_readout_caches()
+        for dwell_s, lb_hz in twins[::order]:
+            fid = FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz, lines=(line,))
+            spec = spectrum(fid)
+            assert spec.amplitude.tobytes() == line_spectrum_reference(fid).tobytes()
+            assert spec.freq_hz.tobytes() == \
+                np.fft.fftshift(np.fft.fftfreq(fid.points, dwell_s)).tobytes()
+
     def test_a_nan_line_raises_the_same_error_on_every_call(self, sys32):
         fid = FID(points=64, dwell_s=5e-6, lb_hz=200.0,
                   lines=((1.0, 16000.0, math.inf), (1.0, math.nan, math.inf)))
@@ -953,7 +971,7 @@ class TestReadoutGeometryCache:
         assert _line_constants.cache_info().currsize == 0
 
     def test_a_float_point_count_raises_the_same_error_cold_and_warm(self):
-        # 64.0 == 64, so the keys of the two grids are equal
+        # 64.0 == 64, though their keys differ in type
         def read(points):
             try:
                 return spectrum(FID(points=points, dwell_s=5e-6, lb_hz=200.0,
