@@ -18,8 +18,8 @@ from .readout import (FID, Peak, Spectrum, acquire, observable_amplitudes,
                       write_spectrum_csv)
 from .relaxation import RelaxationParams
 from .seqlang import ParseError, SequenceIR, format_sequence, parse_sequence
-from .system import (ForbiddenTransitionError, SpinSystem, Transition,
-                     UnknownTransitionError, cphase_delay_s, transition_table)
+from .system import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError,
+                     cphase_delay_s)
 
 __all__ = sorted(name for name, value in globals().items()
                  if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -190,10 +190,10 @@ _KEPT_PLANS = 256
 
 
 @_exact_cache(_KEPT_PLANS)
-def _oracle_plan(name: str, shaped: bool, spin, offset_hz, lambda_hz, relax):
-    """The system, the events and the plan (compiler._plan) of the bundled
-    oracle sequence name on SpinSystem(spin, offset_hz, lambda_hz), its
-    selective pulses made gaussian when shaped; relax holds the
+def _oracle_plan(name: str, shaped: bool, spin, lambda_hz, relax):
+    """The on-resonance system SpinSystem(spin, 0.0, lambda_hz), the events
+    and the plan (compiler._plan) of the bundled oracle sequence name on it,
+    its selective pulses made gaussian when shaped; relax holds the
     RelaxationParams numbers, or is None.
 
     The propagators depend on nothing else, the acquisition included, so
@@ -201,7 +201,7 @@ def _oracle_plan(name: str, shaped: bool, spin, offset_hz, lambda_hz, relax):
     exactly (_exact_cache). The plan's arrays are read-only. A refused plan
     raises its error and is not kept.
     """
-    frame = SpinSystem(spin, offset_hz, lambda_hz)
+    frame = SpinSystem(spin, 0.0, lambda_hz)
     events = _oracle_events(name, frame)
     if shaped:
         duration = 1.0 / (3.0 * lambda_hz)
@@ -224,16 +224,18 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
     shaped_pulses replaces the oracle's ideal selective pulses by gaussian
     soft pulses (the ideal pulse followed by free evolution over the pulse
     duration) lasting one full period of the quadrupolar phase accrual,
-    1/(3*lambda), so the background phases wrap by 2*pi; a zero coupling is
-    a ValueError. The offset phase accrued over that time does not wrap, and
-    it would turn the axis of the next pulse; so off resonance the shaped
-    oracle runs in the frame that tracks the offset, on the system's
-    on-resonance copy (the "virtual Z" of McKay et al., PRA 96, 022330,
-    2017). The oracle's plan is kept per sequence file, system and relax
-    (_oracle_plan). The readout is readout.acquire with the given points,
-    dwell, line broadening and relax. Raises UnresolvedLinesError when the
-    lines lie too close for their widths to sign (check_resolved), since
-    they could then read as the wrong class.
+    1/(3*lambda), so the background phases wrap by 2*pi; a coupling that
+    gives no finite, positive duration is a ValueError. The offset phase
+    accrued over that time does not wrap, and it would turn the axis of the
+    next pulse; so the oracle runs in the frame that tracks the offset, on
+    the system's on-resonance copy (the "virtual Z" of McKay et al., PRA 96,
+    022330, 2017). No other oracle event depends on the offset, so the
+    Zeeman rotation left out only sets the global phase, and the oracle's
+    plan is kept per sequence file, spin, coupling and relax (_oracle_plan),
+    shared by every offset. The readout is readout.acquire with the given
+    points, dwell, line broadening and relax. Raises UnresolvedLinesError
+    when the lines lie too close for their widths to sign (check_resolved),
+    since they could then read as the wrong class.
     """
     sys = SpinSystem() if sys is None else sys
     oracle_class(oracle_id)
@@ -244,17 +246,15 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
     if method == "ideal-matrix":
         rho = conjugate(rho, oracle_matrix(oracle_id))
     else:
-        if shaped_pulses and sys.lambda_hz == 0:
-            raise ValueError("coupling must be nonzero to derive the shaped pulse "
-                             "duration 1/(3*lambda)")
+        if shaped_pulses and not (sys.lambda_hz > 0
+                                  and math.isfinite(1.0 / (3.0 * sys.lambda_hz))):
+            raise ValueError(f"coupling {sys.lambda_hz:g} Hz gives no finite, positive "
+                             "shaped pulse duration 1/(3*lambda)")
         rho = np.array(rho, dtype=complex)
         name = _ORACLE_FILES.get((oracle_id, method))    # f1 needs no pulse
         if name is not None:
-            # frame tracking: no other oracle event depends on the offset,
-            # so the Zeeman rotation left out only sets the global phase
-            offset = 0.0 if shaped_pulses and sys.offset_hz else sys.offset_hz
             frame, events, planned = _oracle_plan(
-                name, bool(shaped_pulses), sys.spin, offset, sys.lambda_hz,
+                name, bool(shaped_pulses), sys.spin, sys.lambda_hz,
                 None if relax is None else (relax.t1_s, relax.t2_central_s, relax.t2_outer_s))
             rho = _walk(events, planned, frame, rho, relax)[0][-1]
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import conjugate
+from .linalg import conjugate, spin_operators
 from .pulses import gradient_crush, selective_pulse
 from .system import SpinSystem
 
 
 def equilibrium_state(sys: SpinSystem) -> np.ndarray:
     """Equilibrium deviation matrix, proportional to Iz (unit scale)."""
-    return sys.operators.iz.copy()
+    return spin_operators(sys.spin).iz.copy()
 
 
 def pseudopure_00(sys: SpinSystem) -> np.ndarray:

@@ -22,17 +22,15 @@ The spectrum is then phased by the global zero-order phase that maximizes
 the summed |real peak integrals| (largest peak forced positive), and
 summarized as one signed integral per transition over +-3 nominal linewidths.
 
-Apart from the transform, the readout's work grows with the number of lines,
-not with the points: each window is found as a run of bins by testing the
-bins at its edges (bin by bin only where two lines nearly coincide), giving
-the same bits as testing every bin, and the exact phase is found among at
-most one sign pattern of the integrals per line. What no amplitude touches,
-the windows and each line's transform constants, is kept per grid and line
-set in bounded caches (_windows, _line_constants) of a few Python scalars or
-a slice per line, so the runs of every oracle on one system and grid
-compute it once. Their keys, like the axis's, compare exactly
-(system._exact_cache): numbers equal in value but not in bits never share
-an entry.
+Each window holds the bins within +-3 nominal linewidths of its line that no
+other line is strictly nearer to, found by one mask over the axis; the exact
+phase is found among at most one sign pattern of the integrals per line.
+What no amplitude touches, the windows and each line's transform constants,
+is kept per grid and line set in bounded caches (_windows, _line_constants)
+of a few Python scalars or a slice per line, so the runs of every oracle on
+one system and grid compute it once. Their keys, like the axis's, compare
+exactly (system._exact_cache): numbers equal in value but not in bits never
+share an entry.
 """
 
 from __future__ import annotations
@@ -204,86 +202,43 @@ def _best_phase(integrals: np.ndarray) -> float:
 _GEOMETRY_ENTRIES = 256
 
 
-def _rivals(lines, line: float, half_width: float) -> list[float]:
-    """The other lines within two half-widths of line: only these can be
-    nearer than line to a bin of its window."""
-    return [f for f in lines if f != line and not abs(f - line) > 2.001 * half_width]
+@_exact_cache(3)
+def _axis(points: int, dwell_s: float) -> np.ndarray:
+    """Read-only (k - points//2) / (points * dwell) for k < points, which
+    the spectra of one grid share."""
+    freq = np.arange(-(points // 2), points - points // 2, dtype=float)
+    freq *= 1.0 / (points * dwell_s)
+    freq.flags.writeable = False
+    return freq
 
 
-def _run(points: int, span_s: float, line: float, half_width: float) -> tuple[int, int]:
-    """The bins lo <= i < hi whose x = (i - points//2) / span_s lies within
-    half_width of line.
-
-    Along the axis the test holds on one run of bins, so each edge is the
-    first bin of a run that passes a test, found by testing the bins next to
-    a first guess.
-    """
-    centre, step = points // 2, 1.0 / span_s
-    # (i - centre) * step rounds exactly like the axis; each edge search
-    # starts at the bin at its frequency, clipped to its range (its end for nan)
-    guess = (line - half_width) * span_s + centre
-    lo = 0 if guess <= 0 else points if not guess < points else int(guess)
-    while lo > 0 and (lo - 1 - centre) * step - line >= -half_width:
-        lo -= 1
-    while lo < points and not (lo - centre) * step - line >= -half_width:
-        lo += 1
-    guess = (line + half_width) * span_s + centre
-    hi = lo if guess <= lo else points if not guess < points else int(guess)
-    while hi > lo and (hi - 1 - centre) * step - line > half_width:
-        hi -= 1
-    while hi < points and not (hi - centre) * step - line > half_width:
-        hi += 1
-    return lo, hi
+def _window_bins(freq: np.ndarray, lines, line: float, half_width: float) -> np.ndarray:
+    """The bins of line's readout window on the axis freq: those within
+    half_width of line to which no other line within 2.001 half-widths is
+    strictly nearer (a line farther away is nearer to none of them)."""
+    dist = np.abs(freq - line)
+    mask = dist <= half_width
+    for f in lines:
+        if f != line and not abs(f - line) > 2.001 * half_width:
+            mask &= ~(np.abs(freq - f) < dist)
+    return np.flatnonzero(mask)
 
 
 @_exact_cache(_GEOMETRY_ENTRIES)
 def _windows(points: int, dwell_s: float, lines: tuple[float, ...],
              half_width: float) -> tuple[slice | None, ...]:
-    """The bins of each line's readout window on the axis of points and
-    dwell_s, as a slice; None for a window that _tie_window finds.
-
-    A bin at x is in a line's window when |x - line| <= half_width and no
-    other line is strictly nearer to x. The first test holds on one run of
-    bins (_run), and each other line fails the second on one end of it,
-    found by testing the bins next to a first guess. A line farther than two
-    half-widths is nearer to no bin of the run. Where another line lies
-    within a few units in the last place of half_width, rounding can tie the
-    two distances at scattered bins: that window is an index array up to
-    points long, so it is not kept here but found bin by bin on each call.
+    """Each line's readout window (_window_bins) on the axis of points and
+    dwell_s, as a slice where its bins form one run. Where another line lies
+    within a few units in the last place, rounding can tie the two distances
+    at scattered bins: such a window is an index array up to points long, so
+    it is None here and spectrum finds it again on each call.
     """
-    span_s = points * dwell_s
-    centre, step = points // 2, 1.0 / span_s
-    windows = []
+    freq, windows = _axis(points, dwell_s), []
     for line in lines:
-        rivals = _rivals(lines, line, half_width)
-        if rivals and any([abs(f - line) <= 16 * math.ulp(half_width) for f in rivals]):
-            windows.append(None)
-            continue
-        lo, hi = _run(points, span_s, line, half_width)
-        for f in rivals:
-            # the first bin f is strictly nearer to, when above the line; else not
-            above, guess = f > line, (line / 2 + f / 2) * span_s + centre
-            i = lo if guess <= lo else hi if not guess < hi else int(guess)
-            while i > lo and (abs((i - 1 - centre) * step - f)
-                              < abs((i - 1 - centre) * step - line)) == above:
-                i -= 1
-            while i < hi and (abs((i - centre) * step - f)
-                              < abs((i - centre) * step - line)) != above:
-                i += 1
-            lo, hi = (lo, i) if above else (i, hi)
-        windows.append(slice(lo, hi))
+        bins = _window_bins(freq, lines, line, half_width)
+        lo, hi = (int(bins[0]), int(bins[-1]) + 1) if bins.size else (0, 0)
+        windows.append(slice(lo, hi) if hi - lo == bins.size else None)
     return tuple(windows)
-
-
-def _tie_window(freq: np.ndarray, span_s: float, lines, line: float,
-                half_width: float) -> np.ndarray:
-    """The bins of line's window (_windows) on the axis freq, tested bin by bin."""
-    lo, hi = _run(len(freq), span_s, line, half_width)
-    dist = np.abs(freq[lo:hi] - line)
-    nearer = np.zeros(hi - lo, dtype=bool)
-    for f in _rivals(lines, line, half_width):
-        nearer |= np.abs(freq[lo:hi] - f) < dist
-    return lo + np.flatnonzero(~nearer)
 
 
 # 2 pi - math.tau, the part of 2 pi that math.tau rounds off
@@ -406,16 +361,6 @@ def _line_spectrum(fid: FID) -> np.ndarray:
     return np.full(n, constant, dtype=complex) if amp is None else amp
 
 
-@_exact_cache(3)
-def _axis(points: int, dwell_s: float) -> np.ndarray:
-    """Read-only (k - points//2) / (points * dwell) for k < points, which
-    the spectra of one grid share."""
-    freq = np.arange(-(points // 2), points - points // 2, dtype=float)
-    freq *= 1.0 / (points * dwell_s)
-    freq.flags.writeable = False
-    return freq
-
-
 def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     """Discrete Fourier transform with zero-centered axis and a peak table.
 
@@ -438,10 +383,9 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
 
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     labels, lines = sys._levels.line_labels, sys._freqs
-    windows = _windows(fid.points, fid.dwell_s, lines, half_width)
-    if None in windows:
-        windows = [_tie_window(freq, fid.points * fid.dwell_s, lines, line, half_width)
-                   if window is None else window for line, window in zip(lines, windows)]
+    kept = _windows(fid.points, fid.dwell_s, lines, half_width)
+    windows = [_window_bins(freq, lines, line, half_width) if window is None else window
+               for line, window in zip(lines, kept)]
     df = freq.item(1) - freq.item(0)
     raw, parts = [], []
     for label, line, window in zip(labels, lines, windows):

@@ -1,4 +1,4 @@
-"""Spin system definition, rotating-frame Hamiltonian and transition table.
+"""Spin system definition, rotating-frame Hamiltonian and its lines.
 
 A system is parameterized by the *observed* adjacent-line splitting of its
 spectrum rather than the bare coupling constant: for spin 3/2 the three
@@ -17,7 +17,7 @@ from functools import cache, cached_property, lru_cache, update_wrapper
 
 import numpy as np
 
-from .linalg import SpinOperators, _check_spin, spin_operators
+from .linalg import _check_spin, spin_operators
 
 # Logical labels of the four levels of a spin-3/2 "two qubit" system, in
 # descending-m order m = 3/2, 1/2, -1/2, -3/2.
@@ -104,7 +104,7 @@ class SpinSystem:
     labels: tuple[str, ...] = field(init=False)
     # derived once, not fields: _levels (shared by the level count), _freqs (Hz)
     # of the lines (i, i+1), the read-only _iz_diag, and _diags, the quadrupolar and
-    # H diagonals (rad/s) as floats; Transitions and arrays are built when first read
+    # H diagonals (rad/s) as floats; arrays are built when first read
 
     def __post_init__(self):
         levels = _levels(_check_spin(self.spin))   # validates the spin value
@@ -124,13 +124,6 @@ class SpinSystem:
                 "Hamiltonian or a line frequency beyond the float range")
         self.__dict__.update(labels=levels.labels, _levels=levels, _freqs=tuple(freqs),
                              _iz_diag=levels.iz_diag, _diags=(quad, h))
-
-    @cached_property
-    def _lines(self) -> tuple[Transition, ...]:
-        """The observable lines (i, i+1) in index order."""
-        labels, ix = self.labels, self._levels.ix
-        return tuple(Transition(labels[i], labels[i + 1], i, i + 1, f, ix[i])
-                     for i, f in enumerate(self._freqs))
 
     @cached_property
     def _exponent_rows(self) -> np.ndarray:
@@ -161,26 +154,17 @@ class SpinSystem:
     def splitting_hz(self) -> float:
         return 6.0 * self.lambda_hz
 
-    @property
-    def operators(self) -> SpinOperators:
-        return spin_operators(self.spin)
-
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
             raise UnknownTransitionError(f"unknown level label {label!r}") from None
 
-    def transition(self, pair: str) -> "Transition":
-        """Look up a transition by a 'label-label' pair such as '10-11'.
-
-        Raises UnknownTransitionError for labels that do not exist and
-        ForbiddenTransitionError for |delta m| > 1 pairs (e.g. '00-10').
-        """
-        return self._lines[self._line(pair)]
-
     def _line(self, pair: str) -> int:
-        """The index i of the line (i, i+1) that pair names; raises as transition()."""
+        """The index i of the line (i, i+1) that a 'label-label' pair such as
+        '10-11' names. Raises UnknownTransitionError for labels that do not
+        exist and ForbiddenTransitionError for |delta m| > 1 pairs (e.g. '00-10').
+        """
         i = self._levels.line_index.get(pair)
         if i is not None:
             return i
@@ -195,35 +179,9 @@ class SpinSystem:
             "only single-quantum transitions can be driven")
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One observable line between adjacent levels; upper refers to the
-    higher-m (lower-index) level."""
-
-    upper_label: str
-    lower_label: str
-    upper_index: int
-    lower_index: int
-    frequency_hz: float
-    ix_element: float         # |<upper|Ix|lower>|
-
-    @property
-    def label(self) -> str:
-        return f"{self.upper_label}-{self.lower_label}"
-
-
 def _z_orientation(upper_label: str, lower_label: str) -> int:
     """+1 when the upper-index level has the smaller binary label, else -1."""
     return 1 if int(upper_label, 2) < int(lower_label, 2) else -1
-
-
-def transition_table(sys: SpinSystem) -> list[Transition]:
-    """Observable single-quantum transitions, ordered by upper-level index.
-
-    For spin 3/2 on resonance this is 00-01 at +6*lambda, 01-11 at 0 and
-    11-10 at -6*lambda, with Ix elements sqrt(3)/2, 1, sqrt(3)/2.
-    """
-    return list(sys._lines)
 
 
 def evolution_coefficient(tau_s: float) -> complex:

@@ -2,7 +2,8 @@
 exponential, the global phase between two gates, the composite selective
 z-pulse, the dense Hamiltonian and free evolution under it, the post-oracle
 states and an entrywise comparison. propagator compiles one event the one way
-the package builds propagators, through compile_unitary. The *_reference
+the package builds propagators, through compile_unitary. line_table reads
+a system's lines as records. The *_reference
 functions are earlier bodies of package code that now computes the same bits
 another way: the numpy build of a SpinSystem, the zero-order phase, the
 oracle matrices and the crusher; and the bodies that the cut of run_dj's
@@ -10,20 +11,21 @@ fixed per-call cost replaced: the pulse exponential and the sandwich product
 by the @ operator, the spin check, the relaxation step, the observable
 amplitudes, the FID's lines, the readout's bookkeeping, the Sparrow check
 and the oracle sequence; the transform as it was before it kept a working
-buffer per thread; and the readout windows and transform constants as they
-were computed on every call, before the readout kept them per grid and line
-set.
+buffer per thread; the transform constants as they were computed on every
+call, before the readout kept them per grid and line set; and the readout
+windows as an edge search found them on every call, before one mask per
+line replaced it.
 """
 
 import cmath
 import dataclasses
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from quadnmr import (FID, Peak, SequenceIR, Spectrum, SpinSystem, UnresolvedLinesError,
-                     compile_unitary, oracle_class, oracle_matrix, selective_pulse,
-                     transition_table)
+                     compile_unitary, oracle_class, oracle_matrix, selective_pulse)
 from quadnmr.dj import _ORACLE_FILES, SEQUENCE_METHODS, _bundled_events
 from quadnmr.linalg import (ATOL, MAX_TWO_SPIN, expm_diagonal, expm_from_eigh, is_hermitian,
                             spin_operators)
@@ -32,8 +34,7 @@ from quadnmr.readout import (_NORMAL_MIN, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _a
                              _best_phase, _bin_offset, _expm1, _twiddles)
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.seqlang import QuadDelay, SystemDecl
-from quadnmr.system import (H_ROW, QUAD_ROW, SPIN_32_LABELS, Z_ROW, Transition, _z_orientation,
-                            cphase_delay_s)
+from quadnmr.system import H_ROW, QUAD_ROW, SPIN_32_LABELS, Z_ROW, _z_orientation, cphase_delay_s
 
 
 def propagator(event, sys: SpinSystem) -> np.ndarray:
@@ -59,6 +60,25 @@ def expm_hermitian(hermitian: np.ndarray, scale: float, atol: float = ATOL) -> n
     return expm_from_eigh(eigvals, eigvecs, eigvecs.conj().T, scale)
 
 
+# One observable line (i, i+1) of a system; upper is the higher-m
+# (lower-index) level and ix_element is |<upper|Ix|lower>|.
+Line = namedtuple("Line", "label upper_label lower_label upper_index lower_index "
+                          "frequency_hz ix_element")
+
+
+def line_table(sys: SpinSystem) -> list[Line]:
+    """The observable lines (i, i+1) of sys in index order, read from
+    sys._freqs and sys._levels."""
+    labels, levels = sys.labels, sys._levels
+    return [Line(levels.line_labels[i], labels[i], labels[i + 1], i, i + 1, f, levels.ix[i])
+            for i, f in enumerate(sys._freqs)]
+
+
+def line_of(sys: SpinSystem, pair: str) -> Line:
+    """The line a 'label-label' pair names; raises as SpinSystem._line."""
+    return line_table(sys)[sys._line(pair)]
+
+
 def global_phase(u_target: np.ndarray, v: np.ndarray) -> complex:
     """Phase factor c with v ~ c * u_target, from the normalized overlap trace."""
     u_target, v = np.asarray(u_target), np.asarray(v)
@@ -66,7 +86,7 @@ def global_phase(u_target: np.ndarray, v: np.ndarray) -> complex:
     return complex(tr / abs(tr)) if abs(tr) > 0 else complex(0)
 
 
-def _angle_for_bloch(tr: Transition, bloch_rad: float) -> float:
+def _angle_for_bloch(tr: Line, bloch_rad: float) -> float:
     if _unit_element(tr.ix_element):
         return bloch_rad
     return bloch_rad / (2.0 * tr.ix_element)
@@ -80,7 +100,7 @@ def selective_z_pulse(sys: SpinSystem, transition: str, phi_rad: float) -> np.nd
     z-pulse to roundoff. The x pulse carries a Bloch angle of 2*phi and the
     two y pulses Bloch angles of pi/2.
     """
-    tr = sys.transition(transition)
+    tr = line_of(sys, transition)
     quarter = _angle_for_bloch(tr, np.pi / 2.0)
     x_axis = "x" if _z_orientation(tr.upper_label, tr.lower_label) > 0 else "-x"
     return (selective_pulse(sys, transition, "y", quarter)
@@ -214,12 +234,12 @@ def relax_step_reference(rho, t2_decay, t1_decay, eq):
 
 
 def observable_amplitudes_reference(rho, sys: SpinSystem) -> np.ndarray:
-    """readout.observable_amplitudes indexing rho once per Transition."""
+    """readout.observable_amplitudes indexing rho once per line."""
     rho = np.asarray(rho)
     if rho.shape != (sys.dim, sys.dim):
         raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
     return np.array([tr.ix_element * rho[tr.upper_index, tr.lower_index]
-                     for tr in transition_table(sys)], dtype=complex)
+                     for tr in line_table(sys)], dtype=complex)
 
 
 def synthesize_fid_reference(amplitudes, sys: SpinSystem, points: int, dwell_s: float,
@@ -239,7 +259,7 @@ def synthesize_fid_reference(amplitudes, sys: SpinSystem, points: int, dwell_s: 
         raise ValueError(f"line broadening must be finite and nonnegative, got {lb_hz}")
     nyquist = 1.0 / (2.0 * dwell_s)
     t2 = None if relax is None else coherence_t2_table(relax, sys.dim)
-    table, lines, size = transition_table(sys), [], 0.0
+    table, lines, size = line_table(sys), [], 0.0
     for a, tr in zip(amplitudes.tolist(), table):
         if abs(tr.frequency_hz) >= nyquist:
             raise ValueError(
@@ -259,8 +279,9 @@ def synthesize_fid_reference(amplitudes, sys: SpinSystem, points: int, dwell_s: 
 
 def windows_reference(freq: np.ndarray, span_s: float, lines: list[float],
                       half_width: float) -> list[slice | np.ndarray]:
-    """readout._windows as it searched the windows on every call, given the
-    axis, as a slice or, where two lines nearly coincide, an index array."""
+    """The readout windows as the edge search found them on every call,
+    before one mask per line (readout._window_bins) replaced it: given the
+    axis, a slice or, where two lines nearly coincide, an index array."""
     points, centre, step = len(freq), len(freq) // 2, 1.0 / span_s
     windows = []
     for line in lines:
@@ -305,7 +326,7 @@ def spectrum_reference(fid: FID, sys: SpinSystem) -> Spectrum:
     freq, amp = _axis(fid.points, fid.dwell_s), line_spectrum_reference(fid)
     span_s = fid.points * fid.dwell_s
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
-    table = transition_table(sys)
+    table = line_table(sys)
     lines = [tr.frequency_hz for tr in table]
     windows = windows_reference(freq, span_s, lines, half_width)
     bins = [freq[window] for window in windows]
@@ -354,8 +375,8 @@ def line_spectrum_reference(fid: FID) -> np.ndarray:
 
 
 def check_resolved_reference(fid: FID, sys: SpinSystem) -> None:
-    """dj.check_resolved sorting the Transitions themselves."""
-    pairs = sorted(zip(transition_table(sys), fid.lines), key=lambda p: p[0].frequency_hz)
+    """dj.check_resolved sorting the line records themselves."""
+    pairs = sorted(zip(line_table(sys), fid.lines), key=lambda p: p[0].frequency_hz)
     table = [tr for tr, _ in pairs]
     bin_hz, spectral_width = 1.0 / (fid.points * fid.dwell_s), 1.0 / fid.dwell_s
     widths = [fid.lb_hz + bin_hz + 1.0 / (math.pi * t2) for _, (_, _, t2) in pairs]

@@ -112,8 +112,8 @@ class TestDJCommand:
                                  "--shaped-pulses", "--splitting", "0")
         assert (code, out) == (1, "")
         # after the zero-splitting warning
-        assert err.splitlines()[1:] == ["error[E_CONFIG]: coupling must be nonzero to "
-                                        "derive the shaped pulse duration 1/(3*lambda)"]
+        assert err.splitlines()[1:] == ["error[E_CONFIG]: coupling 0 Hz gives no finite, "
+                                        "positive shaped pulse duration 1/(3*lambda)"]
         assert not list(tmp_path.iterdir())
 
     def test_unknown_oracle_is_config_error(self, tmp_path, capsys):

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from quadnmr import (NonUnitaryEventError, RelaxationParams, SpinSystem, compile_unitary,
                      conjugate, cphase_delay_s, equilibrium_state, gradient_crush,
                      hard_pulse, observable_amplitudes, oracle_matrix, parse_sequence,
-                     pseudopure_00, run_trajectory, spectrum, synthesize_fid,
-                     transition_table)
+                     pseudopure_00, run_trajectory, spectrum, synthesize_fid)
 from quadnmr.compiler import _plan
 from quadnmr.seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, GaussianShape, Gradient,
                              HardPulse, QuadDelay, Refocus, SelPulse, SequenceIR,
                              SystemDecl, ZPulse)
 
 from conftest import SEQUENCES_DIR
-from helpers import conjugate_reference, free_evolution, matrices_close, propagator
+from helpers import (conjugate_reference, free_evolution, line_table, matrices_close,
+                     propagator)
 from test_relaxation import relaxed
 
 
@@ -196,7 +196,7 @@ def mixed_sequences(draw):
     with zero-length and symbolic delays and perhaps a final acquisition."""
     sys = SpinSystem(spin=draw(SPINS), offset_hz=draw(st.floats(-5e3, 5e3)),
                      lambda_hz=draw(st.floats(1.0, 5e3)))
-    labels = [tr.label for tr in transition_table(sys)]
+    labels = [tr.label for tr in line_table(sys)]
     events = []
     for kind in draw(st.lists(st.sampled_from(
             ["hard", "sel", "shaped", "zpulse", "quad", "refocus", "gradient"]),

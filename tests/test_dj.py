@@ -419,7 +419,8 @@ def dj_outcome(call):
 
 
 class TestKeptOraclePlan:
-    """run_dj keeps each oracle's plan per sequence file, system and relaxation."""
+    """run_dj keeps each oracle's plan per sequence file, spin, coupling and
+    relaxation, shared by every offset."""
 
     @settings(max_examples=100, deadline=None)
     @given(dj_calls())
@@ -446,15 +447,15 @@ class TestKeptOraclePlan:
         assert warm == cleared
 
     # a negative coupling gives a negative soft-pulse duration and one below
-    # 1e-308 Hz an infinite one: _plan refuses either
+    # 1e-308 Hz an infinite one: _plan refuses either (run_dj refuses both
+    # before it asks for a plan)
     @pytest.mark.parametrize("lambda_hz, message", [(-1000.0, "duration must be positive"),
                                                     (1e-311, "must be finite")])
     def test_a_refused_plan_is_not_kept(self, lambda_hz, message):
         _oracle_plan.cache_clear()
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
-                run_dj("f2", SpinSystem(lambda_hz=lambda_hz), method="selective-z",
-                       shaped_pulses=True)
+                _oracle_plan("u2.qseq", True, 1.5, lambda_hz, None)
         info = _oracle_plan.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
@@ -462,8 +463,7 @@ class TestKeptOraclePlan:
     @pytest.mark.parametrize("relax", [None, RelaxationParams()])
     def test_kept_arrays_are_read_only(self, name, relax):
         params = None if relax is None else (relax.t1_s, relax.t2_central_s, relax.t2_outer_s)
-        frame, events, (plan, decays, error) = _oracle_plan(name, True, 1.5, 0.0, 2000.0,
-                                                            params)
+        frame, events, (plan, decays, error) = _oracle_plan(name, True, 1.5, 2000.0, params)
         arrays = [array for steps in plan for step in steps for array in step[:2]]
         assert error is None and len(arrays) >= 2 * len(events)
         assert (decays is None) == (relax is None)
@@ -474,13 +474,38 @@ class TestKeptOraclePlan:
     def test_the_cache_holds_at_most_its_bound(self):
         _oracle_plan.cache_clear()
         for k in range(_KEPT_PLANS + 8):
-            _oracle_plan("u2.qseq", False, 1.5, 0.0, 2000.0 + k, None)
+            _oracle_plan("u2.qseq", False, 1.5, 2000.0 + k, None)
         assert _oracle_plan.cache_parameters()["maxsize"] == _KEPT_PLANS == 256
         assert _oracle_plan.cache_info().currsize == _KEPT_PLANS
+
+    # the three offsets of the benchmark's dj-sweep: a plan depends on none of them
+    @pytest.mark.parametrize("name", sorted(set(_ORACLE_FILES.values())))
+    @pytest.mark.parametrize("shaped", [False, True])
+    @pytest.mark.parametrize("relax", [None, RelaxationParams()])
+    def test_runs_at_every_offset_share_one_entry(self, name, shaped, relax):
+        oracle_id, method = next(key for key, value in _ORACLE_FILES.items() if value == name)
+        _oracle_plan.cache_clear()
+        for offset in (0.0, 500.0, -1500.0):
+            run_dj(oracle_id, SpinSystem.from_splitting(16_000.0, offset), method=method,
+                   relax=relax, shaped_pulses=shaped)
+        info = _oracle_plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
     # 1/(3*lambda) divided by zero: the CLI printed a ZeroDivisionError traceback
     @pytest.mark.parametrize("oracle_id", ORACLE_IDS)
     @pytest.mark.parametrize("method", SEQUENCE_METHODS)
     def test_shaped_pulses_refuse_a_zero_coupling(self, oracle_id, method):
-        with pytest.raises(ValueError, match="coupling must be nonzero"):
-            run_dj(oracle_id, SpinSystem(lambda_hz=0.0), method=method, shaped_pulses=True)
+        self.test_shaped_pulses_refuse_a_negative_or_tiny_coupling(oracle_id, method, 0.0)
+
+    # a negative or an infinite duration, which f1, having no pulse, did not refuse
+    @pytest.mark.parametrize("oracle_id", ORACLE_IDS)
+    @pytest.mark.parametrize("method", SEQUENCE_METHODS)
+    @pytest.mark.parametrize("lambda_hz", [-1000.0, 1e-310])
+    def test_shaped_pulses_refuse_a_negative_or_tiny_coupling(self, oracle_id, method, lambda_hz):
+        _oracle_plan.cache_clear()
+        with pytest.raises(ValueError) as caught:
+            run_dj(oracle_id, SpinSystem(lambda_hz=lambda_hz), method=method,
+                   shaped_pulses=True)
+        assert str(caught.value) == f"coupling {lambda_hz:g} Hz gives no finite, positive " \
+            "shaped pulse duration 1/(3*lambda)"
+        assert _oracle_plan.cache_info().misses == 0    # refused before any oracle ran

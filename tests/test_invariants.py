@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadnmr import (ForbiddenTransitionError, RelaxationParams, SpinSystem,
-                     equilibrium_state, is_hermitian, is_unitary, run_trajectory,
-                     transition_table)
+                     equilibrium_state, is_hermitian, is_unitary, run_trajectory)
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.seqlang import (Acquire, GaussianShape, Gradient, HardPulse, QuadDelay,
                              Refocus, SelPulse, SequenceIR, SystemDecl, ZPulse)
 
-from helpers import propagator
+from helpers import line_of, line_table, propagator
 from test_relaxation import relaxed
 
 SPINS = st.integers(1, 7).map(lambda two_i: two_i / 2.0)
@@ -36,7 +35,7 @@ def systems(draw):
 
 @st.composite
 def unitary_events(draw, sys):
-    labels = [tr.label for tr in transition_table(sys)]
+    labels = [tr.label for tr in line_table(sys)]
     kind = draw(st.sampled_from(["hard", "sel", "shaped", "zpulse", "quad", "refocus"]))
     angle = draw(ANGLES)
     if kind == "hard":
@@ -117,7 +116,7 @@ def test_central_t2_goes_to_the_mid_spectrum_line_only(spin, lambda_hz):
     for i, j in itertools.combinations(range(sys.dim), 2):
         value = t2[i, j]
         try:
-            tr = sys.transition(f"{sys.labels[i]}-{sys.labels[j]}")
+            tr = line_of(sys, f"{sys.labels[i]}-{sys.labels[j]}")
         except ForbiddenTransitionError:
             assert value == params.t2_outer_s
             continue
@@ -132,4 +131,4 @@ def test_central_t2_goes_to_the_mid_spectrum_line_only(spin, lambda_hz):
         assert central[0].upper_index == sys.dim // 2 - 1
     else:
         assert central == []
-        assert all(tr.frequency_hz != 0.0 for tr in transition_table(sys))
+        assert all(tr.frequency_hz != 0.0 for tr in line_table(sys))

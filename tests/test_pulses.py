@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quadnmr import (ForbiddenTransitionError, SpinSystem, compile_unitary,
                      gate_fidelity_global_phase, gradient_crush, hard_pulse, is_unitary,
-                     parse_sequence, run_trajectory, selective_pulse, transition_table)
+                     parse_sequence, run_trajectory, selective_pulse, spin_operators)
 from quadnmr import pulses
 from quadnmr.seqlang import (GaussianShape, HardPulse, QuadDelay, Refocus, SelPulse,
                              SequenceIR, SystemDecl, ZPulse)
@@ -15,7 +15,7 @@ from quadnmr.system import cphase_delay_s
 
 from conftest import HARD_90_MINUS_Y
 from helpers import (expm_hermitian, free_evolution, gradient_crush_reference, hamiltonian,
-                     matrices_close, propagator, selective_z_pulse)
+                     line_of, line_table, matrices_close, propagator, selective_z_pulse)
 
 SQRT3 = np.sqrt(3.0)
 PI = np.pi
@@ -195,7 +195,8 @@ AXIS_SIGN = {"x": 1.0, "-x": -1.0, "y": -1.0, "-y": 1.0}
 def _explicit_generator(sys, axis, tr=None):
     """Pulse generator built in full: Ix or Iy, or for a transition only its
     two off-diagonal elements, halved for a unit Ix element."""
-    full = sys.operators.ix if axis in ("x", "-x") else sys.operators.iy
+    ops = spin_operators(sys.spin)
+    full = ops.ix if axis in ("x", "-x") else ops.iy
     if tr is None:
         return full
     gen = np.zeros((sys.dim, sys.dim), dtype=complex)
@@ -214,7 +215,7 @@ def _slice_product(sys, transition, axis, angle, duration, n_slices):
     a free half-step, a kick with the drive rotated to the slice midpoint so
     it stays resonant with its block, and a second free half-step.
     """
-    gen = _explicit_generator(sys, axis, sys.transition(transition))
+    gen = _explicit_generator(sys, axis, line_of(sys, transition))
     sign = AXIS_SIGN[axis]
     h0 = np.diag(hamiltonian(sys)).real
     dt = duration / n_slices
@@ -361,14 +362,14 @@ def test_pulses_equal_expm_of_explicit_generator(spin, axis, angle):
     scale = AXIS_SIGN[axis] * angle
     assert np.array_equal(hard_pulse(sys, axis, angle),
                           expm_hermitian(_explicit_generator(sys, axis), scale))
-    for tr in transition_table(sys):
+    for tr in line_table(sys):
         assert np.array_equal(selective_pulse(sys, tr.label, axis, angle),
                               expm_hermitian(_explicit_generator(sys, axis, tr), scale))
 
 
 def _generated_sequence(sys, n_events, rng):
     """Random unitary events on every observable transition of sys."""
-    labels = [tr.label for tr in transition_table(sys)]
+    labels = [tr.label for tr in line_table(sys)]
     axes = ["x", "-x", "y", "-y"]
     events = []
     for _ in range(n_events):
@@ -425,5 +426,5 @@ class TestGeneratorCache:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         compile_unitary(ir, sys)
-        run_trajectory(ir, sys, np.diag(np.diag(sys.operators.iz)))
+        run_trajectory(ir, sys, np.diag(np.diag(spin_operators(sys.spin).iz)))
         assert 0 < len(calls) <= 2 + 2 * (sys.dim - 1)

@@ -15,11 +15,10 @@ from quadnmr import (FID, METHODS, ORACLE_IDS, Peak, RelaxationParams, SpinSyste
                      run_dj, spectrum, synthesize_fid, write_peaks_csv, write_spectrum_csv)
 from quadnmr.readout import (_CSV_CHUNK_ROWS, _GEOMETRY_ENTRIES, MAX_POINTS,
                              PEAK_WINDOW_LINEWIDTHS, _axis, _best_phase, _line_constants,
-                             _tie_window, _twiddles, _windows)
+                             _twiddles, _window_bins, _windows)
 from quadnmr.relaxation import coherence_t2_table
-from quadnmr.system import transition_table
 
-from helpers import (best_phase_reference, ideal_density_after_oracle,
+from helpers import (best_phase_reference, ideal_density_after_oracle, line_table,
                      line_spectrum_reference, observable_amplitudes_reference,
                      spectrum_reference, synthesize_fid_reference, windows_reference)
 
@@ -111,7 +110,7 @@ def reference_fid_samples(amplitudes, sys, points, dwell_s, lb_hz, relax):
     samples = np.zeros(points, dtype=complex)
     broadening = np.exp(-np.pi * lb_hz * t)
     t2 = None if relax is None else coherence_t2_table(relax, sys.dim)
-    for a, tr in zip(amplitudes, transition_table(sys)):
+    for a, tr in zip(amplitudes, line_table(sys)):
         decay = broadening
         if t2 is not None:
             decay = decay * np.exp(-t / t2[tr.upper_index, tr.lower_index])
@@ -179,7 +178,7 @@ def acquisitions(draw):
                      offset_hz=draw(st.one_of(st.just(0.0), st.floats(-5e3, 5e3))),
                      lambda_hz=draw(st.one_of(st.just(0.0), st.floats(0.0, 2e3))))
     parts = st.floats(-2.0, 2.0)
-    amplitudes = [complex(draw(parts), draw(parts)) for _ in transition_table(sys)]
+    amplitudes = [complex(draw(parts), draw(parts)) for _ in line_table(sys)]
     return sys, amplitudes
 
 
@@ -270,7 +269,7 @@ def reference_spectrum(fid, sys, choose_phase):
     freq = np.fft.fftshift(np.fft.fftfreq(fid.points, fid.dwell_s))
     amp = spectrum(fid).amplitude
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
-    table = transition_table(sys)
+    table = line_table(sys)
     lines = [tr.frequency_hz for tr in table]
     masks = [np.abs(freq - line) <= half_width for line in lines]
     reach = 2.001 * half_width
@@ -368,10 +367,10 @@ def synthesized_cases(draw):
     splitting_hz = draw(st.one_of(st.just(0.0), st.integers(1, 5).map(lambda k: k * step),
                                   st.floats(0.0, nyquist)))
     sys = SpinSystem.from_splitting(splitting_hz, offset_hz=-line_hz, spin=spin)
-    assume(all(abs(tr.frequency_hz) < nyquist for tr in transition_table(sys)))
+    assume(all(abs(tr.frequency_hz) < nyquist for tr in line_table(sys)))
     # subnormal amplitudes carry too few digits for either transform to agree to 1e-12
     parts = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_subnormal=False))
-    amplitudes = [complex(draw(parts), draw(parts)) for _ in transition_table(sys)]
+    amplitudes = [complex(draw(parts), draw(parts)) for _ in line_table(sys)]
     lb_hz = draw(st.one_of(st.sampled_from([0.0, 1e-6]), st.floats(0.0, 500.0)))
     return sys, amplitudes, points, dwell_s, lb_hz, draw(st.booleans())
 
@@ -453,7 +452,7 @@ class TestSpectrum:
         # w = exp(-2 pi i / N); the first sample at half weight takes a/2 off
         dwell_s, lb_hz, a = 5e-6, 200.0, 0.7 - 0.3j
         sys = SpinSystem(offset_hz=1234.5)
-        f = transition_table(sys)[1].frequency_hz
+        f = line_table(sys)[1].frequency_hz
         fid = synthesize_fid([0, a, 0], sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz)
         q = np.exp((2j * np.pi * f - np.pi * lb_hz) * dwell_s)
         w = np.exp(-2j * np.pi * np.arange(points) / points)
@@ -518,7 +517,7 @@ class TestSpectrum:
         sys = SpinSystem.from_splitting(splitting_hz=splitting_hz, offset_hz=offset_hz)
         fid = synthesize_fid([0.8, -1.0, 0.6j], sys, points=4096, lb_hz=lb_hz)
         spec = spectrum(fid, sys)
-        lines = np.array([tr.frequency_hz for tr in transition_table(sys)])
+        lines = np.array([tr.frequency_hz for tr in line_table(sys)])
         dist = np.abs(spec.freq_hz[:, None] - lines)
         windows = (dist <= PEAK_WINDOW_LINEWIDTHS * lb_hz) & \
             (dist <= dist.min(axis=1, keepdims=True))
@@ -837,18 +836,23 @@ def fill_geometry_caches():
         == _GEOMETRY_ENTRIES
 
 
+def window_bins(window):
+    """A window's bins as a list: an empty window's slice bounds are not
+    observable, since spectrum refuses every empty window alike."""
+    return list(range(window.start, window.stop)) if type(window) is slice else window.tolist()
+
+
 def resolved_windows(fid, sys):
-    """The windows spectrum(fid, sys) integrates, as slices and index lists."""
-    half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
-    return [window if window is not None else _tie_window(
-        _axis(fid.points, fid.dwell_s), fid.points * fid.dwell_s, sys._freqs, line,
-        half_width).tolist()
-        for line, window in zip(sys._freqs, _windows(fid.points, fid.dwell_s, sys._freqs,
-                                                     half_width))]
+    """The bins of the windows spectrum(fid, sys) integrates."""
+    freq, half_width = _axis(fid.points, fid.dwell_s), PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
+    return [window_bins(_window_bins(freq, sys._freqs, line, half_width)
+                        if window is None else window)
+            for line, window in zip(sys._freqs, _windows(fid.points, fid.dwell_s, sys._freqs,
+                                                         half_width))]
 
 
 def reference_windows(fid, sys):
-    return [window if type(window) is slice else window.tolist() for window in windows_reference(
+    return [window_bins(window) for window in windows_reference(
         _axis(fid.points, fid.dwell_s), fid.points * fid.dwell_s, list(sys._freqs),
         PEAK_WINDOW_LINEWIDTHS * fid.lb_hz)]
 

@@ -1,8 +1,10 @@
 """Smoke test of the experiment scripts under scripts/: each runs as its own
 process, exits 0, prints its table and writes the CSV files it names. The
-package exports every name the scripts and the benchmark import from it."""
+package and its modules define every name the scripts and the benchmark
+import from them."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -53,8 +55,17 @@ def test_exports_hold_every_imported_name_and_no_module():
     assert not [name for name in quadnmr.__all__
                 if isinstance(getattr(quadnmr, name), type(quadnmr))]
     # read with ast, so that no benchmark file is imported
-    callers = [ROOT / "perfbench" / "workloads.py", *sorted((ROOT / "scripts").glob("*.py"))]
-    imported = {alias.name for path in callers for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, ast.ImportFrom) and node.module == "quadnmr"
+    callers = [path for folder in ("perfbench", "scripts")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    imports = [node for path in callers for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level == 0
+               and (node.module or "").split(".")[0] == "quadnmr"]
+    imported = {alias.name for node in imports if node.module == "quadnmr"
                 for alias in node.names}
     assert {"classify_peaks", "is_unitary", "hard_pulse"} <= imported <= set(quadnmr.__all__)
+    # and every name imported from a module of the package is defined there
+    from_modules = {(node.module, alias.name) for node in imports if node.module != "quadnmr"
+                    for alias in node.names}
+    assert ("quadnmr.dj", "SEQUENCE_METHODS") in from_modules
+    assert not [(module, name) for module, name in sorted(from_modules)
+                if not hasattr(importlib.import_module(module), name)]
