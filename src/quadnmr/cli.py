@@ -80,6 +80,9 @@ def _outdir(args) -> Path:
 
 
 def _system_from(args) -> SpinSystem:
+    for flag, value in (("--splitting", args.splitting), ("--offset", args.offset)):
+        if not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if args.splitting < 0:
         raise ValueError("splitting must be nonnegative")
     if args.splitting == 0:

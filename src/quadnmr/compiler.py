@@ -1,18 +1,18 @@
 """Execution of parsed sequences: unitary compilation and state trajectories.
 
-_plan builds the propagators of a whole event tuple in one batch, with numpy
-calls that do not grow with the events: the pulses by one stacked
-expm_from_eigh per generator (shaped pulses times their free evolution by
-stacked matmul), the quadrupolar delays, refocus halves and z-pulses by one
-expm_diagonal, the refocus blocks by stacked matmul, and the T1/T2 decays of
-all relaxed intervals at once. Ideal pulses are instantaneous and lossless.
-compile_unitary multiplies the event propagators so that the first script
-line acts first on the state (the total is P_n ... P_2 P_1); run_trajectory
-plans, then walks (_walk) a deviation matrix through them plus crusher
-gradients and acquisition, step by step when relaxation is requested. A
-caller may keep a plan, made read-only (_read_only), and walk it again, as
-dj does for each oracle. A refocus block
-(tau/2 - hard pi about -y - tau/2 under the full H) is the hard pi times the
+_plan, the one builder of propagators, makes those of a whole event tuple in
+one batch, with numpy calls that do not grow with the events and stacks even
+of one: the pulses by one stacked expm_from_eigh per generator (shaped pulses
+times their free evolution by stacked matmul), the quadrupolar delays, refocus
+halves and z-pulses by one expm_diagonal, the refocus blocks by stacked
+matmul, and the T1/T2 decays of all relaxed intervals at once, each array
+read-only as built. Ideal pulses are instantaneous and lossless.
+compile_unitary multiplies the event propagators so that the first script line
+acts first on the state (the total is P_n ... P_2 P_1); run_trajectory plans,
+then walks (_walk) a deviation matrix through them plus crusher gradients and
+acquisition, step by step when relaxation is requested. A caller may keep a
+plan and walk it again, as dj does for each oracle. A refocus block (tau/2 -
+hard pi about -y - tau/2 under the full H) is the hard pi times the
 quadrupolar evolution over tau at any offset.
 """
 
@@ -37,18 +37,18 @@ class NonUnitaryEventError(ValueError):
     """Sequence contains gradient/acquire events; use run_trajectory instead."""
 
 
-def _non_unitary(event) -> NonUnitaryEventError:
-    return NonUnitaryEventError(
+def _refuse_non_unitary(event, sys=None):
+    raise NonUnitaryEventError(
         f"event {type(event).__name__} at line {event.line} is not unitary; "
         "run the sequence through run_trajectory")
 
 
 @cache
-def _inversion(dim: int) -> np.ndarray:
-    """The hard pi about -y inside every refocus block, read-only."""
-    u = hard_pulse(SpinSystem(spin=(dim - 1) / 2.0), "-y", np.pi)
-    u.flags.writeable = False
-    return u
+def _inversion(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hard pi about -y inside every refocus block and its adjoint, read-only."""
+    pair = [None, None]
+    _fill((pair,), hard_pulse(SpinSystem(spin=(dim - 1) / 2.0), "-y", np.pi)[None])
+    return tuple(pair)
 
 
 def _selective(event, sys):
@@ -84,9 +84,10 @@ _STEP_PARTS = {
 
 
 def _fill(steps, us: np.ndarray) -> None:
-    """Put each propagator of the batch us (one or a stack) and its adjoint in its step."""
+    """Put each propagator of the stack us and its adjoint, read-only, in its step."""
     uhs = us.conj().swapaxes(-1, -2)
-    for step, u, uh in zip(steps, us, uhs) if us.ndim == 3 else ((steps[0], us, uhs),):
+    us.flags.writeable = uhs.flags.writeable = False
+    for step, u, uh in zip(steps, us, uhs):
         step[:2] = u, uh
 
 
@@ -105,13 +106,11 @@ def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
     """
     plan, groups, diags, dts, blocks, error = [], {}, [], [], [], None
     for event in events:
-        parts_of = _STEP_PARTS.get(type(event), _non_unitary)
+        parts_of = _STEP_PARTS.get(type(event), _refuse_non_unitary)
         if parts_of is None:
             plan.append(None)
             continue
         try:
-            if parts_of is _non_unitary:
-                raise _non_unitary(event)
             pulse, free, diag, dt = parts_of(event, sys)
         except ValueError as exc:   # a refused event: raised when the walk gets there
             error = exc
@@ -127,44 +126,29 @@ def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
             members.append((sign * event.angle_rad, free, step))
             continue
         if type(event) is Refocus and relax is not None:
-            inversion = _inversion(sys.dim)
-            plan[-1] = (step, (inversion, inversion.conj().T, None), step)
+            plan[-1] = (step, (*_inversion(sys.dim), None), step)
         elif type(event) is Refocus:   # the block is made from its half
             blocks.append(([None, None], step))
             step = blocks[-1][0]
         diags.append((*diag, step))
 
-    # a lone pulse or diagonal propagator is computed as one matrix, not a stack
     for factors, members in groups.values():
         scales, frees, steps = zip(*members)
-        one = len(steps) == 1
-        us = expm_from_eigh(*factors, scales[0] if one else np.array(scales).reshape(-1, 1, 1))
+        us = expm_from_eigh(*factors, np.array(scales).reshape(-1, 1, 1))
         if frees[0] is not None:   # shaped pulses
-            us = expm_diagonal((frees[0] if one else np.array(frees)[:, None])
-                               * sys._h_diag) @ us
+            us = expm_diagonal(np.array(frees)[:, None] * sys._h_diag) @ us
         _fill(steps, us)
     if diags:
         coefs, rows, steps = zip(*diags)
-        one = len(steps) == 1
-        _fill(steps, expm_diagonal(coefs[0] * sys._exponent_rows[rows[0]] if one else
-                                   np.array(coefs, dtype=complex)[:, None]
+        _fill(steps, expm_diagonal(np.array(coefs, dtype=complex)[:, None]
                                    * sys._exponent_rows.take(rows, 0)))
     if blocks:
         halves = np.array([half[0] for half, _ in blocks])
-        _fill([step for _, step in blocks], halves @ _inversion(sys.dim) @ halves)
-    return plan, decay_factors(dts, relax, sys.dim) if dts else None, error
-
-
-def _read_only(planned):
-    """planned, a _plan result, with its propagators and decays made
-    read-only, for a caller that keeps it."""
-    plan, decays = planned[:2]
-    for steps in plan:
-        for u, uh, _ in steps or ():
-            u.flags.writeable = uh.flags.writeable = False
+        _fill([step for _, step in blocks], halves @ _inversion(sys.dim)[0] @ halves)
+    decays = decay_factors(dts, relax, sys.dim) if dts else None
     for decay in decays or ():
         decay.flags.writeable = False
-    return planned
+    return plan, decays, error
 
 
 def compile_unitary(ir: SequenceIR, sys: SpinSystem | None = None) -> np.ndarray:
@@ -174,7 +158,7 @@ def compile_unitary(ir: SequenceIR, sys: SpinSystem | None = None) -> np.ndarray
     total = None
     for event, steps in zip(ir.events, plan):
         if steps is None:
-            raise _non_unitary(event)
+            _refuse_non_unitary(event)
         # the first propagator itself, not times the identity, which turns
         # some -0.0 entries into +0.0
         total = steps[0][0].copy() if total is None else steps[0][0].dot(total)

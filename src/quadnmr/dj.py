@@ -16,19 +16,20 @@ Compiled propagators match the ideal matrices up to the fixed global phases
 recorded in ORACLE_PHASES. The algorithm itself runs pseudopure preparation,
 a hard 90 about -y, the oracle, and acquisition; the function class is read
 from whether the central line's sign agrees with the outer lines' sign
-(constant) or opposes it (balanced).
+(constant) or opposes it (balanced). Each oracle's plan (compiler._plan) is
+built once and kept (_oracle_plan); a run only walks it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from importlib.resources import files
 
 import numpy as np
 
-from .compiler import _plan, _read_only, _walk
+from .compiler import _plan, _walk
 from .linalg import conjugate
 from .prep import pseudopure_00
 from .pulses import hard_pulse
@@ -116,12 +117,6 @@ def _bundled_events(name: str) -> tuple[Event, ...]:
     return parse_sequence((files("quadnmr") / "sequences" / name).read_text()).events
 
 
-def _oracle_events(name: str, sys: SpinSystem) -> tuple[Event, ...]:
-    """The events of the bundled file name, its quadrupolar delays resolved against sys."""
-    return tuple(_frozen(QuadDelay, **{**vars(e), "tau_s": cphase_delay_s(sys)})
-                 if type(e) is QuadDelay else e for e in _bundled_events(name))
-
-
 def oracle_sequence(oracle_id: str, method: str,
                     sys: SpinSystem | None = None) -> SequenceIR:
     """SequenceIR whose compiled propagator is ORACLE_PHASES[id] * oracle_matrix(id).
@@ -137,10 +132,11 @@ def oracle_sequence(oracle_id: str, method: str,
     if method not in SEQUENCE_METHODS:
         raise ValueError(f"method must be one of {SEQUENCE_METHODS}, got {method!r}")
     sys = SpinSystem() if sys is None else sys
-    events = () if oracle_id == "f1" else _oracle_events(_ORACLE_FILES[oracle_id, method], sys)
-    decl = _frozen(SystemDecl, spin=sys.spin, splitting_hz=sys.splitting_hz,
-                   offset_hz=sys.offset_hz)
-    return _frozen(SequenceIR, system_decl=decl, events=events)
+    events = () if oracle_id == "f1" else tuple(
+        replace(e, tau_s=cphase_delay_s(sys)) if type(e) is QuadDelay else e
+        for e in _bundled_events(_ORACLE_FILES[oracle_id, method]))
+    decl = SystemDecl(spin=sys.spin, splitting_hz=sys.splitting_hz, offset_hz=sys.offset_hz)
+    return SequenceIR(system_decl=decl, events=events)
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,8 @@ def _oracle_plan(name: str, shaped: bool, spin, lambda_hz, relax):
     """The on-resonance system SpinSystem(spin, 0.0, lambda_hz), the events
     and the plan (compiler._plan) of the bundled oracle sequence name on it,
     its selective pulses made gaussian when shaped; relax holds the
-    RelaxationParams numbers, or is None.
+    RelaxationParams numbers, or is None. The events are as parsed: _plan
+    resolves the delay pi/(12*lambda) against the frame.
 
     The propagators depend on nothing else, the acquisition included, so
     each is kept until evicted and run_dj only walks it; keys compare
@@ -202,14 +199,13 @@ def _oracle_plan(name: str, shaped: bool, spin, lambda_hz, relax):
     raises its error and is not kept.
     """
     frame = SpinSystem(spin, 0.0, lambda_hz)
-    events = _oracle_events(name, frame)
+    events = _bundled_events(name)
     if shaped:
         duration = 1.0 / (3.0 * lambda_hz)
         shape = GaussianShape(duration_s=duration, duration_text=f"{duration * 1e6:.6g}us")
-        events = tuple(_frozen(SelPulse, **{**vars(e), "shape": shape})
-                       if type(e) is SelPulse and e.shape is None else e for e in events)
-    planned = _read_only(_plan(events, frame,
-                               None if relax is None else RelaxationParams(*relax)))
+        events = tuple(replace(e, shape=shape) if type(e) is SelPulse and e.shape is None
+                       else e for e in events)
+    planned = _plan(events, frame, None if relax is None else RelaxationParams(*relax))
     if planned[2] is not None:
         raise planned[2]
     return frame, events, planned

@@ -102,9 +102,7 @@ def expm_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, eigvecs_h: np.ndarr
     """Return exp(i * scale * H) from the eigh factors of a Hermitian H,
     H = V diag(w) V^H, given w, V and V^H = eigvecs.conj().T; a scale of
     shape (n, 1, 1) gives the n propagators stacked."""
-    scaled = eigvecs * np.exp(1j * scale * eigvals)
-    # ndarray.dot makes the BLAS call of @ with less dispatch, for one matrix
-    return scaled.dot(eigvecs_h) if scaled.ndim == 2 else scaled @ eigvecs_h
+    return eigvecs * np.exp(1j * scale * eigvals) @ eigvecs_h
 
 
 def expm_diagonal(exponents: np.ndarray) -> np.ndarray:

@@ -113,6 +113,8 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if amplitudes.shape != (sys.dim - 1,):
         raise ValueError(f"expected {sys.dim - 1} amplitudes, got {amplitudes.shape}")
+    if not isinstance(points, (int, np.integer)):
+        raise ValueError(f"point count must be an integer, got {points!r}")
     if points < 2:
         raise ValueError("need at least two points")
     if points > MAX_POINTS:

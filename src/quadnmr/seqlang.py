@@ -254,11 +254,14 @@ def _read_axis(text: str, i: int, sys: SpinSystem) -> str:
     return text
 
 
-def _parse_freq(text: str, i: int, offset: int) -> float:
+def _parse_freq(key: str, text: str, i: int, offset: int) -> float:
     match = _FREQ_RE.match(text)
     if not match:
         raise _WordError(f"bad frequency {text!r}", E_BAD_NUMBER, i, offset)
-    return float(match.group(1)) * (1000.0 if match.group(2) == "kHz" else 1.0)
+    value = float(match.group(1)) * (1000.0 if match.group(2) == "kHz" else 1.0)
+    if not math.isfinite(value):
+        raise _WordError(f"{key} must be finite, got {text!r}", E_BAD_VALUE, i, offset)
+    return value
 
 
 # --- statement table --------------------------------------------------------
@@ -331,13 +334,13 @@ def _parse_system(words: list[str]) -> tuple[SystemDecl, SpinSystem]:
             except (ValueError, ZeroDivisionError, OverflowError):
                 raise _WordError(f"bad spin {value!r}", E_BAD_NUMBER, i, at) from None
         elif key in ("splitting", "lambda"):
-            splitting = _parse_freq(value, i, at)
+            splitting = _parse_freq(key, value, i, at)
             if splitting < 0:
                 raise _WordError(f"{key} must be nonnegative", E_BAD_VALUE, i, at)
             if key == "lambda":
                 splitting *= 6.0
         elif key == "offset":
-            offset = _parse_freq(value, i, at)
+            offset = _parse_freq(key, value, i, at)
         else:
             raise _WordError(f"unknown system parameter {key!r}", E_UNKNOWN_KEYWORD, i)
     if spin is None:

@@ -137,7 +137,6 @@ class SpinSystem:
         rows.flags.writeable = False
         return rows
 
-    _quad_diag = cached_property(lambda self: self._exponent_rows[QUAD_ROW].real)
     _h_diag = cached_property(lambda self: self._exponent_rows[H_ROW].real)
 
     @classmethod

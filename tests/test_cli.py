@@ -116,6 +116,16 @@ class TestDJCommand:
                                         "positive shaped pulse duration 1/(3*lambda)"]
         assert not list(tmp_path.iterdir())
 
+    # each printed "lambda_hz must be finite", a name the user never wrote
+    @pytest.mark.parametrize("flag", ["--splitting", "--offset"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_non_finite_frequency_names_its_flag(self, tmp_path, capsys, flag, value):
+        code, out, err = run_cli(capsys, "--outdir", str(tmp_path), "dj", "--oracle", "f3",
+                                 flag, value)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error[E_CONFIG]: {flag} must be finite, got {value}"]
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_oracle_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "--outdir", str(tmp_path), "dj",
                                "--oracle", "f9")

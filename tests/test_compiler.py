@@ -2,14 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadnmr import (NonUnitaryEventError, RelaxationParams, SpinSystem, compile_unitary,
                      conjugate, cphase_delay_s, equilibrium_state, gradient_crush,
                      hard_pulse, observable_amplitudes, oracle_matrix, parse_sequence,
-                     pseudopure_00, run_trajectory, spectrum, synthesize_fid)
+                     pseudopure_00, run_trajectory, selective_pulse, spectrum,
+                     synthesize_fid)
 from quadnmr.compiler import _plan
+from quadnmr.linalg import expm_diagonal
 from quadnmr.seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, GaussianShape, Gradient,
                              HardPulse, QuadDelay, Refocus, SelPulse, SequenceIR,
                              SystemDecl, ZPulse)
@@ -298,3 +300,58 @@ def test_walk_has_the_bits_of_the_matmul_walk(seq):
         elif not isinstance(event, Acquire):
             rho = conjugate_reference(rho, steps[0][0])
         assert got.tobytes() == rho.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(spin=st.integers(1, 15).map(lambda two_i: two_i / 2.0), axis=AXES,
+       angle=st.floats(-1e12, 1e12), kind=st.sampled_from(["hard", "sel", "gaussian"]),
+       line=st.integers(0, 14), duration=st.floats(1e-7, 1e-3),
+       offset_hz=st.floats(-5e3, 5e3), lambda_hz=st.floats(1.0, 5e3))
+@example(spin=1.5, axis="x", angle=1.0, kind="gaussian", line=1, duration=1e-4,
+         offset_hz=-6.0, lambda_hz=1.0)     # an entry of the H diagonal is exactly 0
+@example(spin=7.5, axis="-y", angle=-0.0, kind="hard", line=0, duration=1e-4,
+         offset_hz=0.0, lambda_hz=1.0)
+@example(spin=0.5, axis="-x", angle=-1e12, kind="sel", line=0, duration=1e-4,
+         offset_hz=0.0, lambda_hz=1.0)
+def test_a_one_pulse_sequence_has_the_bytes_of_its_pulse(spin, axis, angle, kind, line,
+                                                         duration, offset_hz, lambda_hz):
+    """_plan builds a lone pulse as a stack of one; compile_unitary of it has the
+    bytes of hard_pulse or selective_pulse, which exponentiate one matrix, and
+    a gaussian pulse those of the free evolution over its duration times the
+    selective pulse."""
+    sys = SpinSystem(spin=spin, offset_hz=offset_hz, lambda_hz=lambda_hz)
+    label = sys._levels.line_labels[line % (sys.dim - 1)]
+    if kind == "hard":
+        event, want = HardPulse(axis=axis, angle_rad=angle, angle_text="a"), \
+            hard_pulse(sys, axis, angle)
+    else:
+        shape = GaussianShape(duration_s=duration, duration_text="d") \
+            if kind == "gaussian" else None
+        event = SelPulse(transition=label, axis=axis, angle_rad=angle, angle_text="a",
+                         shape=shape)
+        want = selective_pulse(sys, label, axis, angle)
+        if shape is not None:
+            want = expm_diagonal(-1j * duration * sys._h_diag) @ want
+    ir = SequenceIR(SystemDecl(sys.spin, sys.splitting_hz, sys.offset_hz), (event,))
+    assert compile_unitary(ir, sys).tobytes() == want.tobytes()
+
+
+_RELAXED_REFOCUS = (SpinSystem(), SequenceIR(SystemDecl(1.5, 16_000.0), (
+    Refocus(tau_s=1e-4, tau_text="100us"), HardPulse(axis="x", angle_rad=1.0, angle_text="1"))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=mixed_sequences(), relax=st.sampled_from([None, RelaxationParams()]))
+@example(seq=_RELAXED_REFOCUS, relax=RelaxationParams())
+def test_every_array_of_a_plan_is_read_only(seq, relax):
+    """Each propagator, adjoint and decay of a plan is read-only as built, so
+    a caller may keep the plan and walk it again."""
+    sys, ir = seq
+    plan, decays, _ = _plan(ir.events, sys, relax)
+    arrays = [array for steps in plan if steps is not None
+              for step in steps for array in step[:2]] + list(decays or ())
+    if seq is _RELAXED_REFOCUS:    # the halves, the inversion and its adjoint, the pulse
+        assert len(arrays) == 10
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 0] = 0

@@ -97,6 +97,18 @@ class TestSynthesizeFid:
             synthesize_fid(amplitudes, sys32, points=64)
         assert str(caught.value) == message
 
+    # run_dj and acquire went on to fail in the transform's slicing with a TypeError
+    @pytest.mark.parametrize("points", [4096.0, np.float64(64.0), "64"])
+    def test_a_point_count_that_is_no_integer_is_refused(self, sys32, points):
+        message = f"point count must be an integer, got {points!r}"
+        with pytest.raises(ValueError) as caught:
+            synthesize_fid([1, 1, 1], sys32, points=points)
+        assert str(caught.value) == message
+        with pytest.raises(ValueError) as caught:
+            run_dj("f3", sys32, points=points)
+        assert str(caught.value) == message
+        assert synthesize_fid([1, 1, 1], sys32, points=np.int64(64)).points == 64
+
     def test_more_than_max_points_rejected(self, sys32):
         # the FID computes nothing on its own, so the largest one costs nothing here
         assert synthesize_fid([1, 1, 1], sys32, points=MAX_POINTS).points == MAX_POINTS

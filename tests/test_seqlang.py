@@ -141,6 +141,20 @@ class TestParseErrors:
         assert err.value.code == "E_BAD_VALUE"
         assert (err.value.line, err.value.column) == (1, 21)
 
+    # each was refused at column 1 as "lambda_hz must be finite, got inf"
+    # (or offset_hz), a name the text does not hold
+    @pytest.mark.parametrize("text, column, message", [
+        ("system I=3/2 splitting=1e400Hz", 24, "splitting must be finite, got '1e400Hz'"),
+        ("system I=3/2 splitting=1e308kHz", 24, "splitting must be finite, got '1e308kHz'"),
+        ("system I=3/2 lambda=-1e400Hz", 21, "lambda must be finite, got '-1e400Hz'"),
+        ("system I=3/2 offset=-1e400kHz splitting=16kHz", 21,
+         "offset must be finite, got '-1e400kHz'")])
+    def test_an_infinite_frequency_is_refused_at_its_value(self, text, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_sequence(text + "\n")
+        assert (err.value.code, err.value.line, err.value.column, err.value.message) == \
+            ("E_BAD_VALUE", 1, column, message)
+
     def test_error_string_carries_location(self):
         with pytest.raises(ParseError) as err:
             parse_sequence("system I=3/2 splitting=16kHz\nwat\n")
