@@ -2,9 +2,10 @@
 
 _plan, the one builder of propagators, makes those of a whole event tuple in
 one batch, with numpy calls that do not grow with the events and stacks even
-of one: the pulses by one stacked expm_from_eigh per generator (shaped pulses
-times their free evolution by stacked matmul), the quadrupolar delays, refocus
-halves and z-pulses by one expm_diagonal, the refocus blocks by stacked
+of one: the ideal pulses by one expm_from_eigh of the generator factors
+gathered per pulse, the shaped pulses by a second, times their free
+evolution by stacked matmul, the quadrupolar delays, refocus halves and
+z-pulses by one expm_diagonal, the refocus blocks by stacked
 matmul, and the T1/T2 decays of all relaxed intervals at once, each array
 read-only as built. Ideal pulses are instantaneous and lossless.
 compile_unitary multiplies the event propagators so that the first script line
@@ -24,7 +25,7 @@ from functools import cache
 import numpy as np
 
 from .linalg import expm_diagonal, expm_from_eigh
-from .pulses import gradient_crush, hard_pulse, pulse_factors, z_row
+from .pulses import _generator_table, gradient_crush, hard_pulse, pulse_factors, z_row
 from .readout import FID, observable_amplitudes, synthesize_fid
 from .relaxation import RelaxationParams, decay_factors, relax_step
 from .seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, Gradient, HardPulse, QuadDelay,
@@ -71,7 +72,7 @@ def _delay(row: int, parts: int):
 
 
 # What _plan builds each event type from, each None where it has none: the
-# pulse's sign and factors, the coefficient of the free evolution after it,
+# pulse's sign and generator row, the coefficient of the free evolution after it,
 # the diagonal exponent (a coefficient and an _exponent_rows row) and the
 # relaxed interval. A refocus block is built from its half; gradients and
 # acquisitions have no step, and an event of another type is refused.
@@ -87,7 +88,7 @@ def _fill(steps, us: np.ndarray) -> None:
     """Put each propagator of the stack us and its adjoint, read-only, in its step."""
     uhs = us.conj().swapaxes(-1, -2)
     us.flags.writeable = uhs.flags.writeable = False
-    for step, u, uh in zip(steps, us, uhs):
+    for step, u, uh in zip(steps, list(us), list(uhs)):
         step[:2] = u, uh
 
 
@@ -104,7 +105,7 @@ def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
     coherences occupy around the inversion. Each step is made empty and
     filled once the batch is computed.
     """
-    plan, groups, diags, dts, blocks, error = [], {}, [], [], [], None
+    plan, pulses, diags, dts, blocks, error = [], ([], []), [], [], [], None
     for event in events:
         parts_of = _STEP_PARTS.get(type(event), _refuse_non_unitary)
         if parts_of is None:
@@ -121,9 +122,8 @@ def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
             dts.append(dt)
         plan.append((step,))
         if pulse is not None:
-            sign, factors = pulse
-            members = groups.setdefault((id(factors), free is None), (factors, []))[1]
-            members.append((sign * event.angle_rad, free, step))
+            sign, row = pulse
+            pulses[free is not None].append((row, sign * event.angle_rad, free, step))
             continue
         if type(event) is Refocus and relax is not None:
             plan[-1] = (step, (*_inversion(sys.dim), None), step)
@@ -132,10 +132,14 @@ def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
             step = blocks[-1][0]
         diags.append((*diag, step))
 
-    for factors, members in groups.values():
-        scales, frees, steps = zip(*members)
-        us = expm_from_eigh(*factors, np.array(scales).reshape(-1, 1, 1))
-        if frees[0] is not None:   # shaped pulses
+    for members in filter(None, pulses):   # the ideal pulses, then the shaped
+        rows, scales, frees, steps = zip(*members)
+        rows = np.array(rows)   # an index array gathers faster than a tuple of ints
+        # each pulse's own generator factors, gathered from the table
+        w, v, vh = _generator_table(sys.dim)
+        us = expm_from_eigh(w[rows][:, None, :], v[rows], vh[rows],
+                            np.array(scales)[:, None, None])
+        if frees[0] is not None:
             us = expm_diagonal(np.array(frees)[:, None] * sys._h_diag) @ us
         _fill(steps, us)
     if diags:

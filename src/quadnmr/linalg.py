@@ -6,11 +6,12 @@ throughout the package; ``Iz`` is therefore diagonal with its largest entry
 first. Only pulse generators, which are not diagonal, are exponentiated
 through an eigendecomposition, which keeps their propagators unitary to
 machine precision for the d <= 16 matrices handled here. The pulses module
-decomposes each generator once per spin and forms every propagator from
-those factors with expm_from_eigh; delay and z-pulse propagators are
+decomposes each generator once per spin and forms a propagator from those
+factors with expm_from_eigh, which the compiler applies to the gathered
+factors of all the pulses of a sequence at once; delay and z-pulse propagators are
 elementwise exponentials (expm_diagonal). Both take a stack of exponents as
-readily as one, so the compiler builds a sequence's propagators in one call
-each.
+readily as one, so the compiler builds a sequence's propagators in a few
+calls.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ def expm_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, eigvecs_h: np.ndarr
                    scale) -> np.ndarray:
     """Return exp(i * scale * H) from the eigh factors of a Hermitian H,
     H = V diag(w) V^H, given w, V and V^H = eigvecs.conj().T; a scale of
-    shape (n, 1, 1) gives the n propagators stacked."""
+    shape (n, 1, 1) gives the n propagators stacked, and factors stacked
+    alike (w of shape (n, 1, d), V and V^H of (n, d, d)) each its own H."""
     return eigvecs * np.exp(1j * scale * eigvals) @ eigvecs_h
 
 

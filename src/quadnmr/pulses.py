@@ -1,13 +1,15 @@
 """Pulse propagators: hard and transition-selective, and the z-pulse row.
 
 A hard or selective pulse generator depends only on the spin, the x or y
-drive and the transition, so its eigendecomposition is computed (and its
-Hermiticity checked) once per process on first use and kept read-only; each
-pulse then only exponentiates the eigenvalues (linalg.expm_from_eigh).
-pulse_factors and z_row check a pulse and name what it is built from; the
-functions here build one pulse from them, and the compiler builds all the
-pulses of a sequence from them in one batch. Transitions are named by their
-'label-label' pair, such as '10-11'.
+drive and the transition, so the eigendecompositions of all 2 * dim
+generators of a level count are computed (each generator's Hermiticity
+checked) once per process on first use and kept read-only, stacked in one
+table (_generator_table); each pulse then only exponentiates the eigenvalues
+(linalg.expm_from_eigh). pulse_factors and z_row check a pulse and name what
+it is built from, a sign and a table row or an exponent row; the functions
+here build one pulse from them, and the compiler builds all the pulses of a
+sequence in one exponential gathered from the table rows. Transitions are
+named by their 'label-label' pair, such as '10-11'.
 
 Axis and flip-angle conventions:
 
@@ -39,16 +41,8 @@ import numpy as np
 from .linalg import expm_from_eigh, is_hermitian, spin_operators
 from .system import Z_ROW, SpinSystem
 
-_AXIS_SIGN = {"x": +1.0, "-x": -1.0, "y": -1.0, "-y": +1.0}
-
-
-def _drive(axis: str, angle_rad: float) -> tuple[float, bool]:
-    """Sign of a pulse about axis with a finite angle, and whether it drives Ix."""
-    if axis not in _AXIS_SIGN:
-        raise ValueError(f"pulse axis must be one of x, -x, y, -y, got {axis!r}")
-    if not math.isfinite(angle_rad):
-        raise ValueError("pulse angle must be finite")
-    return _AXIS_SIGN[axis], axis in ("x", "-x")
+# each axis's sign and whether it drives Ix (generator row 0) or Iy (row 1)
+_AXES = {"x": (+1.0, 0), "-x": (-1.0, 0), "y": (-1.0, 1), "-y": (+1.0, 1)}
 
 
 def _unit_element(ix_element: float) -> bool:
@@ -57,50 +51,53 @@ def _unit_element(ix_element: float) -> bool:
 
 
 @cache
-def _generator_factors(dim: int, x_drive: bool, block: tuple[int, int] | None
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only eigh factors (w, v) of a pulse generator and v^H, the
-    transposed view of v.conj(), built once per key.
+def _generator_table(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only eigh factors of every pulse generator of a dim-level spin,
+    stacked: w (K, d), v (K, d, d) and vh, the transposed view of v.conj(),
+    with K = 2 * dim.
 
-    The generator is the full Ix (x_drive) or Iy for block None; for a block
-    (i, j) it holds only the two off-diagonal elements of that pair, halved
-    for a unit Ix element. A spin has at most 2 + 2*(dim - 1) entries.
+    Rows 0 and 1 are the full Ix and Iy; rows 2 + 2i and 3 + 2i are the Ix
+    and Iy block generators of line i, which hold only the two off-diagonal
+    elements of the pair (i, i + 1), halved for a unit Ix element.
     """
     ops = spin_operators((dim - 1) / 2.0)
-    full = ops.ix if x_drive else ops.iy
-    gen = full
-    if block is not None:
-        i, j = block
-        gen = np.zeros((dim, dim), dtype=complex)
-        gen[i, j], gen[j, i] = full[i, j], full[j, i]
-        if _unit_element(float(abs(ops.ix[i, j]))):
-            gen = gen / 2.0
-    if not is_hermitian(gen):
+    gens = [ops.ix, ops.iy]
+    for i in range(dim - 1):
+        unit = _unit_element(float(abs(ops.ix[i, i + 1])))
+        for full in (ops.ix, ops.iy):
+            gen = np.zeros((dim, dim), dtype=complex)
+            gen[i, i + 1], gen[i + 1, i] = full[i, i + 1], full[i + 1, i]
+            gens.append(gen / 2.0 if unit else gen)
+    if not all(map(is_hermitian, gens)):
         raise ValueError("generator is not Hermitian within tolerance")
-    eigvals, eigvecs = np.linalg.eigh(gen)
-    conj = eigvecs.conj()
-    for factor in (eigvals, eigvecs, conj):
+    w, v = map(np.array, zip(*map(np.linalg.eigh, gens)))
+    conj = v.conj()
+    for factor in (w, v, conj):
         factor.flags.writeable = False
-    return eigvals, eigvecs, conj.T
+    return w, v, conj.swapaxes(-1, -2)
 
 
 def pulse_factors(sys: SpinSystem, axis: str, angle_rad: float, transition: str | None = None
-                  ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Sign and generator factors (_generator_factors) of a hard pulse
-    (transition None) or a selective pulse on transition: the pulse is
-    expm_from_eigh(*factors, sign * angle_rad)."""
-    sign, x_drive = _drive(axis, angle_rad)
-    block = None
-    if transition is not None:
-        i = sys._line(transition)
-        block = (i, i + 1)
-    return sign, _generator_factors(sys.dim, x_drive, block)
+                  ) -> tuple[float, int]:
+    """Sign and generator row (_generator_table) of a hard pulse (transition
+    None) or a selective pulse on transition: with w, v, vh the table, the
+    pulse is expm_from_eigh(w[row], v[row], vh[row], sign * angle_rad)."""
+    if axis not in _AXES:
+        raise ValueError(f"pulse axis must be one of x, -x, y, -y, got {axis!r}")
+    if not math.isfinite(angle_rad):
+        raise ValueError("pulse angle must be finite")
+    sign, row = _AXES[axis]
+    return sign, row if transition is None else row + 2 + 2 * sys._line(transition)
+
+
+def _pulse(sys: SpinSystem, sign: float, row: int, angle_rad: float) -> np.ndarray:
+    w, v, vh = _generator_table(sys.dim)
+    return expm_from_eigh(w[row], v[row], vh[row], sign * angle_rad)
 
 
 def hard_pulse(sys: SpinSystem, axis: str, angle_rad: float) -> np.ndarray:
     """Nonselective pulse propagator exp(sign * i * I_axis * angle)."""
-    sign, factors = pulse_factors(sys, axis, angle_rad)
-    return expm_from_eigh(*factors, sign * angle_rad)
+    return _pulse(sys, *pulse_factors(sys, axis, angle_rad), angle_rad)
 
 
 def selective_pulse(sys: SpinSystem, transition: str, axis: str,
@@ -110,8 +107,7 @@ def selective_pulse(sys: SpinSystem, transition: str, axis: str,
     Identity outside the transition's 2x2 block; rejects forbidden
     transitions such as the |delta m| = 3 pair of spin 3/2.
     """
-    sign, factors = pulse_factors(sys, axis, angle_rad, transition)
-    return expm_from_eigh(*factors, sign * angle_rad)
+    return _pulse(sys, *pulse_factors(sys, axis, angle_rad, transition), angle_rad)
 
 
 def z_row(sys: SpinSystem, transition: str, phi_rad: float) -> int:

@@ -79,11 +79,13 @@ _ANGLE_SYMBOLS = {
     "pi/4": math.pi / 4.0,
     "pi/sqrt(3)": math.pi / math.sqrt(3.0),
 }
+_ANGLE_SYMBOLS.update({"-" + name: -value for name, value in _ANGLE_SYMBOLS.items()})
 
 _DURATION_RE = re.compile(r"^([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)(s|ms|us)$")
 _FREQ_RE = re.compile(r"^([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)(Hz|kHz)?$")
 
 _DURATION_SCALE = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
+_AXES = frozenset(("x", "-x", "y", "-y"))
 
 
 # --- events -----------------------------------------------------------------
@@ -189,19 +191,15 @@ class _WordError(Exception):
 
 # A reader takes one word, its index in the line and the declared system.
 def _read_angle(text: str, i: int, sys: SpinSystem) -> float:
-    negative = text.startswith("-")
-    body = text[1:] if negative else text
-    if body in _ANGLE_SYMBOLS:
-        value = _ANGLE_SYMBOLS[body]
-    else:
+    value = _ANGLE_SYMBOLS.get(text)
+    if value is None:
         try:
             value = float(text)
         except ValueError:
             raise _WordError(f"bad angle {text!r}", E_BAD_NUMBER, i) from None
-        negative = False
-    if not math.isfinite(value):
-        raise _WordError(f"angle must be finite, got {text!r}", E_BAD_VALUE, i)
-    return -value if negative else value
+        if not math.isfinite(value):
+            raise _WordError(f"angle must be finite, got {text!r}", E_BAD_VALUE, i)
+    return value
 
 
 def _read_duration(text: str, i: int, sys: SpinSystem) -> float:
@@ -216,7 +214,8 @@ def _read_duration(text: str, i: int, sys: SpinSystem) -> float:
         if not match:
             raise _WordError(f"bad duration {text!r} (use s/ms/us or "
                              f"{SYMBOLIC_CPHASE_DELAY})", E_BAD_NUMBER, i)
-        value = float(match.group(1)) * _DURATION_SCALE[match.group(2)]
+        number, unit = match.groups()
+        value = float(number) * _DURATION_SCALE[unit]
     if not (math.isfinite(value) and value >= 0):
         raise _WordError(f"duration must be finite and nonnegative, got {text!r}",
                          E_BAD_VALUE, i)
@@ -249,7 +248,7 @@ def _read_transition(text: str, i: int, sys: SpinSystem) -> str:
 
 
 def _read_axis(text: str, i: int, sys: SpinSystem) -> str:
-    if text not in ("x", "-x", "y", "-y"):
+    if text not in _AXES:
         raise _WordError(f"axis must be x, -x, y or -y, got {text!r}", E_SYNTAX, i)
     return text
 
@@ -274,13 +273,14 @@ _TRANSITION = ("transition", _read_transition, "transition", None, None)
 _ANGLE = ("angle", _read_angle, "angle_rad", "angle_text", None)
 _TAU = ("duration", _read_duration, "tau_s", "tau_text", None)
 
-# Each keyword path maps to its event class and its fields, in the order they
-# are read (left to right, a trailing word last) and printed.
+# Each keyword path, a word or a pair of words, maps to its event class and
+# its fields, in the order they are read (left to right, a trailing word last)
+# and printed.
 _STATEMENTS = {
-    "pulse hard": (HardPulse, (_AXIS, _ANGLE)),
-    "pulse sel": (SelPulse, (_TRANSITION, _AXIS, _ANGLE)),
+    ("pulse", "hard"): (HardPulse, (_AXIS, _ANGLE)),
+    ("pulse", "sel"): (SelPulse, (_TRANSITION, _AXIS, _ANGLE)),
     "zpulse": (ZPulse, (_TRANSITION, _ANGLE)),
-    "delay quad": (QuadDelay, (_TAU,)),
+    ("delay", "quad"): (QuadDelay, (_TAU,)),
     "refocus": (Refocus, (_TAU,)),
     "gradient": (Gradient, ()),
     "acquire": (Acquire, (
@@ -305,9 +305,9 @@ _SECOND_WORD = {
 def _read_fields(words: list[str], start: int, fields, sys: SpinSystem,
                  values: dict) -> int:
     """Read fields left to right from words[start:] into values; the index after."""
-    i = start
+    i, n = start, len(words)
     for what, read, name, text_name, check in fields:
-        if i == len(words):
+        if i == n:
             raise _WordError(f"expected {what}", E_SYNTAX, i - 1, len(words[i - 1]))
         text = words[i]
         values[name] = value = read(text, i, sys)
@@ -339,6 +339,9 @@ def _parse_system(words: list[str]) -> tuple[SystemDecl, SpinSystem]:
                 raise _WordError(f"{key} must be nonnegative", E_BAD_VALUE, i, at)
             if key == "lambda":
                 splitting *= 6.0
+                if splitting == math.inf:
+                    raise _WordError(f"lambda too large: 6*lambda overflows the float "
+                                     f"range, got {value!r}", E_BAD_VALUE, i, at)
         elif key == "offset":
             offset = _parse_freq(key, value, i, at)
         else:
@@ -362,23 +365,25 @@ def _parse_event(words: list[str], sys: SpinSystem, values: dict) -> Event:
         what, wrong = _SECOND_WORD[head]
         if len(words) == 1:
             raise _WordError(f"expected {what}", E_SYNTAX, 0, len(head))
-        entry, start = _STATEMENTS.get(f"{head} {words[1]}"), 2
+        entry, start = _STATEMENTS.get((head, words[1])), 2
         if entry is None:
             raise _WordError(wrong.format(words[1]), E_UNKNOWN_KEYWORD, 1)
     cls, fields = entry
     end = _read_fields(words, start, fields, sys, values)
-    if cls is SelPulse:
-        values["shape"] = None
-    if end < len(words) and cls is SelPulse:
-        if words[end] != "gaussian":
-            raise _WordError(f"unknown pulse shape {words[end]!r}", E_UNKNOWN_KEYWORD, end)
-        shape = {}
-        # the slice count is optional
-        shape_fields = _SHAPE[1][:2 if end + 2 < len(words) else 1]
-        end = _read_fields(words, end + 1, shape_fields, sys, shape)
-        values["shape"] = GaussianShape(**shape)
     if end < len(words):
-        raise _WordError(f"unexpected trailing token {words[end]!r}", E_SYNTAX, end)
+        if cls is SelPulse:
+            if words[end] != "gaussian":
+                raise _WordError(f"unknown pulse shape {words[end]!r}",
+                                 E_UNKNOWN_KEYWORD, end)
+            shape = {}
+            # the slice count is optional
+            shape_fields = _SHAPE[1][:2 if end + 2 < len(words) else 1]
+            end = _read_fields(words, end + 1, shape_fields, sys, shape)
+            values["shape"] = GaussianShape(**shape)
+        if end < len(words):
+            raise _WordError(f"unexpected trailing token {words[end]!r}", E_SYNTAX, end)
+    elif cls is SelPulse:
+        values["shape"] = None
     event = object.__new__(cls)     # values holds every field: skip the frozen __init__
     event.__dict__.update(values)
     return event
@@ -390,7 +395,7 @@ def parse_sequence(text: str) -> SequenceIR:
     sys: SpinSystem | None = None
     events: list[Event] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0]
+        code = raw.split("#", 1)[0] if "#" in raw else raw
         words = code.split()
         if not words:
             continue
@@ -400,12 +405,12 @@ def parse_sequence(text: str) -> SequenceIR:
                     raise _WordError("duplicate system declaration", E_DUPLICATE_SYSTEM, 0)
                 decl, sys = _parse_system(words)
                 continue
-            if decl is None or sys is None:
+            if sys is None:
                 raise _WordError("system declaration must come first", E_MISSING_SYSTEM, 0)
             event = _parse_event(words, sys, {
                 "line": lineno, "column": len(code) - len(code.lstrip()) + 1})
-            if events and isinstance(events[-1], Acquire):
-                if isinstance(event, Acquire):
+            if events and type(events[-1]) is Acquire:
+                if type(event) is Acquire:
                     raise _WordError("only one acquire event is allowed",
                                      E_DUPLICATE_ACQUIRE, 0)
                 raise _WordError("acquire must be the last event", E_ACQUIRE_NOT_LAST, 0)
@@ -424,7 +429,8 @@ def parse_sequence(text: str) -> SequenceIR:
 # --- canonical printer ------------------------------------------------------
 
 # a %-template per class: its keyword path, then the text of each field
-_TEMPLATES = {cls: " ".join([key, *(f"%({field[3] or field[2]})s" for field in fields)])
+_TEMPLATES = {cls: " ".join([*((key,) if isinstance(key, str) else key),
+                              *(f"%({field[3] or field[2]})s" for field in fields)])
               for key, (cls, fields) in [*_STATEMENTS.items(), ("gaussian", _SHAPE)]}
 
 

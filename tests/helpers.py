@@ -12,9 +12,10 @@ by the @ operator, the spin check, the relaxation step, the observable
 amplitudes, the FID's lines, the readout's bookkeeping, the Sparrow check
 and the oracle sequence; the transform as it was before it kept a working
 buffer per thread; the transform constants as they were computed on every
-call, before the readout kept them per grid and line set; and the readout
+call, before the readout kept them per grid and line set; the readout
 windows as an edge search found them on every call, before one mask per
-line replaced it.
+line replaced it; and the pulses of a plan grouped per generator, before one
+gathered exponential built them all.
 """
 
 import cmath
@@ -29,12 +30,13 @@ from quadnmr import (FID, Peak, SequenceIR, Spectrum, SpinSystem, UnresolvedLine
 from quadnmr.dj import _ORACLE_FILES, SEQUENCE_METHODS, _bundled_events
 from quadnmr.linalg import (ATOL, MAX_TWO_SPIN, expm_diagonal, expm_from_eigh, is_hermitian,
                             spin_operators)
-from quadnmr.pulses import _unit_element
+from quadnmr.pulses import _generator_table, _unit_element, pulse_factors
 from quadnmr.readout import (_NORMAL_MIN, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _axis,
                              _best_phase, _bin_offset, _expm1, _twiddles)
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.seqlang import QuadDelay, SystemDecl
-from quadnmr.system import H_ROW, QUAD_ROW, SPIN_32_LABELS, Z_ROW, _z_orientation, cphase_delay_s
+from quadnmr.system import (H_ROW, QUAD_ROW, SPIN_32_LABELS, Z_ROW, _z_orientation,
+                            cphase_delay_s, evolution_coefficient)
 
 
 def propagator(event, sys: SpinSystem) -> np.ndarray:
@@ -401,3 +403,25 @@ def oracle_sequence_reference(oracle_id: str, method: str, sys: SpinSystem) -> S
         for e in _bundled_events(_ORACLE_FILES[oracle_id, method]))
     return SequenceIR(system_decl=SystemDecl(spin=sys.spin, splitting_hz=sys.splitting_hz,
                                              offset_hz=sys.offset_hz), events=events)
+
+
+def pulse_stack_reference(events, sys: SpinSystem) -> list[np.ndarray]:
+    """The propagators of pulse events as compiler._plan built them with one
+    stacked expm_from_eigh per generator, the shaped pulses of a generator in
+    a stack of their own times their free evolution."""
+    w, v, vh = _generator_table(sys.dim)
+    groups, out = {}, [None] * len(events)
+    for k, event in enumerate(events):
+        shape = getattr(event, "shape", None)
+        sign, row = pulse_factors(sys, event.axis, event.angle_rad,
+                                  getattr(event, "transition", None))
+        free = None if shape is None else evolution_coefficient(shape.duration_s)
+        groups.setdefault((row, free is None), []).append((k, sign * event.angle_rad, free))
+    for (row, _), members in groups.items():
+        ks, scales, frees = zip(*members)
+        us = expm_from_eigh(w[row], v[row], vh[row], np.array(scales).reshape(-1, 1, 1))
+        if frees[0] is not None:
+            us = expm_diagonal(np.array(frees)[:, None] * sys._h_diag) @ us
+        for k, u in zip(ks, us):
+            out[k] = u
+    return out

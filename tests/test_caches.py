@@ -11,7 +11,7 @@ import quadnmr
 
 # keyed by a level count (at most 16) or a bundled sequence file name
 UNBOUNDED = {"quadnmr.system._levels", "quadnmr.linalg._spin_operators",
-             "quadnmr.pulses._generator_factors", "quadnmr.compiler._inversion",
+             "quadnmr.pulses._generator_table", "quadnmr.compiler._inversion",
              "quadnmr.dj._start_state", "quadnmr.dj._bundled_events"}
 
 

@@ -18,7 +18,7 @@ from quadnmr.seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, GaussianShape, Grad
 
 from conftest import SEQUENCES_DIR
 from helpers import (conjugate_reference, free_evolution, line_table, matrices_close,
-                     propagator)
+                     propagator, pulse_stack_reference)
 from test_relaxation import relaxed
 
 
@@ -185,7 +185,8 @@ def test_bundled_gate_scripts_compile_exactly(name, oracle, phase):
 
 
 SPINS = st.integers(1, 7).map(lambda two_i: two_i / 2.0)
-AXES = st.sampled_from(["x", "-x", "y", "-y"])
+AXIS_NAMES = ("x", "-x", "y", "-y")
+AXES = st.sampled_from(AXIS_NAMES)
 # a whole turn, the symbolic angles and anything else
 ANGLES = st.one_of(st.sampled_from([2 * np.pi, np.pi, np.pi / 2, -np.pi / 4, 0.0]),
                    st.floats(-10.0, 10.0))
@@ -302,38 +303,69 @@ def test_walk_has_the_bits_of_the_matmul_walk(seq):
         assert got.tobytes() == rho.tobytes()
 
 
+# angles from +-0.0 to +-1e12, tiny and symbolic ones between
+_MANY_ANGLES = (0.0, -0.0, 5e-324, -1e-300, 0.5, -np.pi, np.pi / np.sqrt(3), -1e6, 1e12, -1e12)
+
+
+def _every_pulse(spin: float) -> list:
+    """(axis, angle, kind, line) of a hard pulse, and of a selective and a
+    gaussian pulse on every line, about every axis at every angle of
+    _MANY_ANGLES."""
+    kinds = [("hard", 0)] + [(kind, line) for kind in ("sel", "gaussian")
+                             for line in range(int(2 * spin))]
+    return [(axis, angle, kind, line) for angle in _MANY_ANGLES for axis in AXIS_NAMES
+            for kind, line in kinds]
+
+
 @settings(max_examples=150, deadline=None)
-@given(spin=st.integers(1, 15).map(lambda two_i: two_i / 2.0), axis=AXES,
-       angle=st.floats(-1e12, 1e12), kind=st.sampled_from(["hard", "sel", "gaussian"]),
-       line=st.integers(0, 14), duration=st.floats(1e-7, 1e-3),
-       offset_hz=st.floats(-5e3, 5e3), lambda_hz=st.floats(1.0, 5e3))
-@example(spin=1.5, axis="x", angle=1.0, kind="gaussian", line=1, duration=1e-4,
+@given(spin=st.integers(1, 15).map(lambda two_i: two_i / 2.0),
+       pulses=st.lists(st.tuples(AXES, st.floats(-1e12, 1e12),
+                                 st.sampled_from(["hard", "sel", "gaussian"]),
+                                 st.integers(0, 14)), min_size=1, max_size=6),
+       duration=st.floats(1e-7, 1e-3), offset_hz=st.floats(-5e3, 5e3),
+       lambda_hz=st.floats(1.0, 5e3))
+@example(spin=1.5, pulses=[("x", 1.0, "gaussian", 1)], duration=1e-4,
          offset_hz=-6.0, lambda_hz=1.0)     # an entry of the H diagonal is exactly 0
-@example(spin=7.5, axis="-y", angle=-0.0, kind="hard", line=0, duration=1e-4,
+@example(spin=7.5, pulses=[("-y", -0.0, "hard", 0)], duration=1e-4,
          offset_hz=0.0, lambda_hz=1.0)
-@example(spin=0.5, axis="-x", angle=-1e12, kind="sel", line=0, duration=1e-4,
+@example(spin=0.5, pulses=[("-x", -1e12, "sel", 0)], duration=1e-4,
          offset_hz=0.0, lambda_hz=1.0)
-def test_a_one_pulse_sequence_has_the_bytes_of_its_pulse(spin, axis, angle, kind, line,
-                                                         duration, offset_hz, lambda_hz):
+# many-pulse sequences: every generator of the spin, in one batch
+@example(spin=0.5, pulses=_every_pulse(0.5), duration=1e-4, offset_hz=300.0, lambda_hz=1.0)
+@example(spin=1.5, pulses=_every_pulse(1.5), duration=3e-5, offset_hz=-500.0,
+         lambda_hz=16_000.0 / 6.0)
+@example(spin=2.5, pulses=_every_pulse(2.5), duration=1e-3, offset_hz=0.0, lambda_hz=1e3)
+@example(spin=7.5, pulses=_every_pulse(7.5), duration=1e-7, offset_hz=4e3, lambda_hz=5e3)
+def test_a_one_pulse_sequence_has_the_bytes_of_its_pulse(spin, pulses, duration, offset_hz,
+                                                         lambda_hz):
     """_plan builds a lone pulse as a stack of one; compile_unitary of it has the
     bytes of hard_pulse or selective_pulse, which exponentiate one matrix, and
     a gaussian pulse those of the free evolution over its duration times the
-    selective pulse."""
+    selective pulse. In a sequence of many pulses each step's propagator has
+    the bytes of its lone pulse, and of the batch grouped per generator."""
     sys = SpinSystem(spin=spin, offset_hz=offset_hz, lambda_hz=lambda_hz)
-    label = sys._levels.line_labels[line % (sys.dim - 1)]
-    if kind == "hard":
-        event, want = HardPulse(axis=axis, angle_rad=angle, angle_text="a"), \
-            hard_pulse(sys, axis, angle)
-    else:
-        shape = GaussianShape(duration_s=duration, duration_text="d") \
-            if kind == "gaussian" else None
-        event = SelPulse(transition=label, axis=axis, angle_rad=angle, angle_text="a",
-                         shape=shape)
-        want = selective_pulse(sys, label, axis, angle)
-        if shape is not None:
-            want = expm_diagonal(-1j * duration * sys._h_diag) @ want
-    ir = SequenceIR(SystemDecl(sys.spin, sys.splitting_hz, sys.offset_hz), (event,))
-    assert compile_unitary(ir, sys).tobytes() == want.tobytes()
+    events, wants = [], []
+    for axis, angle, kind, line in pulses:
+        label = sys._levels.line_labels[line % (sys.dim - 1)]
+        if kind == "hard":
+            event, want = HardPulse(axis=axis, angle_rad=angle, angle_text="a"), \
+                hard_pulse(sys, axis, angle)
+        else:
+            shape = GaussianShape(duration_s=duration, duration_text="d") \
+                if kind == "gaussian" else None
+            event = SelPulse(transition=label, axis=axis, angle_rad=angle, angle_text="a",
+                             shape=shape)
+            want = selective_pulse(sys, label, axis, angle)
+            if shape is not None:
+                want = expm_diagonal(-1j * duration * sys._h_diag) @ want
+        decl = SystemDecl(sys.spin, sys.splitting_hz, sys.offset_hz)
+        assert compile_unitary(SequenceIR(decl, (event,)), sys).tobytes() == want.tobytes()
+        events.append(event)
+        wants.append(want)
+    plan, _, _ = _plan(events, sys, None)
+    for steps, want, grouped in zip(plan, wants, pulse_stack_reference(events, sys),
+                                    strict=True):
+        assert steps[0][0].tobytes() == want.tobytes() == grouped.tobytes()
 
 
 _RELAXED_REFOCUS = (SpinSystem(), SequenceIR(SystemDecl(1.5, 16_000.0), (

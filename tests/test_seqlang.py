@@ -36,17 +36,22 @@ class TestParsing:
         lam = 16_000.0 / 6.0
         assert ir.events[1].tau_s == pytest.approx(1.0 / (24.0 * lam))
 
-    def test_angle_symbols(self):
+    # each symbol with and without its sign, and signed zeros, which keep
+    # their sign
+    @pytest.mark.parametrize("word, value", [
+        ("pi/2", np.pi / 2), ("-pi/2", -np.pi / 2), ("pi/sqrt(3)", np.pi / np.sqrt(3)),
+        ("pi", np.pi), ("-pi", -np.pi), ("pi/4", np.pi / 4), ("-pi/4", -np.pi / 4),
+        ("-pi/sqrt(3)", -np.pi / np.sqrt(3)), ("-0", -0.0), ("-0.0", -0.0), ("0", 0.0),
+        ("-1e-320", -1e-320)])
+    def test_angle_symbols(self, word, value):
         ir = parse_sequence(
             "system I=3/2 splitting=16kHz\n"
-            "pulse hard -y pi/2\n"
-            "zpulse 01-11 -pi/2\n"
-            "pulse sel 00-01 x pi/sqrt(3)\n"
-            "pulse hard x pi\n")
-        assert ir.events[0].angle_rad == pytest.approx(np.pi / 2)
-        assert ir.events[1].angle_rad == pytest.approx(-np.pi / 2)
-        assert ir.events[2].angle_rad == pytest.approx(np.pi / np.sqrt(3))
-        assert ir.events[3].angle_rad == pytest.approx(np.pi)
+            f"pulse hard -y {word}\n"
+            f"zpulse 01-11 {word}\n"
+            f"pulse sel 00-01 x {word}\n")
+        for event in ir.events:
+            assert event.angle_rad.hex() == float(value).hex()
+            assert event.angle_text == word
 
     def test_duration_units(self):
         ir = parse_sequence(
@@ -148,7 +153,10 @@ class TestParseErrors:
         ("system I=3/2 splitting=1e308kHz", 24, "splitting must be finite, got '1e308kHz'"),
         ("system I=3/2 lambda=-1e400Hz", 21, "lambda must be finite, got '-1e400Hz'"),
         ("system I=3/2 offset=-1e400kHz splitting=16kHz", 21,
-         "offset must be finite, got '-1e400kHz'")])
+         "offset must be finite, got '-1e400kHz'"),
+        # lambda itself is finite; the splitting 6*lambda is not
+        ("system I=3/2 lambda=1e308Hz", 21,
+         "lambda too large: 6*lambda overflows the float range, got '1e308Hz'")])
     def test_an_infinite_frequency_is_refused_at_its_value(self, text, column, message):
         with pytest.raises(ParseError) as err:
             parse_sequence(text + "\n")
@@ -185,6 +193,12 @@ class TestParseErrors:
         ("system I=3/2 splitting=16kHz\nzpulse 01-11 01-11 -pi/2\n",
          "E_BAD_NUMBER at 2:14"),
         ("system I=3/2 splitting=16kHz\ndelay quad quad 5us\n", "E_BAD_NUMBER at 2:12"),
+        # angle words that are neither a symbol nor a finite float
+        ("system I=3/2 splitting=16kHz\npulse hard x +pi\n", "E_BAD_NUMBER at 2:14"),
+        ("system I=3/2 splitting=16kHz\npulse hard x --pi\n", "E_BAD_NUMBER at 2:14"),
+        ("system I=3/2 splitting=16kHz\npulse hard x pi/3\n", "E_BAD_NUMBER at 2:14"),
+        ("system I=3/2 splitting=16kHz\nzpulse 01-11 -inf\n", "E_BAD_VALUE at 2:14"),
+        ("system I=3/2 splitting=16kHz\n  zpulse 01-11 -nan\n", "E_BAD_VALUE at 2:16"),
     ])
     def test_inline_error_cases(self, text, code):
         # code is "E_CODE" or, to pin the position too, "E_CODE at LINE:COLUMN"
