@@ -30,7 +30,11 @@ is kept per grid and line set in bounded caches (_windows, _line_constants)
 of a few Python scalars or a slice per line, so the runs of every oracle on
 one system and grid compute it once. Their keys, like the axis's, compare
 exactly (system._exact_cache): numbers equal in value but not in bits never
-share an entry.
+share an entry. Each thread also keeps the denominators 1 - q w^j of the
+last two line sets at each of the last three point counts, from a set's
+second transform on and only for sets of at most 192 KiB (_KeptRows): no
+2^20-point rows are kept, and a thread keeps at most 1.125 MiB of them.
+A repeated set's transform then only divides.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ DEFAULT_LB_HZ = 200.0
 # buffer, 64 MB in all. Between transforms the process keeps the twiddle
 # table (32 MB, shared by all threads) and each thread that transformed keeps
 # its working buffer (16 MB): both are cached for the last three point counts.
+# Denominator rows are kept only for line sets of at most 192 KiB
+# (_KEPT_ROWS_BYTES), never for 2^20 points: at most 1.125 MiB a thread.
 MAX_POINTS = 2 ** 20
 
 # Number of nominal linewidths (each side) integrated around a line.
@@ -264,13 +270,64 @@ def _twiddles(points: int) -> np.ndarray:
     return table
 
 
+# The most bytes of denominator rows kept for one line set, 16 a line and
+# point: the three lines of every spin-3/2 grid up to 4096 points. Larger
+# sets, such as 16384-point ones, are built on every call: kept, they slowed
+# runs that mix point counts more than their rows saved.
+_KEPT_ROWS_BYTES = 16 * 3 * 4096
+
+
+def _denominators(out: np.ndarray, table: np.ndarray, factor: complex, j: int,
+                  start: int) -> None:
+    """1 + factor w^(j-m) into out, 1 at its line's bin j (set after the division)."""
+    np.multiply(factor, table[start:start + len(out)], out=out)
+    out += 1.0
+    out[j] = 1.0
+
+
+class _KeptRows:
+    """The denominator rows of the last two line sets transformed at one
+    point count, each kept from its second transform on. A new set takes
+    the slot of the less recent one, whose buffer it overwrites in place."""
+
+    def __init__(self, points: int):
+        self.points = points
+        # [line constants, buffer, rows]: rows stays None until the set repeats
+        self.slots = [[None, None, None], [None, None, None]]
+
+    def find(self, constants: tuple, table: np.ndarray) -> tuple | None:
+        """The rows of constants, a _line_constants entry of this point
+        count, one per line; None on its first transform. Entries are
+        compared by identity, and a slot keeps its entry alive, so a key
+        never matches another set."""
+        n = self.points
+        recent, other = self.slots
+        if recent[0] is not constants:
+            self.slots.reverse()
+            if other[0] is not constants:
+                other[0], other[2] = constants, None
+                return None
+            recent = other
+        if recent[2] is None:
+            if recent[1] is None:
+                recent[1] = np.empty(_KEPT_ROWS_BYTES // 16, dtype=complex)
+            rows = recent[1][:len(constants) * n].reshape(len(constants), n)
+            for row, (factor, _, _, j, start) in zip(rows, constants):
+                _denominators(row, table, factor, j, start)
+            recent[2] = tuple(rows)
+        return recent[2]
+
+
 class _Buffers(threading.local):
-    """Each thread's working arrays of the transform, one per point count for
-    the last three counts, like _twiddles. They outlive the call, so that a
-    transform allocates no full-length array besides its result."""
+    """Each thread's arrays of the transform, for the last three point counts
+    like _twiddles: a working buffer, and the denominator rows of the last
+    two line sets within _KEPT_ROWS_BYTES (_KeptRows), at most 2 x 192 KiB x
+    3 counts = 1.125 MiB. They outlive the call, so that a transform
+    allocates no full-length array besides its result."""
 
     def __init__(self):
         self.terms = lru_cache(maxsize=3)(lambda points: np.empty(points, dtype=complex))
+        self.rows = lru_cache(maxsize=3)(_KeptRows)
 
 
 _buffers = _Buffers()
@@ -338,18 +395,24 @@ def _line_spectrum(fid: FID) -> np.ndarray:
     it keeps too few digits for the ratio, which is N a to double precision
     (N |i y - d| < 1e-300). Those constants are computed once per grid and
     line set (_line_constants); only the amplitudes multiply them per call.
+    The denominators 1 - q w^j of a line set that repeats are kept per
+    thread (_KeptRows), so its later transforms only divide.
     """
     n = fid.points
     table = _twiddles(n)
     constant = -0.5 * sum(a for a, _, _ in fid.lines)
     amp, terms = None, np.empty(n, dtype=complex)
     kept = _line_constants(n, fid.dwell_s, fid.lb_hz, tuple([(f, t2) for _, f, t2 in fid.lines]))
+    rows = None
+    if 16 * n * len(kept) <= _KEPT_ROWS_BYTES:
+        rows = _buffers.rows(n).find(kept, table)
     # in place: a fresh array per step would cost more than the arithmetic
-    for (a, _, _), (factor, numerator, ratio, j, start) in zip(fid.lines, kept):
-        np.multiply(factor, table[start:start + n], out=terms)
-        terms += 1.0
-        terms[j] = 1.0     # set below
-        np.divide(a * numerator, terms, out=terms)
+    for k, ((a, _, _), (factor, numerator, ratio, j, start)) in enumerate(zip(fid.lines, kept)):
+        if rows is None:
+            _denominators(terms, table, factor, j, start)
+            np.divide(a * numerator, terms, out=terms)
+        else:
+            np.divide(a * numerator, rows[k], out=terms)
         # the ratio first, so that a tiny amplitude does not take it subnormal
         terms[j] = n * a if ratio is None else a * ratio
         if amp is None:

@@ -15,7 +15,8 @@ buffer per thread; the transform constants as they were computed on every
 call, before the readout kept them per grid and line set; the readout
 windows as an edge search found them on every call, before one mask per
 line replaced it; and the pulses of a plan grouped per generator, before one
-gathered exponential built them all.
+gathered exponential built them all. clear_readout_caches makes the next
+readout start cold.
 """
 
 import cmath
@@ -32,7 +33,8 @@ from quadnmr.linalg import (ATOL, MAX_TWO_SPIN, expm_diagonal, expm_from_eigh, i
                             spin_operators)
 from quadnmr.pulses import _generator_table, _unit_element, pulse_factors
 from quadnmr.readout import (_NORMAL_MIN, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _axis,
-                             _best_phase, _bin_offset, _expm1, _twiddles)
+                             _best_phase, _bin_offset, _buffers, _expm1, _line_constants,
+                             _twiddles, _windows)
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.seqlang import QuadDelay, SystemDecl
 from quadnmr.system import (H_ROW, QUAD_ROW, SPIN_32_LABELS, Z_ROW, _z_orientation,
@@ -348,6 +350,12 @@ def spectrum_reference(fid: FID, sys: SpinSystem) -> Spectrum:
              for tr, window, hz, integral, sign in zip(table, windows, bins, integrals.tolist(),
                                                        np.sign(integrals).tolist())]
     return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
+
+
+def clear_readout_caches():
+    """Empty the readout's caches and this thread's kept transform arrays."""
+    for cache in (_line_constants, _windows, _twiddles, _axis, _buffers.terms, _buffers.rows):
+        cache.cache_clear()
 
 
 def line_spectrum_reference(fid: FID) -> np.ndarray:

@@ -40,5 +40,6 @@ def test_every_cache_is_bounded_but_those_keyed_by_level_count_or_file_name():
     # the scan reaches the bounded caches too: wrapped ones and a thread's own
     for name in ("quadnmr.dj._oracle_plan", "quadnmr.readout._line_constants",
                  "quadnmr.readout._twiddles", "quadnmr.relaxation.coherence_t2_table",
-                 "quadnmr.readout._Buffers.__init__.<locals>.<lambda>"):
+                 "quadnmr.readout._Buffers.__init__.<locals>.<lambda>",
+                 "quadnmr.readout._KeptRows"):
         assert caches[name].cache_parameters()["maxsize"] is not None

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from quadnmr import (FID, METHODS, ORACLE_IDS, Peak, RelaxationParams, SpinSystem, Spectrum,
                      acquire, conjugate, equilibrium_state, hard_pulse, observable_amplitudes,
                      run_dj, spectrum, synthesize_fid, write_peaks_csv, write_spectrum_csv)
-from quadnmr.readout import (_CSV_CHUNK_ROWS, _GEOMETRY_ENTRIES, MAX_POINTS,
-                             PEAK_WINDOW_LINEWIDTHS, _axis, _best_phase, _line_constants,
-                             _twiddles, _window_bins, _windows)
+from quadnmr.readout import (_CSV_CHUNK_ROWS, _GEOMETRY_ENTRIES, _KEPT_ROWS_BYTES, MAX_POINTS,
+                             PEAK_WINDOW_LINEWIDTHS, _axis, _best_phase, _buffers,
+                             _line_constants, _window_bins, _windows)
 from quadnmr.relaxation import coherence_t2_table
 
-from helpers import (best_phase_reference, ideal_density_after_oracle, line_table,
-                     line_spectrum_reference, observable_amplitudes_reference,
+from helpers import (best_phase_reference, clear_readout_caches, ideal_density_after_oracle,
+                     line_table, line_spectrum_reference, observable_amplitudes_reference,
                      spectrum_reference, synthesize_fid_reference, windows_reference)
 
 
@@ -774,8 +774,54 @@ def transform_grids(draw):
     return fids
 
 
+@st.composite
+def repeated_line_sets(draw):
+    """Transforms on one grid of two to four line sets, each two or three
+    times with new amplitudes, in a drawn interleaved order: the 1, 3 and 5
+    lines of spins 1/2, 3/2 and 5/2 (5 lines of 4096 points are over the
+    kept-row bound), lines undamped and exactly on bins or anywhere, T2s of
+    +-inf or relaxed, and zero and subnormal amplitudes. A None in the order
+    clears the line constants, so that the sets after it get new entries."""
+    points = draw(st.sampled_from([17, 1024, 2048, 4096]))
+    dwell_s = draw(st.sampled_from([5e-6, 1e-4]))
+    lb_hz = draw(st.one_of(st.just(0.0), st.floats(0.0, 500.0)))
+    step, nyquist = 1.0 / (points * dwell_s), 0.5 / dwell_s
+    bins = st.integers(-(points // 2), points - points // 2 - 1)
+    positions = st.one_of(bins.map(lambda k: k * step), st.floats(-nyquist, nyquist))
+    t2s = st.one_of(st.sampled_from([math.inf, -math.inf]), st.sampled_from(RELAXED_T2_S))
+    sets = [[(draw(positions), draw(t2s)) for _ in range(draw(st.sampled_from([1, 3, 5])))]
+            for _ in range(draw(st.integers(2, 4)))]
+    order = [k for k, _ in enumerate(sets) for _ in range(draw(st.integers(2, 3)))]
+    fids = []
+    for k in draw(st.permutations(order + [None] * draw(st.integers(0, 2)))):
+        fids.append(None if k is None else FID(
+            points=points, dwell_s=dwell_s, lb_hz=lb_hz,
+            lines=tuple((complex(draw(BIG_PARTS), draw(BIG_PARTS)), f, t2) for f, t2 in sets[k])))
+    return fids
+
+
+def interleaved_spins():
+    """A, B, A, C, B, A on one 2048-point grid, the line constants cleared
+    before the last A: spin 1/2 undamped exactly on a bin, spin 3/2 with T2s
+    of +-inf and zero and subnormal amplitudes, and spin 5/2 relaxed."""
+    points, dwell_s = 2048, 5e-6
+
+    def fid(spin, amplitudes, t2s):
+        freqs = SpinSystem.from_splitting(16_000.0, offset_hz=16 / (points * dwell_s),
+                                          spin=spin)._freqs
+        return FID(points=points, dwell_s=dwell_s, lb_hz=0.0,
+                   lines=tuple(zip(amplitudes, freqs, t2s)))
+
+    a = [fid(0.5, [amp], [math.inf]) for amp in (0.3, 2.0 - 1j, -1.0)]
+    b = [fid(1.5, amps, [math.inf, -math.inf, 0.004])
+         for amps in ([0j, -0.0 + 5e-324j, 1.0 - 0.5j], [1.0, -5e-324, 0j])]
+    c = fid(2.5, [1e-310, 1.0, 0j, -2.0, 1j], RELAXED_T2_S + [math.inf] * 2)
+    return [a[0], b[0], a[1], c, b[1], None, a[2]]
+
+
 class TestKeptTransformBuffer:
-    """The transform keeps one working buffer per thread and point count."""
+    """The transform keeps one working buffer per thread and point count,
+    and the denominator rows of the last two line sets within the bound."""
 
     @settings(max_examples=200, deadline=None)
     @given(transform_grids())
@@ -791,11 +837,14 @@ class TestKeptTransformBuffer:
         for fid, amp in zip(fids, results):
             assert amp.tobytes() == line_spectrum_reference(fid).tobytes()
 
-    def test_warm_spectrum_allocates_only_its_result(self, sys32):
-        points = 16384
+    # a 4096-point line set is kept from its second transform on, which
+    # fills its rows; 16384-point rows are over the bound and never kept
+    @pytest.mark.parametrize("points, transforms", [(16384, 1), (4096, 2)])
+    def test_warm_spectrum_allocates_only_its_result(self, sys32, points, transforms):
         fid = synthesize_fid([1.0, 2.0 - 1j, 3.0], sys32, points=points,
                              relax=RelaxationParams())
-        spectrum(fid, sys32)     # builds the twiddles, the axis and the kept buffer
+        for _ in range(transforms):
+            spectrum(fid, sys32)     # builds the twiddles, the axis and the kept buffer
         tracemalloc.start()
         try:
             spectrum(fid, sys32)
@@ -805,17 +854,28 @@ class TestKeptTransformBuffer:
         # the result, 16 bytes a point, and the small arrays of the windows
         assert peak <= 1.25 * 16 * points
 
-    def test_threads_get_the_bits_of_the_serial_transform(self, sys32):
-        fids = [synthesize_fid(amps, sys32, points=16384, relax=RelaxationParams())
-                for amps in ([1.0, 2.0 - 1j, 3.0], [-0.5j, 4.0, 1e-3 + 2j])]
-        serial = [spectrum(fid).amplitude.tobytes() for fid in fids]
+    # 16384-point rows are over the bound; at 4096 points each thread
+    # alternates two line sets of its own system, which it keeps rows of:
+    # rows shared by the threads would be rebuilt under the other's reads
+    @pytest.mark.parametrize("points, relaxations, splittings, rounds", [
+        (16384, [RelaxationParams()], [16_000.0, 16_000.0], 40),
+        (4096, [RelaxationParams(), None], [16_000.0, 12_000.0], 400)])
+    def test_threads_get_the_bits_of_the_serial_transform(self, points, relaxations, splittings,
+                                                          rounds):
+        fids = [[synthesize_fid(amps, SpinSystem.from_splitting(splitting_hz), points=points,
+                                relax=relax) for relax in relaxations]
+                for amps, splitting_hz in zip(([1.0, 2.0 - 1j, 3.0], [-0.5j, 4.0, 1e-3 + 2j]),
+                                              splittings)]
+        serial = [[spectrum(fid).amplitude.tobytes() for fid in sets] for sets in fids]
         start = threading.Barrier(len(fids), timeout=60)
         results = [[] for _ in fids]
 
         def transform(k):
             start.wait()
-            for _ in range(40):
-                results[k].append(spectrum(fids[k]).amplitude.tobytes())
+            for i in range(rounds):
+                which = i % len(relaxations)
+                results[k].append(spectrum(fids[k][which]).amplitude.tobytes() ==
+                                  serial[k][which])
 
         interval = getswitchinterval()
         setswitchinterval(1e-6)
@@ -828,13 +888,48 @@ class TestKeptTransformBuffer:
         finally:
             setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        for got, expected in zip(results, serial):
-            assert got == [expected] * 40
+        assert results == [[True] * rounds] * len(fids)
 
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_line_sets())
+    @example(interleaved_spins())
+    def test_repeated_line_sets_have_the_bits_of_the_parent_body(self, fids):
+        results = []
+        for fid in fids:
+            if fid is None:
+                _line_constants.cache_clear()
+            else:
+                results.append((fid, spectrum(fid).amplitude))
+        # every result is read after the last transform: none may share kept rows
+        for fid, amp in results:
+            assert amp.tobytes() == line_spectrum_reference(fid).tobytes()
 
-def clear_readout_caches():
-    for cache in (_line_constants, _windows, _twiddles, _axis):
-        cache.cache_clear()
+    def test_kept_rows_are_bounded(self):
+        # rounds over five point counts and three spins, each set transformed
+        # twice; 16384 points and 5 lines of 4096 points are over the bound
+        counts = [64, 16384, 1024, 2048, 4096]
+        for splitting_hz in (8_000.0, 12_000.0, 16_000.0):
+            for points in counts:
+                for spin in (0.5, 1.5, 2.5):
+                    sys = SpinSystem.from_splitting(splitting_hz, spin=spin)
+                    fid = synthesize_fid(np.ones(sys.dim - 1), sys, points=points,
+                                         relax=RelaxationParams() if spin == 1.5 else None)
+                    spectrum(fid)
+                    spectrum(fid)
+        # the last three counts under the bound are kept, each two sets in place
+        misses = _buffers.rows.cache_info().misses
+        kept = [_buffers.rows(points) for points in (1024, 2048, 4096)]
+        assert _buffers.rows.cache_info()[1:] == (misses, 3, 3)
+        for rows in kept:
+            assert len(rows.slots) == 2
+            for constants, buffer, built in rows.slots:
+                assert buffer.nbytes == _KEPT_ROWS_BYTES == 192 * 1024
+                assert len(built) == len(constants)
+                assert all(row.base is buffer for row in built)
+        # the last two sets of each count under the bound: spins 3/2 and 5/2,
+        # or 1/2 and 3/2 where 5 lines are over it
+        sets = [[len(constants) for constants, _, _ in rows.slots] for rows in kept]
+        assert sets == [[5, 3], [5, 3], [3, 1]]
 
 
 def fill_geometry_caches():

@@ -1,6 +1,7 @@
 """Smoke test of the experiment scripts under scripts/: each runs as its own
-process, exits 0, prints its table and writes the CSV files it names. The
-package and its modules define every name the scripts and the benchmark
+process, exits 0, prints its table and writes the CSV files it names, and
+run_dj_all's spectra have the bytes of the same runs read cold in process.
+The package and its modules define every name the scripts and the benchmark
 import from them."""
 
 import ast
@@ -14,7 +15,10 @@ from pathlib import Path
 import pytest
 
 import quadnmr
-from quadnmr import METHODS, ORACLE_IDS, oracle_class
+from quadnmr import (METHODS, ORACLE_IDS, RelaxationParams, SpinSystem, oracle_class, run_dj,
+                     write_spectrum_csv)
+
+from helpers import clear_readout_caches
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,6 +44,18 @@ def test_run_dj_all(tmp_path, flags):
         f"{oracle_id}_{method}_{kind}.csv"
         for oracle_id, method in product(ORACLE_IDS, METHODS)
         for kind in ("spectrum", "peaks"))
+    # each spectrum has the bytes of the same run read with cold caches,
+    # though the script's later runs reuse kept transform rows
+    relax = RelaxationParams() if "--relaxation" in flags else None
+    cold = tmp_path / "cold.csv"
+    for oracle_id, method in product(ORACLE_IDS, METHODS):
+        clear_readout_caches()
+        outcome = run_dj(oracle_id, SpinSystem.from_splitting(16_000.0), method=method,
+                         relax=relax,
+                         shaped_pulses="--shaped-pulses" in flags and method != "ideal-matrix")
+        write_spectrum_csv(cold, outcome.spectrum)
+        assert (tmp_path / f"{oracle_id}_{method}_spectrum.csv").read_bytes() == \
+            cold.read_bytes()
 
 
 def test_equilibrium_spectrum(tmp_path):
