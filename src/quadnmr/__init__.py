@@ -7,14 +7,13 @@ import types as _types
 
 from .compiler import NonUnitaryEventError, TrajectoryResult, compile_unitary, run_trajectory
 from .dj import (AmbiguousReadoutError, DJOutcome, ORACLE_IDS, METHODS,
-                 classify_peaks, oracle_class, oracle_matrix, oracle_sequence, run_dj,
-                 UnresolvedLinesError)
+                 classify_peaks, oracle_class, oracle_matrix, oracle_sequence, run_dj)
 from .linalg import (SpinOperators, conjugate, gate_fidelity_global_phase,
                      is_hermitian, is_unitary, spin_operators)
 from .prep import equilibrium_state, pseudopure_00
 from .pulses import gradient_crush, hard_pulse, selective_pulse
-from .readout import (FID, Peak, Spectrum, acquire, observable_amplitudes,
-                      spectrum, synthesize_fid, write_peaks_csv,
+from .readout import (FID, Peak, Spectrum, UnresolvedLinesError, acquire, check_resolved,
+                      observable_amplitudes, spectrum, synthesize_fid, write_peaks_csv,
                       write_spectrum_csv)
 from .relaxation import RelaxationParams
 from .seqlang import ParseError, SequenceIR, format_sequence, parse_sequence

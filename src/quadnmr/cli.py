@@ -3,10 +3,10 @@
 Subcommands: equilibrium, pseudopure, dj, compile-check. Spectra and peak
 tables are written as CSV (headers mandatory, 17-significant-digit floats)
 into --outdir, which defaults to $QUADNMR_OUTDIR or the current directory.
-Exit codes: 0 success, 1 configuration/parse errors (E_UNRESOLVED when the
-lines of dj or equilibrium lie too close for their widths to read their
-signs), 2 ambiguous readout; compile-check returns 4 when --strict is set and
-the fidelity check fails.
+Exit codes: 0 success, 1 configuration/parse errors (E_UNRESOLVED when, in a
+readout window of dj or equilibrium, the other lines' tails weigh as much as
+the window's own line), 2 ambiguous readout; compile-check returns 4 when
+--strict is set and the fidelity check fails.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .compiler import compile_unitary
 from .linalg import conjugate, gate_fidelity_global_phase
 from .prep import equilibrium_state, pseudopure_00
 from .pulses import hard_pulse
-from .readout import (DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, acquire,
-                      write_peaks_csv, write_spectrum_csv)
+from .readout import (DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, UnresolvedLinesError,
+                      acquire, check_resolved, write_peaks_csv, write_spectrum_csv)
 from .relaxation import (DEFAULT_T1_S, DEFAULT_T2_CENTRAL_S, DEFAULT_T2_OUTER_S,
                          RelaxationParams)
 from .seqlang import ParseError, parse_sequence
@@ -102,10 +102,10 @@ def _relax_from(args) -> RelaxationParams | None:
 def cmd_equilibrium(args) -> int:
     sys = _system_from(args)
     rho = conjugate(equilibrium_state(sys), hard_pulse(sys, "-y", np.pi / 2.0))
-    fid, spec = acquire(rho, sys, points=args.points, dwell_s=args.dwell,
-                        lb_hz=args.lb, relax=_relax_from(args))
+    spec = acquire(rho, sys, points=args.points, dwell_s=args.dwell,
+                   lb_hz=args.lb, relax=_relax_from(args))[1]
     if args.splitting:  # a zero splitting is warned about and read as one line
-        dj_mod.check_resolved(fid, sys)
+        check_resolved(spec)
     out = _outdir(args)
     write_spectrum_csv(out / "equilibrium_spectrum.csv", spec)
     write_peaks_csv(out / "equilibrium_peaks.csv", spec)
@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ParseError as exc:
         return _fail(exc.code, f"line {exc.line}:{exc.column}: {exc.message}")
-    except dj_mod.UnresolvedLinesError as exc:
+    except UnresolvedLinesError as exc:
         return _fail("E_UNRESOLVED", str(exc))
     except dj_mod.AmbiguousReadoutError as exc:
         print(f"error[E_AMBIGUOUS]: {exc}", file=_sys.stderr)

@@ -16,7 +16,8 @@ Compiled propagators match the ideal matrices up to the fixed global phases
 recorded in ORACLE_PHASES. The algorithm itself runs pseudopure preparation,
 a hard 90 about -y, the oracle, and acquisition; the function class is read
 from whether the central line's sign agrees with the outer lines' sign
-(constant) or opposes it (balanced). Each oracle's plan (compiler._plan) is
+(constant) or opposes it (balanced), once each window's own line is known to
+set its sign (readout.check_resolved). Each oracle's plan (compiler._plan) is
 built once and kept (_oracle_plan); a run only walks it.
 """
 
@@ -33,7 +34,8 @@ from .compiler import _plan, _walk
 from .linalg import conjugate
 from .prep import pseudopure_00
 from .pulses import hard_pulse
-from .readout import DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, FID, Spectrum, acquire
+from .readout import (DEFAULT_DWELL_S, DEFAULT_LB_HZ, DEFAULT_POINTS, Spectrum,
+                      UnresolvedLinesError, acquire, check_resolved)
 from .relaxation import RelaxationParams
 from .seqlang import (Event, GaussianShape, QuadDelay, SelPulse, SequenceIR,
                       SystemDecl, parse_sequence)
@@ -58,37 +60,6 @@ _ORACLE_ROWS = {"f1": [0, 1, 2, 3], "f2": [1, 0, 3, 2], "f3": [0, 1, 3, 2], "f4"
 
 class AmbiguousReadoutError(RuntimeError):
     """Peak signs too weak or inconsistent to classify the oracle."""
-
-
-class UnresolvedLinesError(ValueError):
-    """The readout cannot sign every line apart from its neighbours."""
-
-
-def check_resolved(fid: FID, sys: SpinSystem) -> None:
-    """Raise UnresolvedLinesError unless every line of fid can be signed on its own.
-
-    A line's width is the FWHM it shows on the grid: fid.lb_hz, plus one bin
-    1/(points*dwell_s), plus 1/(pi*T2) of the line (0 for T2 = inf, without
-    relaxation). Adjacent lines, including the pair that neighbours across
-    the spectral edge, must lie more than the larger width over sqrt(3)
-    apart: the Sparrow limit, below which two Lorentzians merge. No rule
-    bounds a line's width against the spectral width 1/dwell_s: with the
-    first FID sample at half weight (readout.spectrum), broad lines carry no
-    flat offset that could flip their sign.
-    """
-    freqs, labels = sys._freqs, sys._levels.line_labels
-    order = sorted(range(len(freqs)), key=freqs.__getitem__)    # ties in table order
-    bin_hz, spectral_width = 1.0 / (fid.points * fid.dwell_s), 1.0 / fid.dwell_s
-    widths = [fid.lb_hz + bin_hz + 1.0 / (math.pi * fid.lines[k][2]) for k in order]
-    # the spectrum is periodic in 1/dwell, so the highest line neighbours the lowest
-    for k, (a, b) in enumerate(zip(order, order[1:] + order[:1])):
-        gap = freqs[b] - freqs[a] + (spectral_width if b == order[0] else 0.0)
-        limit = max(widths[k], widths[(k + 1) % len(order)]) / math.sqrt(3.0)
-        if not gap > limit:
-            raise UnresolvedLinesError(
-                f"lines {labels[a]} and {labels[b]} lie {gap:g} Hz apart, "
-                f"within the Sparrow limit {limit:g} Hz of their widths; raise the "
-                "splitting, or lower the line broadening or relaxation rates")
 
 
 def oracle_class(oracle_id: str) -> str:
@@ -229,9 +200,10 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
     Zeeman rotation left out only sets the global phase, and the oracle's
     plan is kept per sequence file, spin, coupling and relax (_oracle_plan),
     shared by every offset. The readout is readout.acquire with the given
-    points, dwell, line broadening and relax. Raises UnresolvedLinesError
-    when the lines lie too close for their widths to sign (check_resolved),
-    since they could then read as the wrong class.
+    points, dwell, line broadening and relax. Before the classifier reads
+    the signs, readout.check_resolved raises UnresolvedLinesError for a
+    window whose neighbours' tails weigh as much as its own line, since its
+    sign could then read the wrong class.
     """
     sys = SpinSystem() if sys is None else sys
     oracle_class(oracle_id)
@@ -254,8 +226,8 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
                 None if relax is None else (relax.t1_s, relax.t2_central_s, relax.t2_outer_s))
             rho = _walk(events, planned, frame, rho, relax)[0][-1]
 
-    fid, spec = acquire(rho, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz, relax=relax)
-    check_resolved(fid, sys)
+    spec = acquire(rho, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz, relax=relax)[1]
+    check_resolved(spec)
     return _frozen(DJOutcome, oracle_id=oracle_id, method=method,
                    peak_signs=tuple([p.real_integral for p in spec.peaks]),
                    classification=classify_peaks(spec.peaks), spectrum=spec, rho_final=rho)

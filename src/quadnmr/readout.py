@@ -20,7 +20,8 @@ sum_t a_t (1 - q_t^N) / (1 - q_t w^j) - a_t / 2 of the FID's lines, with
 w^j = exp(-2 pi i (j - N//2) / N), so no samples and no FFT are computed.
 The spectrum is then phased by the global zero-order phase that maximizes
 the summed |real peak integrals| (largest peak forced positive), and
-summarized as one signed integral per transition over +-3 nominal linewidths.
+summarized as one signed integral per transition over +-3 nominal linewidths;
+check_resolved refuses a window whose own line does not outweigh the rest.
 
 Each window holds the bins within +-3 nominal linewidths of its line that no
 other line is strictly nearer to, found by one mask over the axis; the exact
@@ -151,12 +152,17 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
     return FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz, lines=tuple(lines))
 
 
+class UnresolvedLinesError(ValueError):
+    """The readout cannot sign every line apart from its neighbours."""
+
+
 @dataclass(frozen=True)
 class Peak:
     transition: str
     frequency_hz: float      # location of the maximum within the window
     real_integral: float
     sign: int
+    own_integral: float = field(default=0.0, repr=False)   # its own line's part of it
 
 
 @dataclass(frozen=True)
@@ -381,8 +387,9 @@ def _line_constants(points: int, dwell_s: float, lb_hz: float,
     return tuple(constants)
 
 
-def _line_spectrum(fid: FID) -> np.ndarray:
-    """The transform of fid's lines on the shifted axis, first sample at half weight.
+def _line_spectrum(fid: FID, windows) -> tuple[np.ndarray, list[complex]]:
+    """The transform of fid's lines on the shifted axis, first sample at half
+    weight, and line k's part of windows[k] (0 where there is no line k).
 
     Line a q^k contributes a (1 - q^N) / (1 - q w^j) - a/2. Each line is
     taken from its nearest bin m (_bin_offset): with y its phase per sample
@@ -401,7 +408,7 @@ def _line_spectrum(fid: FID) -> np.ndarray:
     n = fid.points
     table = _twiddles(n)
     constant = -0.5 * sum(a for a, _, _ in fid.lines)
-    amp, terms = None, np.empty(n, dtype=complex)
+    amp, terms, own = None, np.empty(n, dtype=complex), [0j] * len(windows)
     kept = _line_constants(n, fid.dwell_s, fid.lb_hz, tuple([(f, t2) for _, f, t2 in fid.lines]))
     rows = None
     if 16 * n * len(kept) <= _KEPT_ROWS_BYTES:
@@ -415,6 +422,9 @@ def _line_spectrum(fid: FID) -> np.ndarray:
             np.divide(a * numerator, rows[k], out=terms)
         # the ratio first, so that a tiny amplitude does not take it subnormal
         terms[j] = n * a if ratio is None else a * ratio
+        if k < len(windows):    # the line's terms there, and its -a/2 in each bin
+            part = terms[windows[k]]
+            own[k] = complex(np.add.reduce(part)) + -0.5 * a * part.size
         if amp is None:
             # the first line's array becomes the sum: term + constant has
             # the bits of constant + term, and no array is filled first; the
@@ -423,7 +433,7 @@ def _line_spectrum(fid: FID) -> np.ndarray:
             amp += constant
         else:
             amp += terms
-    return np.full(n, constant, dtype=complex) if amp is None else amp
+    return (np.full(n, constant, dtype=complex) if amp is None else amp), own
 
 
 def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
@@ -440,17 +450,20 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     Each window spans +-3 lb around its line and keeps only the bins no
     farther from it than from any other line, so overlapping windows share
     no signal except at exact ties. A window that holds no frequency bin is
-    a ValueError naming the line.
+    a ValueError naming the line. Peak.own_integral is the real part of FID
+    line k's share of window k at that phase, 0 where there is no line k.
     """
-    freq, amp = _axis(fid.points, fid.dwell_s), _line_spectrum(fid)
+    freq = _axis(fid.points, fid.dwell_s)
     if sys is None:
-        return _frozen(Spectrum, freq_hz=freq, amplitude=amp, peaks=[], phase_rad=0.0)
+        return _frozen(Spectrum, freq_hz=freq, amplitude=_line_spectrum(fid, ())[0],
+                       peaks=[], phase_rad=0.0)
 
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     labels, lines = sys._levels.line_labels, sys._freqs
     kept = _windows(fid.points, fid.dwell_s, lines, half_width)
     windows = [_window_bins(freq, lines, line, half_width) if window is None else window
                for line, window in zip(lines, kept)]
+    amp, own = _line_spectrum(fid, windows)
     df = freq.item(1) - freq.item(0)
     raw, parts = [], []
     for label, line, window in zip(labels, lines, windows):
@@ -469,17 +482,32 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
                 "lower the amplitudes or raise the dwell time")
     raw = np.array(raw)
     phase = _best_phase(raw)
-    rot = np.exp(1j * phase)
+    rot = np.exp(1j * phase).item()
     amp *= rot      # the bits of amp * rot, without a second array
     peaks = []
-    for label, window, part, integral in zip(labels, windows, parts, (raw * rot).real.tolist()):
+    for label, window, part, integral, mine in zip(labels, windows, parts,
+                                                   (raw * rot).real.tolist(), own):
         if type(window) is slice:   # part is a view of amp, so it is phased too
             top = window.start + np.abs(part).argmax()
         else:
             top = window[np.abs(amp[window]).argmax()]
         peaks.append(_frozen(Peak, transition=label, frequency_hz=freq.item(top),
-                             real_integral=integral, sign=-1 if integral < 0 else 1))
+                             real_integral=integral, sign=-1 if integral < 0 else 1,
+                             own_integral=(mine * df * rot).real))
     return _frozen(Spectrum, freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
+
+
+def check_resolved(spec: Spectrum) -> None:
+    """Raise UnresolvedLinesError, naming the line and both parts, for the first
+    window whose own line's real part (Peak.own_integral) does not outweigh the
+    rest, which the other lines' tails put in and which could then set its sign."""
+    for p in spec.peaks:
+        rest = p.real_integral - p.own_integral
+        if not abs(p.own_integral) > abs(rest):
+            raise UnresolvedLinesError(
+                f"the other lines put {rest:.6g} into the readout window of line "
+                f"{p.transition}, against {p.own_integral:.6g} of its own; raise the "
+                "splitting, or lower the line broadening or relaxation rates")
 
 
 def acquire(rho: np.ndarray, sys: SpinSystem, points: int = DEFAULT_POINTS,

@@ -9,14 +9,15 @@ another way: the numpy build of a SpinSystem, the zero-order phase, the
 oracle matrices and the crusher; and the bodies that the cut of run_dj's
 fixed per-call cost replaced: the pulse exponential and the sandwich product
 by the @ operator, the spin check, the relaxation step, the observable
-amplitudes, the FID's lines, the readout's bookkeeping, the Sparrow check
-and the oracle sequence; the transform as it was before it kept a working
-buffer per thread; the transform constants as they were computed on every
-call, before the readout kept them per grid and line set; the readout
-windows as an edge search found them on every call, before one mask per
-line replaced it; and the pulses of a plan grouped per generator, before one
-gathered exponential built them all. clear_readout_caches makes the next
-readout start cold.
+amplitudes, the FID's lines, the readout's bookkeeping and the oracle
+sequence; the transform as it was before it kept a working buffer per
+thread, line by line (line_terms_reference), from which
+own_integrals_reference takes each window's own part; the transform
+constants as they were computed on every call, before the readout kept them
+per grid and line set; the readout windows as an edge search found them on
+every call, before one mask per line replaced it; and the pulses of a plan
+grouped per generator, before one gathered exponential built them all.
+clear_readout_caches makes the next readout start cold.
 """
 
 import cmath
@@ -26,8 +27,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from quadnmr import (FID, Peak, SequenceIR, Spectrum, SpinSystem, UnresolvedLinesError,
-                     compile_unitary, oracle_class, oracle_matrix, selective_pulse)
+from quadnmr import (FID, Peak, SequenceIR, Spectrum, SpinSystem, compile_unitary,
+                     oracle_class, oracle_matrix, selective_pulse)
 from quadnmr.dj import _ORACLE_FILES, SEQUENCE_METHODS, _bundled_events
 from quadnmr.linalg import (ATOL, MAX_TWO_SPIN, expm_diagonal, expm_from_eigh, is_hermitian,
                             spin_operators)
@@ -346,9 +347,11 @@ def spectrum_reference(fid: FID, sys: SpinSystem) -> Spectrum:
     rot = np.exp(1j * phase)
     amp *= rot
     integrals = (raw * rot).real
-    peaks = [Peak(tr.label, hz.item(np.abs(amp[window]).argmax()), integral, int(sign) or 1)
-             for tr, window, hz, integral, sign in zip(table, windows, bins, integrals.tolist(),
-                                                       np.sign(integrals).tolist())]
+    own = own_integrals_reference(fid, windows, float(df), complex(rot))
+    peaks = [Peak(tr.label, hz.item(np.abs(amp[window]).argmax()), integral, int(sign) or 1,
+                  mine)
+             for tr, window, hz, integral, sign, mine in zip(
+                 table, windows, bins, integrals.tolist(), np.sign(integrals).tolist(), own)]
     return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
 
 
@@ -358,47 +361,54 @@ def clear_readout_caches():
         cache.cache_clear()
 
 
-def line_spectrum_reference(fid: FID) -> np.ndarray:
-    """readout._line_spectrum allocating a second full-length array for the
-    later lines' terms on every call."""
+def line_terms_reference(fid: FID, line) -> np.ndarray:
+    """The terms a (1 - q^N) / (1 - q w^j) of one line (a, f, t2) of fid in
+    a fresh array: its transform without its first-point constant -a/2."""
+    a, f, t2 = line
     n, dwell_s = fid.points, fid.dwell_s
-    table = _twiddles(n)
+    d = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s
+    m, ny = _bin_offset(f, n, dwell_s)
+    numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
+    j = (m + n // 2) % n
+    start = (n - n // 2 - m) % n
+    terms = np.empty(n, dtype=complex)
+    np.multiply(-cmath.exp(complex(-d, ny / n)), _twiddles(n)[start:start + n], out=terms)
+    terms += 1.0
+    terms[j] = 1.0
+    np.divide(a * numerator, terms, out=terms)
+    terms[j] = a * (numerator / den) if abs(den) >= _NORMAL_MIN else n * a
+    return terms
+
+
+def line_spectrum_reference(fid: FID) -> np.ndarray:
+    """readout._line_spectrum allocating a full-length array for each line's
+    terms on every call."""
     constant = -0.5 * sum(a for a, _, _ in fid.lines)
-    amp, terms = None, np.empty(n, dtype=complex)
-    for a, f, t2 in fid.lines:
-        d = (math.pi * fid.lb_hz + 1.0 / t2) * dwell_s
-        m, ny = _bin_offset(f, n, dwell_s)
-        numerator, den = -_expm1(-n * d, ny), -_expm1(-d, ny / n)
-        j = (m + n // 2) % n
-        start = (n - n // 2 - m) % n
-        np.multiply(-cmath.exp(complex(-d, ny / n)), table[start:start + n], out=terms)
-        terms += 1.0
-        terms[j] = 1.0
-        np.divide(a * numerator, terms, out=terms)
-        terms[j] = a * (numerator / den) if abs(den) >= _NORMAL_MIN else n * a
+    amp = None
+    for line in fid.lines:
+        terms = line_terms_reference(fid, line)
         if amp is None:
-            amp, terms = terms, np.empty(n, dtype=complex)
+            amp = terms
             amp += constant
         else:
             amp += terms
-    return np.full(n, constant, dtype=complex) if amp is None else amp
+    return np.full(fid.points, constant, dtype=complex) if amp is None else amp
 
 
-def check_resolved_reference(fid: FID, sys: SpinSystem) -> None:
-    """dj.check_resolved sorting the line records themselves."""
-    pairs = sorted(zip(line_table(sys), fid.lines), key=lambda p: p[0].frequency_hz)
-    table = [tr for tr, _ in pairs]
-    bin_hz, spectral_width = 1.0 / (fid.points * fid.dwell_s), 1.0 / fid.dwell_s
-    widths = [fid.lb_hz + bin_hz + 1.0 / (math.pi * t2) for _, (_, _, t2) in pairs]
-    for k, tr in enumerate(table):
-        nxt = (k + 1) % len(table)
-        gap = table[nxt].frequency_hz - tr.frequency_hz + (spectral_width if nxt == 0 else 0.0)
-        limit = max(widths[k], widths[nxt]) / math.sqrt(3.0)
-        if not gap > limit:
-            raise UnresolvedLinesError(
-                f"lines {tr.label} and {table[nxt].label} lie {gap:g} Hz apart, "
-                f"within the Sparrow limit {limit:g} Hz of their widths; raise the "
-                "splitting, or lower the line broadening or relaxation rates")
+def own_integrals_reference(fid: FID, windows, df: float, rot: complex) -> list[float]:
+    """Each window's Peak.own_integral at the phase factor rot: the sum of
+    FID line k's terms (line_terms_reference) over window k plus its
+    constant -a/2 in each of the window's bins (0 for a window with no FID
+    line of its index), times the bin width df."""
+    own = []
+    for k, window in enumerate(windows):
+        total = 0j
+        if k < len(fid.lines):
+            a = fid.lines[k][0]
+            terms = line_terms_reference(fid, fid.lines[k])[window]
+            total = complex(terms.sum()) + -0.5 * a * terms.size
+        own.append((total * df * rot).real)
+    return own
 
 
 def oracle_sequence_reference(oracle_id: str, method: str, sys: SpinSystem) -> SequenceIR:

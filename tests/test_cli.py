@@ -67,14 +67,23 @@ class TestDJCommand:
                                "--oracle", "f3", option, value)
         assert (code, out.strip()) == (0, "balanced")
 
-    # lines closer than the Sparrow limit of their widths merge; f3 read
-    # "constant" with exit 0 at these splittings
-    @pytest.mark.parametrize("splitting", ["100", "1e-300"])
-    def test_unresolved_lines_are_refused(self, tmp_path, capsys, splitting):
-        code, out, err = run_cli(capsys, "--outdir", str(tmp_path), "dj",
-                                 "--oracle", "f3", "--splitting", splitting)
+    # a window whose neighbours' tails outweigh its own line can read the
+    # wrong sign: f3 read "constant" with exit 0 at the first two splittings,
+    # and the constant f2 of the last, relaxed, case read "balanced"; f1 at
+    # 250 Hz exited 2 with "outer peaks disagree in sign"
+    @pytest.mark.parametrize("options, line", [
+        (("--oracle", "f3", "--splitting", "100"), "01-11"),
+        (("--oracle", "f3", "--splitting", "1e-300"), "01-11"),
+        (("--oracle", "f1", "--splitting", "250"), "00-01"),
+        (("--oracle", "f2", "--method", "ideal-matrix", "--splitting", "112.35365939024673",
+          "--lb", "5.155440634333543", "--dwell", "0.000193068019297355", "--points", "128",
+          "--relaxation", "--t1", "0.05618617059919522", "--t2-central",
+          "0.0023677266800304245", "--t2-outer", "0.8699407617943138"), "01-11")])
+    def test_unresolved_lines_are_refused(self, tmp_path, capsys, options, line):
+        code, out, err = run_cli(capsys, "--outdir", str(tmp_path), "dj", *options)
         assert (code, out) == (1, "")
-        assert "error[E_UNRESOLVED]" in err and "Sparrow limit" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error[E_UNRESOLVED]")
+        assert f"into the readout window of line {line}, against " in err
         assert not list(tmp_path.iterdir())
 
     def test_unresolved_relaxed_near_zero_splitting_prints_one_line(self, tmp_path, capsys):
@@ -243,8 +252,18 @@ class TestEquilibriumAndPseudopure:
         assert "W_DEGENERATE" in err
         assert (tmp_path / "equilibrium_spectrum.csv").exists()
 
-    # both printed a peak table of merged lines with exit 0
-    @pytest.mark.parametrize("flag,value", [("--splitting", "100"), ("--lb", "1e308")])
+    def test_resolved_close_equilibrium_runs(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "--outdir", str(tmp_path), "equilibrium",
+                                 "--splitting", "700")
+        assert (code, err) == (0, "")
+        assert [row.split()[0] for row in out.splitlines()] == ["00-01", "01-11", "11-10"]
+        assert (tmp_path / "equilibrium_peaks.csv").exists()
+
+    # no window's own line sets its sign; at 100 Hz and lb 1e308 a peak table of
+    # merged lines once printed with exit 0
+    @pytest.mark.parametrize("flag,value", [("--splitting", "100"), ("--splitting", "50"),
+                                            ("--splitting", "1e-9"),
+                                            ("--splitting", "1e-300"), ("--lb", "1e308")])
     def test_unresolved_equilibrium_is_refused(self, tmp_path, capsys, flag, value):
         code, out, err = run_cli(capsys, "--outdir", str(tmp_path / "out"), "equilibrium",
                                  flag, value)

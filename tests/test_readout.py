@@ -10,9 +10,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import quadnmr
 from quadnmr import (FID, METHODS, ORACLE_IDS, Peak, RelaxationParams, SpinSystem, Spectrum,
-                     acquire, conjugate, equilibrium_state, hard_pulse, observable_amplitudes,
-                     run_dj, spectrum, synthesize_fid, write_peaks_csv, write_spectrum_csv)
+                     UnresolvedLinesError, acquire, check_resolved, conjugate, dj,
+                     equilibrium_state, hard_pulse, observable_amplitudes, run_dj, spectrum,
+                     synthesize_fid, write_peaks_csv, write_spectrum_csv)
 from quadnmr.readout import (_CSV_CHUNK_ROWS, _GEOMETRY_ENTRIES, _KEPT_ROWS_BYTES, MAX_POINTS,
                              PEAK_WINDOW_LINEWIDTHS, _axis, _best_phase, _buffers,
                              _line_constants, _window_bins, _windows)
@@ -20,7 +22,8 @@ from quadnmr.relaxation import coherence_t2_table
 
 from helpers import (best_phase_reference, clear_readout_caches, ideal_density_after_oracle,
                      line_table, line_spectrum_reference, observable_amplitudes_reference,
-                     spectrum_reference, synthesize_fid_reference, windows_reference)
+                     own_integrals_reference, spectrum_reference, synthesize_fid_reference,
+                     windows_reference)
 
 
 def analytic_window_integral(amplitude, lb_hz, dwell_s,
@@ -277,7 +280,8 @@ class TestBestPhaseBits:
 def reference_spectrum(fid, sys, choose_phase):
     """spectrum() with the transform of spectrum(fid), one boolean mask per
     line over the whole axis, each clipped against the lines within 2.001
-    half-widths, and the zero-order phase choose_phase(raw integrals)."""
+    half-widths, the zero-order phase choose_phase(raw integrals), and each
+    window's own part from its line alone (own_integrals_reference)."""
     freq = np.fft.fftshift(np.fft.fftfreq(fid.points, fid.dwell_s))
     amp = spectrum(fid).amplitude
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
@@ -301,12 +305,13 @@ def reference_spectrum(fid, sys, choose_phase):
     raw = np.array([complex(np.sum(amp[mask]) * df) for mask in masks])
     phase = choose_phase(raw)
     amp = amp * np.exp(1j * phase)
+    own = own_integrals_reference(fid, masks, float(df), complex(np.exp(1j * phase)))
     peaks = []
-    for tr, mask, integral in zip(table, masks, raw * np.exp(1j * phase)):
+    for tr, mask, integral, mine in zip(table, masks, raw * np.exp(1j * phase), own):
         idx = np.flatnonzero(mask)[int(np.argmax(np.abs(amp[mask])))]
         peaks.append(Peak(transition=tr.label, frequency_hz=float(freq[idx]),
                           real_integral=float(integral.real),
-                          sign=int(np.sign(integral.real)) or 1))
+                          sign=int(np.sign(integral.real)) or 1, own_integral=mine))
     return Spectrum(freq_hz=freq, amplitude=amp, peaks=peaks, phase_rad=phase)
 
 
@@ -317,7 +322,7 @@ def readout_outcome(fid, sys, read):
     except ValueError as err:
         return "ValueError", str(err)
     return (spec.freq_hz.tobytes(), spec.amplitude.tobytes(), repr(spec.phase_rad),
-            repr(spec.peaks))
+            repr(spec.peaks), repr([p.own_integral for p in spec.peaks]))
 
 
 @st.composite
@@ -554,6 +559,36 @@ class TestSpectrum:
         loss = [1 - abs(relaxed.peaks[k].real_integral / ideal.peaks[k].real_integral)
                 for k in range(3)]
         assert loss[0] > loss[1] and loss[2] > loss[1]
+
+
+class TestCheckResolved:
+    @staticmethod
+    def spec(*parts):
+        """A spectrum whose peaks hold the (real_integral, own_integral) parts."""
+        return Spectrum(freq_hz=np.zeros(2), amplitude=np.zeros(2, dtype=complex),
+                        peaks=[Peak(label, 0.0, real, 1, own) for label, (real, own)
+                               in zip(("00-01", "01-11", "11-10"), parts)])
+
+    def test_own_parts_outweighing_the_rest_pass(self):
+        check_resolved(self.spec((1.5, 1.0), (-0.5, -1.0), (0.9, 1.0)))
+
+    # the rest equal in magnitude to the own part, or of the opposite sign and larger
+    @pytest.mark.parametrize("real, own", [(2.0, 1.0), (0.0, -1.0), (0.5, -1.0), (0.0, 0.0),
+                                           (math.nan, 1.0)])
+    def test_the_first_window_not_outweighing_the_rest_is_refused(self, real, own):
+        with pytest.raises(UnresolvedLinesError) as err:
+            check_resolved(self.spec((1.5, 1.0), (real, own), (real, own)))
+        assert "readout window of line 01-11," in str(err.value)
+        assert isinstance(err.value, ValueError)
+
+    def test_one_error_class_everywhere(self):
+        assert (quadnmr.readout.UnresolvedLinesError is dj.UnresolvedLinesError
+                is quadnmr.UnresolvedLinesError)
+
+    def test_equilibrium_windows_are_their_own_lines(self, sys32):
+        rho = conjugate(equilibrium_state(sys32), hard_pulse(sys32, "-y", np.pi / 2))
+        for peak in acquire(rho, sys32)[1].peaks:
+            assert abs(peak.own_integral) > 1000 * abs(peak.real_integral - peak.own_integral)
 
 
 class TestCsvOutput:
