@@ -12,7 +12,6 @@ the window's own line), 2 ambiguous readout; compile-check returns 4 when
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys as _sys
 from pathlib import Path
@@ -120,10 +119,9 @@ def cmd_pseudopure(args) -> int:
     out = _outdir(args)
     path = out / "pseudopure_populations.csv"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "population"])
+        fh.write("level,population\r\n")
         for label, pop in zip(sys.labels, np.diag(rho).real):
-            writer.writerow([label, format(float(pop), ".17g")])
+            fh.write("%s,%.17g\r\n" % (label, pop))
     print(" ".join(f"{label}={pop:.4g}"
                    for label, pop in zip(sys.labels, np.diag(rho).real)))
     return EXIT_OK

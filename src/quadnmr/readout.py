@@ -26,22 +26,22 @@ check_resolved refuses a window whose own line does not outweigh the rest.
 Each window holds the bins within +-3 nominal linewidths of its line that no
 other line is strictly nearer to, found by one mask over the axis; the exact
 phase is found among at most one sign pattern of the integrals per line.
-What no amplitude touches, the windows and each line's transform constants,
-is kept per grid and line set in bounded caches (_windows, _line_constants)
-of a few Python scalars or a slice per line, so the runs of every oracle on
-one system and grid compute it once. Their keys, like the axis's, compare
-exactly (system._exact_cache): numbers equal in value but not in bits never
-share an entry. Each thread also keeps the denominators 1 - q w^j of the
-last two line sets at each of the last three point counts, from a set's
-second transform on and only for sets of at most 192 KiB (_KeptRows): no
-2^20-point rows are kept, and a thread keeps at most 1.125 MiB of them.
-A repeated set's transform then only divides.
+What no amplitude touches, each FID line's transform constants and each
+system line's window, is the readout plan of a grid, FID line set and
+system, kept in one bounded cache (_readout_plan) of a few Python scalars or
+a slice per line, so the runs of every oracle on one system and grid
+compute it once. Its keys, like the axis's, compare exactly
+(system._exact_cache): numbers equal in value but not in bits never share
+an entry. Each thread keeps a workspace (_Workspace) at each of the last
+three point counts: a working buffer, and the denominators 1 - q w^j of the
+last two line sets, from a set's second transform on and only for sets of
+at most 192 KiB: no 2^20-point rows are kept, and a thread keeps at most
+1.125 MiB of them. A repeated set's transform then only divides.
 """
 
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 import threading
 from dataclasses import dataclass, field
@@ -60,9 +60,10 @@ DEFAULT_LB_HZ = 200.0
 # 2^21 complex twiddles, the 2^20-point result and a 2^20-point working
 # buffer, 64 MB in all. Between transforms the process keeps the twiddle
 # table (32 MB, shared by all threads) and each thread that transformed keeps
-# its working buffer (16 MB): both are cached for the last three point counts.
-# Denominator rows are kept only for line sets of at most 192 KiB
-# (_KEPT_ROWS_BYTES), never for 2^20 points: at most 1.125 MiB a thread.
+# its workspace, whose working buffer takes 16 MB: both are cached for the
+# last three point counts. A workspace keeps denominator rows only for line
+# sets of at most 192 KiB (_KEPT_ROWS_BYTES), never for 2^20 points: at most
+# 1.125 MiB a thread.
 MAX_POINTS = 2 ** 20
 
 # Number of nominal linewidths (each side) integrated around a line.
@@ -209,10 +210,9 @@ def _best_phase(integrals: np.ndarray) -> float:
     return 0.0 if phase == 2.0 * math.pi else phase    # -1e-48 % 2pi rounds to 2pi
 
 
-# Bound of each readout-geometry cache (_windows, _line_constants). An entry
-# is its key (the pickle of its arguments) and a few Python scalars or a
-# slice per line, about 1 KB for three lines, so a full cache holds well
-# under 1 MB.
+# Bound of the readout plan cache (_readout_plan). An entry is its key (the
+# pickle of its arguments) and a few Python scalars and a slice per line,
+# about 1.5 KB for three lines, so a full cache holds well under 1 MB.
 _GEOMETRY_ENTRIES = 256
 
 
@@ -236,23 +236,6 @@ def _window_bins(freq: np.ndarray, lines, line: float, half_width: float) -> np.
         if f != line and not abs(f - line) > 2.001 * half_width:
             mask &= ~(np.abs(freq - f) < dist)
     return np.flatnonzero(mask)
-
-
-@_exact_cache(_GEOMETRY_ENTRIES)
-def _windows(points: int, dwell_s: float, lines: tuple[float, ...],
-             half_width: float) -> tuple[slice | None, ...]:
-    """Each line's readout window (_window_bins) on the axis of points and
-    dwell_s, as a slice where its bins form one run. Where another line lies
-    within a few units in the last place, rounding can tie the two distances
-    at scattered bins: such a window is an index array up to points long, so
-    it is None here and spectrum finds it again on each call.
-    """
-    freq, windows = _axis(points, dwell_s), []
-    for line in lines:
-        bins = _window_bins(freq, lines, line, half_width)
-        lo, hi = (int(bins[0]), int(bins[-1]) + 1) if bins.size else (0, 0)
-        windows.append(slice(lo, hi) if hi - lo == bins.size else None)
-    return tuple(windows)
 
 
 # 2 pi - math.tau, the part of 2 pi that math.tau rounds off
@@ -291,22 +274,27 @@ def _denominators(out: np.ndarray, table: np.ndarray, factor: complex, j: int,
     out[j] = 1.0
 
 
-class _KeptRows:
-    """The denominator rows of the last two line sets transformed at one
-    point count, each kept from its second transform on. A new set takes
-    the slot of the less recent one, whose buffer it overwrites in place."""
+class _Workspace:
+    """One thread's arrays of the transform at one point count: the working
+    buffer that every line after the first writes its terms to, and two
+    slots for the denominator rows of the last two line sets transformed,
+    each kept from its set's second transform on. A new set takes the slot
+    of the less recent one, whose buffer it overwrites in place."""
 
     def __init__(self, points: int):
-        self.points = points
+        self.points, self.terms = points, np.empty(points, dtype=complex)
         # [line constants, buffer, rows]: rows stays None until the set repeats
         self.slots = [[None, None, None], [None, None, None]]
 
-    def find(self, constants: tuple, table: np.ndarray) -> tuple | None:
-        """The rows of constants, a _line_constants entry of this point
-        count, one per line; None on its first transform. Entries are
-        compared by identity, and a slot keeps its entry alive, so a key
-        never matches another set."""
+    def rows(self, constants: tuple, table: np.ndarray) -> tuple | None:
+        """The rows of constants, the constants of a _readout_plan entry of
+        this point count, one per line; None on its first transform and for
+        a set of more than _KEPT_ROWS_BYTES. Entries are compared by
+        identity, and a slot keeps its entry alive, so a key never matches
+        another set."""
         n = self.points
+        if 16 * n * len(constants) > _KEPT_ROWS_BYTES:
+            return None
         recent, other = self.slots
         if recent[0] is not constants:
             self.slots.reverse()
@@ -325,15 +313,13 @@ class _KeptRows:
 
 
 class _Buffers(threading.local):
-    """Each thread's arrays of the transform, for the last three point counts
-    like _twiddles: a working buffer, and the denominator rows of the last
-    two line sets within _KEPT_ROWS_BYTES (_KeptRows), at most 2 x 192 KiB x
-    3 counts = 1.125 MiB. They outlive the call, so that a transform
+    """Each thread's workspaces (_Workspace) for the last three point counts,
+    like _twiddles, at most 2 x 192 KiB x 3 counts = 1.125 MiB of rows
+    besides the working buffers. They outlive the call, so that a transform
     allocates no full-length array besides its result."""
 
     def __init__(self):
-        self.terms = lru_cache(maxsize=3)(lambda points: np.empty(points, dtype=complex))
-        self.rows = lru_cache(maxsize=3)(_KeptRows)
+        self.workspace = lru_cache(maxsize=3)(_Workspace)
 
 
 _buffers = _Buffers()
@@ -365,16 +351,25 @@ def _bin_offset(frequency_hz: float, points: int, dwell_s: float) -> tuple[int, 
 
 
 @_exact_cache(_GEOMETRY_ENTRIES)
-def _line_constants(points: int, dwell_s: float, lb_hz: float,
-                    lines: tuple[tuple[float, float], ...]) -> tuple[tuple, ...]:
-    """What the transform (_line_spectrum) takes from each (frequency_hz, t2_s)
-    line besides its amplitude: -q w^m, 1 - q^N, (1 - q^N) / (1 - q w^m)
-    (None where that denominator is below the normal range), the result bin
-    j of bin m and the start of its twiddles.
+def _readout_plan(points: int, dwell_s: float, lb_hz: float,
+                  lines: tuple[tuple[float, float], ...],
+                  centres: tuple[float, ...]) -> tuple[tuple, tuple]:
+    """What no amplitude touches in a readout: each (frequency_hz, t2_s) FID
+    line's transform constants, computed first so that a line with no bin (a
+    NaN frequency) raises before any window is sought, and the window of
+    each system line at centres (none without a system).
 
-    Keys compare exactly, like _axis's and _windows's (_exact_cache): the
-    sign of a zero lb_hz under a growing line (T2 = -inf), or a numpy
-    scalar in place of a float, changes the bits of the constants.
+    A line's constants are what _line_spectrum takes from it besides its
+    amplitude: -q w^m, 1 - q^N, (1 - q^N) / (1 - q w^m) (None where that
+    denominator is below the normal range), the result bin j of bin m and
+    the start of its twiddles. A window (_window_bins) is a slice where its
+    bins form one run. Where another line lies within a few units in the
+    last place, rounding can tie the two distances at scattered bins: such a
+    window is an index array up to points long, so it is None here and
+    spectrum finds it again on each call. Keys compare exactly, like
+    _axis's (_exact_cache): the sign of a zero lb_hz under a growing line
+    (T2 = -inf), or a numpy scalar in place of a float, changes the bits of
+    the constants.
     """
     n, constants = points, []
     for f, t2 in lines:
@@ -384,10 +379,15 @@ def _line_constants(points: int, dwell_s: float, lb_hz: float,
         constants.append((-cmath.exp(complex(-d, ny / n)), numerator,
                           numerator / den if abs(den) >= _NORMAL_MIN else None,
                           (m + n // 2) % n, (n - n // 2 - m) % n))
-    return tuple(constants)
+    freq, half_width, windows = _axis(points, dwell_s), PEAK_WINDOW_LINEWIDTHS * lb_hz, []
+    for line in centres:
+        bins = _window_bins(freq, centres, line, half_width)
+        lo, hi = (int(bins[0]), int(bins[-1]) + 1) if bins.size else (0, 0)
+        windows.append(slice(lo, hi) if hi - lo == bins.size else None)
+    return tuple(constants), tuple(windows)
 
 
-def _line_spectrum(fid: FID, windows) -> tuple[np.ndarray, list[complex]]:
+def _line_spectrum(fid: FID, constants: tuple, windows) -> tuple[np.ndarray, list[complex]]:
     """The transform of fid's lines on the shifted axis, first sample at half
     weight, and line k's part of windows[k] (0 where there is no line k).
 
@@ -400,26 +400,23 @@ def _line_spectrum(fid: FID, windows) -> tuple[np.ndarray, list[complex]]:
     where both vanish (a line exactly on a bin, undamped) bin m holds N a,
     and so it does where the denominator falls below the normal range: there
     it keeps too few digits for the ratio, which is N a to double precision
-    (N |i y - d| < 1e-300). Those constants are computed once per grid and
-    line set (_line_constants); only the amplitudes multiply them per call.
-    The denominators 1 - q w^j of a line set that repeats are kept per
-    thread (_KeptRows), so its later transforms only divide.
+    (N |i y - d| < 1e-300). Those constants come from the readout plan
+    (_readout_plan); only the amplitudes multiply them per call. This
+    thread's workspace at the point count (_Workspace) holds the working
+    buffer and the rows 1 - q w^j of a line set that repeats, so its later
+    transforms only divide.
     """
     n = fid.points
-    table = _twiddles(n)
+    table, space = _twiddles(n), _buffers.workspace(n)
     constant = -0.5 * sum(a for a, _, _ in fid.lines)
     amp, terms, own = None, np.empty(n, dtype=complex), [0j] * len(windows)
-    kept = _line_constants(n, fid.dwell_s, fid.lb_hz, tuple([(f, t2) for _, f, t2 in fid.lines]))
-    rows = None
-    if 16 * n * len(kept) <= _KEPT_ROWS_BYTES:
-        rows = _buffers.rows(n).find(kept, table)
+    rows = space.rows(constants, table)
     # in place: a fresh array per step would cost more than the arithmetic
-    for k, ((a, _, _), (factor, numerator, ratio, j, start)) in enumerate(zip(fid.lines, kept)):
+    for k, (a, _, _) in enumerate(fid.lines):
+        factor, numerator, ratio, j, start = constants[k]
         if rows is None:
             _denominators(terms, table, factor, j, start)
-            np.divide(a * numerator, terms, out=terms)
-        else:
-            np.divide(a * numerator, rows[k], out=terms)
+        np.divide(a * numerator, terms if rows is None else rows[k], out=terms)
         # the ratio first, so that a tiny amplitude does not take it subnormal
         terms[j] = n * a if ratio is None else a * ratio
         if k < len(windows):    # the line's terms there, and its -a/2 in each bin
@@ -428,8 +425,8 @@ def _line_spectrum(fid: FID, windows) -> tuple[np.ndarray, list[complex]]:
         if amp is None:
             # the first line's array becomes the sum: term + constant has
             # the bits of constant + term, and no array is filled first; the
-            # later lines' terms go to this thread's kept buffer
-            amp, terms = terms, _buffers.terms(n)
+            # later lines' terms go to the workspace's buffer
+            amp, terms = terms, space.terms
             amp += constant
         else:
             amp += terms
@@ -454,16 +451,18 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     line k's share of window k at that phase, 0 where there is no line k.
     """
     freq = _axis(fid.points, fid.dwell_s)
+    lines = () if sys is None else sys._freqs
+    constants, kept = _readout_plan(fid.points, fid.dwell_s, fid.lb_hz,
+                                    tuple([(f, t2) for _, f, t2 in fid.lines]), lines)
     if sys is None:
-        return _frozen(Spectrum, freq_hz=freq, amplitude=_line_spectrum(fid, ())[0],
+        return _frozen(Spectrum, freq_hz=freq, amplitude=_line_spectrum(fid, constants, ())[0],
                        peaks=[], phase_rad=0.0)
 
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
-    labels, lines = sys._levels.line_labels, sys._freqs
-    kept = _windows(fid.points, fid.dwell_s, lines, half_width)
+    labels = sys._levels.line_labels
     windows = [_window_bins(freq, lines, line, half_width) if window is None else window
                for line, window in zip(lines, kept)]
-    amp, own = _line_spectrum(fid, windows)
+    amp, own = _line_spectrum(fid, constants, windows)
     df = freq.item(1) - freq.item(0)
     raw, parts = [], []
     for label, line, window in zip(labels, lines, windows):
@@ -522,10 +521,6 @@ _CSV_ROW = "%.17g,%.17g,%.17g\r\n"
 _CSV_CHUNK_ROWS = 1024
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_spectrum_csv(path, spec: Spectrum) -> None:
     """Write freq_hz,real,imag rows with CRLF line ends, as csv.writer would.
 
@@ -544,9 +539,9 @@ def write_spectrum_csv(path, spec: Spectrum) -> None:
 
 
 def write_peaks_csv(path, spec: Spectrum) -> None:
+    """Write transition,frequency_hz,real_integral,sign rows like write_spectrum_csv's."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["transition", "frequency_hz", "real_integral", "sign"])
+        fh.write("transition,frequency_hz,real_integral,sign\r\n")
         for p in spec.peaks:
-            writer.writerow([p.transition, _fmt(p.frequency_hz),
-                             _fmt(p.real_integral), str(p.sign)])
+            fh.write("%s,%.17g,%.17g,%d\r\n" % (p.transition, p.frequency_hz,
+                                                 p.real_integral, p.sign))

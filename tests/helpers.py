@@ -34,8 +34,8 @@ from quadnmr.linalg import (ATOL, MAX_TWO_SPIN, expm_diagonal, expm_from_eigh, i
                             spin_operators)
 from quadnmr.pulses import _generator_table, _unit_element, pulse_factors
 from quadnmr.readout import (_NORMAL_MIN, MAX_POINTS, PEAK_WINDOW_LINEWIDTHS, _axis,
-                             _best_phase, _bin_offset, _buffers, _expm1, _line_constants,
-                             _twiddles, _windows)
+                             _best_phase, _bin_offset, _buffers, _expm1, _readout_plan,
+                             _twiddles)
 from quadnmr.relaxation import coherence_t2_table
 from quadnmr.seqlang import QuadDelay, SystemDecl
 from quadnmr.system import (H_ROW, QUAD_ROW, SPIN_32_LABELS, Z_ROW, _z_orientation,
@@ -356,8 +356,8 @@ def spectrum_reference(fid: FID, sys: SpinSystem) -> Spectrum:
 
 
 def clear_readout_caches():
-    """Empty the readout's caches and this thread's kept transform arrays."""
-    for cache in (_line_constants, _windows, _twiddles, _axis, _buffers.terms, _buffers.rows):
+    """Empty the readout's caches and this thread's workspaces."""
+    for cache in (_readout_plan, _twiddles, _axis, _buffers.workspace):
         cache.cache_clear()
 
 

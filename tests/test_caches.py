@@ -8,6 +8,9 @@ import pkgutil
 import types
 
 import quadnmr
+from quadnmr import SpinSystem, spectrum, synthesize_fid
+
+from helpers import clear_readout_caches
 
 # keyed by a level count (at most 16) or a bundled sequence file name
 UNBOUNDED = {"quadnmr.system._levels", "quadnmr.linalg._spin_operators",
@@ -38,8 +41,17 @@ def test_every_cache_is_bounded_but_those_keyed_by_level_count_or_file_name():
                  if cache.cache_parameters()["maxsize"] is None}
     assert unbounded <= UNBOUNDED <= set(caches)
     # the scan reaches the bounded caches too: wrapped ones and a thread's own
-    for name in ("quadnmr.dj._oracle_plan", "quadnmr.readout._line_constants",
+    for name in ("quadnmr.dj._oracle_plan", "quadnmr.readout._readout_plan",
                  "quadnmr.readout._twiddles", "quadnmr.relaxation.coherence_t2_table",
-                 "quadnmr.readout._Buffers.__init__.<locals>.<lambda>",
-                 "quadnmr.readout._KeptRows"):
+                 "quadnmr.readout._Workspace"):
         assert caches[name].cache_parameters()["maxsize"] is not None
+
+
+def test_clearing_the_readout_caches_empties_every_readout_cache():
+    sys = SpinSystem.from_splitting(16_000.0)
+    spectrum(synthesize_fid([1.0, 2.0, 3.0], sys, points=64), sys)
+    clear_readout_caches()
+    readout = {name: cache.cache_info().currsize for name, cache in functools_caches().items()
+               if name.startswith("quadnmr.readout.")}
+    assert len(readout) >= 4
+    assert set(readout.values()) == {0}, readout

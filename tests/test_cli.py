@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadnmr import oracle_matrix
+from quadnmr import SpinSystem, oracle_matrix, pseudopure_00
 from quadnmr.cli import main
 
 from conftest import SEQUENCES_DIR
@@ -202,11 +204,12 @@ class TestTinyDwell:
 
 
 def test_cli_imports_neither_scipy_nor_logging():
-    """The package depends on numpy alone, and nothing logs unless asked to."""
+    """The package depends on numpy alone, nothing logs unless asked to, and
+    the CSVs are written without the csv module."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     code = ("import sys, quadnmr.cli; print(sorted(name for name in sys.modules "
-            "if name.split('.')[0] in ('scipy', 'logging')))")
+            "if name.split('.')[0] in ('scipy', 'logging', 'csv', '_csv')))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
@@ -231,6 +234,17 @@ class TestEquilibriumAndPseudopure:
         assert list(values) == ["00", "01", "11", "10"]
         assert list(values.values()) == pytest.approx([1.5, -0.5, -0.5, -0.5],
                                                       abs=1e-12)
+
+    def test_pseudopure_populations_have_the_bytes_of_csv_writer(self, tmp_path, capsys):
+        assert run_cli(capsys, "--outdir", str(tmp_path), "pseudopure")[0] == 0
+        sys32 = SpinSystem()
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["level", "population"])
+        for label, pop in zip(sys32.labels, np.diag(pseudopure_00(sys32)).real):
+            writer.writerow([label, format(float(pop), ".17g")])
+        assert (tmp_path / "pseudopure_populations.csv").read_bytes() == \
+            expected.getvalue().encode()
 
     def test_zero_splitting_warns_but_succeeds(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "--outdir", str(tmp_path), "pseudopure",

@@ -17,7 +17,7 @@ from quadnmr import (FID, METHODS, ORACLE_IDS, Peak, RelaxationParams, SpinSyste
                      synthesize_fid, write_peaks_csv, write_spectrum_csv)
 from quadnmr.readout import (_CSV_CHUNK_ROWS, _GEOMETRY_ENTRIES, _KEPT_ROWS_BYTES, MAX_POINTS,
                              PEAK_WINDOW_LINEWIDTHS, _axis, _best_phase, _buffers,
-                             _line_constants, _window_bins, _windows)
+                             _readout_plan, _window_bins)
 from quadnmr.relaxation import coherence_t2_table
 
 from helpers import (best_phase_reference, clear_readout_caches, ideal_density_after_oracle,
@@ -932,7 +932,7 @@ class TestKeptTransformBuffer:
         results = []
         for fid in fids:
             if fid is None:
-                _line_constants.cache_clear()
+                _readout_plan.cache_clear()
             else:
                 results.append((fid, spectrum(fid).amplitude))
         # every result is read after the last transform: none may share kept rows
@@ -951,31 +951,30 @@ class TestKeptTransformBuffer:
                                          relax=RelaxationParams() if spin == 1.5 else None)
                     spectrum(fid)
                     spectrum(fid)
-        # the last three counts under the bound are kept, each two sets in place
-        misses = _buffers.rows.cache_info().misses
-        kept = [_buffers.rows(points) for points in (1024, 2048, 4096)]
-        assert _buffers.rows.cache_info()[1:] == (misses, 3, 3)
-        for rows in kept:
-            assert len(rows.slots) == 2
-            for constants, buffer, built in rows.slots:
+        # the workspaces of the last three counts are kept, each two sets in place
+        misses = _buffers.workspace.cache_info().misses
+        kept = [_buffers.workspace(points) for points in (1024, 2048, 4096)]
+        assert _buffers.workspace.cache_info()[1:] == (misses, 3, 3)
+        for space in kept:
+            assert len(space.slots) == 2
+            for constants, buffer, built in space.slots:
                 assert buffer.nbytes == _KEPT_ROWS_BYTES == 192 * 1024
                 assert len(built) == len(constants)
                 assert all(row.base is buffer for row in built)
         # the last two sets of each count under the bound: spins 3/2 and 5/2,
         # or 1/2 and 3/2 where 5 lines are over it
-        sets = [[len(constants) for constants, _, _ in rows.slots] for rows in kept]
+        sets = [[len(constants) for constants, _, _ in space.slots] for space in kept]
         assert sets == [[5, 3], [5, 3], [3, 1]]
 
 
 def fill_geometry_caches():
-    """Read _GEOMETRY_ENTRIES + 1 geometries that no test draws (dwells
+    """Read _GEOMETRY_ENTRIES + 1 readout plans that no test draws (dwells
     above 1 ms, below 1 s), which evicts every earlier entry."""
     sys = SpinSystem(spin=0.5)
     for k in range(_GEOMETRY_ENTRIES + 1):
         spectrum(FID(points=8, dwell_s=1e-3 * (1.0 + k / 1000.0), lb_hz=1000.0,
                      lines=((1.0, 0.0, math.inf),)), sys)
-    assert _line_constants.cache_info().currsize == _windows.cache_info().currsize \
-        == _GEOMETRY_ENTRIES
+    assert _readout_plan.cache_info().currsize == _GEOMETRY_ENTRIES
 
 
 def window_bins(window):
@@ -987,10 +986,11 @@ def window_bins(window):
 def resolved_windows(fid, sys):
     """The bins of the windows spectrum(fid, sys) integrates."""
     freq, half_width = _axis(fid.points, fid.dwell_s), PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
+    kept = _readout_plan(fid.points, fid.dwell_s, fid.lb_hz,
+                         tuple((f, t2) for _, f, t2 in fid.lines), sys._freqs)[1]
     return [window_bins(_window_bins(freq, sys._freqs, line, half_width)
                         if window is None else window)
-            for line, window in zip(sys._freqs, _windows(fid.points, fid.dwell_s, sys._freqs,
-                                                         half_width))]
+            for line, window in zip(sys._freqs, kept)]
 
 
 def reference_windows(fid, sys):
@@ -1060,8 +1060,8 @@ def geometry_reads(draw):
 
 
 class TestReadoutGeometryCache:
-    """The readout keeps each grid and line set's transform constants and
-    windows in bounded caches."""
+    """The readout keeps the plan of each grid, FID line set and system, its
+    transform constants and windows, in one bounded cache."""
 
     @settings(max_examples=100, deadline=None)
     @given(geometry_reads())
@@ -1114,7 +1114,7 @@ class TestReadoutGeometryCache:
                 read()
             errors.append(str(caught.value))
         assert errors == ["cannot convert float NaN to integer"] * 6
-        assert _line_constants.cache_info().currsize == 0
+        assert _readout_plan.cache_info().currsize == 0
 
     def test_a_float_point_count_raises_the_same_error_cold_and_warm(self):
         # 64.0 == 64, though their keys differ in type
@@ -1129,6 +1129,8 @@ class TestReadoutGeometryCache:
         cold, expected, warm = read(64.0), read(64), read(64.0)
         assert cold == warm == "slice indices must be integers or None or have an " \
             "__index__ method"
+        # the two counts have a plan each, and the warm read found its own
+        assert _readout_plan.cache_info()[:2] == (1, 2)
         assert expected == line_spectrum_reference(
             FID(points=64, dwell_s=5e-6, lb_hz=200.0, lines=((1.0, 0.0, math.inf),))).tobytes()
 
@@ -1140,30 +1142,27 @@ class TestReadoutGeometryCache:
                              relax=RelaxationParams())
         clear_readout_caches()
         spectrum(fid, sys)
-        keys = ((fid.points, fid.dwell_s, sys._freqs, PEAK_WINDOW_LINEWIDTHS * fid.lb_hz),
-                (fid.points, fid.dwell_s, fid.lb_hz, tuple((f, t2) for _, f, t2 in fid.lines)))
-        # called again with the keys spectrum used, they return the kept entries
-        windows, constants = _windows(*keys[0]), _line_constants(*keys[1])
-        assert _windows.cache_info().hits == _line_constants.cache_info().hits == 1
-        assert (None in windows) == (splitting_hz < 1.0)
+        key = (fid.points, fid.dwell_s, fid.lb_hz, tuple((f, t2) for _, f, t2 in fid.lines),
+               sys._freqs)
+        # called again with the key spectrum used, it returns the kept entry
+        entry = _readout_plan(*key)
+        assert _readout_plan.cache_info()[:2] == (1, 1)
+        assert (None in entry[1]) == (splitting_hz < 1.0)
 
         def leaves(x):
             if type(x) is tuple:
                 return [leaf for item in x for leaf in leaves(item)]
             return leaves((x.start, x.stop, x.step)) if type(x) is slice else [x]
 
-        assert {type(x) for x in leaves((keys, windows, constants))} <= {
-            int, float, complex, type(None)}
+        assert {type(x) for x in leaves((key, entry))} <= {int, float, complex, type(None)}
 
         def footprint(x):
             parts = x if type(x) is tuple else (x.start, x.stop, x.step) \
                 if type(x) is slice else ()
             return getsizeof(x) + sum(footprint(part) for part in parts)
 
-        # about 1 KB an entry with its key, so the two full caches hold under 1 MB
-        entries = [footprint(keys[0]) + footprint(windows),
-                   footprint(keys[1]) + footprint(constants)]
-        assert 2 * _GEOMETRY_ENTRIES * max(entries) < 2 ** 20
+        # about 2 KB an entry with its key, so the full cache holds under 1 MB
+        assert _GEOMETRY_ENTRIES * (footprint(key) + footprint(entry)) < 2 ** 20
 
     # the loop of scripts/run_dj_all.py, without and with --shaped-pulses --relaxation:
     # every oracle and method on one system and grid
@@ -1175,6 +1174,5 @@ class TestReadoutGeometryCache:
             for method in METHODS:
                 run_dj(oracle_id, sys, method=method, relax=relax,
                        shaped_pulses=shaped and method != "ideal-matrix")
-        for cache in (_line_constants, _windows):
-            info = cache.cache_info()
-            assert (info.misses, info.hits) == (1, 11)
+        info = _readout_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 11)
