@@ -6,15 +6,15 @@ of one: the ideal pulses by one expm_from_eigh of the generator factors
 gathered per pulse, the shaped pulses by a second, times their free
 evolution by stacked matmul, the quadrupolar delays, refocus halves and
 z-pulses by one expm_diagonal, the refocus blocks by stacked
-matmul, and the T1/T2 decays of all relaxed intervals at once, each array
-read-only as built. Ideal pulses are instantaneous and lossless.
-compile_unitary multiplies the event propagators so that the first script line
-acts first on the state (the total is P_n ... P_2 P_1); run_trajectory plans,
-then walks (_walk) a deviation matrix through them plus crusher gradients and
-acquisition, step by step when relaxation is requested. A caller may keep a
-plan and walk it again, as dj does for each oracle. A refocus block (tau/2 -
-hard pi about -y - tau/2 under the full H) is the hard pi times the
-quadrupolar evolution over tau at any offset.
+matmul, and the T1/T2 decays of all relaxed intervals at once. Ideal pulses
+are instantaneous and lossless. compile_unitary multiplies the event
+propagators so that the first script line acts first on the state (the total
+is P_n ... P_2 P_1); run_trajectory plans, then walks a deviation matrix
+through them plus crusher gradients and acquisition, step by step when
+relaxation is requested. Neither hands out an array of the plan: each
+returns copies or fresh products. A refocus block (tau/2 - hard pi about -y -
+tau/2 under the full H) is the hard pi times the quadrupolar evolution over
+tau at any offset.
 """
 
 from __future__ import annotations
@@ -46,10 +46,12 @@ def _refuse_non_unitary(event, sys=None):
 
 @cache
 def _inversion(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hard pi about -y inside every refocus block and its adjoint, read-only."""
-    pair = [None, None]
-    _fill((pair,), hard_pulse(SpinSystem(spin=(dim - 1) / 2.0), "-y", np.pi)[None])
-    return tuple(pair)
+    """The hard pi about -y inside every refocus block and its adjoint,
+    read-only: every plan of the level count shares them."""
+    u = hard_pulse(SpinSystem(spin=(dim - 1) / 2.0), "-y", np.pi)
+    uh = u.conj().T
+    u.flags.writeable = uh.flags.writeable = False
+    return u, uh
 
 
 def _selective(event, sys):
@@ -85,9 +87,8 @@ _STEP_PARTS = {
 
 
 def _fill(steps, us: np.ndarray) -> None:
-    """Put each propagator of the stack us and its adjoint, read-only, in its step."""
+    """Put each propagator of the stack us and its adjoint in its step."""
     uhs = us.conj().swapaxes(-1, -2)
-    us.flags.writeable = uhs.flags.writeable = False
     for step, u, uh in zip(steps, list(us), list(uhs)):
         step[:2] = u, uh
 
@@ -150,8 +151,6 @@ def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
         halves = np.array([half[0] for half, _ in blocks])
         _fill([step for _, step in blocks], halves @ _inversion(sys.dim)[0] @ halves)
     decays = decay_factors(dts, relax, sys.dim) if dts else None
-    for decay in decays or ():
-        decay.flags.writeable = False
     return plan, decays, error
 
 
@@ -184,25 +183,17 @@ def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
     With relax given, relaxation acts after each timed step (quadrupolar
     delays, the halves of refocusing blocks, shaped pulses) and during
     acquisition, which uses the default line broadening. Every state is its
-    own array.
+    own array. The error of a refused event is raised once the steps before
+    it are walked.
     """
     sys = ir.system() if sys is None else sys
     rho = np.array(rho0, dtype=complex)
     if rho.shape != (sys.dim, sys.dim):
         raise ValueError(f"state must be {sys.dim}x{sys.dim}, got {rho.shape}")
-    states, fid = _walk(ir.events, _plan(ir.events, sys, relax), sys, rho, relax)
-    return _frozen(TrajectoryResult, states=states, fid=fid)
-
-
-def _walk(events, planned, sys: SpinSystem, rho: np.ndarray,
-          relax: RelaxationParams | None) -> tuple[list[np.ndarray], FID | None]:
-    """The states from rho (kept as the first) through each event of the
-    _plan planned of events on sys, and the FID of the last acquisition; the
-    plan's error is raised once its steps are walked."""
-    plan, decays, error = planned
+    plan, decays, error = _plan(ir.events, sys, relax)
     states = [rho]
     fid = None
-    for event, steps in zip(events, plan):
+    for event, steps in zip(ir.events, plan):
         if steps is not None:
             for u, uh, k in steps:
                 rho = u.dot(rho).dot(uh)     # u rho u^H, the BLAS calls of the @ operator
@@ -218,4 +209,4 @@ def _walk(events, planned, sys: SpinSystem, rho: np.ndarray,
         states.append(rho)
     if error is not None:
         raise error
-    return states, fid
+    return _frozen(TrajectoryResult, states=states, fid=fid)

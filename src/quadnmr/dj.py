@@ -17,8 +17,8 @@ recorded in ORACLE_PHASES. The algorithm itself runs pseudopure preparation,
 a hard 90 about -y, the oracle, and acquisition; the function class is read
 from whether the central line's sign agrees with the outer lines' sign
 (constant) or opposes it (balanced), once each window's own line is known to
-set its sign (readout.check_resolved). Each oracle's plan (compiler._plan) is
-built once and kept (_oracle_plan); a run only walks it.
+set its sign (readout.check_resolved). Each oracle's output state is kept
+(_oracle_state, 0.8 KB an entry with its key); a warm run only copies it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from importlib.resources import files
 
 import numpy as np
 
-from .compiler import _plan, _walk
+from .compiler import run_trajectory
 from .linalg import conjugate
 from .prep import pseudopure_00
 from .pulses import hard_pulse
@@ -150,24 +150,32 @@ def _start_state(dim: int) -> np.ndarray:
     return rho
 
 
-# Bound of the kept oracle plans (_oracle_plan). An entry, with its key, is
-# 3 to 7 KB for a spin 3/2 (most for a shaped, relaxed z-pulse cascade), so
-# a full cache holds under 1.75 MB.
-_KEPT_PLANS = 256
+@cache
+def _ideal_state(oracle_id: str, dim: int) -> np.ndarray:
+    """_start_state(dim) through the ideal matrix of the oracle, read-only."""
+    rho = conjugate(_start_state(dim), oracle_matrix(oracle_id))
+    rho.flags.writeable = False
+    return rho
 
 
-@_exact_cache(_KEPT_PLANS)
-def _oracle_plan(name: str, shaped: bool, spin, lambda_hz, relax):
-    """The on-resonance system SpinSystem(spin, 0.0, lambda_hz), the events
-    and the plan (compiler._plan) of the bundled oracle sequence name on it,
-    its selective pulses made gaussian when shaped; relax holds the
-    RelaxationParams numbers, or is None. The events are as parsed: _plan
-    resolves the delay pi/(12*lambda) against the frame.
+# Bound of the kept oracle states (_oracle_state). tracemalloc reads 0.79 KB
+# an entry, key included, over 256 shaped, relaxed z-pulse cascades (the
+# longest keys), so a full cache holds about 0.2 MB.
+_KEPT_STATES = 256
 
-    The propagators depend on nothing else, the acquisition included, so
-    each is kept until evicted and run_dj only walks it; keys compare
-    exactly (_exact_cache). The plan's arrays are read-only. A refused plan
-    raises its error and is not kept.
+
+@_exact_cache(_KEPT_STATES)
+def _oracle_state(name: str, shaped: bool, spin, lambda_hz, relax):
+    """_start_state through the bundled oracle sequence name on the
+    on-resonance system SpinSystem(spin, 0.0, lambda_hz), its selective
+    pulses made gaussian when shaped; relax holds the RelaxationParams
+    numbers, or is None. The events are as parsed: run_trajectory resolves
+    the delay pi/(12*lambda) against the frame.
+
+    The final state depends on nothing else, the acquisition included, so
+    it is kept, read-only, until evicted, and run_dj only copies it; keys
+    compare exactly (_exact_cache). A refused state raises its error and is
+    not kept.
     """
     frame = SpinSystem(spin, 0.0, lambda_hz)
     events = _bundled_events(name)
@@ -176,10 +184,11 @@ def _oracle_plan(name: str, shaped: bool, spin, lambda_hz, relax):
         shape = GaussianShape(duration_s=duration, duration_text=f"{duration * 1e6:.6g}us")
         events = tuple(replace(e, shape=shape) if type(e) is SelPulse and e.shape is None
                        else e for e in events)
-    planned = _plan(events, frame, None if relax is None else RelaxationParams(*relax))
-    if planned[2] is not None:
-        raise planned[2]
-    return frame, events, planned
+    ir = SequenceIR(SystemDecl(spin=frame.spin, splitting_hz=frame.splitting_hz), events)
+    rho = run_trajectory(ir, frame, _start_state(frame.dim),
+                         None if relax is None else RelaxationParams(*relax)).states[-1]
+    rho.flags.writeable = False
+    return rho
 
 
 def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-evolution",
@@ -197,34 +206,34 @@ def run_dj(oracle_id: str, sys: SpinSystem | None = None, method: str = "quad-ev
     next pulse; so the oracle runs in the frame that tracks the offset, on
     the system's on-resonance copy (the "virtual Z" of McKay et al., PRA 96,
     022330, 2017). No other oracle event depends on the offset, so the
-    Zeeman rotation left out only sets the global phase, and the oracle's
-    plan is kept per sequence file, spin, coupling and relax (_oracle_plan),
-    shared by every offset. The readout is readout.acquire with the given
-    points, dwell, line broadening and relax. Before the classifier reads
-    the signs, readout.check_resolved raises UnresolvedLinesError for a
-    window whose neighbours' tails weigh as much as its own line, since its
-    sign could then read the wrong class.
+    Zeeman rotation left out only sets the global phase. The oracle's output
+    state is kept per sequence file, shaped flag, spin, coupling and relax
+    (_oracle_state, about 0.8 KB an entry with its key), shared by every
+    offset, and the ideal matrix's per oracle (_ideal_state): a warm run
+    propagates nothing, and rho_final is a fresh copy of the kept state.
+    The readout is readout.acquire with the given points, dwell, line
+    broadening and relax. Before the classifier reads the signs,
+    readout.check_resolved raises UnresolvedLinesError for a window whose
+    neighbours' tails weigh as much as its own line, since its sign could
+    then read the wrong class.
     """
     sys = SpinSystem() if sys is None else sys
     oracle_class(oracle_id)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
-    rho = _start_state(sys.dim)
     if method == "ideal-matrix":
-        rho = conjugate(rho, oracle_matrix(oracle_id))
+        kept = _ideal_state(oracle_id, sys.dim)
     else:
         if shaped_pulses and not (sys.lambda_hz > 0
                                   and math.isfinite(1.0 / (3.0 * sys.lambda_hz))):
             raise ValueError(f"coupling {sys.lambda_hz:g} Hz gives no finite, positive "
                              "shaped pulse duration 1/(3*lambda)")
-        rho = np.array(rho, dtype=complex)
         name = _ORACLE_FILES.get((oracle_id, method))    # f1 needs no pulse
-        if name is not None:
-            frame, events, planned = _oracle_plan(
-                name, bool(shaped_pulses), sys.spin, sys.lambda_hz,
-                None if relax is None else (relax.t1_s, relax.t2_central_s, relax.t2_outer_s))
-            rho = _walk(events, planned, frame, rho, relax)[0][-1]
+        kept = _start_state(sys.dim) if name is None else _oracle_state(
+            name, bool(shaped_pulses), sys.spin, sys.lambda_hz,
+            None if relax is None else (relax.t1_s, relax.t2_central_s, relax.t2_outer_s))
+    rho = kept.copy()
 
     spec = acquire(rho, sys, points=points, dwell_s=dwell_s, lb_hz=lb_hz, relax=relax)[1]
     check_resolved(spec)

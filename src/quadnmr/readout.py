@@ -34,9 +34,8 @@ compute it once. Its keys, like the axis's, compare exactly
 (system._exact_cache): numbers equal in value but not in bits never share
 an entry. Each thread keeps a workspace (_Workspace) at each of the last
 three point counts: a working buffer, and the denominators 1 - q w^j of the
-last two line sets, from a set's second transform on and only for sets of
-at most 192 KiB: no 2^20-point rows are kept, and a thread keeps at most
-1.125 MiB of them. A repeated set's transform then only divides.
+last two line sets, from a set's second transform on and only for small
+sets (_KEPT_ROWS_BYTES). A repeated set's transform then only divides.
 """
 
 from __future__ import annotations
@@ -61,9 +60,7 @@ DEFAULT_LB_HZ = 200.0
 # buffer, 64 MB in all. Between transforms the process keeps the twiddle
 # table (32 MB, shared by all threads) and each thread that transformed keeps
 # its workspace, whose working buffer takes 16 MB: both are cached for the
-# last three point counts. A workspace keeps denominator rows only for line
-# sets of at most 192 KiB (_KEPT_ROWS_BYTES), never for 2^20 points: at most
-# 1.125 MiB a thread.
+# last three point counts, its denominator rows bounded by _KEPT_ROWS_BYTES.
 MAX_POINTS = 2 ** 20
 
 # Number of nominal linewidths (each side) integrated around a line.
@@ -87,11 +84,14 @@ class FID:
 
     It holds its lines, one (amplitude, frequency_hz, t2_s) per transition
     with t2_s = inf without relaxation; spectrum() transforms those in closed
-    form, and samples are computed when first read.
+    form, and samples are computed when first read. It refuses a point count
+    that is no integer.
     """
 
     def __init__(self, points: int, dwell_s: float, lb_hz: float,
                  lines: tuple[tuple[complex, float, float], ...]):
+        if not isinstance(points, (int, np.integer)):
+            raise ValueError(f"point count must be an integer, got {points!r}")
         self.points, self.dwell_s, self.lb_hz, self.lines = points, dwell_s, lb_hz, lines
 
     @cached_property
@@ -121,8 +121,7 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if amplitudes.shape != (sys.dim - 1,):
         raise ValueError(f"expected {sys.dim - 1} amplitudes, got {amplitudes.shape}")
-    if not isinstance(points, (int, np.integer)):
-        raise ValueError(f"point count must be an integer, got {points!r}")
+    fid = FID(points, dwell_s, lb_hz, ())   # refuses a point count that is no integer
     if points < 2:
         raise ValueError("need at least two points")
     if points > MAX_POINTS:
@@ -150,7 +149,8 @@ def synthesize_fid(amplitudes: np.ndarray, sys: SpinSystem, points: int = DEFAUL
                 raise ValueError(f"amplitude {a} of line {label} is not finite")
         raise ValueError(f"{points} points times the summed amplitude magnitude "
                          "overflow the float range")
-    return FID(points=points, dwell_s=dwell_s, lb_hz=lb_hz, lines=tuple(lines))
+    fid.lines = tuple(lines)
+    return fid
 
 
 class UnresolvedLinesError(ValueError):
@@ -260,9 +260,10 @@ def _twiddles(points: int) -> np.ndarray:
 
 
 # The most bytes of denominator rows kept for one line set, 16 a line and
-# point: the three lines of every spin-3/2 grid up to 4096 points. Larger
-# sets, such as 16384-point ones, are built on every call: kept, they slowed
-# runs that mix point counts more than their rows saved.
+# point: 192 KiB, the three lines of every spin-3/2 grid up to 4096 points,
+# so a thread keeps at most 2 sets x 3 point counts = 1.125 MiB of rows.
+# Larger sets, such as 16384-point ones, are built on every call: kept, they
+# slowed runs that mix point counts more than their rows saved.
 _KEPT_ROWS_BYTES = 16 * 3 * 4096
 
 
@@ -314,9 +315,9 @@ class _Workspace:
 
 class _Buffers(threading.local):
     """Each thread's workspaces (_Workspace) for the last three point counts,
-    like _twiddles, at most 2 x 192 KiB x 3 counts = 1.125 MiB of rows
-    besides the working buffers. They outlive the call, so that a transform
-    allocates no full-length array besides its result."""
+    like _twiddles, their rows bounded by _KEPT_ROWS_BYTES. They outlive the
+    call, so that a transform allocates no full-length array besides its
+    result."""
 
     def __init__(self):
         self.workspace = lru_cache(maxsize=3)(_Workspace)

@@ -17,7 +17,8 @@ constants as they were computed on every call, before the readout kept them
 per grid and line set; the readout windows as an edge search found them on
 every call, before one mask per line replaced it; and the pulses of a plan
 grouped per generator, before one gathered exponential built them all.
-clear_readout_caches makes the next readout start cold.
+clear_readout_caches makes the next readout start cold, and
+clear_kept_states the next run_dj propagate its state again.
 """
 
 import cmath
@@ -29,7 +30,8 @@ import numpy as np
 
 from quadnmr import (FID, Peak, SequenceIR, Spectrum, SpinSystem, compile_unitary,
                      oracle_class, oracle_matrix, selective_pulse)
-from quadnmr.dj import _ORACLE_FILES, SEQUENCE_METHODS, _bundled_events
+from quadnmr.dj import (_ORACLE_FILES, SEQUENCE_METHODS, _bundled_events, _ideal_state,
+                        _oracle_state, _start_state)
 from quadnmr.linalg import (ATOL, MAX_TWO_SPIN, expm_diagonal, expm_from_eigh, is_hermitian,
                             spin_operators)
 from quadnmr.pulses import _generator_table, _unit_element, pulse_factors
@@ -358,6 +360,13 @@ def spectrum_reference(fid: FID, sys: SpinSystem) -> Spectrum:
 def clear_readout_caches():
     """Empty the readout's caches and this thread's workspaces."""
     for cache in (_readout_plan, _twiddles, _axis, _buffers.workspace):
+        cache.cache_clear()
+
+
+def clear_kept_states():
+    """Empty quadnmr.dj's kept states: the start state, the ideal matrices'
+    output states and the oracle sequences' output states."""
+    for cache in (_start_state, _ideal_state, _oracle_state):
         cache.cache_clear()
 
 

@@ -12,10 +12,12 @@ from quadnmr import SpinSystem, spectrum, synthesize_fid
 
 from helpers import clear_readout_caches
 
-# keyed by a level count (at most 16) or a bundled sequence file name
+# keyed by a level count (at most 16), with an oracle id (one of four), or a
+# bundled sequence file name
 UNBOUNDED = {"quadnmr.system._levels", "quadnmr.linalg._spin_operators",
              "quadnmr.pulses._generator_table", "quadnmr.compiler._inversion",
-             "quadnmr.dj._start_state", "quadnmr.dj._bundled_events"}
+             "quadnmr.dj._start_state", "quadnmr.dj._ideal_state",
+             "quadnmr.dj._bundled_events"}
 
 
 def functools_caches() -> dict:
@@ -41,7 +43,7 @@ def test_every_cache_is_bounded_but_those_keyed_by_level_count_or_file_name():
                  if cache.cache_parameters()["maxsize"] is None}
     assert unbounded <= UNBOUNDED <= set(caches)
     # the scan reaches the bounded caches too: wrapped ones and a thread's own
-    for name in ("quadnmr.dj._oracle_plan", "quadnmr.readout._readout_plan",
+    for name in ("quadnmr.dj._oracle_state", "quadnmr.readout._readout_plan",
                  "quadnmr.readout._twiddles", "quadnmr.relaxation.coherence_t2_table",
                  "quadnmr.readout._Workspace"):
         assert caches[name].cache_parameters()["maxsize"] is not None

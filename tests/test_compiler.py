@@ -10,7 +10,7 @@ from quadnmr import (NonUnitaryEventError, RelaxationParams, SpinSystem, compile
                      hard_pulse, observable_amplitudes, oracle_matrix, parse_sequence,
                      pseudopure_00, run_trajectory, selective_pulse, spectrum,
                      synthesize_fid)
-from quadnmr.compiler import _plan
+from quadnmr.compiler import _inversion, _plan
 from quadnmr.linalg import expm_diagonal
 from quadnmr.seqlang import (SYMBOLIC_CPHASE_DELAY, Acquire, GaussianShape, Gradient,
                              HardPulse, QuadDelay, Refocus, SelPulse, SequenceIR,
@@ -368,22 +368,14 @@ def test_a_one_pulse_sequence_has_the_bytes_of_its_pulse(spin, pulses, duration,
         assert steps[0][0].tobytes() == want.tobytes() == grouped.tobytes()
 
 
-_RELAXED_REFOCUS = (SpinSystem(), SequenceIR(SystemDecl(1.5, 16_000.0), (
-    Refocus(tau_s=1e-4, tau_text="100us"), HardPulse(axis="x", angle_rad=1.0, angle_text="1"))))
-
-
-@settings(max_examples=60, deadline=None)
-@given(seq=mixed_sequences(), relax=st.sampled_from([None, RelaxationParams()]))
-@example(seq=_RELAXED_REFOCUS, relax=RelaxationParams())
-def test_every_array_of_a_plan_is_read_only(seq, relax):
-    """Each propagator, adjoint and decay of a plan is read-only as built, so
-    a caller may keep the plan and walk it again."""
-    sys, ir = seq
-    plan, decays, _ = _plan(ir.events, sys, relax)
-    arrays = [array for steps in plan if steps is not None
-              for step in steps for array in step[:2]] + list(decays or ())
-    if seq is _RELAXED_REFOCUS:    # the halves, the inversion and its adjoint, the pulse
-        assert len(arrays) == 10
-    for array in arrays:
+@pytest.mark.parametrize("spin", [0.5, 1.5, 7.5])
+def test_the_kept_inversion_pair_is_read_only(spin):
+    """The hard pi about -y that every refocus block of a level count shares,
+    and its adjoint, are kept: neither can be written."""
+    sys = SpinSystem(spin=spin)
+    u, uh = _inversion(sys.dim)
+    assert u.tobytes() == hard_pulse(sys, "-y", np.pi).tobytes()
+    assert uh.tobytes() == u.conj().T.tobytes()
+    for array in (u, uh):
         with pytest.raises(ValueError, match="read-only"):
             array[..., 0] = 0

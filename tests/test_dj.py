@@ -1,4 +1,5 @@
 import fnmatch
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
@@ -14,12 +15,13 @@ from quadnmr import (AmbiguousReadoutError, RelaxationParams, acquire,
 from quadnmr import SpinSystem, cphase_delay_s, format_sequence
 from quadnmr.dj import (METHODS, ORACLE_IDS, ORACLE_PHASES, SEQUENCE_METHODS,
                         UnresolvedLinesError)
-from quadnmr.dj import _KEPT_PLANS, _ORACLE_FILES, _oracle_plan
+from quadnmr import compiler, dj
+from quadnmr.dj import _KEPT_STATES, _ORACLE_FILES, _ideal_state, _oracle_state
 from quadnmr.readout import Peak
 from quadnmr.seqlang import QuadDelay
 
-from helpers import (global_phase, ideal_state_after_oracle, matrices_close,
-                     oracle_matrix_reference, oracle_sequence_reference)
+from helpers import (clear_kept_states, global_phase, ideal_state_after_oracle,
+                     matrices_close, oracle_matrix_reference, oracle_sequence_reference)
 
 SQRT3 = np.sqrt(3.0)
 INV_2SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
@@ -383,20 +385,25 @@ def dj_outcome(call):
     call = dict(call)
     sys = SpinSystem(offset_hz=call.pop("offset_hz"), lambda_hz=call.pop("lambda_hz"))
     try:
-        out = run_dj(sys=sys, **call)
+        return outcome_bits(run_dj(sys=sys, **call))
     except (ValueError, AmbiguousReadoutError) as err:
         return type(err), str(err)
+
+
+def outcome_bits(out):
+    """The bits of the spectrum, rho_final, peak signs and class of a DJOutcome."""
     return (out.spectrum.freq_hz.tobytes(), out.spectrum.amplitude.tobytes(),
             out.rho_final.tobytes(), np.array(out.peak_signs).tobytes(), out.classification)
 
 
-class TestKeptOraclePlan:
-    """run_dj keeps each oracle's plan per sequence file, spin, coupling and
-    relaxation, shared by every offset."""
+class TestKeptOracleState:
+    """run_dj keeps each oracle's output state per sequence file, shaped flag,
+    spin, coupling and relaxation, shared by every offset, and the ideal
+    matrix's per oracle and level count; a warm run only copies it."""
 
     @settings(max_examples=100, deadline=None)
     @given(dj_calls())
-    # shaped runs off resonance after on-resonance ones share the frame's plan
+    # shaped runs off resonance after on-resonance ones share the frame's state
     @example([dict(oracle_id=oracle_id, offset_hz=offset, lambda_hz=16_000.0 / 6.0,
                    method=method, relax=None, shaped_pulses=True, points=1024)
               for offset in (0.0, -0.0, 0, -1500.0)
@@ -408,59 +415,106 @@ class TestKeptOraclePlan:
                                                 ("f2", "selective-z", True))
               for coupling in (2000.0, np.float32(2000.0))])
     def test_warm_runs_equal_runs_after_cache_clear(self, calls):
-        _oracle_plan.cache_clear()
+        clear_kept_states()
         for call in calls:
             dj_outcome(call)
         warm = [dj_outcome(call) for call in calls]
         cleared = []
         for call in calls:
-            _oracle_plan.cache_clear()
+            clear_kept_states()
             cleared.append(dj_outcome(call))
         assert warm == cleared
 
+    @pytest.mark.parametrize("relax", [None, RelaxationParams()])
+    @pytest.mark.parametrize("shaped", [False, True])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("oracle_id", ORACLE_IDS)
+    def test_a_warm_run_propagates_nothing(self, monkeypatch, oracle_id, method, shaped,
+                                           relax):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm run_dj propagated its state")
+
+        call = dict(oracle_id=oracle_id, method=method, relax=relax, shaped_pulses=shaped,
+                    offset_hz=500.0, lambda_hz=16_000.0 / 6.0, points=1024)
+        clear_kept_states()
+        cold = dj_outcome(call)
+        for module, name in ((dj, "run_trajectory"), (dj, "conjugate"), (dj, "pseudopure_00"),
+                             (dj, "hard_pulse"), (compiler, "_plan")):
+            monkeypatch.setattr(module, name, refuse)
+        sys = SpinSystem(offset_hz=500.0, lambda_hz=16_000.0 / 6.0)
+        out = run_dj(oracle_id, sys, method=method, relax=relax, shaped_pulses=shaped,
+                     points=1024)
+        if method == "ideal-matrix":
+            kept = _ideal_state(oracle_id, 4)
+        elif oracle_id == "f1":
+            kept = dj._start_state(4)
+        else:
+            kept = _oracle_state(_ORACLE_FILES[oracle_id, method], shaped, 1.5, sys.lambda_hz,
+                                 None if relax is None else
+                                 (relax.t1_s, relax.t2_central_s, relax.t2_outer_s))
+        assert outcome_bits(out) == cold and out.rho_final.tobytes() == kept.tobytes()
+        assert out.rho_final.flags.writeable and not np.shares_memory(out.rho_final, kept)
+        out.rho_final[...] = 0      # the caller's own array: the kept state is untouched
+        assert dj_outcome(call) == cold
+
     # a negative coupling gives a negative soft-pulse duration and one below
     # 1e-308 Hz an infinite one: _plan refuses either (run_dj refuses both
-    # before it asks for a plan)
+    # before it asks for a state)
     @pytest.mark.parametrize("lambda_hz, message", [(-1000.0, "duration must be positive"),
                                                     (1e-311, "must be finite")])
-    def test_a_refused_plan_is_not_kept(self, lambda_hz, message):
-        _oracle_plan.cache_clear()
+    def test_a_refused_state_is_not_kept(self, lambda_hz, message):
+        _oracle_state.cache_clear()
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
-                _oracle_plan("u2.qseq", True, 1.5, lambda_hz, None)
-        info = _oracle_plan.cache_info()
+                _oracle_state("u2.qseq", True, 1.5, lambda_hz, None)
+        info = _oracle_state.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
     @pytest.mark.parametrize("name", sorted(set(_ORACLE_FILES.values())))
     @pytest.mark.parametrize("relax", [None, RelaxationParams()])
     def test_kept_arrays_are_read_only(self, name, relax):
         params = None if relax is None else (relax.t1_s, relax.t2_central_s, relax.t2_outer_s)
-        frame, events, (plan, decays, error) = _oracle_plan(name, True, 1.5, 2000.0, params)
-        arrays = [array for steps in plan for step in steps for array in step[:2]]
-        assert error is None and len(arrays) >= 2 * len(events)
-        assert (decays is None) == (relax is None)
-        for array in arrays + list(decays or ()):
+        rho = _oracle_state(name, True, 1.5, 2000.0, params)
+        assert rho.shape == (4, 4) and rho.dtype == complex
+        for array in (rho, *[_ideal_state(oracle_id, 4) for oracle_id in ORACLE_IDS]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
     def test_the_cache_holds_at_most_its_bound(self):
-        _oracle_plan.cache_clear()
-        for k in range(_KEPT_PLANS + 8):
-            _oracle_plan("u2.qseq", False, 1.5, 2000.0 + k, None)
-        assert _oracle_plan.cache_parameters()["maxsize"] == _KEPT_PLANS == 256
-        assert _oracle_plan.cache_info().currsize == _KEPT_PLANS
+        _oracle_state.cache_clear()
+        for k in range(_KEPT_STATES + 8):
+            _oracle_state("u2.qseq", False, 1.5, 2000.0 + k, None)
+        assert _oracle_state.cache_parameters()["maxsize"] == _KEPT_STATES == 256
+        assert _oracle_state.cache_info().currsize == _KEPT_STATES
 
-    # the three offsets of the benchmark's dj-sweep: a plan depends on none of them
+    def test_a_full_cache_takes_under_half_a_megabyte(self):
+        # the largest entries: shaped, relaxed z-pulse cascades, whose keys are longest
+        params = (RelaxationParams().t1_s, RelaxationParams().t2_central_s,
+                  RelaxationParams().t2_outer_s)
+        _oracle_state("u3-zcascade.qseq", True, 1.5, 1999.0, params)   # the shared tables
+        _oracle_state.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(_KEPT_STATES):
+                _oracle_state("u3-zcascade.qseq", True, 1.5, 2000.0 + k / 7.0, params)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert _oracle_state.cache_info().currsize == _KEPT_STATES
+        assert held < 0.5e6, held
+
+    # the three offsets of the benchmark's dj-sweep: a state depends on none of them
     @pytest.mark.parametrize("name", sorted(set(_ORACLE_FILES.values())))
     @pytest.mark.parametrize("shaped", [False, True])
     @pytest.mark.parametrize("relax", [None, RelaxationParams()])
     def test_runs_at_every_offset_share_one_entry(self, name, shaped, relax):
         oracle_id, method = next(key for key, value in _ORACLE_FILES.items() if value == name)
-        _oracle_plan.cache_clear()
+        _oracle_state.cache_clear()
         for offset in (0.0, 500.0, -1500.0):
             run_dj(oracle_id, SpinSystem.from_splitting(16_000.0, offset), method=method,
                    relax=relax, shaped_pulses=shaped)
-        info = _oracle_plan.cache_info()
+        info = _oracle_state.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
     # 1/(3*lambda) divided by zero: the CLI printed a ZeroDivisionError traceback
@@ -474,10 +528,10 @@ class TestKeptOraclePlan:
     @pytest.mark.parametrize("method", SEQUENCE_METHODS)
     @pytest.mark.parametrize("lambda_hz", [-1000.0, 1e-310])
     def test_shaped_pulses_refuse_a_negative_or_tiny_coupling(self, oracle_id, method, lambda_hz):
-        _oracle_plan.cache_clear()
+        _oracle_state.cache_clear()
         with pytest.raises(ValueError) as caught:
             run_dj(oracle_id, SpinSystem(lambda_hz=lambda_hz), method=method,
                    shaped_pulses=True)
         assert str(caught.value) == f"coupling {lambda_hz:g} Hz gives no finite, positive " \
             "shaped pulse duration 1/(3*lambda)"
-        assert _oracle_plan.cache_info().misses == 0    # refused before any oracle ran
+        assert _oracle_state.cache_info().misses == 0    # refused before any oracle ran

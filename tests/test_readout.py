@@ -1117,20 +1117,23 @@ class TestReadoutGeometryCache:
         assert _readout_plan.cache_info().currsize == 0
 
     def test_a_float_point_count_raises_the_same_error_cold_and_warm(self):
-        # 64.0 == 64, though their keys differ in type
+        # 64.0 == 64, though their keys differ in type: the FID refuses it
+        # before any readout plan is sought
         def read(points):
             try:
                 return spectrum(FID(points=points, dwell_s=5e-6, lb_hz=200.0,
                                     lines=((1.0, 0.0, math.inf),))).amplitude.tobytes()
-            except TypeError as err:
+            except ValueError as err:
                 return str(err)
 
         clear_readout_caches()
-        cold, expected, warm = read(64.0), read(64), read(64.0)
-        assert cold == warm == "slice indices must be integers or None or have an " \
-            "__index__ method"
-        # the two counts have a plan each, and the warm read found its own
-        assert _readout_plan.cache_info()[:2] == (1, 2)
+        cold = read(64.0)
+        assert _readout_plan.cache_info().currsize == 0
+        expected, warm = read(64), read(64.0)
+        assert cold == warm == "point count must be an integer, got 64.0"
+        # only the integer count has a plan, and no read found one kept
+        info = _readout_plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
         assert expected == line_spectrum_reference(
             FID(points=64, dwell_s=5e-6, lb_hz=200.0, lines=((1.0, 0.0, math.inf),))).tobytes()
 

@@ -18,7 +18,7 @@ import quadnmr
 from quadnmr import (METHODS, ORACLE_IDS, RelaxationParams, SpinSystem, oracle_class, run_dj,
                      write_spectrum_csv)
 
-from helpers import clear_readout_caches
+from helpers import clear_kept_states, clear_readout_caches
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,11 +45,12 @@ def test_run_dj_all(tmp_path, flags):
         for oracle_id, method in product(ORACLE_IDS, METHODS)
         for kind in ("spectrum", "peaks"))
     # each spectrum has the bytes of the same run read with cold caches,
-    # though the script's later runs reuse kept transform rows
+    # though the script's later runs reuse kept transform rows and states
     relax = RelaxationParams() if "--relaxation" in flags else None
     cold = tmp_path / "cold.csv"
     for oracle_id, method in product(ORACLE_IDS, METHODS):
         clear_readout_caches()
+        clear_kept_states()
         outcome = run_dj(oracle_id, SpinSystem.from_splitting(16_000.0), method=method,
                          relax=relax,
                          shaped_pulses="--shaped-pulses" in flags and method != "ideal-matrix")
