@@ -150,7 +150,11 @@ def _load_target(name: str) -> np.ndarray:
     if path.suffix == ".npy":
         matrix = np.load(path)
     else:
-        matrix = np.loadtxt(path, dtype=complex)
+        # loadtxt warns before it returns an empty array: refuse the file first
+        rows = path.read_text().split("\n")
+        if not any(row.split("#", 1)[0].strip() for row in rows):
+            raise ValueError(f"target matrix in {name!r} holds no numbers")
+        matrix = np.loadtxt(rows, dtype=complex)
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"target matrix in {name!r} is not square")

@@ -23,19 +23,20 @@ the summed |real peak integrals| (largest peak forced positive), and
 summarized as one signed integral per transition over +-3 nominal linewidths;
 check_resolved refuses a window whose own line does not outweigh the rest.
 
-Each window holds the bins within +-3 nominal linewidths of its line that no
-other line is strictly nearer to, found by one mask over the axis; the exact
-phase is found among at most one sign pattern of the integrals per line.
-What no amplitude touches, each FID line's transform constants and each
-system line's window, is the readout plan of a grid, FID line set and
-system, kept in one bounded cache (_readout_plan) of a few Python scalars or
-a slice per line, so the runs of every oracle on one system and grid
-compute it once. Its keys, like the axis's, compare exactly
-(system._exact_cache): numbers equal in value but not in bits never share
-an entry. Each thread keeps a workspace (_Workspace) at each of the last
-three point counts: a working buffer, and the denominators 1 - q w^j of the
-last two line sets, from a set's second transform on and only for small
-sets (_KEPT_ROWS_BYTES). A repeated set's transform then only divides.
+Each window is the slice of bins from the first to the last within +-3
+nominal linewidths of its line that no other line is strictly nearer to,
+found by one mask over the axis; the exact phase is found among at most one
+sign pattern of the integrals per line. What no amplitude touches, each FID
+line's transform constants and each system line's window, is the readout
+plan of a grid, FID line set and system, kept in one bounded cache
+(_readout_plan) of a few Python scalars and a slice per line, so the runs
+of every oracle on one system and grid compute it once. Its keys, like the
+axis's, compare exactly (system._exact_cache): numbers equal in value but
+not in bits never share an entry. Each thread keeps a workspace
+(_Workspace) at each of the last three point counts: a working buffer, and
+the denominators 1 - q w^j of the last two line sets, from a set's second
+transform on and only for small sets (_KEPT_ROWS_BYTES). A repeated set's
+transform then only divides.
 """
 
 from __future__ import annotations
@@ -226,16 +227,19 @@ def _axis(points: int, dwell_s: float) -> np.ndarray:
     return freq
 
 
-def _window_bins(freq: np.ndarray, lines, line: float, half_width: float) -> np.ndarray:
-    """The bins of line's readout window on the axis freq: those within
-    half_width of line to which no other line within 2.001 half-widths is
-    strictly nearer (a line farther away is nearer to none of them)."""
+def _window_bins(freq: np.ndarray, lines, line: float, half_width: float) -> slice:
+    """line's readout window on the axis freq: the slice from the first to
+    the last bin within half_width of line to which no other line within
+    2.001 half-widths is strictly nearer (a line farther away is nearer to
+    none of them), empty where there is none. Lines so near that rounding
+    ties their distances at scattered bins get overlapping slices."""
     dist = np.abs(freq - line)
     mask = dist <= half_width
     for f in lines:
         if f != line and not abs(f - line) > 2.001 * half_width:
             mask &= ~(np.abs(freq - f) < dist)
-    return np.flatnonzero(mask)
+    bins = np.flatnonzero(mask)
+    return slice(int(bins[0]), int(bins[-1]) + 1) if bins.size else slice(0, 0)
 
 
 # 2 pi - math.tau, the part of 2 pi that math.tau rounds off
@@ -363,14 +367,10 @@ def _readout_plan(points: int, dwell_s: float, lb_hz: float,
     A line's constants are what _line_spectrum takes from it besides its
     amplitude: -q w^m, 1 - q^N, (1 - q^N) / (1 - q w^m) (None where that
     denominator is below the normal range), the result bin j of bin m and
-    the start of its twiddles. A window (_window_bins) is a slice where its
-    bins form one run. Where another line lies within a few units in the
-    last place, rounding can tie the two distances at scattered bins: such a
-    window is an index array up to points long, so it is None here and
-    spectrum finds it again on each call. Keys compare exactly, like
-    _axis's (_exact_cache): the sign of a zero lb_hz under a growing line
-    (T2 = -inf), or a numpy scalar in place of a float, changes the bits of
-    the constants.
+    the start of its twiddles. A window is a slice (_window_bins). Keys
+    compare exactly, like _axis's (_exact_cache): the sign of a zero lb_hz
+    under a growing line (T2 = -inf), or a numpy scalar in place of a float,
+    changes the bits of the constants.
     """
     n, constants = points, []
     for f, t2 in lines:
@@ -380,12 +380,9 @@ def _readout_plan(points: int, dwell_s: float, lb_hz: float,
         constants.append((-cmath.exp(complex(-d, ny / n)), numerator,
                           numerator / den if abs(den) >= _NORMAL_MIN else None,
                           (m + n // 2) % n, (n - n // 2 - m) % n))
-    freq, half_width, windows = _axis(points, dwell_s), PEAK_WINDOW_LINEWIDTHS * lb_hz, []
-    for line in centres:
-        bins = _window_bins(freq, centres, line, half_width)
-        lo, hi = (int(bins[0]), int(bins[-1]) + 1) if bins.size else (0, 0)
-        windows.append(slice(lo, hi) if hi - lo == bins.size else None)
-    return tuple(constants), tuple(windows)
+    freq, half_width = _axis(points, dwell_s), PEAK_WINDOW_LINEWIDTHS * lb_hz
+    return tuple(constants), tuple([_window_bins(freq, centres, line, half_width)
+                                    for line in centres])
 
 
 def _line_spectrum(fid: FID, constants: tuple, windows) -> tuple[np.ndarray, list[complex]]:
@@ -446,23 +443,20 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     returned. With one, the per-transition windows are integrated, the
     exact zero-order phase is chosen, and the transform is phased in place.
     Each window spans +-3 lb around its line and keeps only the bins no
-    farther from it than from any other line, so overlapping windows share
-    no signal except at exact ties. A window that holds no frequency bin is
-    a ValueError naming the line. Peak.own_integral is the real part of FID
-    line k's share of window k at that phase, 0 where there is no line k.
+    farther from it than from any other line, as one slice (_window_bins).
+    A window that holds no frequency bin is a ValueError naming the line. Peak.own_integral is the real part of FID line k's
+    share of window k at that phase, 0 where there is no line k.
     """
     freq = _axis(fid.points, fid.dwell_s)
     lines = () if sys is None else sys._freqs
-    constants, kept = _readout_plan(fid.points, fid.dwell_s, fid.lb_hz,
-                                    tuple([(f, t2) for _, f, t2 in fid.lines]), lines)
+    constants, windows = _readout_plan(fid.points, fid.dwell_s, fid.lb_hz,
+                                       tuple([(f, t2) for _, f, t2 in fid.lines]), lines)
     if sys is None:
         return _frozen(Spectrum, freq_hz=freq, amplitude=_line_spectrum(fid, constants, ())[0],
                        peaks=[], phase_rad=0.0)
 
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     labels = sys._levels.line_labels
-    windows = [_window_bins(freq, lines, line, half_width) if window is None else window
-               for line, window in zip(lines, kept)]
     amp, own = _line_spectrum(fid, constants, windows)
     df = freq.item(1) - freq.item(0)
     raw, parts = [], []
@@ -487,10 +481,7 @@ def spectrum(fid: FID, sys: SpinSystem | None = None) -> Spectrum:
     peaks = []
     for label, window, part, integral, mine in zip(labels, windows, parts,
                                                    (raw * rot).real.tolist(), own):
-        if type(window) is slice:   # part is a view of amp, so it is phased too
-            top = window.start + np.abs(part).argmax()
-        else:
-            top = window[np.abs(amp[window]).argmax()]
+        top = window.start + np.abs(part).argmax()    # part is a view of amp, phased too
         peaks.append(_frozen(Peak, transition=label, frequency_hz=freq.item(top),
                              real_integral=integral, sign=-1 if integral < 0 else 1,
                              own_integral=(mine * df * rot).real))

@@ -285,10 +285,11 @@ def synthesize_fid_reference(amplitudes, sys: SpinSystem, points: int, dwell_s: 
 
 
 def windows_reference(freq: np.ndarray, span_s: float, lines: list[float],
-                      half_width: float) -> list[slice | np.ndarray]:
+                      half_width: float) -> list[slice]:
     """The readout windows as the edge search found them on every call,
     before one mask per line (readout._window_bins) replaced it: given the
-    axis, a slice or, where two lines nearly coincide, an index array."""
+    axis, a slice; where two lines nearly coincide, the slice from the
+    first to the last bin that no rival is strictly nearer to."""
     points, centre, step = len(freq), len(freq) // 2, 1.0 / span_s
     windows = []
     for line in lines:
@@ -310,7 +311,8 @@ def windows_reference(freq: np.ndarray, span_s: float, lines: list[float],
             nearer = np.zeros(hi - lo, dtype=bool)
             for f in rivals:
                 nearer |= np.abs(freq[lo:hi] - f) < dist
-            windows.append(lo + np.flatnonzero(~nearer))
+            kept = lo + np.flatnonzero(~nearer)
+            windows.append(slice(int(kept[0]), int(kept[-1]) + 1) if kept.size else slice(lo, lo))
             continue
         for f in rivals:
             above, guess = f > line, (line / 2 + f / 2) * span_s + centre

@@ -398,6 +398,19 @@ class TestCompileCheck:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error[E_")
 
+    # each printed numpy's "loadtxt: input contained no data" warning first,
+    # which raised out of main under -W error
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n", "# a comment\n  # another\n"],
+                             ids=["empty", "blank-lines", "comment-only"])
+    def test_target_holding_no_numbers_is_config_error(self, tmp_path, capsys, text):
+        target = tmp_path / "gate.txt"
+        target.write_text(text)
+        code, out, err = run_cli(capsys, "compile-check", str(SEQUENCES_DIR / "u3-quad.qseq"),
+                                 "--against", str(target))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error[E_CONFIG]: target matrix in {str(target)!r} "
+                                    "holds no numbers"]
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_target_is_config_error(self, tmp_path, capsys, bad):
         target = tmp_path / "gate.txt"

@@ -1,8 +1,11 @@
 """Every private name that src/quadnmr defines at module or class level is
 read somewhere in src/quadnmr: a helper left behind by a deletion, or kept
-only for the tests, fails here. Read with ast, so nothing is imported."""
+only for the tests, fails here. And every private name that README.md names
+in backticks is defined there: a name the README keeps after its deletion
+fails. Read with ast, so nothing is imported."""
 
 import ast
+import re
 
 from conftest import SEQUENCES_DIR
 
@@ -35,6 +38,15 @@ def private_names_never_read(paths) -> list[str]:
                   for name in set(_defined(tree.body)) if _is_private(name) and name not in read)
 
 
+def private_names_never_defined(readme: str, paths) -> list[str]:
+    """Each private name in a backticked span of readme that no file of paths
+    defines at module or class level."""
+    defined = {name for path in paths for name in _defined(ast.parse(path.read_text()).body)}
+    named = {name for span in re.findall(r"`([^`]*)`", readme)
+             for name in re.findall(r"(?<!\w)_\w+", span) if _is_private(name)}
+    return sorted(named - defined)
+
+
 def test_every_private_name_is_read_in_the_package():
     paths = sorted(SEQUENCES_DIR.parent.glob("*.py"))
     assert len(paths) >= 10
@@ -49,3 +61,18 @@ def test_the_check_finds_a_name_nobody_reads(tmp_path):
                       "class Box:\n    _kept = 0\n    _dead = property(lambda self: 0)\n"
                       "    def read(self):\n        return self._kept + _helper()\n")
     assert private_names_never_read([module]) == ["mod:_UNUSED", "mod:_dead", "mod:_np"]
+
+
+def test_every_private_name_of_the_readme_is_defined_in_the_package():
+    readme = (SEQUENCES_DIR.parents[2] / "README.md").read_text()
+    paths = sorted(SEQUENCES_DIR.parent.glob("*.py"))
+    assert "`_readout_plan`" in readme
+    assert private_names_never_defined(readme, paths) == []
+
+
+def test_the_readme_check_finds_a_name_nobody_defines(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("_KEPT = 1\nclass Box:\n    def _read(self):\n        return _KEPT\n")
+    readme = ("`_KEPT`, `Box._read(x)` and `mod._gone`; `__init__`, a_b and _loose "
+              "named outside backticks do not count\n")
+    assert private_names_never_defined(readme, [module]) == ["_gone"]

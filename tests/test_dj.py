@@ -363,9 +363,10 @@ COUPLINGS = [2000.0, 2000, np.int64(2000), np.float32(2000.0), 16_000.0 / 6.0,
 def dj_calls(draw):
     """One to six run_dj calls over every oracle, method, shaped flag and
     relaxation setting, each after the first the one before with one part
-    drawn again, so that calls share an oracle plan or differ in one part of
-    its key. The offset may be a zero of either sign, an int or a float, and
-    the coupling a float, an int or a numpy scalar."""
+    drawn again, so that calls share a kept oracle state (dj._oracle_state)
+    or differ in one part of its key. The offset may be a zero of either
+    sign, an int or a float, and the coupling a float, an int or a numpy
+    scalar."""
     parts = {"oracle_id": st.sampled_from(ORACLE_IDS), "method": st.sampled_from(METHODS),
              "relax": st.sampled_from([None, RelaxationParams(),
                                        RelaxationParams(t1_s=np.float64(0.016))]),

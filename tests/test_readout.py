@@ -280,8 +280,9 @@ class TestBestPhaseBits:
 def reference_spectrum(fid, sys, choose_phase):
     """spectrum() with the transform of spectrum(fid), one boolean mask per
     line over the whole axis, each clipped against the lines within 2.001
-    half-widths, the zero-order phase choose_phase(raw integrals), and each
-    window's own part from its line alone (own_integrals_reference)."""
+    half-widths and then filled from its first to its last bin, the
+    zero-order phase choose_phase(raw integrals), and each window's own part
+    from its line alone (own_integrals_reference)."""
     freq = np.fft.fftshift(np.fft.fftfreq(fid.points, fid.dwell_s))
     amp = spectrum(fid).amplitude
     half_width = PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
@@ -295,6 +296,9 @@ def reference_spectrum(fid, sys, choose_phase):
             idx = np.flatnonzero(mask)
             nearest_rival = np.min(np.abs(freq[idx, None] - rivals), axis=1)
             mask[idx[nearest_rival < np.abs(freq[idx] - line)]] = False
+        idx = np.flatnonzero(mask)
+        if idx.size:    # lines whose distances tie at scattered bins: fill the gaps
+            mask[idx[0]:idx[-1] + 1] = True
     for tr, mask in zip(table, masks):
         if not np.any(mask):
             raise ValueError(
@@ -395,7 +399,7 @@ def synthesized_cases(draw):
 class TestSpectrum:
     @settings(max_examples=300, deadline=None)
     @given(readout_cases())
-    # lines 1e-300 Hz apart tie at scattered bins, so a window need not be one run
+    # lines 1e-300 Hz apart tie at scattered bins, so a mask need not be one run
     @example((FID(points=4096, dwell_s=5e-6, lb_hz=200.0, lines=((1.0, 0.0, math.inf),)),
               SpinSystem.from_splitting(splitting_hz=1e-300)))
     # the bins at +-12 kHz lie exactly halfway between two lines and are shared
@@ -561,6 +565,16 @@ class TestSpectrum:
         assert loss[0] > loss[1] and loss[2] > loss[1]
 
 
+@st.composite
+def shared_window_parts(draw):
+    """The own parts of 2 to 5 windows over one bin set: from zero through
+    subnormal to near overflow (PARTS), each after the first possibly the
+    first again or negated, which ties them exactly."""
+    first = draw(PARTS)
+    return [first] + [draw(st.one_of(st.sampled_from([first, -first]), PARTS))
+                      for _ in range(draw(st.integers(1, 4)))]
+
+
 class TestCheckResolved:
     @staticmethod
     def spec(*parts):
@@ -580,6 +594,23 @@ class TestCheckResolved:
             check_resolved(self.spec((1.5, 1.0), (real, own), (real, own)))
         assert "readout window of line 01-11," in str(err.value)
         assert isinstance(err.value, ValueError)
+
+    # n >= 2 windows over one bin set hold the same real integral s = sum x_i.
+    # Squared, each |x_i| > |s - x_i| reads (2 x_i - s) s > 0, and the n of
+    # them sum to (2 - n) s^2 > 0, which is false: nearly coincident lines,
+    # whose windows are one slice, are always refused
+    @settings(max_examples=1000, deadline=None)
+    @given(shared_window_parts())
+    @example([1.0, 1.0])
+    @example([1.0, 1.0 - 2.0 ** -53])
+    @example([5e-324, 5e-324, -0.0])
+    @example([1.7e308, 1.7e308])
+    def test_windows_over_one_bin_set_are_always_refused(self, own):
+        total = sum(own)
+        spec = Spectrum(freq_hz=np.zeros(2), amplitude=np.zeros(2, dtype=complex),
+                        peaks=[Peak(f"line {k}", 0.0, total, 1, x) for k, x in enumerate(own)])
+        with pytest.raises(UnresolvedLinesError):
+            check_resolved(spec)
 
     def test_one_error_class_everywhere(self):
         assert (quadnmr.readout.UnresolvedLinesError is dj.UnresolvedLinesError
@@ -980,17 +1011,19 @@ def fill_geometry_caches():
 def window_bins(window):
     """A window's bins as a list: an empty window's slice bounds are not
     observable, since spectrum refuses every empty window alike."""
-    return list(range(window.start, window.stop)) if type(window) is slice else window.tolist()
+    assert type(window) is slice
+    return list(range(window.start, window.stop))
 
 
 def resolved_windows(fid, sys):
-    """The bins of the windows spectrum(fid, sys) integrates."""
+    """The bins of the windows spectrum(fid, sys) integrates, each a slice
+    that _window_bins finds again."""
     freq, half_width = _axis(fid.points, fid.dwell_s), PEAK_WINDOW_LINEWIDTHS * fid.lb_hz
     kept = _readout_plan(fid.points, fid.dwell_s, fid.lb_hz,
                          tuple((f, t2) for _, f, t2 in fid.lines), sys._freqs)[1]
-    return [window_bins(_window_bins(freq, sys._freqs, line, half_width)
-                        if window is None else window)
-            for line, window in zip(sys._freqs, kept)]
+    assert list(kept) == [_window_bins(freq, sys._freqs, line, half_width)
+                          for line in sys._freqs]
+    return [window_bins(window) for window in kept]
 
 
 def reference_windows(fid, sys):
@@ -1137,7 +1170,7 @@ class TestReadoutGeometryCache:
         assert expected == line_spectrum_reference(
             FID(points=64, dwell_s=5e-6, lb_hz=200.0, lines=((1.0, 0.0, math.inf),))).tobytes()
 
-    # lines 1e-300 Hz apart tie at scattered bins: their windows are index arrays
+    # lines 1e-300 Hz apart tie at scattered bins: their windows are one slice
     @pytest.mark.parametrize("splitting_hz", [16_000.0, 1e-300])
     def test_entries_hold_python_scalars_and_slices(self, splitting_hz):
         sys = SpinSystem.from_splitting(splitting_hz)
@@ -1150,7 +1183,8 @@ class TestReadoutGeometryCache:
         # called again with the key spectrum used, it returns the kept entry
         entry = _readout_plan(*key)
         assert _readout_plan.cache_info()[:2] == (1, 1)
-        assert (None in entry[1]) == (splitting_hz < 1.0)
+        assert all(type(window) is slice for window in entry[1])
+        assert (entry[1][0] == entry[1][1] == entry[1][2]) == (splitting_hz < 1.0)
 
         def leaves(x):
             if type(x) is tuple:
