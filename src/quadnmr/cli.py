@@ -223,8 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    # argparse reads a word starting with '-' as a number only in the -1 and
+    # -1.5 forms: a float option and a following -1.5e3 or -inf become one word
+    commands = next(a for a in parser._actions if isinstance(a.choices, dict)).choices
+    floats = {flag for command in commands.values() for a in command._actions
+              if a.type is float for flag in a.option_strings}
+    words = []
+    for word in _sys.argv[1:] if argv is None else argv:
+        if words and words[-1] in floats:
+            try:
+                float(word)
+            except ValueError:
+                pass
+            else:
+                words[-1] += "=" + word
+                continue
+        words.append(word)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(words)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold into the config-error code
         return EXIT_CONFIG if exc.code else EXIT_OK

@@ -54,102 +54,115 @@ def _inversion(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return u, uh
 
 
+# The batches of _plan: the ideal pulses, the shaped ones, the diagonal propagators.
+_IDEAL, _SHAPED, _DIAGONAL = range(3)
+
+
+def _hard(event, sys):
+    sign, row = pulse_factors(sys, event.axis, event.angle_rad)
+    return _IDEAL, (row, sign * event.angle_rad, None), None
+
+
 def _selective(event, sys):
     shape = event.shape
     if shape is not None and shape.duration_s <= 0:
         raise ValueError("shaped pulse duration must be positive")
-    pulse = pulse_factors(sys, event.axis, event.angle_rad, event.transition)
+    sign, row = pulse_factors(sys, event.axis, event.angle_rad, event.transition)
     if shape is None:
-        return pulse, None, None, None
+        return _IDEAL, (row, sign * event.angle_rad, None), None
     # the pulse, then free evolution over its duration
-    return pulse, evolution_coefficient(shape.duration_s), None, shape.duration_s
+    return (_SHAPED, (row, sign * event.angle_rad, evolution_coefficient(shape.duration_s)),
+            shape.duration_s)
 
 
 def _delay(row: int, parts: int):
     """The step parts of a delay whose tau / parts evolves under the row."""
     def parts_of(event, sys):
-        tau = cphase_delay_s(sys) if event.tau_text == SYMBOLIC_CPHASE_DELAY else event.tau_s
-        return None, None, (evolution_coefficient(tau / parts), row), tau / parts
+        tau = (cphase_delay_s(sys) if event.tau_text == SYMBOLIC_CPHASE_DELAY
+               else event.tau_s) / parts
+        return _DIAGONAL, (evolution_coefficient(tau), row), tau
     return parts_of
 
 
-# What _plan builds each event type from, each None where it has none: the
-# pulse's sign and generator row, the coefficient of the free evolution after it,
-# the diagonal exponent (a coefficient and an _exponent_rows row) and the
-# relaxed interval. A refocus block is built from its half; gradients and
-# acquisitions have no step, and an event of another type is refused.
+# What _plan builds each event type from: its batch, its input to the batch (a
+# pulse's generator row, its signed angle and the coefficient of the free
+# evolution after it or None; a diagonal's coefficient and _exponent_rows row)
+# and its relaxed interval or None. A refocus block is built from its half;
+# gradients and acquisitions have no step, and an event of another type is
+# refused.
 _STEP_PARTS = {
-    HardPulse: lambda e, sys: (pulse_factors(sys, e.axis, e.angle_rad), None, None, None),
-    SelPulse: _selective,
-    ZPulse: lambda e, sys: (None, None, (e.angle_rad, z_row(sys, e.transition, e.angle_rad)),
+    HardPulse: _hard, SelPulse: _selective,
+    ZPulse: lambda e, sys: (_DIAGONAL, (e.angle_rad, z_row(sys, e.transition, e.angle_rad)),
                             None),
     QuadDelay: _delay(QUAD_ROW, 1), Refocus: _delay(H_ROW, 2), Gradient: None, Acquire: None}
 
 
-def _fill(steps, us: np.ndarray) -> None:
-    """Put each propagator of the stack us and its adjoint in its step."""
-    uhs = us.conj().swapaxes(-1, -2)
-    for step, u, uh in zip(steps, list(us), list(uhs)):
-        step[:2] = u, uh
+def _fill(us: list, uhs: list, stack: np.ndarray, adjoint: bool) -> None:
+    """Put the stack's propagators in us and, if adjoint, their adjoints in uhs."""
+    us.extend(stack)
+    if adjoint:
+        uhs.extend(stack.conj().swapaxes(-1, -2))
 
 
-def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
+def _plan(events, sys: SpinSystem, relax: RelaxationParams | None, adjoint: bool = True):
     """Steps of each event, the decays of the relaxed intervals (or None) and
     the error of the first bad event (or None), which the walk raises when it
     reaches that event: the plan stops before it.
 
-    An event's steps are [propagator, its conjugate transpose, interval]
-    triples in time order; interval indexes the decays when relaxation
-    follows the step. Without relax every unitary event is one step, its
-    whole propagator. A gradient or acquisition has None. A refocus block
-    relaxes in its two free-evolution halves, on the transitions its
-    coherences occupy around the inversion. Each step is made empty and
-    filled once the batch is computed.
+    An event's steps are (us, uhs, index, interval) in time order: the
+    propagator us[index], its conjugate transpose uhs[index] (without adjoint
+    uhs stays empty) and the index of the decays when relaxation follows.
+    Without relax every unitary event is one step, its whole propagator. A
+    gradient or acquisition has None. A refocus block relaxes in its two
+    free-evolution halves, on the transitions its coherences occupy around
+    the inversion. A batch is (its inputs, us, uhs), filled once computed.
     """
-    plan, pulses, diags, dts, blocks, error = [], ([], []), [], [], [], None
+    plan, dts, error = [], [], None
+    batches, blocks = [([], [], []) for _ in range(3)], ([], [], [])
     for event in events:
         parts_of = _STEP_PARTS.get(type(event), _refuse_non_unitary)
         if parts_of is None:
             plan.append(None)
             continue
         try:
-            pulse, free, diag, dt = parts_of(event, sys)
+            batch, item, dt = parts_of(event, sys)
         except ValueError as exc:   # a refused event: raised when the walk gets there
             error = exc
             break
-        step = [None, None, None]
-        if relax is not None and dt is not None:
-            step[2] = len(dts)
+        inputs, us, uhs = batches[batch]
+        step = (us, uhs, len(inputs), None if relax is None or dt is None else len(dts))
+        inputs.append(item)
+        if step[3] is not None:
             dts.append(dt)
+        if type(event) is Refocus:
+            if relax is not None:
+                u, uh = _inversion(sys.dim)
+                plan.append((step, ((u,), (uh,), 0, None), step))
+                continue
+            # the block is made from its half
+            step = (blocks[1], blocks[2], len(blocks[0]), None)
+            blocks[0].append(len(inputs) - 1)
         plan.append((step,))
-        if pulse is not None:
-            sign, row = pulse
-            pulses[free is not None].append((row, sign * event.angle_rad, free, step))
-            continue
-        if type(event) is Refocus and relax is not None:
-            plan[-1] = (step, (*_inversion(sys.dim), None), step)
-        elif type(event) is Refocus:   # the block is made from its half
-            blocks.append(([None, None], step))
-            step = blocks[-1][0]
-        diags.append((*diag, step))
 
-    for members in filter(None, pulses):   # the ideal pulses, then the shaped
-        rows, scales, frees, steps = zip(*members)
-        rows = np.array(rows)   # an index array gathers faster than a tuple of ints
-        # each pulse's own generator factors, gathered from the table
-        w, v, vh = _generator_table(sys.dim)
-        us = expm_from_eigh(w[rows][:, None, :], v[rows], vh[rows],
-                            np.array(scales)[:, None, None])
-        if frees[0] is not None:
-            us = expm_diagonal(np.array(frees)[:, None] * sys._h_diag) @ us
-        _fill(steps, us)
-    if diags:
-        coefs, rows, steps = zip(*diags)
-        _fill(steps, expm_diagonal(np.array(coefs, dtype=complex)[:, None]
-                                   * sys._exponent_rows.take(rows, 0)))
-    if blocks:
-        halves = np.array([half[0] for half, _ in blocks])
-        _fill([step for _, step in blocks], halves @ _inversion(sys.dim)[0] @ halves)
+    diags = batches[_DIAGONAL]
+    for inputs, us, uhs in batches[:_DIAGONAL]:   # the ideal pulses, then the shaped
+        if inputs:
+            rows, scales, frees = zip(*inputs)
+            rows = np.array(rows)   # an index array gathers faster than a tuple of ints
+            # each pulse's own generator factors, gathered from the table
+            w, v, vh = _generator_table(sys.dim)
+            stack = expm_from_eigh(w[rows][:, None, :], v[rows], vh[rows],
+                                   np.array(scales)[:, None, None])
+            if frees[0] is not None:
+                stack = expm_diagonal(np.array(frees)[:, None] * sys._h_diag) @ stack
+            _fill(us, uhs, stack, adjoint)
+    if diags[0]:
+        coefs, rows = zip(*diags[0])
+        _fill(diags[1], diags[2], expm_diagonal(np.array(coefs, dtype=complex)[:, None]
+                                                * sys._exponent_rows.take(rows, 0)), adjoint)
+    if blocks[0]:
+        halves = np.array([diags[1][j] for j in blocks[0]])
+        _fill(blocks[1], blocks[2], halves @ _inversion(sys.dim)[0] @ halves, adjoint)
     decays = decay_factors(dts, relax, sys.dim) if dts else None
     return plan, decays, error
 
@@ -157,14 +170,15 @@ def _plan(events, sys: SpinSystem, relax: RelaxationParams | None):
 def compile_unitary(ir: SequenceIR, sys: SpinSystem | None = None) -> np.ndarray:
     """Net propagator of the sequence (first line applied first to the state)."""
     sys = ir.system() if sys is None else sys
-    plan, _, error = _plan(ir.events, sys, None)
+    plan, _, error = _plan(ir.events, sys, None, adjoint=False)
     total = None
     for event, steps in zip(ir.events, plan):
         if steps is None:
             _refuse_non_unitary(event)
+        us, _, j, _ = steps[0]
         # the first propagator itself, not times the identity, which turns
         # some -0.0 entries into +0.0
-        total = steps[0][0].copy() if total is None else steps[0][0].dot(total)
+        total = us[j].copy() if total is None else us[j].dot(total)
     if error is not None:
         raise error
     return np.eye(sys.dim, dtype=complex) if total is None else total
@@ -195,8 +209,8 @@ def run_trajectory(ir: SequenceIR, sys: SpinSystem | None, rho0: np.ndarray,
     fid = None
     for event, steps in zip(ir.events, plan):
         if steps is not None:
-            for u, uh, k in steps:
-                rho = u.dot(rho).dot(uh)     # u rho u^H, the BLAS calls of the @ operator
+            for us, uhs, j, k in steps:
+                rho = us[j].dot(rho).dot(uhs[j])     # u rho u^H, the BLAS calls of @
                 if k is not None:
                     rho = relax_step(rho, decays[0][k], decays[1][k], sys._iz_diag)
         elif isinstance(event, Gradient):

@@ -87,7 +87,10 @@ def pulse_factors(sys: SpinSystem, axis: str, angle_rad: float, transition: str 
     if not math.isfinite(angle_rad):
         raise ValueError("pulse angle must be finite")
     sign, row = _AXES[axis]
-    return sign, row if transition is None else row + 2 + 2 * sys._line(transition)
+    if transition is None:
+        return sign, row
+    line = sys._levels.line_index.get(transition)   # sys._line refuses a pair naming none
+    return sign, row + 2 + 2 * (sys._line(transition) if line is None else line)
 
 
 def _pulse(sys: SpinSystem, sign: float, row: int, angle_rad: float) -> np.ndarray:
@@ -114,7 +117,8 @@ def z_row(sys: SpinSystem, transition: str, phi_rad: float) -> int:
     """The row of sys._exponent_rows that phi_rad multiplies in a z-pulse."""
     if not math.isfinite(phi_rad):
         raise ValueError("pulse angle must be finite")
-    return Z_ROW + sys._line(transition)
+    line = sys._levels.line_index.get(transition)   # sys._line refuses a pair naming none
+    return Z_ROW + (sys._line(transition) if line is None else line)
 
 
 def gradient_crush(rho: np.ndarray) -> np.ndarray:

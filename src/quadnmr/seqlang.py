@@ -10,7 +10,7 @@ opens with a system declaration and may end with a single acquisition:
     pulse sel 10-11 -y pi/sqrt(3)
 
 Statements:
-    system I=<half-integer> [splitting=<freq>] [offset=<freq>]
+    system I=<half-integer> [splitting=<freq> | lambda=<freq>] [offset=<freq>]
     pulse hard <axis> <angle>
     pulse sel <transition> <axis> <angle> [gaussian <duration> [<slices>]]
     zpulse <transition> <angle>
@@ -19,9 +19,10 @@ Statements:
     gradient
     acquire <points> <dwell>
 
-Angles are radians: a float literal or pi, pi/2, pi/4, pi/sqrt(3), each with
-an optional leading '-'. Durations carry a unit (s, ms, us) or are the
-symbolic form pi/(12*lambda), resolved against the declared coupling.
+System keys come in any order, each at most once. Angles are radians: a
+float literal or pi, pi/2, pi/4, pi/sqrt(3), each with an optional leading
+'-'. Durations carry a unit (s, ms, us) or are the symbolic form
+pi/(12*lambda), resolved against the declared coupling.
 Transitions are bit-string pairs like 10-11; pairs whose levels are not
 adjacent (the unphysical |delta m| > 1 drives) are rejected at parse time.
 A gaussian clause makes a selective pulse soft (built in closed form by the
@@ -42,11 +43,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
+from .linalg import MAX_TWO_SPIN
 from .readout import MAX_POINTS
-from .system import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError,
-                     cphase_delay_s)
+from .system import (ForbiddenTransitionError, SpinSystem, UnknownTransitionError, _frozen,
+                     _levels, cphase_delay_s)
 
 SYMBOLIC_CPHASE_DELAY = "pi/(12*lambda)"
 
@@ -85,7 +87,7 @@ _DURATION_RE = re.compile(r"^([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)(s|ms|us)
 _FREQ_RE = re.compile(r"^([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)(Hz|kHz)?$")
 
 _DURATION_SCALE = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
-_AXES = frozenset(("x", "-x", "y", "-y"))
+_AXES = {axis: axis for axis in ("x", "-x", "y", "-y")}
 
 
 # --- events -----------------------------------------------------------------
@@ -189,16 +191,15 @@ class _WordError(Exception):
         super().__init__(message, code, index, offset)
 
 
-# A reader takes one word, its index in the line and the declared system.
+# A reader takes one word, its index in the line and the declared system. The
+# words its field knows (the axes, the angle symbols) it is never called on.
 def _read_angle(text: str, i: int, sys: SpinSystem) -> float:
-    value = _ANGLE_SYMBOLS.get(text)
-    if value is None:
-        try:
-            value = float(text)
-        except ValueError:
-            raise _WordError(f"bad angle {text!r}", E_BAD_NUMBER, i) from None
-        if not math.isfinite(value):
-            raise _WordError(f"angle must be finite, got {text!r}", E_BAD_VALUE, i)
+    try:
+        value = float(text)
+    except ValueError:
+        raise _WordError(f"bad angle {text!r}", E_BAD_NUMBER, i) from None
+    if not math.isfinite(value):
+        raise _WordError(f"angle must be finite, got {text!r}", E_BAD_VALUE, i)
     return value
 
 
@@ -239,18 +240,19 @@ def _read_points(text: str, i: int, sys: SpinSystem) -> int:
 
 def _read_transition(text: str, i: int, sys: SpinSystem) -> str:
     try:
-        sys._line(text)
+        sys._line(text)     # raises: the known words are the pairs that name a line
     except ForbiddenTransitionError as exc:
         raise _WordError(str(exc), E_FORBIDDEN_TRANSITION, i) from None
     except UnknownTransitionError as exc:
         raise _WordError(str(exc), E_UNKNOWN_TRANSITION, i) from None
-    return text
 
 
 def _read_axis(text: str, i: int, sys: SpinSystem) -> str:
-    if text not in _AXES:
-        raise _WordError(f"axis must be x, -x, y or -y, got {text!r}", E_SYNTAX, i)
-    return text
+    raise _WordError(f"axis must be x, -x, y or -y, got {text!r}", E_SYNTAX, i)
+
+
+def _read_shape_kind(text: str, i: int, sys: SpinSystem) -> str:
+    raise _WordError(f"unknown pulse shape {text!r}", E_UNKNOWN_KEYWORD, i)
 
 
 def _parse_freq(key: str, text: str, i: int, offset: int) -> float:
@@ -265,13 +267,14 @@ def _parse_freq(key: str, text: str, i: int, offset: int) -> float:
 
 # --- statement table --------------------------------------------------------
 
-# A field is (the name a missing word gets, its reader, the attribute the
-# value goes to, the attribute that keeps the word's text or None, and None or
-# a check of the value: (test, message formatted with the value, code)).
-_AXIS = ("axis", _read_axis, "axis", None, None)
-_TRANSITION = ("transition", _read_transition, "transition", None, None)
-_ANGLE = ("angle", _read_angle, "angle_rad", "angle_text", None)
-_TAU = ("duration", _read_duration, "tau_s", "tau_text", None)
+# A field is (the name a missing word gets, its known words and their values,
+# the reader of any other word, the attribute the value goes to, the attribute
+# that keeps the word's text or None, and None or a check of the value: (test,
+# message formatted with the value, code)).
+_AXIS = ("axis", _AXES, _read_axis, "axis", None, None)
+_TRANSITION = ("transition", {}, _read_transition, "transition", None, None)
+_ANGLE = ("angle", _ANGLE_SYMBOLS, _read_angle, "angle_rad", "angle_text", None)
+_TAU = ("duration", {}, _read_duration, "tau_s", "tau_text", None)
 
 # Each keyword path, a word or a pair of words, maps to its event class and
 # its fields, in the order they are read (left to right, a trailing word last)
@@ -284,56 +287,63 @@ _STATEMENTS = {
     "refocus": (Refocus, (_TAU,)),
     "gradient": (Gradient, ()),
     "acquire": (Acquire, (
-        ("point count", _read_points, "points", None,
+        ("point count", {}, _read_points, "points", None,
          (lambda n: n >= 2 and not n & (n - 1),
           "acquire points must be a power of two, got {}", E_POINTS_NOT_POWER2)),
-        ("dwell time", _read_duration, "dwell_s", "dwell_text",
+        ("dwell time", {}, _read_duration, "dwell_s", "dwell_text",
          (lambda t: t > 0, "dwell time must be positive", E_BAD_VALUE)))),
 }
 # the one irregular clause, the optional tail of pulse sel: gaussian D [N]
 _SHAPE = (GaussianShape, (
-    ("shape duration", _read_duration, "duration_s", "duration_text",
+    ("shape duration", {}, _read_duration, "duration_s", "duration_text",
      (lambda t: t > 0, "shaped pulse duration must be positive", E_BAD_VALUE)),
-    ("slices", _read_int, "n_slices", None,
+    ("slices", {}, _read_int, "n_slices", None,
      (lambda n: n >= 64, "need at least 64 slices", E_BAD_VALUE))))
+# its words are read after those of the pulse, into the event's dict (the kind
+# word to "shape"), then moved to the GaussianShape
+_CLAUSE = (("pulse shape", {"gaussian": "gaussian"}, _read_shape_kind, "shape", None, None),
+           *_SHAPE[1])
+_SHAPE_NAMES = [name for field in _SHAPE[1] for name in field[3:5] if name]
 # first words of two-word paths: what the second is called, and its error
 _SECOND_WORD = {
     "pulse": ("pulse scope (hard|sel)", "pulse scope must be hard or sel, got {!r}"),
     "delay": ("delay kind (quad)", "unknown delay kind {!r}")}
+_SYSTEM_KEYS = {"I": "spin", "splitting": "coupling", "lambda": "coupling", "offset": "offset"}
+# the spins n/2 a system can have, as float(Fraction) reads them
+_HALF_SPINS = {f"{n}/2": n / 2 for n in range(1, MAX_TWO_SPIN + 1, 2)}
 
 
-def _read_fields(words: list[str], start: int, fields, sys: SpinSystem,
-                 values: dict) -> int:
-    """Read fields left to right from words[start:] into values; the index after."""
-    i, n = start, len(words)
-    for what, read, name, text_name, check in fields:
-        if i == n:
-            raise _WordError(f"expected {what}", E_SYNTAX, i - 1, len(words[i - 1]))
-        text = words[i]
-        values[name] = value = read(text, i, sys)
-        if check and not check[0](value):
-            raise _WordError(check[1].format(value), check[2], i)
-        if text_name:
-            values[text_name] = text
-        i += 1
-    return i
+@cache
+def _statements(dim: int) -> dict:
+    """_STATEMENTS for a dim-level spin, each entry (class, fields, index of
+    the first field's word), with the line pairs the known words of _TRANSITION."""
+    known = ("transition", {pair: pair for pair in _levels(dim).line_index}, *_TRANSITION[2:])
+    return {key: (cls, tuple(known if f is _TRANSITION else f for f in fields),
+                  1 if isinstance(key, str) else 2)
+            for key, (cls, fields) in _STATEMENTS.items()}
 
 
 def _parse_system(words: list[str]) -> tuple[SystemDecl, SpinSystem]:
-    spin = None
-    splitting = None
-    offset = 0.0
+    values, given = {"spin": None, "splitting_hz": None, "offset_hz": 0.0}, {}
     for i in range(1, len(words)):
         if "=" not in words[i]:
             raise _WordError(f"expected key=value, got {words[i]!r}", E_SYNTAX, i)
         key, value = words[i].split("=", 1)
         at = len(key) + 1
+        what = _SYSTEM_KEYS.get(key)
+        if what is None:
+            raise _WordError(f"unknown system parameter {key!r}", E_UNKNOWN_KEYWORD, i)
+        if what in given:
+            raise _WordError(f"{key}= repeats the {what} given by {given[what]}=", E_SYNTAX, i)
+        given[what] = key
         if key == "I":
             try:
-                spin = float(Fraction(value))
+                values["spin"] = _HALF_SPINS.get(value) or float(Fraction(value))
             except (ValueError, ZeroDivisionError, OverflowError):
                 raise _WordError(f"bad spin {value!r}", E_BAD_NUMBER, i, at) from None
-        elif key in ("splitting", "lambda"):
+        elif key == "offset":
+            values["offset_hz"] = _parse_freq(key, value, i, at)
+        else:
             splitting = _parse_freq(key, value, i, at)
             if splitting < 0:
                 raise _WordError(f"{key} must be nonnegative", E_BAD_VALUE, i, at)
@@ -342,51 +352,26 @@ def _parse_system(words: list[str]) -> tuple[SystemDecl, SpinSystem]:
                 if splitting == math.inf:
                     raise _WordError(f"lambda too large: 6*lambda overflows the float "
                                      f"range, got {value!r}", E_BAD_VALUE, i, at)
-        elif key == "offset":
-            offset = _parse_freq(key, value, i, at)
-        else:
-            raise _WordError(f"unknown system parameter {key!r}", E_UNKNOWN_KEYWORD, i)
-    if spin is None:
+            values["splitting_hz"] = splitting
+    if values["spin"] is None:
         raise _WordError("system declaration needs I=<spin>", E_SYNTAX, 0)
-    decl = SystemDecl(spin=spin, splitting_hz=splitting, offset_hz=offset)
+    decl = _frozen(SystemDecl, **values)
     try:
         return decl, decl.system
     except ValueError as exc:
         raise _WordError(str(exc), E_BAD_VALUE, 0) from None
 
 
-def _parse_event(words: list[str], sys: SpinSystem, values: dict) -> Event:
-    """The event of one statement line; values holds its line and column."""
-    head = words[0]
-    entry, start = _STATEMENTS.get(head), 1
-    if entry is None:
-        if head not in _SECOND_WORD:
-            raise _WordError(f"unknown statement {head!r}", E_UNKNOWN_KEYWORD, 0)
-        what, wrong = _SECOND_WORD[head]
-        if len(words) == 1:
-            raise _WordError(f"expected {what}", E_SYNTAX, 0, len(head))
-        entry, start = _STATEMENTS.get((head, words[1])), 2
-        if entry is None:
-            raise _WordError(wrong.format(words[1]), E_UNKNOWN_KEYWORD, 1)
-    cls, fields = entry
-    end = _read_fields(words, start, fields, sys, values)
-    if end < len(words):
-        if cls is SelPulse:
-            if words[end] != "gaussian":
-                raise _WordError(f"unknown pulse shape {words[end]!r}",
-                                 E_UNKNOWN_KEYWORD, end)
-            shape = {}
-            # the slice count is optional
-            shape_fields = _SHAPE[1][:2 if end + 2 < len(words) else 1]
-            end = _read_fields(words, end + 1, shape_fields, sys, shape)
-            values["shape"] = GaussianShape(**shape)
-        if end < len(words):
-            raise _WordError(f"unexpected trailing token {words[end]!r}", E_SYNTAX, end)
-    elif cls is SelPulse:
-        values["shape"] = None
-    event = object.__new__(cls)     # values holds every field: skip the frozen __init__
-    event.__dict__.update(values)
-    return event
+def _refuse_statement(words: list[str]):
+    """Raise the error of a line whose keyword path names no statement."""
+    if words[0] == "system":
+        raise _WordError("duplicate system declaration", E_DUPLICATE_SYSTEM, 0)
+    if words[0] not in _SECOND_WORD:
+        raise _WordError(f"unknown statement {words[0]!r}", E_UNKNOWN_KEYWORD, 0)
+    what, wrong = _SECOND_WORD[words[0]]
+    if len(words) == 1:
+        raise _WordError(f"expected {what}", E_SYNTAX, 0, len(words[0]))
+    raise _WordError(wrong.format(words[1]), E_UNKNOWN_KEYWORD, 1)
 
 
 def parse_sequence(text: str) -> SequenceIR:
@@ -394,26 +379,56 @@ def parse_sequence(text: str) -> SequenceIR:
     decl: SystemDecl | None = None
     sys: SpinSystem | None = None
     events: list[Event] = []
+    acquired = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0] if "#" in raw else raw
         words = code.split()
         if not words:
             continue
+        head = words[0]
         try:
-            if words[0] == "system":
-                if decl is not None:
-                    raise _WordError("duplicate system declaration", E_DUPLICATE_SYSTEM, 0)
-                decl, sys = _parse_system(words)
-                continue
             if sys is None:
-                raise _WordError("system declaration must come first", E_MISSING_SYSTEM, 0)
-            event = _parse_event(words, sys, {
-                "line": lineno, "column": len(code) - len(code.lstrip()) + 1})
-            if events and type(events[-1]) is Acquire:
-                if type(event) is Acquire:
+                if head != "system":
+                    raise _WordError("system declaration must come first",
+                                     E_MISSING_SYSTEM, 0)
+                decl, sys = _parse_system(words)
+                statements = _statements(sys.dim)
+                continue
+            entry = statements.get(head) or statements.get(
+                (head, words[1] if len(words) > 1 else "")) or _refuse_statement(words)
+            cls, fields, i = entry
+            n = len(words)
+            if cls is SelPulse and n > i + len(fields):   # the slice count is optional
+                fields += _CLAUSE[:3 if n > i + len(fields) + 2 else 2]
+            values = {"line": lineno, "column": code.find(head) + 1}
+            for what, known, read, name, text_name, check in fields:
+                if i == n:
+                    raise _WordError(f"expected {what}", E_SYNTAX, i - 1, len(words[i - 1]))
+                text = words[i]
+                value = known.get(text)
+                if value is None:
+                    value = read(text, i, sys)
+                if check and not check[0](value):
+                    raise _WordError(check[1].format(value), check[2], i)
+                values[name] = value
+                if text_name:
+                    values[text_name] = text
+                i += 1
+            if i < n:
+                raise _WordError(f"unexpected trailing token {words[i]!r}", E_SYNTAX, i)
+            if acquired:
+                if cls is Acquire:
                     raise _WordError("only one acquire event is allowed",
                                      E_DUPLICATE_ACQUIRE, 0)
                 raise _WordError("acquire must be the last event", E_ACQUIRE_NOT_LAST, 0)
+            acquired = cls is Acquire
+            if cls is SelPulse:
+                values["shape"] = values.get("shape") and GaussianShape(
+                    **{name: values.pop(name) for name in _SHAPE_NAMES if name in values})
+            # values holds every field: skip the frozen __init__ (one update of an
+            # empty __dict__ copies values' compact table, whose attributes read fast)
+            event = object.__new__(cls)
+            event.__dict__.update(values)
         except _WordError as exc:
             message, error_code, index, offset = exc.args
             # columns are found only here: \S+ matches the words str.split gave
@@ -430,7 +445,7 @@ def parse_sequence(text: str) -> SequenceIR:
 
 # a %-template per class: its keyword path, then the text of each field
 _TEMPLATES = {cls: " ".join([*((key,) if isinstance(key, str) else key),
-                              *(f"%({field[3] or field[2]})s" for field in fields)])
+                              *(f"%({field[4] or field[3]})s" for field in fields)])
               for key, (cls, fields) in [*_STATEMENTS.items(), ("gaussian", _SHAPE)]}
 
 

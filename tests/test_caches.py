@@ -17,7 +17,7 @@ from helpers import clear_readout_caches
 UNBOUNDED = {"quadnmr.system._levels", "quadnmr.linalg._spin_operators",
              "quadnmr.pulses._generator_table", "quadnmr.compiler._inversion",
              "quadnmr.dj._start_state", "quadnmr.dj._ideal_state",
-             "quadnmr.dj._bundled_events"}
+             "quadnmr.dj._bundled_events", "quadnmr.seqlang._statements"}
 
 
 def functools_caches() -> dict:

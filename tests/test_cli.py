@@ -129,13 +129,24 @@ class TestDJCommand:
 
     # each printed "lambda_hz must be finite", a name the user never wrote
     @pytest.mark.parametrize("flag", ["--splitting", "--offset"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_a_non_finite_frequency_names_its_flag(self, tmp_path, capsys, flag, value):
         code, out, err = run_cli(capsys, "--outdir", str(tmp_path), "dj", "--oracle", "f3",
                                  flag, value)
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"error[E_CONFIG]: {flag} must be finite, got {value}"]
         assert not list(tmp_path.iterdir())
+
+    # a negative value in exponent form once read as a missing argument:
+    # argparse takes only the -1 and -1.5 forms of a leading '-' as a number
+    def test_a_negative_exponent_form_runs(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(capsys, "--outdir", str(a), "dj", "--oracle", "f3",
+                       "--offset", "-1.5e3") == (0, "balanced\n", "")
+        assert run_cli(capsys, "--outdir", str(b), "dj", "--oracle", "f3",
+                       "--offset=-1500") == (0, "balanced\n", "")
+        for path in sorted(a.iterdir()):
+            assert path.read_bytes() == (b / path.name).read_bytes()
 
     def test_unknown_oracle_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "--outdir", str(tmp_path), "dj",

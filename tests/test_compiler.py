@@ -26,6 +26,12 @@ def load(name):
     return parse_sequence((SEQUENCES_DIR / name).read_text())
 
 
+def first_propagator(steps) -> np.ndarray:
+    """The propagator of an event's first planned step."""
+    us, _, index, _ = steps[0]
+    return us[index]
+
+
 class TestCompileUnitary:
     def test_empty_script_compiles_to_identity(self):
         ir = parse_sequence("system I=3/2 splitting=16kHz\n")
@@ -41,7 +47,7 @@ class TestCompileUnitary:
                              angle_text="2*pi")
             ir = SequenceIR(SystemDecl(sys.spin, sys.splitting_hz), (event,))
             u = compile_unitary(ir, sys)
-            own = _plan(ir.events, sys, None)[0][0][0][0]
+            own = first_propagator(_plan(ir.events, sys, None)[0][0])
             assert u.tobytes() == own.tobytes()
             u[0, 0] = 7.0     # a fresh array, not the plan's
             assert compile_unitary(ir, sys).tobytes() == own.tobytes()
@@ -299,7 +305,7 @@ def test_walk_has_the_bits_of_the_matmul_walk(seq):
         if isinstance(event, Gradient):
             rho = gradient_crush(rho)
         elif not isinstance(event, Acquire):
-            rho = conjugate_reference(rho, steps[0][0])
+            rho = conjugate_reference(rho, first_propagator(steps))
         assert got.tobytes() == rho.tobytes()
 
 
@@ -365,7 +371,7 @@ def test_a_one_pulse_sequence_has_the_bytes_of_its_pulse(spin, pulses, duration,
     plan, _, _ = _plan(events, sys, None)
     for steps, want, grouped in zip(plan, wants, pulse_stack_reference(events, sys),
                                     strict=True):
-        assert steps[0][0].tobytes() == want.tobytes() == grouped.tobytes()
+        assert first_propagator(steps).tobytes() == want.tobytes() == grouped.tobytes()
 
 
 @pytest.mark.parametrize("spin", [0.5, 1.5, 7.5])

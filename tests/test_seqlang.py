@@ -1,5 +1,6 @@
+import random
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from quadnmr.seqlang import (Acquire, GaussianShape, Gradient, HardPulse, QuadDe
                              Refocus, SelPulse, SequenceIR, SystemDecl, ZPulse)
 
 from conftest import INVALID_DIR, SEQUENCES_DIR
+from test_golden_parse import _generate, corpus
 
 EXAMPLE = """\
 # three-event oracle body
@@ -199,6 +201,14 @@ class TestParseErrors:
         ("system I=3/2 splitting=16kHz\npulse hard x pi/3\n", "E_BAD_NUMBER at 2:14"),
         ("system I=3/2 splitting=16kHz\nzpulse 01-11 -inf\n", "E_BAD_VALUE at 2:14"),
         ("system I=3/2 splitting=16kHz\n  zpulse 01-11 -nan\n", "E_BAD_VALUE at 2:16"),
+        # a system key given twice was read last-wins; splitting and lambda
+        # both set the coupling
+        ("system I=3/2 splitting=16kHz splitting=8kHz\n", "E_SYNTAX at 1:30"),
+        ("system I=3/2 splitting=16kHz lambda=1kHz\n", "E_SYNTAX at 1:30"),
+        ("system I=3/2 lambda=1kHz splitting=6kHz\n", "E_SYNTAX at 1:26"),
+        ("system I=3/2 I=5/2\n", "E_SYNTAX at 1:14"),
+        ("system offset=1Hz I=3/2 offset=2Hz\n", "E_SYNTAX at 1:25"),
+        ("system I=3/2 I=bad\n", "E_SYNTAX at 1:14"),
     ])
     def test_inline_error_cases(self, text, code):
         # code is "E_CODE" or, to pin the position too, "E_CODE at LINE:COLUMN"
@@ -210,12 +220,40 @@ class TestParseErrors:
             assert (err.value.line, err.value.column) == \
                 (int(expected.group(2)), int(expected.group(3)))
 
+    def test_a_repeated_system_key_names_the_first(self):
+        with pytest.raises(ParseError) as err:
+            parse_sequence("system I=3/2 splitting=16kHz lambda=1kHz\n")
+        assert err.value.message == "lambda= repeats the coupling given by splitting="
+
     def test_eight_level_system_labels(self):
         ir = parse_sequence("system I=7/2 splitting=12kHz\nzpulse 001-010 pi\n")
         assert ir.events[0].transition == "001-010"
 
 
 VALID_FIXTURES = sorted(SEQUENCES_DIR.glob("*.qseq"))
+
+
+def test_parsed_records_hold_the_fields_their_init_sets():
+    """The reader builds its records without their __init__, so a field it
+    forgot or misnamed would fail only when read: every event, shape and
+    declaration it makes from the bundled sequences, the golden-parse corpus
+    and 200 generated texts holds what __init__ would set."""
+    rng = random.Random(20261021)
+    texts = [path.read_text() for path in VALID_FIXTURES] + list(corpus().values())
+    parsed = 0
+    for text in texts + [_generate(rng) for _ in range(200)]:
+        try:
+            ir = parse_sequence(text)
+        except ParseError:
+            continue
+        parsed += 1
+        declared = {k: v for k, v in vars(ir.system_decl).items() if k != "system"}
+        assert declared == vars(replace(ir.system_decl))
+        for event in ir.events:
+            assert vars(event) == vars(replace(event))
+            if getattr(event, "shape", None) is not None:
+                assert vars(event.shape) == vars(replace(event.shape))
+    assert parsed > 400
 
 
 class TestRoundTrip:
